@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import pickle
-import warnings
 from pathlib import Path
 from types import EllipsisType, ModuleType
 from typing import Any, Iterable
@@ -208,25 +207,6 @@ class KeyedStore:
 
     def _entry_name(self, key: str) -> str:
         return f"{key}{self.suffix}"
-
-    def path(self, key: str) -> Path | None:
-        """Deprecated: the on-disk path of one entry, or ``None``.
-
-        This leaked the backend -- a remote store entry has no
-        :class:`Path`.  Use :meth:`contains` for existence and
-        :meth:`get_raw` for the raw bytes; direct mutation should go
-        through :attr:`backend`.  Kept as a warning shim for one release;
-        returns ``None`` for memory-only *and* remote stores.
-        """
-        warnings.warn(
-            "KeyedStore.path() is deprecated (it assumes a local-filesystem "
-            "backend); use contains()/get_raw() or the backend attribute",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if isinstance(self.backend, LocalBackend):
-            return self.backend.root / self._entry_name(key)
-        return None
 
     def contains(self, key: str) -> bool:
         if self._memory is not None and key in self._memory:

@@ -13,7 +13,10 @@ field are tried on both sides and the better direction kept.  For categorical
 fields (one-hot semantics) candidates are one-vs-rest on each category.
 
 The whole search is vectorized over the flattened bin space: segmented
-cumulative sums give every candidate's left aggregate in O(total bins).
+cumulative sums give every candidate's left aggregate in O(total bins).  The
+per-node search (:meth:`SplitSearcher.best_split`) then scores only the bins
+that can win (exact bin compaction); the batched
+:meth:`SplitSearcher.best_split_many` scores every bin and is its oracle.
 """
 
 from __future__ import annotations
@@ -87,24 +90,55 @@ def leaf_weight(grad: float, hess: float, lambda_: float) -> float:
     return -grad / (hess + lambda_)
 
 
-def segment_cumsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _no_split(best_gain: float, g_tot: float, h_tot: float, c_tot: float) -> SplitDecision:
+    """The no-split decision: every record stays right of a non-positive gain."""
+    return SplitDecision(
+        field=-1,
+        threshold_bin=-1,
+        is_categorical=False,
+        missing_left=False,
+        gain=best_gain if np.isfinite(best_gain) else -np.inf,
+        grad_left=0.0,
+        hess_left=0.0,
+        count_left=0.0,
+        grad_right=float(g_tot),
+        hess_right=float(h_tot),
+        count_right=float(c_tot),
+    )
+
+
+def segment_cumsum(
+    values: np.ndarray,
+    offsets: np.ndarray,
+    at: np.ndarray | None = None,
+    segment_of_at: np.ndarray | None = None,
+) -> np.ndarray:
     """Cumulative sum restarting at each segment boundary.
 
     ``offsets`` is the (n_segments + 1) exclusive prefix of segment sizes;
     element ``i`` of the result is the sum of its segment's elements up to and
     including ``i``.
+
+    With ``at`` (and ``segment_of_at``, each position's segment index) only
+    those positions are returned, bit-identical to
+    ``segment_cumsum(values, offsets)[at]``: the one running sum over the
+    whole array is still taken, but its segment base is subtracted only at
+    ``at``.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("segment_cumsum expects a 1-D array")
-    c = np.cumsum(values)
     starts = offsets[:-1]
     sizes = np.diff(offsets)
     if sizes.sum() != values.shape[0]:
         raise ValueError("offsets do not cover the array")
+    c = np.cumsum(values)
     base_vals = c[starts] - values[starts]
-    base = np.repeat(base_vals, sizes)
-    return c - base
+    if at is None:
+        return c - np.repeat(base_vals, sizes)
+    if segment_of_at is None:
+        raise ValueError("segment_cumsum needs segment_of_at together with at")
+    return c[at] - base_vals[segment_of_at]
 
 
 class SplitSearcher:
@@ -131,9 +165,15 @@ class SplitSearcher:
         # Categorical candidates: any value bin (one-vs-rest).
         self._cat_candidate = self._bin_is_cat & ~self._is_missing_bin
         self._n_bins = n_bins
+        self._miss_idx = self.offsets[1:] - 1
+        # Local value bin 0 of every field with numerical candidates: always
+        # scored by best_split's compacted kernel (see there).
+        self._num_bin0 = self._num_candidate & (self._local_bin == 0)
+        self._cat_bins = np.flatnonzero(self._cat_candidate)
+        self._cat_fields = self._field_of_bin[self._cat_bins]
         # Variant families with no candidate bins at all (e.g. the categorical
-        # variants of a pure-numerical dataset) are skipped by the batched
-        # search: their gain bands would be uniformly -inf and can never win.
+        # variants of a pure-numerical dataset) are skipped by both searches:
+        # their gain bands would be uniformly -inf and can never win.
         self._has_num = bool(self._num_candidate.any())
         self._has_cat = bool(self._cat_candidate.any())
 
@@ -160,19 +200,25 @@ class SplitSearcher:
         hr = h_tot - hl
         cr = c_tot - cl
         parent_term = (g_tot * g_tot) / (h_tot + p.lambda_)
+        # 0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - parent) - gamma, in
+        # that operation order, updated in place: a few large temporaries
+        # instead of one per operator.
         with np.errstate(divide="ignore", invalid="ignore"):
-            gain = 0.5 * (
-                (gl * gl) / (hl + p.lambda_) + (gr * gr) / (hr + p.lambda_) - parent_term
-            ) - p.gamma
-        invalid = (
-            (hl < p.min_child_weight)
-            | (hr < p.min_child_weight)
-            | (cl < p.min_child_records)
-            | (cr < p.min_child_records)
-        )
+            gain = gl * gl
+            gain /= hl + p.lambda_
+            gr *= gr
+            gr /= hr + p.lambda_
+            gain += gr
+            gain -= parent_term
+            gain *= 0.5
+            gain -= p.gamma
+        invalid = hl < p.min_child_weight
+        invalid |= hr < p.min_child_weight
+        invalid |= cl < p.min_child_records
+        invalid |= cr < p.min_child_records
         if candidate is not None:
-            invalid = invalid | ~candidate
-        gain = np.where(invalid, -np.inf, gain)
+            invalid |= ~candidate
+        gain[invalid] = -np.inf
         return gain
 
     # -- search -----------------------------------------------------------------
@@ -180,94 +226,98 @@ class SplitSearcher:
     def best_split(
         self, hist: Histogram, g_tot: float, h_tot: float, c_tot: float
     ) -> SplitDecision:
-        """Scan every bin of every field; return the best candidate.
+        """The best candidate split over every bin of every field.
 
         ``g_tot``/``h_tot``/``c_tot`` are the node's record totals.  (They
         cannot be recovered by summing the flattened histogram, which counts
-        every record once *per field*.)  Work is O(total bins) regardless of
-        how many records reached the node -- the property that justifies
-        offloading step 2 to the host.
+        every record once *per field*.)  The modelled step-2 work
+        (:class:`~repro.gbdt.workprofile.TreeWork` and the timing models) is
+        O(total bins) regardless of how many records reached the node -- the
+        property that justifies offloading step 2 to the host.  Only this host
+        software skips the bins that cannot win (exact bin compaction):
+
+        * variant families without candidate bins are not scored;
+        * the numerical bands score only bins whose ``count``, ``grad`` or
+          ``hess`` is non-zero, plus each field's local bin 0.  An all-zero
+          bin's left aggregates equal its predecessor's, so its gain ties an
+          earlier bin and can never be the first maximum.  Bin 0 has no
+          predecessor in its field and must stay: with missing records sent
+          left, an empty bin 0 splits off exactly the missing records;
+        * the missing-left bands score only fields with a non-empty missing
+          bin.  Elsewhere adding the missing aggregates adds zeros, so every
+          gain equals the missing-right band's at the same bin, which comes
+          first in variant order and wins the tie;
+        * the segmented cumsum is gathered at the kept bins with the same
+          ``c - base`` arithmetic as the dense scan;
+        * each band's first maximum is found, then the first maximum in
+          variant order -- the dense ``(variant, bin)`` scan's tie-breaking.
+
+        The decision is bit-identical to the dense, unskipped
+        :meth:`best_split_many` row (property-tested).
         """
         if hist.n_bins != self._n_bins:
             raise ValueError("histogram does not match this dataset's bin space")
+        count, grad, hess = hist.count, hist.grad, hist.hess
+        miss = self._miss_idx
+        g_miss, h_miss, c_miss = grad[miss], hess[miss], count[miss]
 
-        cum_g = segment_cumsum(hist.grad, self.offsets)
-        cum_h = segment_cumsum(hist.hess, self.offsets)
-        cum_c = segment_cumsum(hist.count, self.offsets)
+        # (variant, bins, left grad, left hess, left count), in variant order.
+        bands: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        has_missing = (c_miss != 0) | (g_miss != 0) | (h_miss != 0)
 
-        # Per-field missing-bin aggregates broadcast to that field's bins.
-        miss_idx = self.offsets[1:] - 1
-        sizes = np.diff(self.offsets)
-        g_miss = np.repeat(hist.grad[miss_idx], sizes)
-        h_miss = np.repeat(hist.hess[miss_idx], sizes)
-        c_miss = np.repeat(hist.count[miss_idx], sizes)
+        def add_bands(
+            variant: int,
+            bins: np.ndarray,
+            fields: np.ndarray,
+            gl: np.ndarray,
+            hl: np.ndarray,
+            cl: np.ndarray,
+        ) -> None:
+            """The missing-right band, then missing-left where it can differ."""
+            bands.append((variant, bins, gl, hl, cl))
+            keep = has_missing[fields]
+            if not keep.any():
+                return
+            if not keep.all():
+                bins, fields, gl, hl, cl = bins[keep], fields[keep], gl[keep], hl[keep], cl[keep]
+            gm, hm, cm = g_miss[fields], h_miss[fields], c_miss[fields]
+            bands.append((variant + 1, bins, gl + gm, hl + hm, cl + cm))
 
-        neg = np.full(self._n_bins, -np.inf)
-
-        # Numerical, missing goes right: left = value bins <= v.
-        gl, hl, cl = cum_g, cum_h, cum_c
-        gain_num_mr = np.where(
-            self._num_candidate, self._gain(gl, hl, cl, g_tot, h_tot, c_tot), neg
-        )
-        # Numerical, missing goes left.
-        gain_num_ml = np.where(
-            self._num_candidate,
-            self._gain(gl + g_miss, hl + h_miss, cl + c_miss, g_tot, h_tot, c_tot),
-            neg,
-        )
-        # Categorical one-vs-rest, missing right: left = {category}.
-        glc, hlc, clc = hist.grad, hist.hess, hist.count
-        gain_cat_mr = np.where(
-            self._cat_candidate, self._gain(glc, hlc, clc, g_tot, h_tot, c_tot), neg
-        )
-        # Categorical one-vs-rest, missing left.
-        gain_cat_ml = np.where(
-            self._cat_candidate,
-            self._gain(glc + g_miss, hlc + h_miss, clc + c_miss, g_tot, h_tot, c_tot),
-            neg,
-        )
-
-        stacked = np.stack([gain_num_mr, gain_num_ml, gain_cat_mr, gain_cat_ml])
-        flat_best = int(np.argmax(stacked))
-        variant, bin_idx = divmod(flat_best, self._n_bins)
-        best_gain = float(stacked.ravel()[flat_best])
-
-        if not np.isfinite(best_gain) or best_gain <= 0.0:
-            return SplitDecision(
-                field=-1,
-                threshold_bin=-1,
-                is_categorical=False,
-                missing_left=False,
-                gain=-np.inf if not np.isfinite(best_gain) else best_gain,
-                grad_left=0.0,
-                hess_left=0.0,
-                count_left=0.0,
-                grad_right=g_tot,
-                hess_right=h_tot,
-                count_right=c_tot,
+        if self._has_num:
+            occupied = (count != 0) | (grad != 0) | (hess != 0)
+            bins = np.flatnonzero((occupied & self._num_candidate) | self._num_bin0)
+            fields = self._field_of_bin[bins]
+            gl, hl, cl = (
+                segment_cumsum(v, self.offsets, bins, fields) for v in (grad, hess, count)
             )
+            add_bands(0, bins, fields, gl, hl, cl)
+        if self._has_cat:
+            bins, fields = self._cat_bins, self._cat_fields
+            add_bands(2, bins, fields, grad[bins], hess[bins], count[bins])
+        if not bands:
+            return _no_split(-np.inf, g_tot, h_tot, c_tot)
 
-        missing_left = variant in (1, 3)
-        is_cat = variant >= 2
-        if is_cat:
-            gl_v = float(hist.grad[bin_idx])
-            hl_v = float(hist.hess[bin_idx])
-            cl_v = float(hist.count[bin_idx])
-        else:
-            gl_v = float(cum_g[bin_idx])
-            hl_v = float(cum_h[bin_idx])
-            cl_v = float(cum_c[bin_idx])
-        if missing_left:
-            gl_v += float(g_miss[bin_idx])
-            hl_v += float(h_miss[bin_idx])
-            cl_v += float(c_miss[bin_idx])
+        args: list[int] = []
+        maxes: list[float] = []
+        for _, _, gl, hl, cl in bands:
+            gain = self._gain(gl, hl, cl, g_tot, h_tot, c_tot)
+            arg = int(np.argmax(gain))
+            args.append(arg)
+            maxes.append(gain[arg])
+        best = int(np.argmax(maxes))
+        best_gain = float(maxes[best])
+        if not np.isfinite(best_gain) or best_gain <= 0.0:
+            return _no_split(best_gain, g_tot, h_tot, c_tot)
 
-        field = int(self._field_of_bin[bin_idx])
+        variant, bins, gl, hl, cl = bands[best]
+        k = args[best]
+        bin_idx = int(bins[k])
+        gl_v, hl_v, cl_v = float(gl[k]), float(hl[k]), float(cl[k])
         return SplitDecision(
-            field=field,
+            field=int(self._field_of_bin[bin_idx]),
             threshold_bin=int(self._local_bin[bin_idx]),
-            is_categorical=is_cat,
-            missing_left=missing_left,
+            is_categorical=variant >= 2,
+            missing_left=variant in (1, 3),
             gain=best_gain,
             grad_left=gl_v,
             hess_left=hl_v,
@@ -402,21 +452,7 @@ class SplitSearcher:
         for j in range(k):
             best_gain = float(best_gains[j])
             if not np.isfinite(best_gain) or best_gain <= 0.0:
-                decisions.append(
-                    SplitDecision(
-                        field=-1,
-                        threshold_bin=-1,
-                        is_categorical=False,
-                        missing_left=False,
-                        gain=-np.inf if not np.isfinite(best_gain) else best_gain,
-                        grad_left=0.0,
-                        hess_left=0.0,
-                        count_left=0.0,
-                        grad_right=float(g_tot[j]),
-                        hess_right=float(h_tot[j]),
-                        count_right=float(c_tot[j]),
-                    )
-                )
+                decisions.append(_no_split(best_gain, g_tot[j], h_tot[j], c_tot[j]))
                 continue
             variant = int(variants[j])
             bin_idx = int(bin_idxs[j])

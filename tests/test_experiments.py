@@ -195,8 +195,6 @@ class TestProfileCache:
         cache = ProfileCache(root=None)
         assert cache.backend is None and cache.root is None
         assert cache.get_raw("k") is None
-        with pytest.warns(DeprecationWarning, match="path\\(\\) is deprecated"):
-            assert cache.path("k") is None
         result = train_scenario(TINY, cache)
         assert train_scenario(TINY, cache) is result
 

@@ -25,7 +25,7 @@ class TestEquivalence:
 
     def test_identical_losses(self, pair):
         vertex, level = pair
-        assert np.allclose(vertex.losses, level.losses)
+        assert np.array_equal(vertex.losses, level.losses)
 
     def test_identical_predictions(self, pair, data):
         vertex, level = pair

@@ -58,6 +58,25 @@ class TestSegmentCumsum:
             seg = x[off[i] : off[i + 1]]
             assert out[off[i + 1] - 1] == pytest.approx(seg.sum())
 
+    @given(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_gathered_positions_are_bit_identical(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        off = np.concatenate([[0], np.cumsum(sizes)])
+        x = rng.standard_normal(off[-1])
+        x[rng.random(x.size) < 0.5] = 0.0
+        at = np.flatnonzero(rng.random(x.size) < 0.5)
+        segment = np.repeat(np.arange(len(sizes)), sizes)[at]
+        dense = segment_cumsum(x, off)[at].tobytes()
+        assert segment_cumsum(x, off, at, segment).tobytes() == dense
+
+    def test_gather_needs_segments(self):
+        with pytest.raises(ValueError, match="segment_of_at"):
+            segment_cumsum(np.ones(4), np.array([0, 2, 4]), at=np.array([1, 3]))
+
 
 class TestLeafWeight:
     def test_formula(self):

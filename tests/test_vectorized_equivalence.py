@@ -5,7 +5,8 @@ reference implementation as an oracle; these tests assert bit-identity
 (not approximate equality) between the two on randomized inputs:
 
 * grouped histogram binning vs per-group ``build`` calls;
-* the batched level-wide split search vs per-vertex ``best_split``;
+* the batched level-wide split search vs per-vertex ``best_split``, incl.
+  sparse histograms where ``best_split`` skips the bins that cannot win;
 * the one-pass level partition vs the per-vertex scan/build reference;
 * the array-based FR-FCFS scheduler vs the plain ``while pending`` loop;
 * whole trainer runs (trees, splits, losses, work profiles) across a
@@ -17,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import generate
+from repro.datasets import DatasetSpec, FieldKind, FieldSpec, generate
 from repro.datasets.layout import RecordLayout
 from repro.gbdt import TrainParams, train_level_wise
 from repro.gbdt import split as split_mod
-from repro.gbdt.histogram import HistogramBuilder
+from repro.gbdt.histogram import Histogram, HistogramBuilder
 from repro.gbdt.levelwise import LevelWiseTrainer
-from repro.gbdt.split import SplitSearcher
+from repro.gbdt.split import SplitParams, SplitSearcher
 from repro.memory import DRAMConfig, DRAMSimulator
 from repro.memory.dram import ChannelSim
 from tests.conftest import small_spec_factory
@@ -135,6 +136,121 @@ class TestBestSplitMany:
         )
         (decision,) = searcher.best_split_many(count, grad, hess, g_tot, h_tot, c_tot)
         assert decision == searcher.best_split(hists[0], g_tot[0], h_tot[0], c_tot[0])
+
+    # -- sparse histograms: best_split's exact bin compaction vs the dense scan --
+
+    @staticmethod
+    def _assert_rows_match(searcher, hists, g_tot, h_tot, c_tot) -> list:
+        """``best_split`` == the dense ``best_split_many`` row, for every row."""
+        batch = searcher.best_split_many(
+            np.stack([h.count for h in hists]),
+            np.stack([h.grad for h in hists]),
+            np.stack([h.hess for h in hists]),
+            g_tot,
+            h_tot,
+            c_tot,
+        )
+        for j, hist in enumerate(hists):
+            assert searcher.best_split(hist, g_tot[j], h_tot[j], c_tot[j]) == batch[j]
+        return batch
+
+    @staticmethod
+    def _one_field_searcher(n_fields: int = 1) -> SplitSearcher:
+        fields = tuple(
+            FieldSpec(name=f"x{i}", kind=FieldKind.NUMERICAL, n_bins=4) for i in range(n_fields)
+        )
+        spec = DatasetSpec(name="sparse", fields=fields, n_records=10)
+        offsets = np.arange(n_fields + 1, dtype=np.int64) * fields[0].n_total_bins
+        params = SplitParams(lambda_=1.0, gamma=0.0, min_child_weight=0.0, min_child_records=1)
+        return SplitSearcher(spec, offsets, params)
+
+    @given(n_records=st.integers(2, 12), seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_empty_bins(self, data, builder, n_records, seed):
+        """A handful of records leaves most bins empty, in runs between
+        occupied ones -- the bins the compacted kernel skips."""
+        searcher = SplitSearcher(data.spec, builder.offsets, TrainParams().split)
+        rng = np.random.default_rng(seed)
+        g, h = _random_stats(data.n_records, seed + 1)
+        hists, totals = [], []
+        for _ in range(4):
+            index = np.sort(rng.choice(data.n_records, size=n_records, replace=False))
+            hists.append(builder.build(index, g, h))
+            totals.append((g[index].sum(), h[index].sum(), float(index.size)))
+        occupied = hists[0].count != 0
+        assert (~occupied[:-1] & occupied[1:]).any()  # an empty bin before an occupied one
+        self._assert_rows_match(searcher, hists, *map(np.array, zip(*totals)))
+
+    def test_empty_bin0_next_to_missing_bin_missing_left_wins(self):
+        """Field 1's empty local bin 0 follows field 0's occupied missing bin
+        in the flat layout.  Sending field 1's missing records left at
+        threshold 0 splits off exactly them -- only an empty bin 0 scores it,
+        so a kernel that skips empty bin 0s picks a worse split."""
+        searcher = self._one_field_searcher(n_fields=2)
+        # Per field: four value bins, then the missing bin.
+        count = [3, 3, 3, 3, 2] + [0, 3, 3, 3, 3]
+        grad = [1, -1, 1, -1, 0] + [0, 3, 3, 3, -9]
+        hist = Histogram(*(np.asarray(v, dtype=np.float64) for v in (count, grad, count)))
+        batch = self._assert_rows_match(
+            searcher, [hist], np.array([0.0]), np.array([12.0]), np.array([12.0])
+        )
+        assert (batch[0].field, batch[0].threshold_bin, batch[0].missing_left) == (1, 0, True)
+
+    def test_subtracted_histogram_residuals(self, data, builder):
+        """Two levels of ``subtract`` -- the trainer's larger-child trick
+        applied to a parent that was itself subtracted -- leave bins with
+        zero count but rounding-residual grad/hess.  They are not empty and
+        must be scored."""
+        searcher = SplitSearcher(data.spec, builder.offsets, TrainParams().split)
+        g, h = _random_stats(data.n_records, 3)
+        rng = np.random.default_rng(3)
+        hists, totals = [], []
+        for _ in range(6):
+            grandparent = np.arange(data.n_records)
+            parent = np.flatnonzero(rng.random(data.n_records) < 0.6)
+            sibling = np.setdiff1d(grandparent, parent)
+            child = parent[rng.random(parent.size) < 0.9]
+            other = np.setdiff1d(parent, child)
+            parent_hist = builder.build(grandparent, g, h).subtract(builder.build(sibling, g, h))
+            hists.append(parent_hist.subtract(builder.build(child, g, h)))
+            totals.append((g[other].sum(), h[other].sum(), float(other.size)))
+        residual = [(x.count == 0) & ((x.grad != 0) | (x.hess != 0)) for x in hists]
+        assert all(r.any() for r in residual)
+        self._assert_rows_match(searcher, hists, *map(np.array, zip(*totals)))
+
+    def test_zero_count_residual_bin_wins(self):
+        """A zero-count bin whose residual gradient is the only thing that
+        makes a positive gain: a kernel that filters on ``count`` alone
+        skips it and returns a later bin (or no split)."""
+        searcher = self._one_field_searcher()
+        parent = Histogram(
+            count=np.array([1.0, 2.0, 1.0, 1.0, 0.0]),
+            grad=np.array([0.0, 0.1 + 0.2, 0.0, 0.0, 0.0]),
+            hess=np.array([1.0, 0.1 + 0.2, 1.0, 1.0, 0.0]),
+        )
+        child = Histogram(
+            count=np.array([0.0, 2.0, 0.0, 0.0, 0.0]),
+            grad=np.array([0.0, 0.3, 0.0, 0.0, 0.0]),
+            hess=np.array([0.0, 0.3, 0.0, 0.0, 0.0]),
+        )
+        hist = parent.subtract(child)
+        assert hist.count[1] == 0 and hist.grad[1] != 0 and hist.hess[1] != 0
+        batch = self._assert_rows_match(
+            searcher, [hist], np.array([0.0]), np.array([3.0]), np.array([3.0])
+        )
+        assert batch[0].valid and batch[0].threshold_bin == 1
+
+    @pytest.mark.parametrize("missing_rate", [0.0, 0.05])
+    def test_purely_numerical_spec(self, missing_rate):
+        """No categorical candidates at all (iot, higgs, mq2008); without
+        missing values no missing-left gain can differ either."""
+        numerical = generate(
+            small_spec_factory(n_records=500, n_categorical=0, missing_rate=missing_rate, seed=4)
+        )
+        num_builder = HistogramBuilder(numerical)
+        searcher = SplitSearcher(numerical.spec, num_builder.offsets, TrainParams().split)
+        hists, _, _, _, g_tot, h_tot, c_tot = self._histograms(numerical, num_builder, 6, seed=8)
+        self._assert_rows_match(searcher, hists, g_tot, h_tot, c_tot)
 
 
 def _capture_all_levels(trainer: LevelWiseTrainer) -> list[dict]:
