@@ -2,33 +2,41 @@
 
 The paper assumes vertex-by-vertex growth and notes the level-by-level
 alternative "maintains a separate histogram per vertex" (Sec. II-A).  Both
-schedules build the identical model; on Booster they trade off differently:
+schedules build the identical model, so each dataset is trained once and
+its one work profile is priced twice, by a vertex-wise and a level-wise
+``BoosterEngine``.  On Booster the schedules trade off differently:
 level-wise batches a level's split decisions into one host round trip
 (cheaper offload) but keeps one histogram per live vertex resident, eating
 the replicas that vertex-wise growth spends on inter-record parallelism
 (slower step 1).
 """
 
+from repro.core import BoosterEngine
 from repro.datasets import dataset_spec, generate
-from repro.gbdt import TrainParams, train, train_level_wise
+from repro.gbdt import TrainParams, train
 from repro.sim.executor import PAPER_TREES
 from repro.sim.report import render_table
 
 
 def test_ablation_growth_strategy(benchmark, executor, emit):
+    engines = {
+        growth: BoosterEngine(
+            config=executor.booster_config,
+            costs=executor.costs,
+            bandwidth=executor.bandwidth,
+            growth=growth,
+        )
+        for growth in ("vertex", "level")
+    }
+
     def build():
         rows = []
         for name in ("higgs", "flight"):
             data = generate(dataset_spec(name, n_records=4000))
-            params = TrainParams(n_trees=6)
-            engine = executor.model("booster")
-            out = {}
-            for label, fn in (("vertex", train), ("level", train_level_wise)):
-                prof = fn(data, params).profile
-                k = prof.spec.paper_records / prof.spec.n_records
-                prof = prof.scaled(k).with_trees_scaled(PAPER_TREES)
-                st = engine.training_times(prof)
-                out[label] = st
+            prof = train(data, TrainParams(n_trees=6)).profile
+            k = prof.spec.paper_records / prof.spec.n_records
+            prof = prof.scaled(k).with_trees_scaled(PAPER_TREES)
+            out = {growth: engine.training_times(prof) for growth, engine in engines.items()}
             rows.append(
                 [
                     name,

@@ -22,7 +22,6 @@ Installed as the ``repro`` console script::
     repro merge merged.jsonl shard1.jsonl shard2.jsonl  # union shard manifests
     repro report --from-manifest merged.jsonl           # render, zero re-runs
     repro cache export warm.tar --axis seed=1,2,3       # seed a cold host
-    repro bench --out BENCH_7.json      # record the perf trajectory point
     repro validate                      # full reproduction claim checklist
 """
 
@@ -38,7 +37,7 @@ if TYPE_CHECKING:  # annotation-only: commands lazy-import the heavy layers
     from .experiments import ScenarioSpec, SweepResult
 
 from .datasets import BENCHMARK_NAMES, dataset_spec, generate, table3_rows
-from .gbdt import TrainParams, train, train_level_wise
+from .gbdt import TrainParams, train
 from .serving.params import ARRIVAL_KINDS, POLICIES, QUEUE_DISCIPLINES
 from .sim.artifacts import ARTIFACTS, build
 from .sim.executor import Executor
@@ -228,9 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_train.add_argument("dataset", choices=BENCHMARK_NAMES)
     p_train.add_argument("--records", type=int, default=None, help="override record count")
-    p_train.add_argument(
-        "--level-wise", action="store_true", help="grow trees level by level (Sec. II-A)"
-    )
 
     p_cmp = sub.add_parser(
         "compare", parents=[common], help="compare hardware models on one benchmark"
@@ -461,33 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tar file to read, or an http(s):// store URL to pull entries from",
     )
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the recorded performance benchmark (vectorized vs reference)",
-        description="Time the vectorized hot paths against their scalar "
-        "reference implementations on a fixed scenario grid (level-wise "
-        "GBDT fits, the level-core partition+binning microbench, and DRAM "
-        "FR-FCFS traces) and write a schema-versioned JSON document.  Each "
-        "perf PR commits its document as BENCH_<n>.json, growing a "
-        "measured speedup trajectory alongside the code; see "
-        "docs/performance.md.",
-    )
-    p_bench.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="where to write the bench document (default: print a table only)",
-    )
-    p_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-smoke grid: one small GBDT scenario, short DRAM traces",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=None, help="samples per fit cell (default: 3, quick: 2)"
-    )
-    p_bench.add_argument("--seed", type=int, default=7, help="dataset/trace seed")
-
     sub.add_parser(
         "validate", parents=[common], help="run the reproduction claim checklist"
     )
@@ -572,11 +541,9 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     spec = dataset_spec(args.dataset, n_records=args.records, seed=args.seed)
     data = generate(spec)
-    fit = train_level_wise if args.level_wise else train
-    result = fit(data, TrainParams(n_trees=args.trees))
+    result = train(data, TrainParams(n_trees=args.trees))
     summary = result.profile.summary()
     rows = [[k, v] for k, v in summary.items()]
-    rows.append(["growth", result.profile.growth])
     rows.append(["final loss", f"{result.losses[-1]:.5f}"])
     rows.append(["wall seconds", f"{result.profile.train_seconds_wall:.2f}"])
     print(render_table(["quantity", "value"], rows, title=f"training summary: {args.dataset}"))
@@ -1609,46 +1576,6 @@ def _cmd_steal_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """`repro bench`: measure vectorized-vs-reference speedups, emit JSON."""
-    from .experiments.bench import run_bench, validate_bench, write_bench
-
-    try:
-        doc = run_bench(
-            quick=args.quick,
-            repeats=args.repeats,
-            seed=args.seed,
-            progress=lambda msg: print(f"  done {msg}"),
-        )
-        validate_bench(doc)
-    except ValueError as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_bench(doc, str(out))
-        print(f"wrote {out}")
-    rows = [
-        [
-            cell["id"],
-            f"{cell['reference']['p50_s'] * 1e3:.4g}",
-            f"{cell['vectorized']['p50_s'] * 1e3:.4g}",
-            f"{cell['speedup_p50']:.2f}x",
-        ]
-        for cell in doc["cells"]
-    ]
-    mode = "quick grid" if doc["quick"] else "full grid"
-    print(
-        render_table(
-            ["cell", "reference p50 (ms)", "vectorized p50 (ms)", "speedup"],
-            rows,
-            title=f"repro bench ({mode}, rev {doc['git_rev'][:12]})",
-        )
-    )
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     """`repro lint`: machine-check the project invariants (RPR rules)."""
     from .devtools.lint import lint_main
@@ -1708,7 +1635,6 @@ _COMMANDS = {
     "cache": _cmd_cache,
     "steal-status": _cmd_steal_status,
     "store-serve": _cmd_store_serve,
-    "bench": _cmd_bench,
     "validate": _cmd_validate,
     "lint": _cmd_lint,
 }

@@ -47,6 +47,11 @@ class BoosterEngine(HardwareModel):
     * ``("naive", False)``  -> Booster-no-opts (BU parallelism only),
     * ``("field", False)``  -> + group-by-field mapping,
     * ``("field", True)``   -> + redundant column-major format (full Booster).
+
+    ``growth`` selects the tree-growth schedule priced (Sec. II-A):
+    ``"vertex"`` (vertex by vertex, the paper's assumption) or ``"level"``
+    (level by level, one resident histogram per live vertex).  Both
+    schedules build the same model, so one trained profile prices either.
     """
 
     name = "booster"
@@ -58,13 +63,17 @@ class BoosterEngine(HardwareModel):
         bandwidth: BandwidthProfile | None = None,
         mapping_strategy: str = "field",
         column_format: bool = True,
+        growth: str = "vertex",
     ) -> None:
         super().__init__(costs=costs, bandwidth=bandwidth)
         self.config = config or PAPER_CONFIG
         if mapping_strategy not in ("field", "naive"):
             raise ValueError(f"unknown mapping strategy {mapping_strategy!r}")
+        if growth not in ("vertex", "level"):
+            raise ValueError(f"unknown growth schedule {growth!r}")
         self.mapping_strategy = mapping_strategy
         self.column_format = column_format
+        self.growth = growth
         self.bus = BroadcastBus(self.config, fanin=self.costs.broadcast_fanin)
 
     # -- mapping --------------------------------------------------------------------
@@ -93,7 +102,7 @@ class BoosterEngine(HardwareModel):
 
         # ---- Step 1: histogram binning ------------------------------------------
         throughput = mapping.throughput_records_per_cycle(c.bu_op_cycles)
-        if profile.growth == "level":
+        if self.growth == "level":
             # Level-wise growth keeps one histogram per live vertex resident
             # (Sec. II-A); the replicas that vertex-wise growth spends on
             # inter-record parallelism are consumed by vertex histograms.
@@ -131,7 +140,7 @@ class BoosterEngine(HardwareModel):
         # payload scales with evaluated vertices either way, but level-wise
         # growth batches a whole level into one round trip, so the fixed
         # latency is paid per *level*, not per vertex.
-        sync_points = profile.total_levels() if profile.growth == "level" else n_evals
+        sync_points = profile.total_levels() if self.growth == "level" else n_evals
         pcie_s = (
             n_evals * profile.n_total_bins * c.offload_bin_bytes / (c.pcie_gbps * 1e9)
             + sync_points * c.booster_node_overhead_s

@@ -30,8 +30,6 @@ __all__ = ["ALL_RULES", "VECTORIZED_PAIRS"]
 #:
 #: Entries: (source module path suffix, fast name, reference name).
 VECTORIZED_PAIRS: tuple[tuple[str, str, str], ...] = (
-    ("gbdt/split.py", "best_split_many", "best_split"),
-    ("gbdt/histogram.py", "build_grouped", "build"),
     ("core/engine.py", "_admit_records_vectorized", "_admit_records_scalar"),
     ("memory/dram.py", "run", "run_reference"),
 )

@@ -9,7 +9,6 @@ Public API::
 """
 
 from .histogram import Histogram, HistogramBuilder
-from .levelwise import LevelWiseTrainer, train_level_wise
 from .instrument import max_run_lengths, path_length_cv, warp_conflict_factor
 from .losses import LogisticLoss, Loss, SquaredErrorLoss, loss_for_task
 from .predict import EnsemblePredictor
@@ -24,7 +23,6 @@ __all__ = [
     "Histogram",
     "HistogramBuilder",
     "InferenceWork",
-    "LevelWiseTrainer",
     "LogisticLoss",
     "Loss",
     "NodeTable",
@@ -43,6 +41,5 @@ __all__ = [
     "path_length_cv",
     "segment_cumsum",
     "train",
-    "train_level_wise",
     "warp_conflict_factor",
 ]

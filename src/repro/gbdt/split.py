@@ -13,10 +13,9 @@ field are tried on both sides and the better direction kept.  For categorical
 fields (one-hot semantics) candidates are one-vs-rest on each category.
 
 The whole search is vectorized over the flattened bin space: segmented
-cumulative sums give every candidate's left aggregate in O(total bins).  The
-per-node search (:meth:`SplitSearcher.best_split`) then scores only the bins
-that can win (exact bin compaction); the batched
-:meth:`SplitSearcher.best_split_many` scores every bin and is its oracle.
+cumulative sums give every candidate's left aggregate in O(total bins), and
+:meth:`SplitSearcher.best_split` then scores only the bins that can win
+(exact bin compaction).
 """
 
 from __future__ import annotations
@@ -29,15 +28,6 @@ from ..datasets.schema import DatasetSpec, FieldKind
 from .histogram import Histogram
 
 __all__ = ["SplitParams", "SplitDecision", "SplitSearcher", "segment_cumsum", "leaf_weight"]
-
-#: Row-chunking granularity of :meth:`SplitSearcher.best_split_many`, in
-#: histogram elements per chunk.  The gain math allocates a dozen-plus
-#: (rows, n_bins) temporaries; letting rows grow with the level width (up to
-#: 2^depth) pushes the working set out of cache and was measured up to ~4x
-#: slower per element.  A few rows per chunk already amortizes the per-call
-#: NumPy overhead while keeping the temporaries cache-resident.
-_CHUNK_ELEMS = 32768
-
 
 @dataclass(frozen=True)
 class SplitParams:
@@ -172,7 +162,7 @@ class SplitSearcher:
         self._cat_bins = np.flatnonzero(self._cat_candidate)
         self._cat_fields = self._field_of_bin[self._cat_bins]
         # Variant families with no candidate bins at all (e.g. the categorical
-        # variants of a pure-numerical dataset) are skipped by both searches:
+        # variants of a pure-numerical dataset) are skipped by the search:
         # their gain bands would be uniformly -inf and can never win.
         self._has_num = bool(self._num_candidate.any())
         self._has_cat = bool(self._cat_candidate.any())
@@ -187,14 +177,8 @@ class SplitSearcher:
         g_tot: float,
         h_tot: float,
         c_tot: float,
-        candidate: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Vector gain for candidate left aggregates; invalid -> -inf.
-
-        ``candidate``, when given, folds a non-candidate mask into the
-        invalid positions -- identical to masking the result afterwards with
-        ``np.where(candidate, gain, -inf)`` but saves a full array pass.
-        """
+        """Vector gain for candidate left aggregates; invalid -> -inf."""
         p = self.params
         gr = g_tot - gl
         hr = h_tot - hl
@@ -216,8 +200,6 @@ class SplitSearcher:
         invalid |= hr < p.min_child_weight
         invalid |= cl < p.min_child_records
         invalid |= cr < p.min_child_records
-        if candidate is not None:
-            invalid |= ~candidate
         gain[invalid] = -np.inf
         return gain
 
@@ -252,8 +234,8 @@ class SplitSearcher:
         * each band's first maximum is found, then the first maximum in
           variant order -- the dense ``(variant, bin)`` scan's tie-breaking.
 
-        The decision is bit-identical to the dense, unskipped
-        :meth:`best_split_many` row (property-tested).
+        The decision is bit-identical to a dense scan that scores every bin
+        (property-tested against the dense oracle in ``tests/``).
         """
         if hist.n_bins != self._n_bins:
             raise ValueError("histogram does not match this dataset's bin space")
@@ -326,166 +308,6 @@ class SplitSearcher:
             hess_right=h_tot - hl_v,
             count_right=c_tot - cl_v,
         )
-
-    def best_split_many(
-        self,
-        count: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        g_tot: np.ndarray,
-        h_tot: np.ndarray,
-        c_tot: np.ndarray,
-    ) -> list[SplitDecision]:
-        """:meth:`best_split` batched over a whole level of vertices.
-
-        ``count``/``grad``/``hess`` are ``(k, n_bins)`` stacked histograms
-        (row ``j`` = vertex ``j``) and the totals are length-``k`` arrays.
-        All candidate gains for all vertices are evaluated in one pass;
-        only the O(k) winner extraction stays in Python.
-
-        Decision ``j`` is bit-identical to
-        ``best_split(Histogram(count[j], grad[j], hess[j]), ...)``:
-        ``np.cumsum(axis=1)`` accumulates each row sequentially exactly like
-        the 1-D segment cumsum, the gain math is elementwise, and the per-row
-        argmax scans the same flattened ``(variant, bin)`` order, preserving
-        tie-breaking (property-tested).
-        """
-        count = np.atleast_2d(np.asarray(count, dtype=np.float64))
-        grad = np.atleast_2d(np.asarray(grad, dtype=np.float64))
-        hess = np.atleast_2d(np.asarray(hess, dtype=np.float64))
-        k = count.shape[0]
-        if count.shape[1] != self._n_bins:
-            raise ValueError("histogram matrix does not match this dataset's bin space")
-        if not (count.shape == grad.shape == hess.shape):
-            raise ValueError("histogram matrices must share a shape")
-        g_tot = np.asarray(g_tot, dtype=np.float64).reshape(k)
-        h_tot = np.asarray(h_tot, dtype=np.float64).reshape(k)
-        c_tot = np.asarray(c_tot, dtype=np.float64).reshape(k)
-        if k == 0:
-            return []
-
-        # Chunk the rows so the gain temporaries stay cache-resident (see
-        # _CHUNK_ELEMS); chunking never changes any per-row result.
-        chunk = max(1, _CHUNK_ELEMS // self._n_bins)
-        if k > chunk:
-            decisions: list[SplitDecision] = []
-            for lo in range(0, k, chunk):
-                hi = min(lo + chunk, k)
-                decisions.extend(
-                    self.best_split_many(
-                        count[lo:hi],
-                        grad[lo:hi],
-                        hess[lo:hi],
-                        g_tot[lo:hi],
-                        h_tot[lo:hi],
-                        c_tot[lo:hi],
-                    )
-                )
-            return decisions
-
-        starts = self.offsets[:-1]
-        sizes = np.diff(self.offsets)
-
-        def seg_cumsum_rows(values: np.ndarray) -> np.ndarray:
-            c = np.cumsum(values, axis=1)
-            base = np.repeat(c[:, starts] - values[:, starts], sizes, axis=1)
-            return c - base
-
-        cum_g = cum_h = cum_c = None
-        if self._has_num:
-            cum_g = seg_cumsum_rows(grad)
-            cum_h = seg_cumsum_rows(hess)
-            cum_c = seg_cumsum_rows(count)
-
-        miss_idx = self.offsets[1:] - 1
-        g_miss = np.repeat(grad[:, miss_idx], sizes, axis=1)
-        h_miss = np.repeat(hess[:, miss_idx], sizes, axis=1)
-        c_miss = np.repeat(count[:, miss_idx], sizes, axis=1)
-
-        gt, ht, ct = g_tot[:, None], h_tot[:, None], c_tot[:, None]
-        rows_idx = np.arange(k)
-
-        # Per-band winners in best_split's variant order, minus the
-        # candidate-free families (uniformly -inf, can never win -- dropping
-        # a band never moves the winner, and an all--inf level still falls
-        # into the same no-split branch).  The two-stage argmax -- first bin
-        # within each band, then band -- scans the same (variant, bin)
-        # C order best_split's argmax over np.stack does, so ties (and NaN
-        # propagation) break identically, without materializing the stacked
-        # and re-flattened copies of all the gain data.
-        variant_ids: list[int] = []
-        band_args: list[np.ndarray] = []
-        band_maxes: list[np.ndarray] = []
-
-        def add_band(
-            gl: np.ndarray,
-            hl: np.ndarray,
-            cl: np.ndarray,
-            candidate: np.ndarray,
-            variant: int,
-        ) -> None:
-            band = self._gain(gl, hl, cl, gt, ht, ct, candidate=candidate)
-            arg = np.argmax(band, axis=1)
-            band_args.append(arg)
-            band_maxes.append(band[rows_idx, arg])
-            variant_ids.append(variant)
-
-        if self._has_num:
-            add_band(cum_g, cum_h, cum_c, self._num_candidate, 0)
-            add_band(cum_g + g_miss, cum_h + h_miss, cum_c + c_miss, self._num_candidate, 1)
-        if self._has_cat:
-            add_band(grad, hess, count, self._cat_candidate, 2)
-            add_band(grad + g_miss, hess + h_miss, count + c_miss, self._cat_candidate, 3)
-
-        if band_maxes:
-            max_stack = np.stack(band_maxes)  # (bands, k)
-            band_best = np.argmax(max_stack, axis=0)
-            best_gains = max_stack[band_best, rows_idx]
-            variants = np.asarray(variant_ids, dtype=np.int64)[band_best]
-            bin_idxs = np.stack(band_args)[band_best, rows_idx]
-        else:  # no candidate bins anywhere: every vertex is a no-split
-            best_gains = np.full(k, -np.inf)
-            variants = np.zeros(k, dtype=np.int64)
-            bin_idxs = np.zeros(k, dtype=np.int64)
-
-        decisions: list[SplitDecision] = []
-        for j in range(k):
-            best_gain = float(best_gains[j])
-            if not np.isfinite(best_gain) or best_gain <= 0.0:
-                decisions.append(_no_split(best_gain, g_tot[j], h_tot[j], c_tot[j]))
-                continue
-            variant = int(variants[j])
-            bin_idx = int(bin_idxs[j])
-            missing_left = variant in (1, 3)
-            is_cat = variant >= 2
-            if is_cat:
-                gl_v = float(grad[j, bin_idx])
-                hl_v = float(hess[j, bin_idx])
-                cl_v = float(count[j, bin_idx])
-            else:
-                gl_v = float(cum_g[j, bin_idx])
-                hl_v = float(cum_h[j, bin_idx])
-                cl_v = float(cum_c[j, bin_idx])
-            if missing_left:
-                gl_v += float(g_miss[j, bin_idx])
-                hl_v += float(h_miss[j, bin_idx])
-                cl_v += float(c_miss[j, bin_idx])
-            decisions.append(
-                SplitDecision(
-                    field=int(self._field_of_bin[bin_idx]),
-                    threshold_bin=int(self._local_bin[bin_idx]),
-                    is_categorical=is_cat,
-                    missing_left=missing_left,
-                    gain=best_gain,
-                    grad_left=gl_v,
-                    hess_left=hl_v,
-                    count_left=cl_v,
-                    grad_right=float(g_tot[j]) - gl_v,
-                    hess_right=float(h_tot[j]) - hl_v,
-                    count_right=float(c_tot[j]) - cl_v,
-                )
-            )
-        return decisions
 
     @property
     def n_bins(self) -> int:

@@ -13,6 +13,11 @@ level by level.  The above assumes the former", Sec. II-A):
    g/h and the total loss;
 6. start the next tree.
 
+Level-by-level growth visits the same vertices in the same breadth-first
+order and builds the identical model, so one trained profile prices both
+schedules: the schedule is a pricing input
+(:class:`~repro.core.engine.BoosterEngine` ``growth``), not a second trainer.
+
 Every step increments the corresponding counters of a :class:`WorkProfile`,
 which the hardware timing models consume.
 """
@@ -305,9 +310,7 @@ class GBDTTrainer:
             )
             if task.depth + 1 < params.max_depth:
                 # Children may split, so they need histograms: bin the smaller
-                # child explicitly (through the builder's grouped bincount
-                # core; ``build`` is its single-group case) and derive the
-                # larger one by subtraction.
+                # child explicitly and derive the larger one by subtraction.
                 assert hist is not None
                 small_hist = self.builder.build(small.index, g, h)
                 small.hist = small_hist

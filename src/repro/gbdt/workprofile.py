@@ -118,9 +118,6 @@ class WorkProfile:
     #: Per-bin access counts measured at the root of the first tree; drives
     #: the CPU cache model (skewed data concentrates updates in few hot bins).
     root_bin_counts: np.ndarray | None = None
-    #: Growth configuration: "vertex" (vertex-by-vertex, the paper's default
-    #: assumption) or "level" (level-by-level with per-vertex histograms).
-    growth: str = "vertex"
 
     @property
     def stacked(self) -> _StackedWork:
@@ -203,7 +200,6 @@ class WorkProfile:
             train_seconds_wall=self.train_seconds_wall,
             losses=self.losses,
             root_bin_counts=self.root_bin_counts,
-            growth=self.growth,
         )
 
     def with_trees_scaled(self, n_trees_target: int) -> "WorkProfile":
@@ -225,7 +221,6 @@ class WorkProfile:
             train_seconds_wall=self.train_seconds_wall,
             losses=self.losses,
             root_bin_counts=self.root_bin_counts,
-            growth=self.growth,
         )
 
     # -- structural shortcuts -----------------------------------------------------

@@ -1,17 +1,16 @@
 """Percentile estimation with honest small-sample labeling.
 
-Shared by the serving latency statistics and ``repro bench``'s timing
-cells.  The estimator is the classic linear-interpolation one (NumPy's
-default ``method="linear"``): rank position ``(n - 1) * q / 100``,
-interpolated between the two bracketing order statistics.  That is a
-well-defined number for any ``n >= 1`` -- but for small samples a high
-percentile is *not an interior estimate*: with fewer than
-``ceil(100 / (100 - q))`` samples the rank position lands inside the top
-inter-sample gap and the estimate collapses to (essentially) the sample
-maximum.  ``repro bench --repeats 3`` reporting that value as "p99" was
-the bug this module fixes: the number itself was fine, the label lied.
-:func:`percentile_label` makes the collapse explicit (``p99~max(n=3)``)
-so every consumer renders the statistic honestly.
+Used by the serving latency statistics.  The estimator is the classic
+linear-interpolation one (NumPy's default ``method="linear"``): rank
+position ``(n - 1) * q / 100``, interpolated between the two bracketing
+order statistics.  That is a well-defined number for any ``n >= 1`` -- but
+for small samples a high percentile is *not an interior estimate*: with
+fewer than ``ceil(100 / (100 - q))`` samples the rank position lands inside
+the top inter-sample gap and the estimate collapses to (essentially) the
+sample maximum.  Reporting that value as "p99" would mislead: the number
+is fine, the label is not.  :func:`percentile_label` makes the collapse
+explicit (``p99~max(n=3)``) so every consumer renders the statistic
+honestly.
 """
 
 from __future__ import annotations

@@ -1,0 +1,384 @@
+"""Equivalence oracles for the production GBDT kernels.
+
+Plain, slow statements of what the vectorized paths in ``repro.gbdt`` must
+compute.  Tests pin the production code bit-identical to them:
+
+* :func:`build_brute_force` -- histogram binning with pure Python loops;
+* :func:`best_split_many` -- the dense split search: every bin of every
+  vertex scored, no bin compaction;
+* :class:`LevelWiseOracle` -- level-by-level tree growth (Sec. II-A), one
+  vertex at a time, with the smaller-child subtraction at every level.
+
+They live here, not in ``src``: nothing in the package runs them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.gbdt import GBDTTrainer
+from repro.gbdt.histogram import Histogram, HistogramBuilder
+from repro.gbdt.split import SplitDecision, SplitSearcher, _no_split, leaf_weight
+from repro.gbdt.tree import Tree
+from repro.gbdt.workprofile import TreeWork
+
+__all__ = ["LevelWiseOracle", "best_split_many", "build_brute_force"]
+
+
+def build_brute_force(
+    builder: HistogramBuilder, index: np.ndarray, g: np.ndarray, h: np.ndarray
+) -> Histogram:
+    """``builder.build`` with one scalar update per (record, field)."""
+    count = np.zeros(builder.n_bins, dtype=np.float64)
+    grad = np.zeros(builder.n_bins, dtype=np.float64)
+    hess = np.zeros(builder.n_bins, dtype=np.float64)
+    for i in index:
+        for j in range(builder.data.n_fields):
+            b = int(builder.offsets[j]) + int(builder.data.codes[i, j])
+            count[b] += 1.0
+            grad[b] += g[i]
+            hess[b] += h[i]
+    return Histogram(count=count, grad=grad, hess=hess)
+
+
+def best_split_many(
+    searcher: SplitSearcher,
+    count: np.ndarray,
+    grad: np.ndarray,
+    hess: np.ndarray,
+    g_tot: np.ndarray,
+    h_tot: np.ndarray,
+    c_tot: np.ndarray,
+) -> list[SplitDecision]:
+    """The dense best-split search, batched over ``k`` vertices.
+
+    ``count``/``grad``/``hess`` are ``(k, n_bins)`` stacked histograms
+    (row ``j`` = vertex ``j``) and the totals are length-``k`` arrays.  Every
+    candidate gain of every row is scored; the per-row argmax scans the
+    flattened ``(variant, bin)`` order, which is the tie-breaking
+    ``SplitSearcher.best_split`` must reproduce while skipping bins.
+    """
+    count = np.atleast_2d(np.asarray(count, dtype=np.float64))
+    grad = np.atleast_2d(np.asarray(grad, dtype=np.float64))
+    hess = np.atleast_2d(np.asarray(hess, dtype=np.float64))
+    k = count.shape[0]
+    if count.shape[1] != searcher.n_bins:
+        raise ValueError("histogram matrix does not match this dataset's bin space")
+    if not (count.shape == grad.shape == hess.shape):
+        raise ValueError("histogram matrices must share a shape")
+    g_tot = np.asarray(g_tot, dtype=np.float64).reshape(k)
+    h_tot = np.asarray(h_tot, dtype=np.float64).reshape(k)
+    c_tot = np.asarray(c_tot, dtype=np.float64).reshape(k)
+    if k == 0:
+        return []
+
+    starts = searcher.offsets[:-1]
+    sizes = np.diff(searcher.offsets)
+
+    def seg_cumsum_rows(values: np.ndarray) -> np.ndarray:
+        c = np.cumsum(values, axis=1)
+        base = np.repeat(c[:, starts] - values[:, starts], sizes, axis=1)
+        return c - base
+
+    cum_g = cum_h = cum_c = None
+    if searcher._has_num:
+        cum_g = seg_cumsum_rows(grad)
+        cum_h = seg_cumsum_rows(hess)
+        cum_c = seg_cumsum_rows(count)
+
+    miss_idx = searcher.offsets[1:] - 1
+    g_miss = np.repeat(grad[:, miss_idx], sizes, axis=1)
+    h_miss = np.repeat(hess[:, miss_idx], sizes, axis=1)
+    c_miss = np.repeat(count[:, miss_idx], sizes, axis=1)
+
+    gt, ht, ct = g_tot[:, None], h_tot[:, None], c_tot[:, None]
+    rows_idx = np.arange(k)
+
+    # Per-band winners in variant order, minus the candidate-free families
+    # (uniformly -inf, can never win).  The two-stage argmax -- first bin
+    # within each band, then band -- scans the same (variant, bin) C order as
+    # one argmax over the stacked bands, so ties break identically.
+    variant_ids: list[int] = []
+    band_args: list[np.ndarray] = []
+    band_maxes: list[np.ndarray] = []
+
+    def add_band(
+        gl: np.ndarray, hl: np.ndarray, cl: np.ndarray, candidate: np.ndarray, variant: int
+    ) -> None:
+        band = searcher._gain(gl, hl, cl, gt, ht, ct)
+        band[:, ~candidate] = -np.inf
+        arg = np.argmax(band, axis=1)
+        band_args.append(arg)
+        band_maxes.append(band[rows_idx, arg])
+        variant_ids.append(variant)
+
+    if searcher._has_num:
+        add_band(cum_g, cum_h, cum_c, searcher._num_candidate, 0)
+        add_band(cum_g + g_miss, cum_h + h_miss, cum_c + c_miss, searcher._num_candidate, 1)
+    if searcher._has_cat:
+        add_band(grad, hess, count, searcher._cat_candidate, 2)
+        add_band(grad + g_miss, hess + h_miss, count + c_miss, searcher._cat_candidate, 3)
+
+    if band_maxes:
+        max_stack = np.stack(band_maxes)  # (bands, k)
+        band_best = np.argmax(max_stack, axis=0)
+        best_gains = max_stack[band_best, rows_idx]
+        variants = np.asarray(variant_ids, dtype=np.int64)[band_best]
+        bin_idxs = np.stack(band_args)[band_best, rows_idx]
+    else:  # no candidate bins anywhere: every vertex is a no-split
+        best_gains = np.full(k, -np.inf)
+        variants = np.zeros(k, dtype=np.int64)
+        bin_idxs = np.zeros(k, dtype=np.int64)
+
+    decisions: list[SplitDecision] = []
+    for j in range(k):
+        best_gain = float(best_gains[j])
+        if not np.isfinite(best_gain) or best_gain <= 0.0:
+            decisions.append(_no_split(best_gain, g_tot[j], h_tot[j], c_tot[j]))
+            continue
+        variant = int(variants[j])
+        bin_idx = int(bin_idxs[j])
+        missing_left = variant in (1, 3)
+        is_cat = variant >= 2
+        if is_cat:
+            gl_v = float(grad[j, bin_idx])
+            hl_v = float(hess[j, bin_idx])
+            cl_v = float(count[j, bin_idx])
+        else:
+            gl_v = float(cum_g[j, bin_idx])
+            hl_v = float(cum_h[j, bin_idx])
+            cl_v = float(cum_c[j, bin_idx])
+        if missing_left:
+            gl_v += float(g_miss[j, bin_idx])
+            hl_v += float(h_miss[j, bin_idx])
+            cl_v += float(c_miss[j, bin_idx])
+        decisions.append(
+            SplitDecision(
+                field=int(searcher._field_of_bin[bin_idx]),
+                threshold_bin=int(searcher._local_bin[bin_idx]),
+                is_categorical=is_cat,
+                missing_left=missing_left,
+                gain=best_gain,
+                grad_left=gl_v,
+                hess_left=hl_v,
+                count_left=cl_v,
+                grad_right=float(g_tot[j]) - gl_v,
+                hess_right=float(h_tot[j]) - hl_v,
+                count_right=float(c_tot[j]) - cl_v,
+            )
+        )
+    return decisions
+
+
+@dataclass
+class _LevelNode:
+    """One live vertex during level-wise growth."""
+
+    tree_node: int  # id in the Tree being built
+    g_tot: float
+    h_tot: float
+    c_tot: float
+    hist: Histogram | None = None
+    binned_here: int = 0  # records explicitly binned for this vertex
+    n_reach: int = 0
+
+
+class LevelWiseOracle(GBDTTrainer):
+    """``GBDTTrainer`` with trees grown level by level (Sec. II-A).
+
+    Every record carries its current vertex; each level evaluates all live
+    vertices, then one pass re-assigns the records of every vertex that
+    split and bins each split's smaller child (the sibling is the parent's
+    histogram minus it).  Level-local vertex ids run ``0..L-1``; split ``i``
+    of a level owns children ``2i`` and ``2i + 1`` of the next, which is the
+    breadth-first order the vertex-by-vertex trainer's queue produces.  So
+    the tree, its ``TreeWork`` arrays and the smaller-child fractions must
+    match ``GBDTTrainer`` exactly.
+    """
+
+    def _grow_tree(
+        self, g: np.ndarray, h: np.ndarray
+    ) -> tuple[Tree, TreeWork, list[float], np.ndarray | None]:
+        data = self.data
+        params = self.params
+        n = data.n_records
+        tree = Tree(data.spec)
+
+        depths: list[int] = []
+        reaches: list[int] = []
+        binneds: list[int] = []
+        evals: list[bool] = []
+        issplits: list[bool] = []
+        sfields: list[int] = []
+        child_fracs: list[float] = []
+
+        root_hist = self.builder.build(np.arange(n, dtype=np.int64), g, h)
+        root_counts = root_hist.count.copy()
+        root = _LevelNode(
+            tree_node=-1,  # assigned below
+            g_tot=float(g.sum()),
+            h_tot=float(h.sum()),
+            c_tot=float(n),
+            hist=root_hist,
+            binned_here=n,
+            n_reach=n,
+        )
+        live = {0: root}  # level-local vertex id -> node state
+        vertex_of_record = np.zeros(n, dtype=np.int64)
+        # Vertex bookkeeping of the level above: child vid -> (parent vid,
+        # is_left) and parent vid -> tree node id.
+        parent_of: dict[int, tuple[int, bool]] = {}
+        parent_node_ids: dict[int, int] = {}
+
+        for depth in range(params.max_depth + 1):
+            if not live:
+                break
+            splits_this_level: dict[int, SplitDecision] = {}
+
+            # Step 2 for every vertex at this level (one host round trip).
+            for vid, node in live.items():
+                can_split = (
+                    depth < params.max_depth
+                    and node.n_reach >= 2 * params.split.min_child_records
+                    and node.hist is not None
+                )
+                decision = None
+                if can_split:
+                    decision = self.searcher.best_split(
+                        node.hist, node.g_tot, node.h_tot, node.c_tot
+                    )
+                is_split = decision is not None and decision.valid
+
+                depths.append(depth)
+                reaches.append(node.n_reach)
+                binneds.append(node.binned_here)
+                evals.append(bool(can_split))
+
+                if not is_split:
+                    issplits.append(False)
+                    sfields.append(-1)
+                    w = params.learning_rate * leaf_weight(
+                        node.g_tot, node.h_tot, params.split.lambda_
+                    )
+                    node.tree_node = tree.add_leaf(depth, w)
+                else:
+                    assert decision is not None
+                    issplits.append(True)
+                    sfields.append(decision.field)
+                    node.tree_node = tree.add_split(
+                        depth,
+                        decision.field,
+                        decision.threshold_bin,
+                        decision.is_categorical,
+                        decision.missing_left,
+                    )
+                    splits_this_level[vid] = decision
+
+            # Attach children pointers now that parents have real node ids.
+            if depth > 0:
+                for vid, node in live.items():
+                    parent_vid, is_left = parent_of[vid]
+                    parent_node = parent_node_ids[parent_vid]
+                    if is_left:
+                        tree.set_children(parent_node, node.tree_node, tree.right[parent_node])
+                    else:
+                        tree.set_children(parent_node, tree.left[parent_node], node.tree_node)
+
+            if not splits_this_level:
+                break
+
+            parent_node_ids = {vid: node.tree_node for vid, node in live.items()}
+            live, parent_of, vertex_of_record, fracs = self._partition_level(
+                live, splits_this_level, vertex_of_record, g, h, depth
+            )
+            child_fracs.extend(fracs)
+
+        tree.validate()
+        work = TreeWork(
+            depth=np.asarray(depths, dtype=np.int64),
+            n_reach=np.asarray(reaches, dtype=np.int64),
+            n_binned=np.asarray(binneds, dtype=np.int64),
+            split_evaluated=np.asarray(evals, dtype=bool),
+            is_split=np.asarray(issplits, dtype=bool),
+            split_field=np.asarray(sfields, dtype=np.int64),
+            relevant_fields=tree.relevant_fields(),
+            sum_path_len=0.0,
+            mean_path_len=0.0,
+            max_path_len=0,
+            loss_after=0.0,
+        )
+        return tree, work, child_fracs, root_counts
+
+    def _partition_level(
+        self,
+        live: dict[int, _LevelNode],
+        splits: dict[int, SplitDecision],
+        vertex_of_record: np.ndarray,
+        g: np.ndarray,
+        h: np.ndarray,
+        depth: int,
+    ) -> tuple[dict[int, _LevelNode], dict[int, tuple[int, bool]], np.ndarray, list[float]]:
+        """Steps 3 + 1 for one level: per-vertex record scans and builds."""
+        data = self.data
+        params = self.params
+        n = vertex_of_record.shape[0]
+        next_live: dict[int, _LevelNode] = {}
+        parent_of: dict[int, tuple[int, bool]] = {}
+        fracs: list[float] = []
+        new_assignment = np.full(n, -1, dtype=np.int64)
+        next_vid = 0
+        explicit_children: list[tuple[int, np.ndarray]] = []
+        for vid, decision in splits.items():
+            member = np.nonzero(vertex_of_record == vid)[0]
+            codes = data.codes[member, decision.field].astype(np.int64)
+            fspec = data.spec.fields[decision.field]
+            missing = codes == fspec.missing_bin
+            if decision.is_categorical:
+                left = codes == decision.threshold_bin
+            else:
+                left = codes <= decision.threshold_bin
+            left = np.where(missing, decision.missing_left, left)
+            left_idx = member[left]
+            right_idx = member[~left]
+            fracs.append(min(left_idx.size, right_idx.size) / max(member.size, 1))
+
+            lvid, rvid = next_vid, next_vid + 1
+            next_vid += 2
+            new_assignment[left_idx] = lvid
+            new_assignment[right_idx] = rvid
+            parent_of[lvid] = (vid, True)
+            parent_of[rvid] = (vid, False)
+            next_live[lvid] = _LevelNode(
+                tree_node=-1,
+                g_tot=decision.grad_left,
+                h_tot=decision.hess_left,
+                c_tot=decision.count_left,
+                n_reach=int(left_idx.size),
+            )
+            next_live[rvid] = _LevelNode(
+                tree_node=-1,
+                g_tot=decision.grad_right,
+                h_tot=decision.hess_right,
+                c_tot=decision.count_right,
+                n_reach=int(right_idx.size),
+            )
+            # Smaller-child rule, per vertex: bin the smaller explicitly,
+            # derive the sibling by subtraction.
+            if depth + 1 < params.max_depth:
+                small_vid = lvid if left_idx.size <= right_idx.size else rvid
+                small_idx = left_idx if small_vid == lvid else right_idx
+                explicit_children.append((small_vid, small_idx))
+
+        for small_vid, small_idx in explicit_children:
+            small_hist = self.builder.build(small_idx, g, h)
+            next_live[small_vid].hist = small_hist
+            next_live[small_vid].binned_here = int(small_idx.size)
+            parent_vid, small_is_left = parent_of[small_vid]
+            sibling_vid = small_vid + 1 if small_is_left else small_vid - 1
+            parent_hist = live[parent_vid].hist
+            assert parent_hist is not None
+            next_live[sibling_vid].hist = parent_hist.subtract(small_hist)
+
+        return next_live, parent_of, new_assignment, fracs

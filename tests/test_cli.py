@@ -12,11 +12,10 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_train_args(self):
-        args = build_parser().parse_args(["train", "higgs", "--trees", "3", "--level-wise"])
+        args = build_parser().parse_args(["train", "higgs", "--trees", "3"])
         assert args.command == "train"
         assert args.dataset == "higgs"
         assert args.trees == 3
-        assert args.level_wise
 
     def test_compare_args(self):
         args = build_parser().parse_args(
@@ -46,10 +45,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "training summary: flight" in out
         assert "final loss" in out
-
-    def test_train_level_wise(self, capsys):
-        assert main(["train", "flight", "--trees", "2", "--records", "800", "--level-wise"]) == 0
-        assert "level" in capsys.readouterr().out
 
     def test_compare(self, capsys):
         code = main(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.datasets import generate
 from repro.gbdt import HistogramBuilder
 from tests.conftest import small_spec_factory
+from tests.oracles import build_brute_force
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +32,12 @@ class TestBuild:
         g, h = gh
         idx = np.arange(0, 300, 3)
         fast = builder.build(idx, g, h)
-        slow = builder.build_brute_force(idx, g, h)
-        assert np.allclose(fast.count, slow.count)
-        assert np.allclose(fast.grad, slow.grad)
-        assert np.allclose(fast.hess, slow.hess)
+        slow = build_brute_force(builder, idx, g, h)
+        # Bit identity: bincount adds each bin's records in index order,
+        # exactly like the scalar loop.
+        assert np.array_equal(fast.count, slow.count)
+        assert np.array_equal(fast.grad, slow.grad)
+        assert np.array_equal(fast.hess, slow.hess)
 
     def test_one_update_per_field_per_record(self, builder, gh, data):
         g, h = gh
@@ -130,57 +133,3 @@ class TestHistogramStructure:
         assert c == pytest.approx(64)
         assert gr == pytest.approx(g[idx].sum())
         assert he == pytest.approx(h[idx].sum())
-
-
-class TestGroupedFallback:
-    """Cache-residency fallback: per-group build == composite-key build."""
-
-    def _grouping(self, data):
-        rng = np.random.default_rng(3)
-        index = np.sort(rng.choice(data.n_records, size=220, replace=False))
-        group_of = rng.integers(0, 7, size=index.size)
-        return index, group_of, 7
-
-    def test_forced_fallback_bit_identical_to_grouped(self, data, gh):
-        g, h = gh
-        index, group_of, n_groups = self._grouping(data)
-        grouped = HistogramBuilder(data)  # default threshold: composite key
-        fallback = HistogramBuilder(data, grouped_fallback_cells=0)  # force per-group
-        a = grouped.build_grouped_arrays(index, group_of, n_groups, g, h)
-        b = fallback.build_grouped_arrays(index, group_of, n_groups, g, h)
-        for lhs, rhs in zip(a, b):
-            # Bit identity, not allclose: both paths accumulate each
-            # (group, bin) cell's records in the same order.
-            assert np.array_equal(lhs, rhs)
-
-    def test_fallback_matches_per_group_build(self, data, gh):
-        g, h = gh
-        index, group_of, n_groups = self._grouping(data)
-        fb = HistogramBuilder(data, grouped_fallback_cells=0)
-        count, grad, hess = fb.build_grouped_arrays(index, group_of, n_groups, g, h)
-        for k in range(n_groups):
-            ref = fb.build(index[group_of == k], g, h)
-            assert np.array_equal(count[k], ref.count)
-            assert np.array_equal(grad[k], ref.grad)
-            assert np.array_equal(hess[k], ref.hess)
-
-    def test_fallback_handles_empty_groups(self, data, gh):
-        g, h = gh
-        index = np.arange(40)
-        group_of = np.full(40, 2)  # groups 0, 1, 3 are empty
-        fb = HistogramBuilder(data, grouped_fallback_cells=0)
-        count, grad, hess = fb.build_grouped_arrays(index, group_of, 4, g, h)
-        assert count[[0, 1, 3]].sum() == 0
-        assert count[2].sum() == pytest.approx(40 * data.n_fields)
-
-    def test_threshold_selects_fallback(self, data, gh):
-        g, h = gh
-        index, group_of, n_groups = self._grouping(data)
-        builder = HistogramBuilder(data)
-        cells = n_groups * builder.n_bins
-        builder.grouped_fallback_cells = cells  # == cells: composite key
-        via_grouped = builder.build_grouped_arrays(index, group_of, n_groups, g, h)
-        builder.grouped_fallback_cells = cells - 1  # > threshold: fallback
-        via_fallback = builder.build_grouped_arrays(index, group_of, n_groups, g, h)
-        for lhs, rhs in zip(via_grouped, via_fallback):
-            assert np.array_equal(lhs, rhs)

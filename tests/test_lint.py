@@ -118,9 +118,9 @@ class TestRPR004VectorizedTwins:
         assert lint(pair, select="RPR004").ok
 
     def test_registry_drift_fires(self, tmp_path):
-        drifted = place(tmp_path, "rpr004_registry_drift.py.txt", "src/repro/gbdt/split.py")
+        drifted = place(tmp_path, "rpr004_registry_drift.py.txt", "src/repro/memory/dram.py")
         report = lint(drifted, select="RPR004")
-        # Registry names (best_split_many, best_split); the module defines neither.
+        # Registry names (run, run_reference); the module defines neither.
         assert codes(report) == ["RPR004"] * 2
         assert all("VECTORIZED_PAIRS" in v.message for v in report.violations)
 

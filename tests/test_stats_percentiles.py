@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.bench import _timing
 from repro.serving.stats import min_samples_for_percentile, percentile, percentile_label
 
 
@@ -49,16 +48,3 @@ class TestLabels:
         assert percentile_label(99.9, 1000) == "p999"
         assert percentile_label(99.9, 999) == "p999~max(n=999)"
         assert percentile_label(50, 1) == "p50~max(n=1)"
-
-
-class TestBenchTiming:
-    def test_timing_cells_carry_honest_labels(self):
-        timing = _timing([0.3, 0.1, 0.2])
-        assert timing["p50_s"] == pytest.approx(0.2)
-        assert timing["p99_s"] < 0.3  # interpolated, no longer the raw max
-        assert timing["p99_label"] == "p99~max(n=3)"
-        assert timing["durations_s"] == [0.3, 0.1, 0.2]
-
-    def test_timing_label_clears_with_enough_repeats(self):
-        timing = _timing([float(i) for i in range(150)])
-        assert timing["p99_label"] == "p99"

@@ -1,16 +1,17 @@
 """Vectorized-vs-scalar-reference equivalence for the hot cores.
 
-Every vectorized path in the training and memory layers keeps its scalar
-reference implementation as an oracle; these tests assert bit-identity
-(not approximate equality) between the two on randomized inputs:
+Every vectorized path in the training and memory layers is pinned to a
+plain oracle; these tests assert bit-identity (not approximate equality)
+between the two on randomized inputs:
 
-* grouped histogram binning vs per-group ``build`` calls;
-* the batched level-wide split search vs per-vertex ``best_split``, incl.
-  sparse histograms where ``best_split`` skips the bins that cannot win;
-* the one-pass level partition vs the per-vertex scan/build reference;
+* the per-vertex ``best_split`` (exact bin compaction) vs the dense
+  ``best_split_many`` oracle, incl. sparse histograms where ``best_split``
+  skips the bins that cannot win;
 * the array-based FR-FCFS scheduler vs the plain ``while pending`` loop;
-* whole trainer runs (trees, splits, losses, work profiles) across a
-  small trees x depth x scale grid.
+* the vertex-by-vertex trainer vs the level-by-level oracle (trees, splits,
+  losses, work profiles) across a small trees x depth x scale grid.
+
+The oracles live in :mod:`tests.oracles`.
 """
 
 import numpy as np
@@ -20,14 +21,13 @@ from hypothesis import strategies as st
 
 from repro.datasets import DatasetSpec, FieldKind, FieldSpec, generate
 from repro.datasets.layout import RecordLayout
-from repro.gbdt import TrainParams, train_level_wise
-from repro.gbdt import split as split_mod
+from repro.gbdt import GBDTTrainer, TrainParams, train
 from repro.gbdt.histogram import Histogram, HistogramBuilder
-from repro.gbdt.levelwise import LevelWiseTrainer
 from repro.gbdt.split import SplitParams, SplitSearcher
 from repro.memory import DRAMConfig, DRAMSimulator
 from repro.memory.dram import ChannelSim
 from tests.conftest import small_spec_factory
+from tests.oracles import LevelWiseOracle, best_split_many
 
 
 @pytest.fixture(scope="module")
@@ -45,44 +45,8 @@ def _random_stats(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return rng.normal(size=n), rng.uniform(0.05, 1.0, size=n)
 
 
-class TestGroupedHistogram:
-    """``build_grouped`` == one ``build`` per group, to the last ulp."""
-
-    @given(n_groups=st.integers(1, 9), seed=st.integers(0, 10**6))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_per_group_build(self, data, builder, n_groups, seed):
-        rng = np.random.default_rng(seed)
-        g, h = _random_stats(data.n_records, seed)
-        index = np.flatnonzero(rng.random(data.n_records) < 0.6)
-        group_of = rng.integers(0, n_groups, size=index.size)
-        grouped = builder.build_grouped(index, group_of, n_groups, g, h)
-        assert len(grouped) == n_groups
-        for k in range(n_groups):
-            solo = builder.build(index[group_of == k], g, h)
-            assert np.array_equal(grouped[k].count, solo.count)
-            assert np.array_equal(grouped[k].grad, solo.grad)
-            assert np.array_equal(grouped[k].hess, solo.hess)
-
-    def test_empty_index(self, data, builder):
-        g, h = _random_stats(data.n_records, 0)
-        empty = np.empty(0, dtype=np.int64)
-        count, grad, hess = builder.build_grouped_arrays(empty, empty, 3, g, h)
-        assert count.shape == grad.shape == hess.shape == (3, builder.n_bins)
-        assert not count.any() and not grad.any() and not hess.any()
-
-    def test_validation(self, data, builder):
-        g, h = _random_stats(data.n_records, 1)
-        index = np.arange(5, dtype=np.int64)
-        with pytest.raises(ValueError, match="n_groups"):
-            builder.build_grouped_arrays(index, np.zeros(5, dtype=np.int64), -1, g, h)
-        with pytest.raises(ValueError, match="shape"):
-            builder.build_grouped_arrays(index, np.zeros(4, dtype=np.int64), 2, g, h)
-        with pytest.raises(ValueError, match="group ids"):
-            builder.build_grouped_arrays(index, np.full(5, 2, dtype=np.int64), 2, g, h)
-
-
 class TestBestSplitMany:
-    """The batched level-wide search == per-vertex ``best_split`` per row."""
+    """The dense ``best_split_many`` oracle == per-vertex ``best_split`` per row."""
 
     def _histograms(self, data, builder, k: int, seed: int):
         rng = np.random.default_rng(seed)
@@ -111,30 +75,18 @@ class TestBestSplitMany:
         hists, count, grad, hess, g_tot, h_tot, c_tot = self._histograms(
             data, builder, k, seed
         )
-        batch = searcher.best_split_many(count, grad, hess, g_tot, h_tot, c_tot)
+        batch = best_split_many(searcher, count, grad, hess, g_tot, h_tot, c_tot)
         assert len(batch) == k
         for j in range(k):
             solo = searcher.best_split(hists[j], g_tot[j], h_tot[j], c_tot[j])
             assert batch[j] == solo
-
-    def test_chunked_recursion_matches(self, data, builder, monkeypatch):
-        """Rows above the cache-residency chunk split recursively -- the
-        chunk boundary must never change any row's decision."""
-        searcher = SplitSearcher(data.spec, builder.offsets, TrainParams().split)
-        hists, count, grad, hess, g_tot, h_tot, c_tot = self._histograms(
-            data, builder, 7, seed=99
-        )
-        whole = searcher.best_split_many(count, grad, hess, g_tot, h_tot, c_tot)
-        monkeypatch.setattr(split_mod, "_CHUNK_ELEMS", builder.n_bins * 2)
-        chunked = searcher.best_split_many(count, grad, hess, g_tot, h_tot, c_tot)
-        assert chunked == whole
 
     def test_single_row_matrix(self, data, builder):
         searcher = SplitSearcher(data.spec, builder.offsets, TrainParams().split)
         hists, count, grad, hess, g_tot, h_tot, c_tot = self._histograms(
             data, builder, 1, seed=5
         )
-        (decision,) = searcher.best_split_many(count, grad, hess, g_tot, h_tot, c_tot)
+        (decision,) = best_split_many(searcher, count, grad, hess, g_tot, h_tot, c_tot)
         assert decision == searcher.best_split(hists[0], g_tot[0], h_tot[0], c_tot[0])
 
     # -- sparse histograms: best_split's exact bin compaction vs the dense scan --
@@ -142,7 +94,8 @@ class TestBestSplitMany:
     @staticmethod
     def _assert_rows_match(searcher, hists, g_tot, h_tot, c_tot) -> list:
         """``best_split`` == the dense ``best_split_many`` row, for every row."""
-        batch = searcher.best_split_many(
+        batch = best_split_many(
+            searcher,
             np.stack([h.count for h in hists]),
             np.stack([h.grad for h in hists]),
             np.stack([h.hess for h in hists]),
@@ -253,102 +206,6 @@ class TestBestSplitMany:
         self._assert_rows_match(searcher, hists, g_tot, h_tot, c_tot)
 
 
-def _capture_all_levels(trainer: LevelWiseTrainer) -> list[dict]:
-    """Run one reference fit, capturing every level-partition call's inputs."""
-    captured: list[dict] = []
-    orig = trainer._partition_level_reference
-
-    def hook(live, splits, vertex_of_record, g, h, depth):
-        captured.append(
-            {
-                "live": dict(live),
-                "splits": dict(splits),
-                "vertex_of_record": vertex_of_record.copy(),
-                "g": g.copy(),
-                "h": h.copy(),
-                "depth": depth,
-            }
-        )
-        return orig(live, splits, vertex_of_record, g, h, depth)
-
-    trainer._partition_level_reference = hook
-    try:
-        trainer.fit()
-    finally:
-        trainer._partition_level_reference = orig
-    return captured
-
-
-class TestLevelPartition:
-    """One-pass partition == per-vertex reference on real captured levels."""
-
-    @pytest.fixture(scope="class")
-    def levels(self, data):
-        trainer = LevelWiseTrainer(
-            data, TrainParams(n_trees=2, max_depth=5), vectorized=False
-        )
-        captured = _capture_all_levels(trainer)
-        assert captured, "the reference fit never partitioned a level"
-        return trainer, captured
-
-    def test_captures_both_binning_classes(self, levels):
-        trainer, captured = levels
-        binning = {c["depth"] + 1 < trainer.params.max_depth for c in captured}
-        assert binning == {True, False}
-
-    def test_partition_matches_reference(self, levels):
-        trainer, captured = levels
-        for cap in captured:
-            live, splits = cap["live"], cap["splits"]
-            vor, g, h, depth = cap["vertex_of_record"], cap["g"], cap["h"], cap["depth"]
-            n_live = len(live)
-            split_vids = sorted(splits)
-            decisions = [splits[v] for v in split_vids]
-            n_bins = trainer.builder.n_bins
-            hist_c = np.zeros((n_live, n_bins))
-            hist_g = np.zeros((n_live, n_bins))
-            hist_h = np.zeros((n_live, n_bins))
-            for vid, node in live.items():
-                if node.hist is not None:
-                    hist_c[vid] = node.hist.count
-                    hist_g[vid] = node.hist.grad
-                    hist_h[vid] = node.hist.hess
-
-            next_live, _parent_of, ref_assignment, ref_fracs = (
-                trainer._partition_level_reference(live, splits, vor, g, h, depth)
-            )
-            (
-                vec_assignment,
-                vec_fracs,
-                g_tot,
-                h_tot,
-                c_tot,
-                n_reach,
-                binned,
-                out_c,
-                out_g,
-                out_h,
-                has_hist,
-            ) = trainer._partition_level_vectorized(
-                n_live, split_vids, decisions, vor, hist_c, hist_g, hist_h, g, h, depth
-            )
-
-            assert np.array_equal(ref_assignment, vec_assignment)
-            assert ref_fracs == vec_fracs
-            assert sorted(next_live) == list(range(2 * len(split_vids)))
-            for vid, node in next_live.items():
-                assert g_tot[vid] == node.g_tot
-                assert h_tot[vid] == node.h_tot
-                assert c_tot[vid] == node.c_tot
-                assert n_reach[vid] == node.n_reach
-                assert has_hist[vid] == (node.hist is not None)
-                assert binned[vid] == node.binned_here
-                if node.hist is not None:
-                    assert np.array_equal(out_c[vid], node.hist.count)
-                    assert np.array_equal(out_g[vid], node.hist.grad)
-                    assert np.array_equal(out_h[vid], node.hist.hess)
-
-
 class TestChannelSimEquivalence:
     """Array-based FR-FCFS stepping == the ``while pending`` reference."""
 
@@ -400,8 +257,27 @@ class TestChannelSimEquivalence:
         assert fast.latency_sum == slow.latency_sum
 
 
+def _assert_same_tree(ta, tb) -> None:
+    assert np.array_equal(ta.field, tb.field)
+    assert np.array_equal(ta.threshold_bin, tb.threshold_bin)
+    assert np.array_equal(ta.left, tb.left)
+    assert np.array_equal(ta.right, tb.right)
+    assert np.array_equal(ta.weight, tb.weight)
+
+
+def _assert_same_work(wa, wb) -> None:
+    assert np.array_equal(wa.depth, wb.depth)
+    assert np.array_equal(wa.n_reach, wb.n_reach)
+    assert np.array_equal(wa.n_binned, wb.n_binned)
+    assert np.array_equal(wa.split_evaluated, wb.split_evaluated)
+    assert np.array_equal(wa.is_split, wb.is_split)
+    assert np.array_equal(wa.split_field, wb.split_field)
+    assert np.array_equal(wa.relevant_fields, wb.relevant_fields)
+
+
 class TestTrainerGrid:
-    """Whole-trainer identity: same trees, same splits, same losses."""
+    """Vertex-by-vertex trainer == level-by-level oracle: same trees, same
+    splits, same losses, same work profile."""
 
     @pytest.mark.parametrize(
         "n_records,trees,depth",
@@ -410,63 +286,34 @@ class TestTrainerGrid:
     def test_vectorized_reference_identity(self, n_records, trees, depth):
         data = generate(small_spec_factory(n_records=n_records, seed=n_records))
         params = TrainParams(n_trees=trees, max_depth=depth)
-        vec = train_level_wise(data, params, vectorized=True)
-        ref = train_level_wise(data, params, vectorized=False)
-        assert np.array_equal(vec.losses, ref.losses)
-        for tv, tr in zip(vec.trees, ref.trees):
-            assert np.array_equal(tv.field, tr.field)
-            assert np.array_equal(tv.threshold_bin, tr.threshold_bin)
-            assert np.array_equal(tv.left, tr.left)
-            assert np.array_equal(tv.right, tr.right)
-            assert np.array_equal(tv.weight, tr.weight)
-        for wv, wr in zip(vec.profile.trees, ref.profile.trees):
-            assert np.array_equal(wv.depth, wr.depth)
-            assert np.array_equal(wv.n_reach, wr.n_reach)
-            assert np.array_equal(wv.n_binned, wr.n_binned)
-            assert np.array_equal(wv.split_evaluated, wr.split_evaluated)
-            assert np.array_equal(wv.is_split, wr.is_split)
-            assert np.array_equal(wv.split_field, wr.split_field)
-        assert vec.profile.smaller_child_fraction_mean == pytest.approx(
-            ref.profile.smaller_child_fraction_mean
+        vertex = train(data, params)
+        level = LevelWiseOracle(data, params).fit()
+        assert np.array_equal(vertex.losses, level.losses)
+        for tv, tl in zip(vertex.trees, level.trees):
+            _assert_same_tree(tv, tl)
+        for wv, wl in zip(vertex.profile.trees, level.profile.trees):
+            _assert_same_work(wv, wl)
+        assert np.array_equal(vertex.profile.root_bin_counts, level.profile.root_bin_counts)
+        assert (
+            vertex.profile.smaller_child_fraction_mean
+            == level.profile.smaller_child_fraction_mean
         )
 
 
 class TestGrowTreeEquivalence:
-    """``_grow_tree`` twins: ``_grow_tree_vectorized`` == ``_grow_tree_reference``
-    called directly on identical gradient inputs (not just via whole fits)."""
+    """``_grow_tree`` called directly on identical random gradients (not
+    just via whole fits): the vertex-by-vertex trainer == the level-by-level
+    oracle."""
 
     def test_single_tree_identity(self, data):
         params = TrainParams(n_trees=1, max_depth=5)
         g, h = _random_stats(data.n_records, 17)
-        vec_tree, vec_work, vec_fracs, vec_counts = LevelWiseTrainer(
-            data, params, vectorized=True
-        )._grow_tree_vectorized(g, h)
-        ref_tree, ref_work, ref_fracs, ref_counts = LevelWiseTrainer(
-            data, params, vectorized=False
-        )._grow_tree_reference(g, h)
-        assert np.array_equal(vec_tree.field, ref_tree.field)
-        assert np.array_equal(vec_tree.threshold_bin, ref_tree.threshold_bin)
-        assert np.array_equal(vec_tree.left, ref_tree.left)
-        assert np.array_equal(vec_tree.right, ref_tree.right)
-        assert np.array_equal(vec_tree.weight, ref_tree.weight)
-        assert np.array_equal(vec_work.depth, ref_work.depth)
-        assert np.array_equal(vec_work.n_reach, ref_work.n_reach)
-        assert np.array_equal(vec_work.n_binned, ref_work.n_binned)
-        assert np.array_equal(vec_work.split_evaluated, ref_work.split_evaluated)
-        assert np.array_equal(vec_work.is_split, ref_work.is_split)
-        assert np.array_equal(vec_work.split_field, ref_work.split_field)
-        assert np.array_equal(vec_work.relevant_fields, ref_work.relevant_fields)
-        assert vec_fracs == ref_fracs
-        assert np.array_equal(vec_counts, ref_counts)
-
-    def test_dispatcher_selects_twin(self, data):
-        """``_grow_tree`` routes by the ``vectorized`` flag; both routes agree."""
-        params = TrainParams(n_trees=1, max_depth=4)
-        g, h = _random_stats(data.n_records, 23)
-        vec_tree, _, _, _ = LevelWiseTrainer(data, params, vectorized=True)._grow_tree(g, h)
-        ref_tree, _, _, _ = LevelWiseTrainer(data, params, vectorized=False)._grow_tree(g, h)
-        assert np.array_equal(vec_tree.weight, ref_tree.weight)
-        assert np.array_equal(vec_tree.field, ref_tree.field)
+        v_tree, v_work, v_fracs, v_counts = GBDTTrainer(data, params)._grow_tree(g, h)
+        l_tree, l_work, l_fracs, l_counts = LevelWiseOracle(data, params)._grow_tree(g, h)
+        _assert_same_tree(v_tree, l_tree)
+        _assert_same_work(v_work, l_work)
+        assert v_fracs == l_fracs
+        assert np.array_equal(v_counts, l_counts)
 
 
 class TestWorkProfileAggregation:
@@ -480,7 +327,7 @@ class TestWorkProfileAggregation:
     @pytest.fixture(scope="class")
     def profile(self):
         data = generate(small_spec_factory(n_records=500, seed=9))
-        return train_level_wise(data, TrainParams(n_trees=3, max_depth=4)).profile
+        return train(data, TrainParams(n_trees=3, max_depth=4)).profile
 
     @pytest.fixture(scope="class")
     def layout(self, profile):
