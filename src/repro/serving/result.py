@@ -101,15 +101,17 @@ def summarize(
             mean_batch=0.0,
             max_queue_depth=0,
         )
-    ms = [float(v) * 1e3 for v in trace.latencies_s]
+    ms = trace.latencies_s * 1e3
     span = trace.last_finish_s - trace.first_arrival_s
     return ServingStats(
         n_requests=n,
-        mean_ms=float(sum(ms) / n),
+        # A sequential Python sum, not NumPy's pairwise one: the stored
+        # mean must not change with the summation order.
+        mean_ms=float(sum(ms.tolist()) / n),
         p50_ms=percentile(ms, 50),
         p99_ms=percentile(ms, 99),
         p999_ms=percentile(ms, 99.9),
-        max_ms=float(max(ms)),
+        max_ms=float(ms.max()),
         p99_label=percentile_label(99, n),
         p999_label=percentile_label(99.9, n),
         sustained_qps=float(n / span) if span > 0 else 0.0,

@@ -29,7 +29,8 @@ def percentile(values: Iterable[float], q: float) -> float:
     ``q`` is in percent (``50`` = median).  Raises on an empty sample --
     callers that may see one decide the degenerate rendering themselves.
     """
-    vals = np.asarray(list(values), dtype=np.float64)
+    sample = values if isinstance(values, np.ndarray) else list(values)
+    vals = np.asarray(sample, dtype=np.float64)
     if vals.size == 0:
         raise ValueError("percentile of an empty sequence is undefined")
     if not 0 <= q <= 100:

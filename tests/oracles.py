@@ -1,20 +1,26 @@
-"""Equivalence oracles for the production GBDT kernels.
+"""Equivalence oracles for the production GBDT kernels and serving queue.
 
-Plain, slow statements of what the vectorized paths in ``repro.gbdt`` must
-compute.  Tests pin the production code bit-identical to them:
+Plain, slow statements of what the vectorized paths in ``repro.gbdt`` and
+``repro.serving`` must compute.  Tests pin the production code
+bit-identical to them:
 
 * :func:`build_brute_force` -- histogram binning with pure Python loops;
 * :func:`best_split_many` -- the dense split search: every bin of every
   vertex scored, no bin compaction;
 * :class:`LevelWiseOracle` -- level-by-level tree growth (Sec. II-A), one
-  vertex at a time, with the smaller-child subtraction at every level.
+  vertex at a time, with the smaller-child subtraction at every level;
+* :func:`simulate_oracle` -- the serving queue as a heap-driven
+  discrete-event loop, one dispatch at a time.
 
 They live here, not in ``src``: nothing in the package runs them.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +29,10 @@ from repro.gbdt.histogram import Histogram, HistogramBuilder
 from repro.gbdt.split import SplitDecision, SplitSearcher, _no_split, leaf_weight
 from repro.gbdt.tree import Tree
 from repro.gbdt.workprofile import TreeWork
+from repro.serving.params import POLICIES, QUEUE_DISCIPLINES
+from repro.serving.simulator import FloatArray, IntArray, QueueTrace
 
-__all__ = ["LevelWiseOracle", "best_split_many", "build_brute_force"]
+__all__ = ["LevelWiseOracle", "best_split_many", "build_brute_force", "simulate_oracle"]
 
 
 def build_brute_force(
@@ -382,3 +390,106 @@ class LevelWiseOracle(GBDTTrainer):
             next_live[sibling_vid].hist = parent_hist.subtract(small_hist)
 
         return next_live, parent_of, new_assignment, fracs
+
+
+def simulate_oracle(
+    times: FloatArray,
+    priorities: IntArray,
+    *,
+    policy: str,
+    max_batch: int,
+    timeout_s: float,
+    queue: str,
+    records_per_request: int,
+    service_seconds: Callable[[int], float],
+) -> QueueTrace:
+    """The heap-driven event loop, for every policy and queue discipline.
+
+    Pool entries are ``(rank, arrival, index)``; ``service_seconds`` is
+    called once per dispatched batch.
+    """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown batching policy {policy!r}; known: {list(POLICIES)}")
+    if queue not in QUEUE_DISCIPLINES:
+        raise ValueError(
+            f"unknown queue discipline {queue!r}; known: {list(QUEUE_DISCIPLINES)}"
+        )
+    if max_batch < 1 or records_per_request < 1:
+        raise ValueError("max_batch and records_per_request must be >= 1")
+    if not math.isfinite(timeout_s) or timeout_s < 0:
+        raise ValueError(f"timeout_s must be finite and >= 0, got {timeout_s!r}")
+    order = np.argsort(times, kind="stable")
+    ts = np.asarray(times, dtype=np.float64)[order]
+    ranks = np.asarray(priorities, dtype=np.int64)[order]
+    n = int(ts.size)
+    latencies = np.zeros(n, dtype=np.float64)
+    if n == 0:
+        return QueueTrace(latencies_s=latencies)
+
+    use_priority = queue == "priority"
+    cap = 1 if policy == "immediate" else max_batch
+    # Pool entries are (rank, arrival, index): heap order IS the service
+    # order -- FIFO collapses rank to 0, priority serves lower values first.
+    pool: list[tuple[int, float, int]] = []
+    i = 0
+    free_at = 0.0
+    max_depth = 0
+    batch_sizes: list[int] = []
+    depth_samples: list[tuple[float, int]] = []
+
+    def admit_until(t: float) -> int:
+        """Move every arrival at or before ``t`` into the pool."""
+        nonlocal i, max_depth
+        admitted = 0
+        while i < n and float(ts[i]) <= t:
+            rank = int(ranks[i]) if use_priority else 0
+            heapq.heappush(pool, (rank, float(ts[i]), i))
+            i += 1
+            admitted += 1
+        max_depth = max(max_depth, len(pool))
+        return admitted
+
+    while i < n or pool:
+        if not pool:
+            admit_until(float(ts[i]))  # idle server: jump to the next arrival
+            continue
+        # The batch window opens when the server is free AND the request it
+        # would serve first is waiting.
+        open_t = max(free_at, pool[0][1])
+        if admit_until(open_t):
+            continue  # new arrivals may change the (priority) head; recompute
+        dispatch_t = open_t
+        if policy == "timeout" and timeout_s > 0 and len(pool) < cap:
+            deadline = open_t + timeout_s
+            while i < n and len(pool) < cap and float(ts[i]) <= deadline:
+                t_next = float(ts[i])
+                admit_until(t_next)
+                dispatch_t = max(open_t, t_next)
+            if len(pool) < cap:
+                # The window expired unfilled; the server launches what it
+                # has at the deadline (it could not know nothing more was
+                # coming).
+                dispatch_t = deadline
+        k = min(cap, len(pool))
+        members = [heapq.heappop(pool) for _ in range(k)]
+        cost = float(service_seconds(k * records_per_request))
+        if not math.isfinite(cost) or cost <= 0:
+            raise ValueError(
+                f"service_seconds({k * records_per_request}) must be finite "
+                f"and positive, got {cost!r}"
+            )
+        done_t = dispatch_t + cost
+        for _, arrival, idx in members:
+            latencies[idx] = done_t - arrival
+        free_at = done_t
+        batch_sizes.append(k)
+        depth_samples.append((dispatch_t, len(pool)))
+
+    return QueueTrace(
+        latencies_s=latencies,
+        batch_sizes=batch_sizes,
+        queue_depth=depth_samples,
+        first_arrival_s=float(ts[0]),
+        last_finish_s=free_at,
+        max_queue_depth=max_depth,
+    )
