@@ -31,7 +31,6 @@ __all__ = ["ALL_RULES", "VECTORIZED_PAIRS"]
 #: Entries: (source module path suffix, fast name, reference name).
 VECTORIZED_PAIRS: tuple[tuple[str, str, str], ...] = (
     ("core/engine.py", "_admit_records_vectorized", "_admit_records_scalar"),
-    ("memory/dram.py", "run", "run_reference"),
 )
 
 #: Identifier tokens that mark a path expression as pointing into a store,

@@ -9,15 +9,13 @@ Public API::
 
 from .address import AddressMapping, DecodedAddress
 from .config import DRAMConfig
-from .dram import BankState, ChannelSim, DRAMSimulator, DRAMStats
+from .dram import DRAMSimulator, DRAMStats
 from .profile import BandwidthProfile, bandwidth_profile
 from .stream import gather_blocks, random_blocks, sequential, strided
 
 __all__ = [
     "AddressMapping",
     "BandwidthProfile",
-    "BankState",
-    "ChannelSim",
     "DRAMConfig",
     "DRAMSimulator",
     "DRAMStats",

@@ -14,30 +14,31 @@ Used two ways:
 * through :mod:`repro.memory.profile`, which calibrates pattern-specific
   sustained bandwidths consumed by the analytic timing models.
 
-Two scheduler implementations produce the identical request schedule:
+Because channels never interact, one channel serving one trace is an
+independent *lane* with its own banks, data bus and scheduling window.
+:func:`serve_lanes` runs any number of lanes in lock step: every step serves
+exactly one request of every lane that has requests left, in a few NumPy
+operations over all of them.  :meth:`DRAMSimulator.run_many` packs the
+channels of several traces into one call (calibration runs 8 traces x 24
+channels as 192 lanes); :meth:`DRAMSimulator.run` is the one-trace case.
 
-* :meth:`ChannelSim.run_reference` -- the plain ``while pending`` loop, one
-  interpreted iteration per request with an O(window) scan and an O(n)
-  ``pending.pop(0)``.  It is the executable statement of the policy and the
-  oracle the equivalence tests run against.
-* :meth:`ChannelSim.run` -- array-based bank-state stepping.  The key
-  observation is that whenever the oldest pending request is a row hit,
-  FR-FCFS must serve it (position 0 is always arrival-eligible and the scan
-  starts there), and serving a hit never changes any bank's open row -- so a
-  maximal run of consecutive oldest-first hits can be detected with one
-  vectorized ``open_row[banks] == rows`` comparison against *current* state
-  and serviced in bulk.  Within such a stretch the per-bank read-issue chain
-  and the shared-bus chain are max-plus recurrences,
-  ``x_i = max(u_i, x_{i-1} + burst)``, which collapse to
-  ``np.maximum.accumulate`` over ``u_i - i*burst`` (the same trick PR 1 used
-  for ``simulate_step1_micro``).  Misses and dirty scheduling windows fall
-  back to a scalar step over plain Python lists and a bounded window buffer,
-  which still removes the reference's O(n) list pops and per-request NumPy
-  scalar indexing.
+* Bank state lives in flat arrays indexed by ``lane * n_banks + bank``.  A
+  step gathers the bank each lane's chosen request addresses, updates it, and
+  scatters it back; two lanes never share a bank, so the scatter is exact.
+* The FR-FCFS window is a ``(window, lanes)`` array of trace positions.
+  First-ready picks the smallest position among the arrived row hits, else
+  the smallest position, and the lane's next request takes its place.
+* Lanes are sorted longest first, so the lanes still running are a shrinking
+  prefix of every per-lane array, sliced once per distinct lane length.
+
+The plain ``while pending`` loop over one channel, one request per
+iteration, is the oracle in ``tests/oracles.py``; the tests pin every lane to
+it exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,21 +46,7 @@ import numpy as np
 from .address import AddressMapping
 from .config import DRAMConfig
 
-__all__ = ["BankState", "ChannelSim", "DRAMSimulator", "DRAMStats"]
-
-
-@dataclass
-class BankState:
-    """Row-buffer and timing state of one bank (open-page policy)."""
-
-    open_row: int = -1
-    act_time: int = -(10**9)  # when the current row was activated
-    row_ready_at: int = 0  # act_time + tRCD: first RD allowed
-    precharged_at: int = 0  # when the bank finished precharging
-    rd_ready_at: int = 0  # earliest next RD (column-to-column spacing)
-
-    def is_hit(self, row: int) -> bool:
-        return self.open_row == row
+__all__ = ["DRAMSimulator", "DRAMStats", "serve_lanes"]
 
 
 @dataclass
@@ -96,265 +83,135 @@ class DRAMStats:
         return self.bytes_per_cycle / peak if peak else 0.0
 
 
-#: First chunk size of the vectorized hit-run scan; doubles per chunk so a
-#: long streaming stretch costs O(run) compares while a short one wastes at
-#: most the initial chunk.
-_SCAN_CHUNK = 64
-_SCAN_CHUNK_MAX = 8192
+#: Row of the padding request behind the last lane.  Open rows are >= 0 and a
+#: closed bank reads -1, so the padding request is never a row hit.
+_PAD_ROW = -2
 
 
-class ChannelSim:
-    """One channel: 16 banks, a data bus, and an FR-FCFS scheduling window."""
+def _narrowest(top: int) -> type[np.signedinteger]:
+    """The smallest signed integer type, int16 or wider, that holds ``top``."""
+    return next((t for t in (np.int16, np.int32) if top <= np.iinfo(t).max), np.int64)
 
-    def __init__(self, config: DRAMConfig, window: int = 16) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.config = config
-        self.window = window
-        self.banks = [BankState() for _ in range(config.n_banks)]
-        self.bus_free_at = 0
-        self.row_hits = 0
 
-    def _service(self, arrival: int, bank_ix: int, row: int) -> int:
-        """Issue one block read; returns the data completion cycle."""
-        cfg = self.config
-        bank = self.banks[bank_ix]
-        now = max(arrival, 0)
+def serve_lanes(
+    config: DRAMConfig,
+    window: int,
+    bounds: np.ndarray,
+    slot: np.ndarray,
+    row: np.ndarray,
+    arrival: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FR-FCFS service of packed lanes in lock step.
 
-        if bank.is_hit(row):
-            self.row_hits += 1
-            rd_issue = max(now, bank.row_ready_at, bank.rd_ready_at)
-        else:
-            if bank.open_row >= 0:
-                # Row conflict: precharge (respecting tRAS), then activate.
-                pre_issue = max(now, bank.act_time + cfg.t_ras, bank.rd_ready_at)
-                bank.precharged_at = pre_issue + cfg.t_rp
-            # Closed bank (or just precharged): activate the new row.
-            act_issue = max(now, bank.precharged_at)
-            bank.open_row = row
-            bank.act_time = act_issue
-            bank.row_ready_at = act_issue + cfg.t_rcd
-            rd_issue = bank.row_ready_at
-        data_start = max(rd_issue + cfg.t_cas, self.bus_free_at)
-        completion = data_start + cfg.burst_cycles
-        self.bus_free_at = completion
-        # Back-to-back column commands on one bank are spaced by the burst.
-        bank.rd_ready_at = rd_issue + cfg.burst_cycles
-        return completion
+    Lane ``i`` is the request stream at positions ``bounds[i]:bounds[i + 1]``
+    of the packed arrays, in trace order: ``slot`` holds ``i * n_banks +
+    bank``, ``row`` the row and ``arrival`` the issue cycle of each request.
+    Each array has one more entry, at position ``bounds[-1]``: a padding
+    request with row ``_PAD_ROW``, which fills the window places of a lane
+    whose requests have run out.  ``arrival`` may be a stride-0 view.
 
-    def run_reference(
-        self, arrivals: np.ndarray, banks: np.ndarray, rows: np.ndarray
-    ) -> tuple[int, float]:
-        """FR-FCFS service of a request stream; returns (makespan, latency sum).
+    Returns the per-lane makespan, latency sum and row-hit count, in lane
+    order, as int64 arrays.
+    """
+    n_lanes = len(bounds) - 1
+    lengths = np.diff(bounds)
+    order = np.argsort(-lengths, kind="stable")
+    length = lengths[order]
+    end = bounds[1:][order]
+    pad = int(bounds[-1])
+    span = pad + 1  # added to a position, ranks it after every real position
 
-        The scheduler looks at the next ``window`` pending requests and
-        services a row-buffer hit first (first-ready), falling back to the
-        oldest request -- DRAMSim2's default policy.  Scalar reference
-        implementation; :meth:`run` reproduces this schedule exactly.
-        """
-        n = len(arrivals)
-        if n == 0:
-            return 0, 0.0
-        pending = list(range(n))
-        latency_sum = 0.0
-        makespan = 0
-        while pending:
-            # Only *arrived* requests are eligible for first-ready selection;
-            # a scheduler cannot reorder around the future.  The channel's
-            # notion of "now" is its bus progress, or the oldest pending
-            # arrival when the bus has run dry.
-            now = max(self.bus_free_at, int(arrivals[pending[0]]))
-            limit = min(self.window, len(pending))
-            chosen = 0
-            for k in range(limit):
-                ix = pending[k]
-                if int(arrivals[ix]) > now:
-                    continue  # not arrived yet: ineligible for first-ready
-                if self.banks[banks[ix]].is_hit(int(rows[ix])):
-                    chosen = k
-                    break
-            ix = pending.pop(chosen)
-            done = self._service(int(arrivals[ix]), int(banks[ix]), int(rows[ix]))
-            latency_sum += done - int(arrivals[ix])
-            if done > makespan:
-                makespan = done
-        return makespan, latency_sum
+    places = np.arange(window)[:, None]
+    start = bounds[:-1][order]
+    win = np.where(places < length, start + places, pad)
+    head = start + np.minimum(length, window)  # next request to enter the window
 
-    def run(
-        self, arrivals: np.ndarray, banks: np.ndarray, rows: np.ndarray
-    ) -> tuple[int, float]:
-        """Vectorized FR-FCFS service; identical schedule to ``run_reference``.
+    n_slots = n_lanes * config.n_banks
+    open_row = np.full(n_slots, -1, dtype=row.dtype)
+    act_at = np.full(n_slots, -(10**9), dtype=np.int64)
+    row_ready = np.zeros(n_slots, dtype=np.int64)  # act_at + tRCD: first RD
+    precharged = np.zeros(n_slots, dtype=np.int64)
+    rd_ready = np.zeros(n_slots, dtype=np.int64)  # burst-spaced next RD
+    bus = np.zeros(n_lanes, dtype=np.int64)
+    latency = np.zeros(n_lanes, dtype=np.int64)
+    hits = np.zeros(n_lanes, dtype=np.int64)
 
-        Bulk path: while the oldest pending request is a row hit (and the
-        window buffer holds a gap-free run of trace positions), the maximal
-        hit run is found with chunked vectorized compares and serviced through
-        two ``np.maximum.accumulate`` max-plus chains (per-bank read issue,
-        then the shared bus).  Everything else takes a scalar step on plain
-        Python state with a bounded window buffer.
-        """
-        n = len(arrivals)
-        if n == 0:
-            return 0, 0.0
-        cfg = self.config
-        burst = cfg.burst_cycles
-        t_cas = cfg.t_cas
-        t_rp = cfg.t_rp
-        t_rcd = cfg.t_rcd
-        t_ras = cfg.t_ras
+    t_cas, t_rp, t_rcd, t_ras = config.t_cas, config.t_rp, config.t_rcd, config.t_ras
+    burst = config.burst_cycles
+    # A stride-0 ``arrival`` gives every request the same cycle, so every
+    # request in a window has arrived by the channel's "now".
+    all_arrived = arrival.strides[0] == 0
+    steps = 0
+    for live in range(n_lanes, 0, -1):
+        stop = int(length[live - 1])  # the shortest of the first ``live`` lanes
+        if stop <= steps:
+            continue
+        pos, nxt, last = win[:, :live], head[:live], end[:live]
+        bus_l, lat_l, hits_l = bus[:live], latency[:live], hits[:live]
+        for _ in range(stop - steps):
+            # First-ready among the window's arrived requests.  The channel's
+            # "now" is its bus progress, or the oldest arrival once the bus
+            # has run dry.
+            oldest = pos.min(0)
+            ready = open_row.take(slot.take(pos)) == row.take(pos)
+            if not all_arrived:
+                ready &= arrival.take(pos) <= np.maximum(bus_l, arrival.take(oldest))
+            key = pos + span
+            np.copyto(key, pos, where=ready)
+            first = key.min(0)
+            pick = np.where(first < span, first, oldest)
+            np.copyto(pos, np.where(nxt < last, nxt, pad), where=pos == pick)
+            nxt += 1
 
-        arr = np.asarray(arrivals, dtype=np.int64)
-        bnk = np.asarray(banks, dtype=np.int64)
-        row = np.asarray(rows, dtype=np.int64)
-        arr0 = np.maximum(arr, 0)  # service-time clamp, as in _service
-        arr_l = arr.tolist()
-        bnk_l = bnk.tolist()
-        row_l = row.tolist()
+            # Service the picked request on its bank.
+            s = slot.take(pick)
+            r = row.take(pick)
+            a = arrival[pick]  # indexed: ``take`` would copy a stride-0 view
+            t0 = np.maximum(a, 0)
+            was_open = open_row.take(s)
+            hit = was_open == r
+            miss = ~hit
+            act = act_at.take(s)
+            ready_at = row_ready.take(s)
+            pre = precharged.take(s)
+            rd = rd_ready.take(s)
+            # Row conflict: precharge (respecting tRAS), then activate.
+            conflict = miss & (was_open >= 0)
+            np.copyto(pre, np.maximum(np.maximum(t0, act + t_ras), rd) + t_rp, where=conflict)
+            act_new = np.maximum(t0, pre)
+            np.copyto(act, act_new, where=miss)
+            np.copyto(ready_at, act_new + t_rcd, where=miss)
+            # A hit reads at max(t0, row ready, rd ready).  A miss reads at the
+            # new row-ready cycle, which the same max returns: it is past t0,
+            # and past rd ready (0 for a bank never opened, else earlier than
+            # the precharge it follows).
+            issue = np.maximum(np.maximum(t0, ready_at), rd)
+            open_row[s] = r
+            act_at[s] = act
+            row_ready[s] = ready_at
+            precharged[s] = pre
+            rd_ready[s] = issue + burst
+            # The shared data bus: a transfer starts t_cas after its read,
+            # once the previous one has finished.
+            np.maximum(issue + t_cas, bus_l, out=bus_l)
+            bus_l += burst
+            lat_l += bus_l
+            lat_l -= a
+            hits_l += hit
+        steps = stop
 
-        # Bank state as parallel scalars: lists for the scalar step, plus an
-        # open-row array for the vectorized hit compare (hits never mutate it,
-        # so only the scalar miss path writes both copies).
-        open_row = np.array([b.open_row for b in self.banks], dtype=np.int64)
-        open_row_l = open_row.tolist()
-        act_time = [b.act_time for b in self.banks]
-        row_ready = [b.row_ready_at for b in self.banks]
-        precharged = [b.precharged_at for b in self.banks]
-        rd_ready = [b.rd_ready_at for b in self.banks]
-        bus_free = self.bus_free_at
-        row_hits = self.row_hits
-        latency_sum = 0.0
-        makespan = 0
-        window = self.window
-
-        # ``pending`` is represented as buf + [head, head+1, ..., n-1]: the
-        # buffer holds the first min(window, remaining) pending positions in
-        # schedule order (ascending trace positions, possibly with gaps where
-        # hits were served out of FCFS order).
-        buf: list[int] = []
-        head = 0
-        while buf or head < n:
-            while len(buf) < window and head < n:
-                buf.append(head)
-                head += 1
-
-            i0 = buf[0]
-            last = buf[-1]
-            if (
-                last - i0 + 1 == len(buf)  # gap-free buffer ...
-                and open_row_l[bnk_l[i0]] == row_l[i0]  # ... and oldest is a hit
-            ):
-                # Contiguity extends past the buffer into the unbuffered tail
-                # only when the buffer runs right up to it.
-                limit = n if last == head - 1 else last + 1
-                # Maximal run of oldest-first hits vs CURRENT open rows.
-                m = 0
-                chunk = _SCAN_CHUNK
-                while True:
-                    lo = i0 + m
-                    hi = min(lo + chunk, limit)
-                    if lo >= hi:
-                        break
-                    hits = open_row[bnk[lo:hi]] == row[lo:hi]
-                    if hits.all():
-                        m += hi - lo
-                        chunk = min(chunk * 2, _SCAN_CHUNK_MAX)
-                    else:
-                        m += int(np.argmin(hits))
-                        break
-
-                sl = slice(i0, i0 + m)
-                sb = bnk[sl]
-                # Per-bank read-issue chain: rd_issue = max(max(arrival, 0),
-                # row_ready) folded with the burst-spaced previous issue.
-                rd_issue = np.empty(m, dtype=np.int64)
-                present = np.flatnonzero(np.bincount(sb, minlength=cfg.n_banks))
-                sa = arr0[sl]
-                for b in present:
-                    mask = sb == b
-                    u = np.maximum(sa[mask], row_ready[b])
-                    offs = np.arange(u.shape[0], dtype=np.int64) * burst
-                    seed = u - offs
-                    seed[0] = max(int(u[0]), rd_ready[b])
-                    issue = np.maximum.accumulate(seed) + offs
-                    rd_issue[mask] = issue
-                    rd_ready[b] = int(issue[-1]) + burst
-                # Shared-bus chain in trace order.
-                v = rd_issue + t_cas
-                offs = np.arange(m, dtype=np.int64) * burst
-                seed = v - offs
-                seed[0] = max(int(v[0]), bus_free)
-                completion = np.maximum.accumulate(seed) + offs + burst
-                bus_free = int(completion[-1])
-                latency_sum += float((completion - arr[sl]).sum())
-                row_hits += m
-                if bus_free > makespan:
-                    makespan = bus_free
-                if i0 + m > last:
-                    head = max(head, i0 + m)
-                    buf = []
-                else:
-                    buf = list(range(i0 + m, last + 1))
-                continue
-
-            # Scalar step: O(window) first-ready scan, then one service.
-            now = bus_free if bus_free > arr_l[i0] else arr_l[i0]
-            chosen = 0
-            for k in range(len(buf)):
-                ix = buf[k]
-                if arr_l[ix] > now:
-                    continue
-                if open_row_l[bnk_l[ix]] == row_l[ix]:
-                    chosen = k
-                    break
-            ix = buf.pop(chosen)
-            a = arr_l[ix]
-            a0 = a if a > 0 else 0
-            b = bnk_l[ix]
-            r = row_l[ix]
-            if open_row_l[b] == r:
-                row_hits += 1
-                rd_issue_s = max(a0, row_ready[b], rd_ready[b])
-            else:
-                if open_row_l[b] >= 0:
-                    pre_issue = max(a0, act_time[b] + t_ras, rd_ready[b])
-                    precharged[b] = pre_issue + t_rp
-                act_issue = max(a0, precharged[b])
-                open_row_l[b] = r
-                open_row[b] = r
-                act_time[b] = act_issue
-                row_ready[b] = act_issue + t_rcd
-                rd_issue_s = row_ready[b]
-            data_start = max(rd_issue_s + t_cas, bus_free)
-            done = data_start + burst
-            bus_free = done
-            rd_ready[b] = rd_issue_s + burst
-            latency_sum += done - a
-            if done > makespan:
-                makespan = done
-
-        # Fold the final state back into the persistent bank objects so
-        # repeated / mixed run calls observe the same channel history the
-        # reference would.
-        for b in range(cfg.n_banks):
-            bank = self.banks[b]
-            bank.open_row = open_row_l[b]
-            bank.act_time = act_time[b]
-            bank.row_ready_at = row_ready[b]
-            bank.precharged_at = precharged[b]
-            bank.rd_ready_at = rd_ready[b]
-        self.bus_free_at = bus_free
-        self.row_hits = row_hits
-        return makespan, latency_sum
+    back = np.argsort(order)
+    return bus[back], latency[back], hits[back]
 
 
 class DRAMSimulator:
-    """Multi-channel DRAM: distributes a block trace and aggregates stats."""
+    """Multi-channel DRAM: distributes block traces and aggregates stats."""
 
-    def __init__(
-        self, config: DRAMConfig | None = None, window: int = 16, *, vectorized: bool = True
-    ) -> None:
+    def __init__(self, config: DRAMConfig | None = None, window: int = 16) -> None:
+        if window < 1:
+            raise ValueError("window must be >= 1")
         self.config = config or DRAMConfig()
         self.window = window
-        self.vectorized = vectorized
         self.mapping = AddressMapping(self.config)
 
     def run(self, block_addrs: np.ndarray, arrivals: np.ndarray | None = None) -> DRAMStats:
@@ -363,37 +220,73 @@ class DRAMSimulator:
         ``arrivals`` defaults to all-at-zero (throughput measurement); pass
         issue cycles to study latency under a paced stream.
         """
-        addrs = np.asarray(block_addrs, dtype=np.int64)
-        n = int(addrs.size)
-        if arrivals is None:
-            arrivals = np.zeros(n, dtype=np.int64)
-        else:
-            arrivals = np.asarray(arrivals, dtype=np.int64)
-            if arrivals.shape != addrs.shape:
-                raise ValueError("arrivals must match block_addrs in shape")
-        if n == 0:
-            return DRAMStats(0, 0, 0, 0, 0.0, self.config)
+        return self.run_many([block_addrs], None if arrivals is None else [arrivals])[0]
 
-        channel, bank, row, _col = self.mapping.decode(addrs)
-        makespan = 0
-        latency_sum = 0.0
-        row_hits = 0
-        for ch in range(self.config.n_channels):
-            mask = channel == ch
-            if not mask.any():
-                continue
-            sim = ChannelSim(self.config, self.window)
-            service = sim.run if self.vectorized else sim.run_reference
-            span, lat = service(arrivals[mask], bank[mask], row[mask])
-            latency_sum += lat
-            row_hits += sim.row_hits
-            if span > makespan:
-                makespan = span
-        return DRAMStats(
-            n_requests=n,
-            total_cycles=makespan,
-            bytes_moved=n * self.config.block_bytes,
-            row_hits=row_hits,
-            latency_sum=latency_sum,
-            config=self.config,
+    def run_many(
+        self,
+        traces: Sequence[np.ndarray],
+        arrivals: Sequence[np.ndarray | None] | None = None,
+    ) -> list[DRAMStats]:
+        """Simulate several independent traces, each on a fresh DRAM.
+
+        Every channel of every trace is one lane of a single
+        :func:`serve_lanes` call.  ``arrivals`` holds one issue-cycle array
+        (or ``None``, all at zero) per trace.
+        """
+        cfg = self.config
+        addrs = [np.asarray(t, dtype=np.int64) for t in traces]
+        if arrivals is None:
+            arrivals = [None] * len(addrs)
+        if len(arrivals) != len(addrs):
+            raise ValueError("need one arrivals entry per trace")
+        for a, arr in zip(addrs, arrivals):
+            if arr is not None and np.shape(arr) != a.shape:
+                raise ValueError("arrivals must match block_addrs in shape")
+
+        # Pack one trace at a time, channel-major, with one padding entry at
+        # the end.  Slot and row take the narrowest signed type that holds
+        # them (int16 for calibration) to keep the process's peak memory at
+        # what one-trace-at-a-time calibration needed.
+        n_ch = cfg.n_channels
+        total = sum(a.size for a in addrs)
+        top = max((int(a.max()) for a in addrs if a.size), default=0)
+        max_row = top // (n_ch * cfg.n_banks * cfg.blocks_per_row)
+        bounds = np.zeros(len(addrs) * n_ch + 1, dtype=np.int64)
+        slot = np.empty(total + 1, dtype=_narrowest(len(addrs) * n_ch * cfg.n_banks))
+        row = np.empty(total + 1, dtype=_narrowest(max_row))
+        if all(arr is None for arr in arrivals):
+            arrival = np.broadcast_to(np.int64(0), (total + 1,))
+        else:
+            arrival = np.zeros(total + 1, dtype=np.int64)
+        off = 0
+        for i, (a, arr) in enumerate(zip(addrs, arrivals)):
+            channel, bank, rows, _col = self.mapping.decode(a)
+            order = np.argsort(channel, kind="stable")
+            counts = np.bincount(channel, minlength=n_ch)
+            bounds[i * n_ch + 1 : (i + 1) * n_ch + 1] = off + np.cumsum(counts)
+            seg = slice(off, off + a.size)
+            slot[seg] = ((i * n_ch + channel) * cfg.n_banks + bank)[order]
+            row[seg] = rows[order]
+            if arr is not None:
+                arrival[seg] = np.asarray(arr, dtype=np.int64)[order]
+            off += a.size
+        slot[total] = 0
+        row[total] = _PAD_ROW
+
+        cycles, latency, hits = (
+            x.reshape(len(addrs), n_ch)
+            for x in serve_lanes(cfg, self.window, bounds, slot, row, arrival)
         )
+        # Latencies are summed as integers; below 2**53 the float of the sum
+        # equals a per-request float running sum exactly.
+        return [
+            DRAMStats(
+                n_requests=int(a.size),
+                total_cycles=int(cycles[i].max()),
+                bytes_moved=int(a.size) * cfg.block_bytes,
+                row_hits=int(hits[i].sum()),
+                latency_sum=float(latency[i].sum()),
+                config=cfg,
+            )
+            for i, a in enumerate(addrs)
+        ]

@@ -4,7 +4,9 @@ The analytic timing models need "effective bytes per cycle" for each access
 pattern.  Rather than invent efficiencies, we *measure* them once per DRAM
 configuration by running representative traces through the cycle-level
 simulator: a streaming trace, and ascending gathers at a ladder of selection
-densities.  Results are cached per configuration.
+densities, all eight as one lane-parallel :meth:`DRAMSimulator.run_many` call.
+Results are cached per configuration, in memory: every process calibrates
+once for itself, and nothing is persisted between processes.
 """
 
 from __future__ import annotations
@@ -73,15 +75,12 @@ def bandwidth_profile(
     if cached is not None:
         return cached
 
-    sim = DRAMSimulator(cfg, window=window)
-    seq_stats = sim.run(sequential(n_blocks))
     densities = np.asarray(_DENSITY_LADDER, dtype=np.float64)
-    bpcs = np.empty_like(densities)
-    for i, d in enumerate(densities):
-        universe = max(int(n_blocks / d), 1)
-        trace = gather_blocks(universe, d, seed=17)
-        stats = sim.run(trace)
-        bpcs[i] = stats.bytes_per_cycle if stats.n_requests else 0.0
+    traces = [sequential(n_blocks)] + [
+        gather_blocks(max(int(n_blocks / d), 1), d, seed=17) for d in densities
+    ]
+    seq_stats, *gathers = DRAMSimulator(cfg, window=window).run_many(traces)
+    bpcs = np.array([stats.bytes_per_cycle for stats in gathers])
 
     profile = BandwidthProfile(
         config=cfg,

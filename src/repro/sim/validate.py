@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..energy import AreaPowerModel, EnergyModel, SRAMEnergyModel
-from ..memory import DRAMSimulator, sequential
+from ..memory import bandwidth_profile
 from .executor import Executor
 from .report import render_table
 from .results import geomean
@@ -65,7 +65,7 @@ def validate_all(ex: Executor | None = None) -> list[Claim]:
     )
 
     # -- Table IV: DRAM -----------------------------------------------------------
-    bw = DRAMSimulator().run(sequential(24_000)).sustained_gbps
+    bw = bandwidth_profile().sequential_gbps
     add("Table IV", "sustained streaming bandwidth", "~400 GB/s", f"{bw:.1f} GB/s", 360 < bw <= 384)
 
     # -- Table V: SRAM energies -----------------------------------------------------

@@ -1,7 +1,7 @@
 """Equivalence oracles for the production GBDT kernels and serving queue.
 
-Plain, slow statements of what the vectorized paths in ``repro.gbdt`` and
-``repro.serving`` must compute.  Tests pin the production code
+Plain, slow statements of what the vectorized paths in ``repro.gbdt``,
+``repro.serving`` and ``repro.memory`` must compute.  Tests pin the production code
 bit-identical to them:
 
 * :func:`build_brute_force` -- histogram binning with pure Python loops;
@@ -10,7 +10,10 @@ bit-identical to them:
 * :class:`LevelWiseOracle` -- level-by-level tree growth (Sec. II-A), one
   vertex at a time, with the smaller-child subtraction at every level;
 * :func:`simulate_oracle` -- the serving queue as a heap-driven
-  discrete-event loop, one dispatch at a time.
+  discrete-event loop, one dispatch at a time;
+* :class:`ChannelSim` and :func:`dram_run_oracle` -- the DRAM oracle: one
+  channel's FR-FCFS scheduler as a ``while pending`` loop, one request per
+  iteration, and a trace run channel by channel through it.
 
 They live here, not in ``src``: nothing in the package runs them.
 """
@@ -29,10 +32,20 @@ from repro.gbdt.histogram import Histogram, HistogramBuilder
 from repro.gbdt.split import SplitDecision, SplitSearcher, _no_split, leaf_weight
 from repro.gbdt.tree import Tree
 from repro.gbdt.workprofile import TreeWork
+from repro.memory import DRAMConfig, DRAMStats
+from repro.memory.address import AddressMapping
 from repro.serving.params import POLICIES, QUEUE_DISCIPLINES
 from repro.serving.simulator import FloatArray, IntArray, QueueTrace
 
-__all__ = ["LevelWiseOracle", "best_split_many", "build_brute_force", "simulate_oracle"]
+__all__ = [
+    "BankState",
+    "ChannelSim",
+    "LevelWiseOracle",
+    "best_split_many",
+    "build_brute_force",
+    "dram_run_oracle",
+    "simulate_oracle",
+]
 
 
 def build_brute_force(
@@ -492,4 +505,131 @@ def simulate_oracle(
         first_arrival_s=float(ts[0]),
         last_finish_s=free_at,
         max_queue_depth=max_depth,
+    )
+
+
+@dataclass
+class BankState:
+    """Row-buffer and timing state of one bank (open-page policy)."""
+
+    open_row: int = -1
+    act_time: int = -(10**9)  # when the current row was activated
+    row_ready_at: int = 0  # act_time + tRCD: first RD allowed
+    precharged_at: int = 0  # when the bank finished precharging
+    rd_ready_at: int = 0  # earliest next RD (column-to-column spacing)
+
+    def is_hit(self, row: int) -> bool:
+        return self.open_row == row
+
+
+class ChannelSim:
+    """One channel: 16 banks, a data bus, and an FR-FCFS scheduling window."""
+
+    def __init__(self, config: DRAMConfig, window: int = 16) -> None:
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        self.config = config
+        self.window = window
+        self.banks = [BankState() for _ in range(config.n_banks)]
+        self.bus_free_at = 0
+        self.row_hits = 0
+
+    def _service(self, arrival: int, bank_ix: int, row: int) -> int:
+        """Issue one block read; returns the data completion cycle."""
+        cfg = self.config
+        bank = self.banks[bank_ix]
+        now = max(arrival, 0)
+
+        if bank.is_hit(row):
+            self.row_hits += 1
+            rd_issue = max(now, bank.row_ready_at, bank.rd_ready_at)
+        else:
+            if bank.open_row >= 0:
+                # Row conflict: precharge (respecting tRAS), then activate.
+                pre_issue = max(now, bank.act_time + cfg.t_ras, bank.rd_ready_at)
+                bank.precharged_at = pre_issue + cfg.t_rp
+            # Closed bank (or just precharged): activate the new row.
+            act_issue = max(now, bank.precharged_at)
+            bank.open_row = row
+            bank.act_time = act_issue
+            bank.row_ready_at = act_issue + cfg.t_rcd
+            rd_issue = bank.row_ready_at
+        data_start = max(rd_issue + cfg.t_cas, self.bus_free_at)
+        completion = data_start + cfg.burst_cycles
+        self.bus_free_at = completion
+        # Back-to-back column commands on one bank are spaced by the burst.
+        bank.rd_ready_at = rd_issue + cfg.burst_cycles
+        return completion
+
+    def run_reference(
+        self, arrivals: np.ndarray, banks: np.ndarray, rows: np.ndarray
+    ) -> tuple[int, float]:
+        """FR-FCFS service of a request stream; returns (makespan, latency sum).
+
+        The scheduler looks at the next ``window`` pending requests and
+        services a row-buffer hit first (first-ready), falling back to the
+        oldest request -- DRAMSim2's default policy.  Scalar reference
+        implementation; ``repro.memory.dram.serve_lanes`` reproduces this
+        schedule exactly, lane by lane.
+        """
+        n = len(arrivals)
+        if n == 0:
+            return 0, 0.0
+        pending = list(range(n))
+        latency_sum = 0.0
+        makespan = 0
+        while pending:
+            # Only *arrived* requests are eligible for first-ready selection;
+            # a scheduler cannot reorder around the future.  The channel's
+            # notion of "now" is its bus progress, or the oldest pending
+            # arrival when the bus has run dry.
+            now = max(self.bus_free_at, int(arrivals[pending[0]]))
+            limit = min(self.window, len(pending))
+            chosen = 0
+            for k in range(limit):
+                ix = pending[k]
+                if int(arrivals[ix]) > now:
+                    continue  # not arrived yet: ineligible for first-ready
+                if self.banks[banks[ix]].is_hit(int(rows[ix])):
+                    chosen = k
+                    break
+            ix = pending.pop(chosen)
+            done = self._service(int(arrivals[ix]), int(banks[ix]), int(rows[ix]))
+            latency_sum += done - int(arrivals[ix])
+            if done > makespan:
+                makespan = done
+        return makespan, latency_sum
+
+
+def dram_run_oracle(
+    addrs: np.ndarray,
+    config: DRAMConfig | None = None,
+    window: int = 16,
+    arrivals: np.ndarray | None = None,
+) -> DRAMStats:
+    """``DRAMSimulator.run``, one fresh :class:`ChannelSim` per channel."""
+    cfg = config or DRAMConfig()
+    addrs = np.asarray(addrs, dtype=np.int64)
+    if arrivals is None:
+        arrivals = np.zeros(addrs.size, dtype=np.int64)
+    channel, bank, row, _col = AddressMapping(cfg).decode(addrs)
+    makespan = 0
+    latency_sum = 0.0
+    row_hits = 0
+    for ch in range(cfg.n_channels):
+        mask = channel == ch
+        if not mask.any():
+            continue
+        sim = ChannelSim(cfg, window)
+        span, lat = sim.run_reference(arrivals[mask], bank[mask], row[mask])
+        latency_sum += lat
+        row_hits += sim.row_hits
+        makespan = max(makespan, span)
+    return DRAMStats(
+        n_requests=int(addrs.size),
+        total_cycles=makespan,
+        bytes_moved=int(addrs.size) * cfg.block_bytes,
+        row_hits=row_hits,
+        latency_sum=latency_sum,
+        config=cfg,
     )

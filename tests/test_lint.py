@@ -118,9 +118,10 @@ class TestRPR004VectorizedTwins:
         assert lint(pair, select="RPR004").ok
 
     def test_registry_drift_fires(self, tmp_path):
-        drifted = place(tmp_path, "rpr004_registry_drift.py.txt", "src/repro/memory/dram.py")
+        drifted = place(tmp_path, "rpr004_registry_drift.py.txt", "src/repro/core/engine.py")
         report = lint(drifted, select="RPR004")
-        # Registry names (run, run_reference); the module defines neither.
+        # Registry names (_admit_records_vectorized, _admit_records_scalar);
+        # the module defines neither.
         assert codes(report) == ["RPR004"] * 2
         assert all("VECTORIZED_PAIRS" in v.message for v in report.violations)
 

@@ -148,6 +148,20 @@ class TestDRAMSimulator:
     def test_arrivals_shape_checked(self):
         with pytest.raises(ValueError):
             DRAMSimulator().run(np.arange(4), arrivals=np.zeros(3, dtype=np.int64))
+        with pytest.raises(ValueError):
+            DRAMSimulator().run_many([np.arange(4)], arrivals=[None, None])
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected_up_front(self, window):
+        # Rejected at construction, before any trace (even an empty one) runs.
+        with pytest.raises(ValueError, match="window"):
+            DRAMSimulator(window=window)
+
+    def test_run_many_equals_separate_runs(self):
+        traces = [sequential(3000), np.array([], dtype=np.int64), gather_blocks(9000, 0.2, seed=4)]
+        sim = DRAMSimulator()
+        assert sim.run_many(traces) == [sim.run(t) for t in traces]
+        assert sim.run_many([]) == []
 
     def test_paced_arrivals_lower_latency(self):
         # Spreading arrivals out reduces queueing latency vs all-at-zero.
@@ -181,6 +195,14 @@ class TestStreams:
 
 
 class TestBandwidthProfile:
+    def test_sequential_is_the_table4_stream(self):
+        # Table IV reads the calibration's streaming figure instead of
+        # simulating the same 24,000-block trace again.
+        assert (
+            bandwidth_profile().sequential_gbps
+            == DRAMSimulator().run(sequential(24_000)).sustained_gbps
+        )
+
     def test_sequential_matches_paper(self, bw_profile):
         assert 370 < bw_profile.sequential_gbps < 384
 

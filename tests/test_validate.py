@@ -1,8 +1,12 @@
 """Tests for the claims checklist (repro.sim.validate)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.sim.validate import Claim, report, validate_all
+
+GOLDEN = Path(__file__).parent / "data" / "validate_golden.txt"
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +39,11 @@ class TestReport:
         text = report(claims)
         assert "claim checklist" in text
         assert f"{len(claims)}/{len(claims)} passing" in text
+
+    def test_matches_golden_snapshot(self, claims):
+        # Every measured string, pinned: a model change that moves any
+        # rendered number must update tests/data/validate_golden.txt.
+        assert report(claims) + "\n" == GOLDEN.read_text(encoding="utf-8")
 
     def test_contains_paper_values(self, claims):
         text = report(claims)

@@ -7,7 +7,8 @@ between the two on randomized inputs:
 * the per-vertex ``best_split`` (exact bin compaction) vs the dense
   ``best_split_many`` oracle, incl. sparse histograms where ``best_split``
   skips the bins that cannot win;
-* the array-based FR-FCFS scheduler vs the plain ``while pending`` loop;
+* the lock-step FR-FCFS lane kernel vs the plain ``while pending`` loop,
+  lane by lane, and the DRAM calibration vs the same traces run through it;
 * the vertex-by-vertex trainer vs the level-by-level oracle (trees, splits,
   losses, work profiles) across a small trees x depth x scale grid.
 
@@ -24,10 +25,17 @@ from repro.datasets.layout import RecordLayout
 from repro.gbdt import GBDTTrainer, TrainParams, train
 from repro.gbdt.histogram import Histogram, HistogramBuilder
 from repro.gbdt.split import SplitParams, SplitSearcher
-from repro.memory import DRAMConfig, DRAMSimulator
-from repro.memory.dram import ChannelSim
+from repro.memory import (
+    DRAMConfig,
+    DRAMSimulator,
+    bandwidth_profile,
+    gather_blocks,
+    sequential,
+)
+from repro.memory.dram import _PAD_ROW, serve_lanes
+from repro.memory.profile import _CAL_BLOCKS
 from tests.conftest import small_spec_factory
-from tests.oracles import LevelWiseOracle, best_split_many
+from tests.oracles import ChannelSim, LevelWiseOracle, best_split_many, dram_run_oracle
 
 
 @pytest.fixture(scope="module")
@@ -206,34 +214,53 @@ class TestBestSplitMany:
         self._assert_rows_match(searcher, hists, g_tot, h_tot, c_tot)
 
 
+def _serve_oracle_lanes(cfg, window, lanes):
+    """Pack per-lane ``(arrivals, banks, rows)`` streams for ``serve_lanes``."""
+    bounds = np.concatenate([[0], np.cumsum([len(arr) for arr, _, _ in lanes])])
+    slot = [lane * cfg.n_banks + banks for lane, (_, banks, _) in enumerate(lanes)]
+    rows = [r for _, _, r in lanes]
+    arrivals = [arr for arr, _, _ in lanes]
+    return serve_lanes(
+        cfg,
+        window,
+        bounds.astype(np.int64),
+        np.concatenate(slot + [[0]]).astype(np.int32),
+        np.concatenate(rows + [[_PAD_ROW]]).astype(np.int32),
+        np.concatenate(arrivals + [[0]]).astype(np.int64),
+    )
+
+
 class TestChannelSimEquivalence:
-    """Array-based FR-FCFS stepping == the ``while pending`` reference."""
+    """The lock-step lane kernel == the ``ChannelSim`` oracle, lane by lane."""
 
     @given(
-        n=st.integers(0, 120),
+        lengths=st.lists(st.integers(0, 90), min_size=1, max_size=6),
         window=st.sampled_from([1, 2, 3, 16, 64]),
         seed=st.integers(0, 10**6),
         hot_rows=st.booleans(),
         sorted_arrivals=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_run_matches_reference(self, n, window, seed, hot_rows, sorted_arrivals):
+    def test_run_matches_reference(self, lengths, window, seed, hot_rows, sorted_arrivals):
         rng = np.random.default_rng(seed)
         cfg = DRAMConfig()
-        banks = rng.integers(0, cfg.n_banks, size=n)
-        rows = rng.integers(0, 4 if hot_rows else 10**6, size=n)
-        arrivals = rng.integers(-4, 300, size=n)
-        if sorted_arrivals:
-            arrivals.sort()
-        vec, ref = ChannelSim(cfg, window), ChannelSim(cfg, window)
-        assert vec.run(arrivals, banks, rows) == ref.run_reference(arrivals, banks, rows)
-        assert vec.row_hits == ref.row_hits
-        assert vec.bus_free_at == ref.bus_free_at
-        for bank_v, bank_r in zip(vec.banks, ref.banks):
-            assert bank_v == bank_r
+        lanes = []
+        for n in lengths:
+            arrivals = rng.integers(-4, 300, size=n)
+            if sorted_arrivals:
+                arrivals.sort()
+            banks = rng.integers(0, cfg.n_banks, size=n)
+            rows = rng.integers(0, 4 if hot_rows else 10**6, size=n)
+            lanes.append((arrivals, banks, rows))
+        cycles, latency, hits = _serve_oracle_lanes(cfg, window, lanes)
+        for lane, (arrivals, banks, rows) in enumerate(lanes):
+            ref = ChannelSim(cfg, window)
+            span, lat = ref.run_reference(arrivals, banks, rows)
+            assert (int(cycles[lane]), float(latency[lane])) == (span, lat)
+            assert int(hits[lane]) == ref.row_hits
 
     def test_streaming_then_gather(self):
-        """A long pure-hit stretch (bulk path) followed by conflicts."""
+        """A long pure-hit stretch followed by conflicts, beside a short lane."""
         cfg = DRAMConfig()
         rng = np.random.default_rng(3)
         banks = np.concatenate(
@@ -243,18 +270,49 @@ class TestChannelSimEquivalence:
             [np.zeros(500, dtype=np.int64), rng.integers(0, 10**6, 500)]
         )
         arrivals = np.zeros(1000, dtype=np.int64)
-        vec, ref = ChannelSim(cfg), ChannelSim(cfg)
-        assert vec.run(arrivals, banks, rows) == ref.run_reference(arrivals, banks, rows)
-        assert vec.row_hits == ref.row_hits
+        lanes = [(arrivals, banks, rows), (arrivals[:7], banks[-7:], rows[-7:])]
+        cycles, latency, hits = _serve_oracle_lanes(cfg, 16, lanes)
+        for lane, (arr, bnk, row) in enumerate(lanes):
+            ref = ChannelSim(cfg)
+            assert (int(cycles[lane]), float(latency[lane])) == ref.run_reference(arr, bnk, row)
+            assert int(hits[lane]) == ref.row_hits
 
     def test_simulator_paths_agree(self):
         rng = np.random.default_rng(11)
         addrs = rng.integers(0, 1 << 22, size=20_000, dtype=np.int64)
-        fast = DRAMSimulator(vectorized=True).run(addrs)
-        slow = DRAMSimulator(vectorized=False).run(addrs)
-        assert fast.total_cycles == slow.total_cycles
-        assert fast.row_hits == slow.row_hits
-        assert fast.latency_sum == slow.latency_sum
+        paced = rng.integers(-50, 40_000, size=addrs.size)
+        for arrivals in (None, paced):
+            assert DRAMSimulator().run(addrs, arrivals) == dram_run_oracle(addrs, arrivals=arrivals)
+        # Rows past int16 and past int32 take the wider packed row types.
+        for top in (1 << 30, 1 << 50):
+            wide = rng.integers(0, top, size=2_000, dtype=np.int64)
+            assert DRAMSimulator().run(wide) == dram_run_oracle(wide)
+
+    def test_run_many_matches_oracle_per_trace(self):
+        """Traces of unequal length, one empty, one paced, packed as one call."""
+        rng = np.random.default_rng(5)
+        cfg = DRAMConfig(n_channels=3, n_banks=4)
+        traces = [
+            rng.integers(0, 1 << 16, size=900),
+            np.array([], dtype=np.int64),
+            np.arange(40),
+            gather_blocks(3000, 0.3, seed=2),
+        ]
+        arrivals = [None, None, np.arange(40)[::-1] * 3, None]
+        got = DRAMSimulator(cfg, window=3).run_many(traces, arrivals)
+        assert got == [dram_run_oracle(t, cfg, 3, a) for t, a in zip(traces, arrivals)]
+
+    def test_calibration_matches_oracle(self):
+        """``bandwidth_profile`` == the same eight traces run through the oracle."""
+        profile = bandwidth_profile()
+        seq = dram_run_oracle(sequential(_CAL_BLOCKS))
+        assert profile.sequential_bpc == seq.bytes_per_cycle
+        assert profile.sequential_latency == seq.mean_latency
+        gathers = [
+            dram_run_oracle(gather_blocks(max(int(_CAL_BLOCKS / d), 1), d, seed=17))
+            for d in profile.gather_densities
+        ]
+        assert np.array_equal(profile.gather_bpc, [s.bytes_per_cycle for s in gathers])
 
 
 def _assert_same_tree(ta, tb) -> None:
