@@ -161,6 +161,10 @@ python -m repro.cli steal-status "$STORE_URL" | tee /tmp/remote-status.log
 # Both workers must have claimed at least one scenario over the wire.
 grep -Eq 'steal: claimed [1-9][0-9]*/6' /tmp/remote-w1.log
 grep -Eq 'steal: claimed [1-9][0-9]*/6' /tmp/remote-w2.log
+# Neither worker crashed and the TTL is 300 s, so a steal can only come
+# from a change wake-up racing the claim protocol.
+grep -qF '0 stale lease(s) reclaimed' /tmp/remote-w1.log
+grep -qF '0 stale lease(s) reclaimed' /tmp/remote-w2.log
 # The union of the worker manifests equals the unsharded sweep (smoke 4
 # already produced it), and the *served directory* -- a plain local store
 # the whole time -- holds exactly one done lease per scenario.

@@ -11,7 +11,8 @@ the protocol explicit so the implementation is pluggable:
   ``put``, exclusive full-content ``create`` (the lease-claim primitive),
   ``get``/``get_entry`` (content plus a strong content tag and mtime),
   ``delete`` and tag-conditional ``delete_if`` (the two-phase lease-break
-  primitive), sorted ``list``, and ``sweep_tmp`` for abandoned temp files;
+  primitive), sorted ``list``, ``sweep_tmp`` for abandoned temp files, and
+  ``wait`` for the next change (a plain sleep where none can be observed);
 * :class:`LocalBackend` -- the filesystem implementation, byte-identical
   to the pre-backend on-disk layout (flat files under one directory,
   temp-file + rename atomic writes, ``os.link`` exclusive creates);
@@ -191,7 +192,9 @@ class StoreBackend(abc.ABC):
       the entry still carries a given content tag (the lease-break
       primitive: a holder that re-stamped in the meantime survives);
     * ``list`` -- sorted entry names, optionally suffix-filtered;
-    * ``sweep_tmp`` -- reclaim abandoned atomic-write temp files.
+    * ``sweep_tmp`` -- reclaim abandoned atomic-write temp files;
+    * ``wait`` -- block until the store changes or a timeout passes (the
+      default sleeps out the timeout: a plain directory cannot notify).
 
     Every name is validated through :func:`validate_flat_name` before it
     touches storage; hostile names raise instead of escaping the store.
@@ -239,6 +242,18 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def sweep_tmp(self, max_age: float | None = None) -> int:
         """Reclaim abandoned atomic-write temp files; returns the count."""
+
+    def wait(self, since: int, timeout: float) -> int | None:
+        """Block until the change counter (successful ``put``/``create``/
+        ``delete`` calls) passes ``since`` or ``timeout`` passes; return it.
+
+        ``wait(0, 0.0)`` reads the counter.  Read it *before* looking at the
+        store and wait on that value afterwards, and no change is missed.
+        ``None``: this backend observes no changes and just slept
+        ``timeout`` -- the default, as a plain or NFS directory cannot notify.
+        """
+        time.sleep(timeout)
+        return None
 
     # -- conveniences shared by every implementation ---------------------------
 
@@ -374,6 +389,7 @@ class HTTPBackend(StoreBackend):
     ``delete_if``             ``DELETE /<name>`` + ``If-Match: "<etag>"``
     ``list``                  ``GET /?suffix=...`` (JSON entry listing)
     ``sweep_tmp``             ``POST /?op=sweep-tmp&max_age=...``
+    ``wait``                  ``GET /?since=<n>&wait=<s>`` (``X-Repro-Generation``)
     ========================  =================================================
 
     Conditional semantics live server-side under one mutation lock, so
@@ -496,6 +512,24 @@ class HTTPBackend(StoreBackend):
             return int(json.loads(body)["removed"])
         except Exception:
             return 0
+
+    def wait(self, since: int, timeout: float) -> int | None:
+        """Park on the server until the store changes past ``since``.
+
+        Asks for at most half the socket timeout, so a parked request is
+        never mistaken for a dead server.  A server that sends no counter
+        (an older ``store-serve``, a generic object store) or cannot be
+        reached degrades to sleeping out ``timeout``, never to a spin.
+        """
+        start = time.monotonic()
+        budget = min(timeout, self.timeout / 2)
+        query = urllib.parse.urlencode({"since": since, "wait": repr(budget)})
+        try:
+            _, headers, _ = self._request("GET", self.base_url + "?" + query)
+            return int(headers["x-repro-generation"])
+        except (OSError, KeyError, ValueError):
+            time.sleep(max(0.0, timeout - (time.monotonic() - start)))
+            return None
 
 
 def is_store_url(spec: object) -> bool:

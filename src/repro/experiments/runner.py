@@ -797,7 +797,13 @@ class SweepRunner:
         *somewhere*: a worker that exhausted the claimable work polls its
         peers' leases, stealing anything that goes stale -- which is what
         makes the pool elastic (a worker added mid-sweep shortens the
-        sweep; the last worker standing finishes it alone).
+        sweep; the last worker standing finishes it alone).  Between
+        passes it parks in :meth:`StoreBackend.wait
+        <repro.experiments.backend.StoreBackend.wait>` on the change
+        counter read before the pass: a store server wakes it the moment a
+        lease changes, and every backend wakes it after ``poll_interval``
+        (default a quarter TTL, capped at 1 s) to look for stale leases.
+        A live peer's lease is skipped without a claim attempt.
 
         ``completed`` keys (e.g. scenarios resumed from this worker's own
         manifest) are marked done for the pool without re-running and
@@ -831,7 +837,12 @@ class SweepRunner:
                 pending[key] = scenario
         if poll_interval is None:
             poll_interval = min(max(coordinator.ttl / 4.0, 0.05), 1.0)
+        backend = coordinator.backend
         while pending:
+            # Read the change counter BEFORE the pass: a lease that changes
+            # mid-pass then cuts the wait below short instead of being
+            # slept through.
+            generation = backend.wait(0, 0.0)
             progressed = False
             for key in list(pending):
                 lease = coordinator.read(key)
@@ -839,8 +850,10 @@ class SweepRunner:
                     del pending[key]  # a peer completed it; not our result
                     progressed = True
                     continue
-                if not coordinator.claim(key):
+                if lease is not None and not coordinator.is_stale(lease):
                     continue  # a live peer is on it; try the next scenario
+                if not coordinator.claim(key):
+                    continue  # a peer won the race for it
                 scenario = pending.pop(key)
                 progressed = True
                 try:
@@ -877,7 +890,7 @@ class SweepRunner:
                         # here, so hand the scenario back for a peer.
                         coordinator.release(key)
             if pending and not progressed:
-                time.sleep(poll_interval)
+                backend.wait(generation or 0, poll_interval)
 
     def run_indexed(
         self, scenarios: Sequence[ScenarioSpec]

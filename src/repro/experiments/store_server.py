@@ -15,12 +15,17 @@ of a networked filesystem:
   only while the entry still carries that content tag (the two-phase
   lease-break guard: a holder that re-stamped survives);
 * ``GET /?suffix=...`` -- JSON listing of entry names + etags + mtimes;
+* ``GET /?since=<n>&wait=<s>`` -- park until the store's change counter
+  passes ``n`` or ``s`` seconds pass (clamped below the client's socket
+  timeout), then answer with the counter in ``X-Repro-Generation``;
 * ``POST /?op=sweep-tmp`` -- reclaim abandoned atomic-write temp files.
 
 All conditional checks and their mutations run under one server-side
 mutation lock, which is what makes the HTTP backend's create-exclusive
 and tag-guarded delete *exact* -- the server is the single arbiter the
-shared POSIX directory used to be.  Storage underneath is a plain
+shared POSIX directory used to be.  Each successful put, create and
+delete bumps the change counter under that lock, waking parked waits.
+Storage underneath is a plain
 :class:`~repro.experiments.backend.LocalBackend` directory, so a served
 store can be inspected, exported, or re-served with every existing tool.
 
@@ -38,8 +43,9 @@ import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import TypeVar
 
-from .backend import LocalBackend, etag_of
+from .backend import HTTP_TIMEOUT_SECONDS, LocalBackend, etag_of
 
 __all__ = ["StoreHTTPServer", "main", "serve_store"]
 
@@ -47,6 +53,10 @@ __all__ = ["StoreHTTPServer", "main", "serve_store"]
 #: JSON results, and small pickles.  This bounds memory per request, it is
 #: not a quota.
 MAX_ENTRY_BYTES = 256 * 1024 * 1024
+
+#: Longest a ``?wait=`` request is parked: well under the client's socket
+#: timeout, so a quiet store never looks like a dead one.
+MAX_WAIT_SECONDS = HTTP_TIMEOUT_SECONDS / 2
 
 
 class StoreHTTPServer(ThreadingHTTPServer):
@@ -60,7 +70,15 @@ class StoreHTTPServer(ThreadingHTTPServer):
         #: ``If-None-Match: *`` and ``If-Match`` exact even though the
         #: handler pool is threaded.
         self.mutation_lock = threading.Lock()
+        #: Successful mutations so far; ``changed`` wakes ``?wait=`` requests.
+        self.generation = 0
+        self.changed = threading.Condition(self.mutation_lock)
         super().__init__(address, _StoreRequestHandler)
+
+    def bump(self) -> None:
+        """Count one successful mutation; the caller holds the lock."""
+        self.generation += 1
+        self.changed.notify_all()
 
 
 class _StoreRequestHandler(BaseHTTPRequestHandler):
@@ -114,7 +132,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self._send(status, (message + "\n").encode(), content_type="text/plain")
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0") or "0")
+        length = _count(self.headers.get("Content-Length", "0") or "0", "Content-Length", int)
         if length > MAX_ENTRY_BYTES:
             raise _BadRequest(f"entry too large ({length} bytes)")
         return self.rfile.read(length) if length else b""
@@ -124,7 +142,8 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         try:
             getattr(self, fn)()
         except _BadRequest as exc:
-            self._send_error(400, str(exc))
+            # The body may be unread: close rather than parse it as a request.
+            self._send(400, (str(exc) + "\n").encode(), "text/plain", {"Connection": "close"})
         except BrokenPipeError:
             pass  # client went away mid-response; nothing left to tell it
         except OSError as exc:
@@ -150,7 +169,11 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
     def _do_get(self) -> None:
         name = self._entry_name()
         if name is None:
-            self._do_list()
+            query = self._query()
+            if "since" in query or "wait" in query:
+                self._do_wait(query)
+            else:
+                self._do_list(query)
             return
         entry = self.server.store.get_entry(name)
         if entry is None:
@@ -162,8 +185,17 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             extra={"ETag": f'"{entry.etag}"', "X-Repro-Mtime": repr(entry.mtime)},
         )
 
-    def _do_list(self) -> None:
-        suffix = self._query().get("suffix", "")
+    def _do_wait(self, query: dict[str, str]) -> None:
+        since = _count(query.get("since", "0"), "since", int)
+        timeout = min(_count(query.get("wait", "0"), "wait", float), MAX_WAIT_SECONDS)
+        server = self.server
+        with server.changed:
+            server.changed.wait_for(lambda: server.generation > since, timeout)
+            generation = server.generation
+        self._send(200, extra={"X-Repro-Generation": str(generation)})
+
+    def _do_list(self, query: dict[str, str]) -> None:
+        suffix = query.get("suffix", "")
         store = self.server.store
         entries = []
         for entry_name in store.list(suffix):
@@ -189,6 +221,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
                     return
             else:
                 self.server.store.put(name, data)
+            self.server.bump()
         self._send(201, extra={"ETag": f'"{etag_of(data)}"'})
 
     def _do_delete(self) -> None:
@@ -208,6 +241,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             if not self.server.store.delete(name):
                 self._send_error(404, f"no such entry: {name}")
                 return
+            self.server.bump()
         self._send(204)
 
     def _do_post(self) -> None:
@@ -226,6 +260,20 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
 
 class _BadRequest(Exception):
     """A malformed request; mapped to HTTP 400 by the dispatch guard."""
+
+
+_Number = TypeVar("_Number", int, float)
+
+
+def _count(raw: str, what: str, kind: type[_Number]) -> _Number:
+    """Parse a non-negative ``int``/``float`` request value, else 400."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        value = kind(-1)
+    if not value >= 0:  # also rejects NaN
+        raise _BadRequest(f"bad {what}: {raw!r}")
+    return value
 
 
 def serve_store(root: str | Path, host: str = "127.0.0.1", port: int = 0) -> StoreHTTPServer:

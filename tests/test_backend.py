@@ -14,6 +14,7 @@ the server's address.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -31,12 +32,15 @@ from repro.experiments import (
     SweepResult,
     SweepRunner,
     copy_entries,
+    cost_order,
     export_entries,
     import_entries,
     scenario_key,
     steal_status,
 )
+from repro.experiments import store_server
 from repro.experiments.backend import (
+    HTTP_TIMEOUT_SECONDS,
     HTTPBackend,
     LocalBackend,
     StoreBackend,
@@ -172,6 +176,70 @@ class TestConformance:
         assert type(reopened) is type(backend)
         assert reopened.get("a.json") == b"here"
 
+    # wait: a store server answers with its change counter; a local
+    # directory cannot notify, so there wait is a plain sleep returning None.
+
+    def test_wait_times_out_when_nothing_changes(self, store):
+        backend, _ = store
+        backend.put("a.json", b"x")
+        since = backend.wait(0, 0.0)
+        start = time.monotonic()
+        got = backend.wait(since or 0, 0.3)
+        assert 0.25 <= time.monotonic() - start < 2.0
+        if isinstance(backend, LocalBackend):
+            assert since is None and got is None
+        else:
+            assert since == got == 1
+
+    def test_wait_returns_at_once_when_already_changed(self, store):
+        backend, _ = store
+        backend.put("a.json", b"x")
+        backend.put("b.json", b"y")
+        local = isinstance(backend, LocalBackend)
+        start = time.monotonic()
+        got = backend.wait(1, 0.3 if local else 5.0)
+        elapsed = time.monotonic() - start
+        if local:
+            assert got is None and elapsed >= 0.25
+        else:
+            assert got == 2 and elapsed < 0.5
+
+    @pytest.mark.parametrize("mutation", ["put", "create", "delete"])
+    def test_wait_wakes_on_a_mutation_from_another_thread(self, store, mutation):
+        backend, _ = store
+        backend.put("victim.json", b"x")
+        since = backend.wait(0, 0.0)
+        mutate = {
+            "put": lambda: backend.put("a.json", b"x"),
+            "create": lambda: backend.create("new.lease", b"x"),
+            "delete": lambda: backend.delete("victim.json"),
+        }[mutation]
+        local = isinstance(backend, LocalBackend)
+        timer = threading.Timer(0.1, mutate)
+        start = time.monotonic()
+        timer.start()
+        try:
+            got = backend.wait(since or 0, 0.4 if local else 5.0)
+        finally:
+            timer.join()
+        elapsed = time.monotonic() - start
+        if local:
+            assert got is None and elapsed >= 0.35  # sleeps through the change
+        else:
+            assert got == since + 1 and elapsed < 0.1 + 0.5
+
+    def test_reads_and_losing_creates_do_not_count_as_changes(self, store):
+        backend, _ = store
+        backend.put("k.lease", b"stamp")
+        since = backend.wait(0, 0.0)
+        backend.get("k.lease")
+        backend.get_entry("k.lease")
+        backend.contains("k.lease")
+        backend.list()
+        assert backend.create("k.lease", b"loser") is False
+        assert backend.wait(0, 0.0) == since
+        assert since == (None if isinstance(backend, LocalBackend) else 1)
+
 
 class TestOpenBackend:
     def test_dispatch(self, tmp_path):
@@ -218,6 +286,110 @@ class TestStoreServerProtocol:
         assert entry["name"] == "a.json"
         assert entry["etag"] == etag_of(b"x")
         assert entry["size"] == 1 and entry["mtime"] > 0
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1", "1.5"])
+    def test_bad_content_length_is_a_bad_request(self, served_url, length):
+        """Answered with 400 -- not a traceback, a dropped socket, or a hang."""
+        import http.client
+        import urllib.parse
+
+        port = urllib.parse.urlsplit(served_url).port
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        try:
+            conn.putrequest("PUT", "/a.json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert b"Content-Length" in resp.read()
+        finally:
+            conn.close()
+        assert open_backend(served_url).get("a.json") is None
+
+    @pytest.mark.parametrize(
+        "query", ["since=abc", "since=-1", "since=1.5", "wait=abc", "wait=-1", "wait=nan"]
+    )
+    def test_bad_wait_query_is_a_bad_request(self, served_url, query):
+        import urllib.error
+        import urllib.request
+
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(served_url + "?" + query, timeout=5)
+        excinfo.value.close()
+        assert excinfo.value.code == 400
+
+    def test_wait_is_clamped_below_the_client_timeout(self, served_url, monkeypatch):
+        import urllib.request
+
+        assert store_server.MAX_WAIT_SECONDS < HTTP_TIMEOUT_SECONDS
+        monkeypatch.setattr(store_server, "MAX_WAIT_SECONDS", 0.2)
+        start = time.monotonic()
+        with urllib.request.urlopen(served_url + "?since=0&wait=9999", timeout=5) as resp:
+            assert resp.headers["X-Repro-Generation"] == "0"
+        assert time.monotonic() - start < 2.0
+
+    def test_concurrent_mutations_are_all_counted_and_wake_every_waiter(self, served_url):
+        """No lost counter update, no parked waiter left behind."""
+        import sys
+
+        backend = open_backend(served_url)
+        n_writers, n_puts = 8, 25
+        woke: list = []
+
+        def waiter():
+            woke.append(open_backend(served_url).wait(0, 5.0))
+
+        def writer(i):
+            mine = open_backend(served_url)
+            for j in range(n_puts):
+                mine.put(f"w{i}-{j % 3}.json", b"x")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            waiters = [threading.Thread(target=waiter) for _ in range(4)]
+            for t in waiters:
+                t.start()
+            writers = [threading.Thread(target=writer, args=(i,)) for i in range(n_writers)]
+            for t in writers:
+                t.start()
+            for t in writers + waiters:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + waiters)
+        assert backend.wait(0, 0.0) == n_writers * n_puts
+        assert len(woke) == 4 and all(g >= 1 for g in woke)
+
+    def test_wait_against_a_server_without_counters_sleeps(self):
+        """A server that ignores ``since``/``wait`` must not turn wait into a spin."""
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        hits: list[str] = []
+
+        class ListingOnly(BaseHTTPRequestHandler):
+            def do_GET(self):
+                hits.append(self.path)
+                body = b'{"entries": []}'
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format, *args):  # noqa: A002
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), ListingOnly)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            backend = HTTPBackend(f"http://127.0.0.1:{server.server_address[1]}/")
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                assert backend.wait(0, 0.2) is None
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert 3 <= len(hits) <= 7, hits
 
 
 class TestLeaseProtocolConformance:
@@ -315,11 +487,19 @@ def fake_runs(monkeypatch):
 @pytest.fixture()
 def served_url(tmp_path):
     """A live store server over a fresh directory; yields its URL."""
-    server = serve_store(tmp_path / "served")
+    with serving(tmp_path / "served") as url:
+        yield url
+
+
+@contextlib.contextmanager
+def serving(root: Path):
+    server = serve_store(root)
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/"
-    server.shutdown()
-    server.server_close()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 class TestStealingOverURL:
@@ -369,6 +549,68 @@ class TestStealingOverURL:
         }
         assert fresh.stolen == 1
         assert all(lease.done for lease in fresh.leases())
+
+        # Now a holder dies while the waiter is already parked behind its
+        # live lease (a second sweep, so on a second store): no store change
+        # announces the crash, so the waiter's poll timeout alone must
+        # still find the lease stale.
+        ttl, poll = 1.0, 0.2
+        later = [tiny_scenario(seed=s) for s in (4, 5, 6)]
+        held = scenario_key(cost_order(later)[0])
+        collected: list = []
+        finished: list[float] = []
+        with serving(tmp_path / "second") as url:
+            holder = Coordinator(url, ttl=ttl, host="holder-host", pid=1)
+            waiter = Coordinator(url, ttl=ttl, host="waiter-host", pid=1)
+            assert holder.claim(held)
+
+            def work():
+                collected.extend(runner.run_stealing(later, waiter, poll_interval=poll))
+                finished.append(time.monotonic())
+
+            thread = threading.Thread(target=work)
+            with holder.renewing(held):
+                thread.start()
+                while len(fake_runs) < len(scenarios) + 2 and thread.is_alive():
+                    time.sleep(0.01)
+                time.sleep(0.3)
+                assert thread.is_alive()  # parked behind the live holder
+            stopped = time.monotonic()  # the crash: renewals stop, nothing released
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert finished[0] - stopped < ttl + poll + 0.5
+        assert waiter.stolen == 1
+        assert {scenario_key(r.scenario) for r in collected} == {scenario_key(s) for s in later}
+        assert sorted(fake_runs) == sorted(scenario_key(s) for s in scenarios + later)
+
+    def test_parked_worker_wakes_when_live_peer_finishes(self, served_url, tmp_path, fake_runs):
+        """URL twin of the local wait test, with a poll too long to hide behind."""
+        scenarios = [tiny_scenario(seed=s) for s in (1, 2)]
+        held_key = scenario_key(cost_order(scenarios)[0])
+        peer = Coordinator(served_url, ttl=9999.0)  # live pid: not stealable
+        assert peer.claim(held_key)
+        collected: list = []
+        finished: list[float] = []
+
+        def worker():
+            cache = ProfileCache(root=tmp_path / "cache")
+            runner = SweepRunner(cache=cache, parallel=False, results=ResultStore(root=cache.root))
+            coordinator = Coordinator(served_url, ttl=9999.0, pid=31337)
+            collected.extend(runner.run_stealing(scenarios, coordinator, poll_interval=5.0))
+            finished.append(time.monotonic())
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        time.sleep(0.3)
+        assert thread.is_alive()  # parked: one scenario is held by the peer
+        done_at = time.monotonic()
+        peer.mark_done(held_key)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert finished[0] - done_at < 1.0
+        assert [scenario_key(r.scenario) for r in collected] == [
+            k for k in (scenario_key(s) for s in scenarios) if k != held_key
+        ]
 
     def test_steal_status_over_url(self, served_url):
         c = Coordinator(served_url, ttl=60.0, host="hostA", pid=1)

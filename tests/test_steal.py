@@ -467,6 +467,33 @@ class TestRunStealing:
             k for k in (scenario_key(s) for s in scenarios) if k != held_key
         ]
 
+    def test_live_peer_lease_is_skipped_without_a_claim(self, tmp_path, fake_runs):
+        scenarios = [tiny_scenario(seed=s) for s in (1, 2)]
+        coord_dir = tmp_path / "coord"
+        held_key = scenario_key(cost_order(scenarios)[0])
+        peer = Coordinator(coord_dir, ttl=9999.0)  # live pid: not stealable
+        assert peer.claim(held_key)
+        coordinator = Coordinator(coord_dir, ttl=9999.0, pid=31337)
+        attempts: list[str] = []
+        claim = coordinator.claim
+
+        def counting_claim(key):
+            attempts.append(key)
+            return claim(key)
+
+        coordinator.claim = counting_claim
+        thread = threading.Thread(
+            target=lambda: list(
+                _runner(tmp_path).run_stealing(scenarios, coordinator, poll_interval=0.01)
+            )
+        )
+        thread.start()
+        time.sleep(0.2)  # ~20 passes over the held lease
+        peer.mark_done(held_key)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert held_key not in attempts and len(attempts) == 1
+
     def test_interrupt_releases_the_claimed_lease(self, tmp_path, monkeypatch):
         def explode(scenario, cache=None, results=None, mode="compare"):
             raise KeyboardInterrupt
