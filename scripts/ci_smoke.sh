@@ -9,15 +9,11 @@
 #   3. cost-balanced sharding (plan comparison + merge equivalence)
 #   4. work stealing over a shared lease directory (two concurrent
 #      workers, both claim work, merge == unsharded, one lease/scenario)
-#   5. repro lint --deep: the whole-tree pass stays green against the
-#      committed baseline inside its wall-clock budget, and the seeded
-#      cross-function regression is caught by --deep but missed by the
-#      shallow per-file rules
-#   6. serving sweep (--serve): cold run trains once, warm replay is
+#   5. serving sweep (--serve): cold run trains once, warm replay is
 #      zero re-simulation, the latency tail diverges from the mean under
 #      load (saturation), and serving manifests merge with inference
 #      manifests side by side
-#   7. work stealing over a remote store URL (repro store-serve + two
+#   6. work stealing over a remote store URL (repro store-serve + two
 #      workers sharing nothing but http://...; merge == unsharded, the
 #      served directory holds one done lease per scenario)
 #
@@ -32,7 +28,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 SWEEP="python -m repro.cli sweep --serial --trees 2 --dataset mq2008 --axis max_depth=2,3 --systems ideal-32-core booster"
 
-echo "=== smoke 1/7: sweep interrupt + resume ==="
+echo "=== smoke 1/6: sweep interrupt + resume ==="
 $SWEEP --out /tmp/sweep.jsonl
 # Simulate an interrupted run: drop the manifest's second line.
 head -n 1 /tmp/sweep.jsonl > /tmp/sweep.partial && mv /tmp/sweep.partial /tmp/sweep.jsonl
@@ -43,7 +39,7 @@ grep -q 'resume: 1/2 scenarios already in' /tmp/resume.log
 grep -q '\[stored\]' /tmp/resume.log
 python -c 'import json; lines = [json.loads(l) for l in open("/tmp/sweep.jsonl")]; assert len(lines) == 2 and all(l["error"] is None for l in lines), lines; assert lines[1]["stored"] is True, "resumed scenario was re-simulated"'
 
-echo "=== smoke 2/7: sharded sweep + merge ==="
+echo "=== smoke 2/6: sharded sweep + merge ==="
 $SWEEP --out /tmp/full.jsonl
 # The same sweep as two shards: a disjoint cover of the scenario list,
 # each shard streaming its own manifest.
@@ -57,7 +53,7 @@ python -m repro.cli report --from-manifest /tmp/merged.jsonl
 # order and execution provenance).
 python -c 'import json; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/full.jsonl"); merged = load("/tmp/merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "merged manifest diverges from the unsharded sweep"; print(f"merged manifest matches the unsharded sweep ({len(merged)} scenarios)")'
 
-echo "=== smoke 3/7: cost-balanced sharding ==="
+echo "=== smoke 3/6: cost-balanced sharding ==="
 # On a heterogeneous sweep (trees x record scale spanning two orders of
 # magnitude), the cost-balanced partition must predict a strictly smaller
 # max shard cost than the hash partition.
@@ -74,7 +70,7 @@ python -m repro.cli merge /tmp/cmerged.jsonl /tmp/cshard1.jsonl /tmp/cshard2.jso
 python -m repro.cli report --from-manifest /tmp/cmerged.jsonl
 python -c 'import json; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/full.jsonl"); merged = load("/tmp/cmerged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "cost-balanced merge diverges from the unsharded sweep"; print(f"cost-balanced merge matches the unsharded sweep ({len(merged)} scenarios)")'
 
-echo "=== smoke 4/7: work stealing over a shared lease directory ==="
+echo "=== smoke 4/6: work stealing over a shared lease directory ==="
 # Two workers drain ONE sweep through lease files in a shared directory.
 # A cold cache makes every scenario cost real training time, so both
 # workers reliably get to claim work (a warm store would let the first
@@ -98,25 +94,7 @@ python -m repro.cli sweep --serial --trees 2 --dataset mq2008 $STEAL_AXES --syst
 python -m repro.cli merge /tmp/steal-merged.jsonl /tmp/steal-w1.jsonl /tmp/steal-w2.jsonl
 python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/steal-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "steal-mode merge diverges from the unsharded sweep"; leases = list(pathlib.Path("/tmp/steal-coord").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"steal-mode merge matches the unsharded sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
 
-echo "=== smoke 5/7: deep lint (interprocedural pass) ==="
-# (a) The whole-tree deep pass is green against the committed baseline and
-# inside the wall-clock budget the pre-commit hook depends on.
-timeout 10 python -m repro.devtools src tests --deep --baseline lint-baseline.json
-# (b) The seeded regression: a helper returning time.time() feeds a cache
-# key across a function boundary.  The shallow per-file rules are clean on
-# it; --deep reports RPR101 with the witness chain.
-DEEPDIR=/tmp/deep-lint-smoke
-rm -rf "$DEEPDIR" && mkdir -p "$DEEPDIR/src/repro"
-cp tests/data/lint_fixtures/rpr101_cross_function.py.txt "$DEEPDIR/src/repro/freshness.py"
-python -m repro.devtools "$DEEPDIR/src"
-if python -m repro.devtools "$DEEPDIR/src" --deep > /tmp/deep-miss.log; then
-  echo 'deep lint missed the seeded cross-function regression!' >&2; exit 1
-fi
-grep -q 'RPR101' /tmp/deep-miss.log
-grep -q 'via cache_key -> _freshness_stamp' /tmp/deep-miss.log
-echo "deep lint caught the cross-function clock (shallow pass was clean)"
-
-echo "=== smoke 6/7: serving sweep (latency tail under load) ==="
+echo "=== smoke 5/6: serving sweep (latency tail under load) ==="
 # records_per_request=20000 puts the ideal-32-core design point's serving
 # capacity at ~112 qps, so arrival_qps=100,400 straddles it: the cool row
 # is stationary, the hot row saturates and the tail diverges from the mean.
@@ -139,7 +117,7 @@ python -m repro.cli report --from-manifest /tmp/serve-mixed.jsonl | tee /tmp/ser
 grep -q 'p99 (ms)' /tmp/serve-report.log
 grep -q 'booster (ms)' /tmp/serve-report.log
 
-echo "=== smoke 7/7: work stealing over a remote store URL ==="
+echo "=== smoke 6/6: work stealing over a remote store URL ==="
 # The smoke-4 story again, but the workers share nothing except the URL
 # of a `repro store-serve` process: leases, the sweep descriptor, and
 # steal-status all travel over HTTP, and each worker keeps a private

@@ -466,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the project invariant linter (RPR rules)",
         description="AST-based checker for the invariants the orchestration "
         "stack depends on: atomic store writes, hash-stable keys, "
-        "vectorized/reference twin coverage, fork-safe worker state, and "
-        "more.  See docs/development.md for the rule catalogue and the "
-        "inline '# repro: noqa RPRxxx -- reason' suppression policy.",
+        "fork-safe worker state, flushed manifests, and more.  See "
+        "docs/development.md for the rule catalogue and the inline "
+        "'# repro: noqa RPRxxx -- reason' suppression policy.",
     )
     p_lint.add_argument(
         "paths",
@@ -477,40 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src tests)",
     )
     p_lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (json is what CI archives; sarif feeds code scanning)",
-    )
-    p_lint.add_argument(
         "--select",
         default=None,
         metavar="RULES",
-        help="comma-separated rule codes to run (e.g. RPR001,RPR004)",
-    )
-    p_lint.add_argument(
-        "--deep",
-        action="store_true",
-        help="whole-program pass: call-graph nondeterminism taint, worker "
-        "effects, and lease-protocol checking (RPR101-106)",
-    )
-    p_lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="ratchet file: fail only on findings absent from FILE (shrink-only)",
-    )
-    p_lint.add_argument(
-        "--update-baseline",
-        default=None,
-        metavar="FILE",
-        help="write current findings to FILE and exit 0 (the act of accepting debt)",
-    )
-    p_lint.add_argument(
-        "--graph-out",
-        default=None,
-        metavar="FILE",
-        help="serialize the --deep call graph to FILE as JSON (implies --deep)",
+        help="comma-separated rule codes to run (e.g. RPR001,RPR005)",
     )
     return parser
 
@@ -1580,15 +1550,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     """`repro lint`: machine-check the project invariants (RPR rules)."""
     from .devtools.lint import lint_main
 
-    return lint_main(
-        args.paths,
-        fmt=args.format,
-        select=args.select,
-        deep=args.deep,
-        baseline=args.baseline,
-        update_baseline=args.update_baseline,
-        graph_out=args.graph_out,
-    )
+    return lint_main(args.paths, select=args.select)
 
 
 def _cmd_store_serve(args: argparse.Namespace) -> int:

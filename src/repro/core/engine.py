@@ -221,32 +221,10 @@ class Step1MicroResult:
         return abs(self.total_cycles - self.analytic_cycles) / self.analytic_cycles
 
 
-#: Below this record count the scalar reference loop is used; it is both the
-#: documentation of the admission semantics and the equivalence oracle.
-_ADMIT_VECTOR_MIN = 128
-
-
-def _admit_records_scalar(
+def _admit_records(
     arrivals: np.ndarray, fill: int, per_record: int, replicas: int
 ) -> tuple[int, int]:
-    """Reference admission loop: earliest-free replica, one record at a time."""
-    replica_free = np.zeros(replicas, dtype=np.int64)
-    finish = 0
-    busy = 0
-    for i in range(arrivals.size):
-        r = int(np.argmin(replica_free))
-        start = max(int(arrivals[i]) + fill, int(replica_free[r]))
-        end = start + per_record
-        replica_free[r] = end
-        busy += per_record
-        finish = max(finish, end)
-    return finish, busy
-
-
-def _admit_records_vectorized(
-    arrivals: np.ndarray, fill: int, per_record: int, replicas: int
-) -> tuple[int, int]:
-    """Closed-form admission schedule for non-decreasing arrivals.
+    """(makespan, busy cycles) of admitting ``arrivals`` into the BU replicas.
 
     With equal service times and non-decreasing arrivals, earliest-free
     replica selection degenerates to deterministic round-robin (record ``i``
@@ -268,15 +246,6 @@ def _admit_records_vectorized(
     ends = run_max + (np.arange(rows, dtype=np.int64)[:, None] + 1) * per_record
     finish = int(ends.reshape(-1)[:n].max())
     return finish, n * per_record
-
-
-def _admit_records(
-    arrivals: np.ndarray, fill: int, per_record: int, replicas: int
-) -> tuple[int, int]:
-    """(makespan, busy cycles) of admitting ``arrivals`` into the BU replicas."""
-    if arrivals.size < _ADMIT_VECTOR_MIN:
-        return _admit_records_scalar(arrivals, fill, per_record, replicas)
-    return _admit_records_vectorized(arrivals, fill, per_record, replicas)
 
 
 def simulate_step1_micro(

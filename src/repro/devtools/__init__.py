@@ -2,20 +2,21 @@
 
 The orchestration stack survives on hand-maintained invariants (atomic
 writes into live store directories, cross-process-stable content hashing,
-bit-identical vectorized/reference pairs, fork-safe worker state) and each
-of them has already caused a real runtime bug.  :mod:`repro.devtools.lint`
-makes them machine-checked: an AST walker with project-specific ``RPR``
-rules, run as ``repro lint`` and in CI.  See ``docs/development.md`` for
-the rule catalogue and suppression policy.
+fork-safe worker state, flushed manifests) and each of them has already
+caused a real runtime bug.  :mod:`repro.devtools.lint` makes the per-file
+ones machine-checked: an AST walker with project-specific ``RPR`` rules,
+run as ``repro lint`` and in CI.  Invariants that span functions or
+processes are guarded by behavioural tests instead.  See
+``docs/development.md`` for the rule catalogue, the suppression policy and
+where each of those tests lives.
 """
 
 from .lint import LintReport, Violation, lint_main, run_lint
-from .rules import ALL_RULES, VECTORIZED_PAIRS
+from .rules import ALL_RULES
 
 __all__ = [
     "ALL_RULES",
     "LintReport",
-    "VECTORIZED_PAIRS",
     "Violation",
     "lint_main",
     "run_lint",

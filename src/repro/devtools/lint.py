@@ -4,7 +4,7 @@ Pure-stdlib AST analysis: every rule is a class in
 :mod:`repro.devtools.rules` with a stable ``RPRxxx`` code and a docstring
 explaining the invariant it guards.  This module owns everything that is
 *not* a rule: file discovery, parsing, the inline-suppression protocol,
-rule selection, and the text/JSON report formats.
+rule selection, and the text report.
 
 Suppression protocol
 --------------------
@@ -15,17 +15,15 @@ A violation may be silenced with an inline comment on the flagged line::
 
 The comment must name the code(s) it suppresses *and* carry a ``--
 reason``: an unexplained suppression is itself reported (``RPR000``), so
-every exception to an invariant is documented where it lives.  There is no
-file-wide or bare ``noqa`` form on purpose -- blanket waivers are how
-hand-maintained invariants rot.
+every exception to an invariant is documented where it lives.  Naming a
+code no rule emits is reported too, so a suppression cannot outlive the
+rule it silences.  There is no file-wide or bare ``noqa`` form on purpose
+-- blanket waivers are how hand-maintained invariants rot.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import hashlib
-import json
 import re
 import sys
 import tokenize
@@ -34,19 +32,13 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 __all__ = [
-    "BASELINE_VERSION",
     "FileContext",
     "LintReport",
     "Violation",
-    "apply_baseline",
-    "format_json",
-    "format_sarif",
     "format_text",
     "iter_python_files",
     "lint_main",
-    "load_baseline",
     "run_lint",
-    "write_baseline",
 ]
 
 #: ``# repro: noqa RPR001[,RPR002] [-- reason]`` -- the only suppression form.
@@ -56,41 +48,22 @@ _NOQA_RE = re.compile(
 
 _CODE_RE = re.compile(r"\bRPR\d{3}\b")
 
+#: Framework codes: malformed suppression, unreadable file, syntax error.
+#: They are never suppressed and exist whichever rules are selected.
+_META_CODES = frozenset({"RPR000", "RPR900", "RPR901"})
+
 #: Directories never descended into during file discovery.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules", "build", "dist"}
 
 
 @dataclass(frozen=True)
 class Violation:
-    """One rule hit: a stable code, a location, and a one-line message.
-
-    ``symbol`` is the enclosing function's qualified name when a checker
-    knows it (the deep pass always does); it feeds the baseline
-    fingerprint so findings stay pinned when unrelated edits shift line
-    numbers.
-    """
+    """One rule hit: a stable code, a location, and a one-line message."""
 
     code: str
     path: str
     line: int
     message: str
-    symbol: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for the baseline ratchet (line-number-free)."""
-        raw = "|".join((self.code, Path(self.path).as_posix(), self.symbol, self.message))
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "code": self.code,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-            "symbol": self.symbol,
-            "fingerprint": self.fingerprint,
-        }
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.code} {self.message}"
@@ -114,9 +87,7 @@ class FileContext:
     place a file anywhere and still exercise a path-scoped rule.
     """
 
-    path: Path
     rel: str
-    source: str
     tree: ast.Module
     suppressions: dict[int, Suppression] = field(default_factory=dict)
 
@@ -128,17 +99,20 @@ class FileContext:
         """Whether this file is part of the ``repro`` package source."""
         return "src/repro/" in self.posix or self.posix.startswith("repro/")
 
-    def is_test(self) -> bool:
-        name = Path(self.posix).name
-        return name.startswith("test_") or name == "conftest.py"
-
     def module_is(self, suffix: str) -> bool:
         """Whether this file is the source module ending in ``suffix``."""
         return self.posix.endswith(suffix)
 
 
-def _parse_suppressions(source: str, path: str) -> tuple[dict[int, Suppression], list[Violation]]:
-    """Extract ``# repro: noqa`` comments; malformed ones become RPR000."""
+def _parse_suppressions(
+    source: str, path: str, known: frozenset[str]
+) -> tuple[dict[int, Suppression], list[Violation]]:
+    """Extract ``# repro: noqa`` comments; malformed ones become RPR000.
+
+    A comment naming a code outside ``known`` (the rule set plus the
+    framework codes) is malformed too: it silences nothing today and would
+    hide a future rule's findings without review.
+    """
     out: dict[int, Suppression] = {}
     bad: list[Violation] = []
     try:
@@ -168,6 +142,15 @@ def _parse_suppressions(source: str, path: str) -> tuple[dict[int, Suppression],
                         "carry a '-- reason' (see docs/development.md): "
                         "'# repro: noqa RPRxxx -- why this site is safe'"
                     ),
+                )
+            )
+        for code in sorted(codes - known):
+            bad.append(
+                Violation(
+                    code="RPR000",
+                    path=path,
+                    line=lineno,
+                    message=f"suppression names {code}, which no rule emits; drop it",
                 )
             )
     return out, bad
@@ -200,9 +183,9 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
                 yield f
 
 
-def load_context(path: Path, rel: str | None = None) -> tuple[FileContext | None, list[Violation]]:
+def load_context(path: Path, known: frozenset[str]) -> tuple[FileContext | None, list[Violation]]:
     """Parse one file into a :class:`FileContext` (``None`` on syntax error)."""
-    rel = rel if rel is not None else str(path)
+    rel = str(path)
     try:
         source = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -213,28 +196,17 @@ def load_context(path: Path, rel: str | None = None) -> tuple[FileContext | None
         return None, [
             Violation("RPR901", rel, exc.lineno or 1, f"syntax error: {exc.msg}")
         ]
-    suppressions, bad = _parse_suppressions(source, rel)
-    ctx = FileContext(path=path, rel=rel, source=source, tree=tree, suppressions=suppressions)
+    suppressions, bad = _parse_suppressions(source, rel, known)
+    ctx = FileContext(rel=rel, tree=tree, suppressions=suppressions)
     return ctx, bad
 
 
 @dataclass
 class LintReport:
-    """The outcome of one lint run.
-
-    ``violations`` are the *actionable* findings; when a baseline was
-    applied, previously-accepted findings move to ``baselined`` (reported
-    but not failing) and baseline entries that no longer reproduce are
-    listed in ``stale`` (the ratchet: shrink the baseline, never grow it).
-    ``graph`` carries the call graph of a ``--deep`` run for
-    ``--graph-out`` serialization.
-    """
+    """The outcome of one lint run: the surviving violations, sorted."""
 
     violations: list[Violation]
     n_files: int
-    baselined: list[Violation] = field(default_factory=list)
-    stale: list[str] = field(default_factory=list)
-    graph: object | None = None
 
     @property
     def ok(self) -> bool:
@@ -250,72 +222,37 @@ def _select_codes(select: str | None) -> frozenset[str] | None:
     return codes
 
 
-def run_lint(
-    paths: Sequence[str | Path],
-    select: str | None = None,
-    rules: Sequence[object] | None = None,
-    deep: bool = False,
-) -> LintReport:
+def run_lint(paths: Sequence[str | Path], select: str | None = None) -> LintReport:
     """Lint ``paths`` and return the surviving violations, sorted.
 
     ``select`` limits the run to a comma-separated list of codes
-    (``RPR000`` meta-violations are always reported).  ``deep`` adds the
-    whole-program pass (call-graph taint, worker effects, lease-protocol
-    checking; RPR101-106) and drops the shallow rules it supersedes
-    (RPR002/RPR003).  Suppressions are applied last: a violation whose
-    line carries a well-formed ``# repro: noqa`` naming its code is
-    dropped -- deep findings suppress exactly like shallow ones.
+    (``RPR000`` meta-violations are always reported).  Suppressions are
+    applied last: a violation whose line carries a well-formed ``# repro:
+    noqa`` naming its code is dropped.
     """
     from .rules import ALL_RULES
 
-    active = list(rules if rules is not None else ALL_RULES)
-    if deep:
-        from .deep import SUPERSEDED_BY_DEEP
-
-        active = [r for r in active if r.code not in SUPERSEDED_BY_DEEP]
+    known = frozenset(r.code for r in ALL_RULES) | _META_CODES
+    active = list(ALL_RULES)
     wanted = _select_codes(select)
     if wanted is not None:
         active = [r for r in active if r.code in wanted]
 
-    contexts: list[FileContext] = []
-    violations: list[Violation] = []
+    kept: list[Violation] = []
     n_files = 0
     for path in iter_python_files(paths):
         n_files += 1
-        ctx, problems = load_context(path)
-        violations.extend(problems)
-        if ctx is not None:
-            contexts.append(ctx)
-
-    for rule in active:
-        if hasattr(rule, "check_project"):
-            violations.extend(rule.check_project(contexts))
-        else:
-            for ctx in contexts:
-                violations.extend(rule.check(ctx))
-
-    graph: object | None = None
-    if deep:
-        from .deep import run_deep
-
-        deep_violations, graph = run_deep(contexts)
-        if wanted is not None:
-            deep_violations = [v for v in deep_violations if v.code in wanted]
-        violations.extend(deep_violations)
-
-    by_rel = {c.rel: c for c in contexts}
-    kept = []
-    for v in violations:
-        if v.code in ("RPR000", "RPR900", "RPR901"):
-            kept.append(v)
+        ctx, problems = load_context(path, known)
+        kept.extend(problems)
+        if ctx is None:
             continue
-        ctx = by_rel.get(v.path)
-        sup = ctx.suppressions.get(v.line) if ctx is not None else None
-        if sup is not None and sup.reason is not None and v.code in sup.codes:
-            continue
-        kept.append(v)
+        for rule in active:
+            for v in rule.check(ctx):
+                sup = ctx.suppressions.get(v.line)
+                if sup is None or sup.reason is None or v.code not in sup.codes:
+                    kept.append(v)
     kept.sort(key=lambda v: (v.path, v.line, v.code))
-    return LintReport(violations=kept, n_files=n_files, graph=graph)
+    return LintReport(violations=kept, n_files=n_files)
 
 
 def format_text(report: LintReport) -> str:
@@ -325,267 +262,26 @@ def format_text(report: LintReport) -> str:
         if report.violations
         else f"clean: {report.n_files} file(s), 0 violations"
     )
-    extras = []
-    if report.baselined:
-        extras.append(f"{len(report.baselined)} baselined finding(s) not shown")
-    if report.stale:
-        extras.append(
-            f"{len(report.stale)} stale baseline entr(ies) no longer reproduce "
-            "-- shrink the baseline (--update-baseline)"
-        )
-    if extras:
-        summary += " [" + "; ".join(extras) + "]"
     return "\n".join(lines + [summary])
-
-
-def format_json(report: LintReport) -> str:
-    return json.dumps(
-        {
-            "violations": [v.to_dict() for v in report.violations],
-            "baselined": [v.to_dict() for v in report.baselined],
-            "stale": list(report.stale),
-            "n_files": report.n_files,
-            "ok": report.ok,
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def _rule_docs() -> dict[str, str]:
-    """One-line description per rule code (shallow docstrings + deep docs)."""
-    from .deep import DEEP_RULE_DOCS
-    from .rules import ALL_RULES
-
-    docs: dict[str, str] = {}
-    for rule in ALL_RULES:
-        doc = (getattr(rule, "__doc__", None) or "").strip().splitlines()
-        if doc:
-            # "RPR001: raw writes into ..." -> drop the leading code tag.
-            first = doc[0]
-            prefix = f"{rule.code}: "
-            docs[rule.code] = first[len(prefix):] if first.startswith(prefix) else first
-    docs.update(DEEP_RULE_DOCS)
-    docs["RPR000"] = "Malformed suppression comment (must name codes and a -- reason)."
-    docs["RPR900"] = "Unreadable file."
-    docs["RPR901"] = "Syntax error."
-    return docs
-
-
-def format_sarif(report: LintReport) -> str:
-    """SARIF 2.1.0 for GitHub code scanning (shallow and --deep alike).
-
-    Only *actionable* violations become results; baselined findings are
-    omitted so code scanning annotates exactly what would fail CI.
-    """
-    docs = _rule_docs()
-    codes = sorted({v.code for v in report.violations})
-    rules = [
-        {
-            "id": code,
-            "name": code,
-            "shortDescription": {"text": docs.get(code, code)},
-        }
-        for code in codes
-    ]
-    results = [
-        {
-            "ruleId": v.code,
-            "level": "error",
-            "message": {"text": v.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": Path(v.path).as_posix(),
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {"startLine": max(v.line, 1)},
-                    }
-                }
-            ],
-            "partialFingerprints": {"reproLint/v1": v.fingerprint},
-        }
-        for v in report.violations
-    ]
-    payload = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": "docs/development.md",
-                        "rules": rules,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-# -- baseline ratchet ----------------------------------------------------------
-
-BASELINE_VERSION = 1
-
-
-def load_baseline(path: Path) -> dict[str, dict[str, object]]:
-    """Read a baseline file; returns ``{fingerprint: recorded finding}``."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(f"unsupported baseline version: {data.get('version')!r}")
-    findings = data.get("findings", {})
-    if not isinstance(findings, dict):
-        raise ValueError("baseline 'findings' must be an object")
-    return {str(k): dict(v) for k, v in findings.items()}
-
-
-def apply_baseline(report: LintReport, findings: dict[str, dict[str, object]]) -> None:
-    """Partition the report against a baseline, in place (the ratchet).
-
-    Known fingerprints move to ``report.baselined`` (reported, not
-    failing); unknown ones stay in ``violations`` (CI fails); baseline
-    entries that no longer reproduce land in ``report.stale`` -- the cue
-    to regenerate with ``--update-baseline`` and commit the shrink.
-    Meta-violations (RPR000/900/901) are never baselined.
-    """
-    known = set(findings)
-    new: list[Violation] = []
-    accepted: list[Violation] = []
-    for v in report.violations:
-        if v.code not in ("RPR000", "RPR900", "RPR901") and v.fingerprint in known:
-            accepted.append(v)
-        else:
-            new.append(v)
-    seen = {v.fingerprint for v in report.violations}
-    report.violations = new
-    report.baselined = accepted
-    report.stale = sorted(fp for fp in known if fp not in seen)
-
-
-def write_baseline(report: LintReport, path: Path) -> None:
-    """Write all current findings (new + previously baselined) as the baseline."""
-    findings = {
-        v.fingerprint: {
-            "code": v.code,
-            "path": Path(v.path).as_posix(),
-            "symbol": v.symbol,
-            "message": v.message,
-        }
-        for v in report.violations + report.baselined
-        if v.code not in ("RPR000", "RPR900", "RPR901")
-    }
-    payload = {
-        "version": BASELINE_VERSION,
-        "note": (
-            "Accepted repro-lint findings; the ratchet is shrink-only. CI fails "
-            "on findings absent from this file. Regenerate (never hand-edit) "
-            "with: repro lint --deep --update-baseline lint-baseline.json"
-        ),
-        "findings": dict(sorted(findings.items())),
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def lint_main(
     paths: Sequence[str] | None,
-    fmt: str = "text",
     select: str | None = None,
     out: "TextIO | None" = None,
-    deep: bool = False,
-    baseline: str | None = None,
-    update_baseline: str | None = None,
-    graph_out: str | None = None,
 ) -> int:
     """Run the linter as the CLI does; returns the process exit code.
 
     Default paths are ``src`` and ``tests`` when they exist under the
     current directory (the repo layout), else the current directory.
-    ``baseline`` applies the shrink-only ratchet (exit 1 only on *new*
-    findings); ``update_baseline`` writes the current findings to that
-    path and exits 0 -- the explicit act of accepting debt.
     """
     out = out if out is not None else sys.stdout
     if not paths:
         paths = [p for p in ("src", "tests") if Path(p).exists()] or ["."]
-    deep = deep or graph_out is not None
     try:
-        report = run_lint(paths, select=select, deep=deep)
+        report = run_lint(paths, select=select)
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if baseline is not None and update_baseline is None:
-        try:
-            findings = load_baseline(Path(baseline))
-        except FileNotFoundError:
-            findings = {}
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"bad baseline {baseline}: {exc}", file=sys.stderr)
-            return 2
-        apply_baseline(report, findings)
-    if graph_out is not None and report.graph is not None:
-        graph_payload = report.graph.to_dict()  # type: ignore[attr-defined]
-        Path(graph_out).write_text(
-            json.dumps(graph_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    if update_baseline is not None:
-        write_baseline(report, Path(update_baseline))
-        n = len(report.violations) + len(report.baselined)
-        print(f"wrote {n} finding(s) to {update_baseline}", file=out)
-        return 0
-    formatters = {"json": format_json, "sarif": format_sarif, "text": format_text}
-    print(formatters.get(fmt, format_text)(report), file=out)
+    print(format_text(report), file=out)
     return 0 if report.ok else 1
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint", description="Project invariant linter (RPR rules)."
-    )
-    parser.add_argument("paths", nargs="*", help="files or directories (default: src tests)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"), default="text")
-    parser.add_argument("--select", default=None, help="comma-separated rule codes")
-    parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="whole-program pass: call-graph taint, worker effects, lease protocol (RPR101-106)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="ratchet file: fail only on findings absent from FILE (shrink-only)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        default=None,
-        metavar="FILE",
-        help="write current findings to FILE and exit 0 (the act of accepting debt)",
-    )
-    parser.add_argument(
-        "--graph-out",
-        default=None,
-        metavar="FILE",
-        help="serialize the --deep call graph to FILE as JSON (implies --deep)",
-    )
-    args = parser.parse_args(argv)
-    return lint_main(
-        args.paths,
-        fmt=args.format,
-        select=args.select,
-        deep=args.deep,
-        baseline=args.baseline,
-        update_baseline=args.update_baseline,
-        graph_out=args.graph_out,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the repro CLI
-    sys.exit(main())

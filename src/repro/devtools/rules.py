@@ -16,22 +16,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .lint import FileContext, Violation
 
-__all__ = ["ALL_RULES", "VECTORIZED_PAIRS"]
-
-#: Registry of vectorized/reference twins whose names do not follow the
-#: ``X`` / ``X_reference`` (or ``X_vectorized`` / ``X_reference``) naming
-#: convention.  RPR004 verifies each pair exists and is equivalence-tested
-#: exactly like a convention pair -- the registry replaces per-site
-#: exemptions, it does not grant any.
-#:
-#: Entries: (source module path suffix, fast name, reference name).
-VECTORIZED_PAIRS: tuple[tuple[str, str, str], ...] = (
-    ("core/engine.py", "_admit_records_vectorized", "_admit_records_scalar"),
-)
+__all__ = ["ALL_RULES"]
 
 #: Identifier tokens that mark a path expression as pointing into a store,
 #: cache, or lease directory (the directories whose write protocol is owned
@@ -134,19 +123,6 @@ _PROTOCOL_MODULES = ("experiments/backend.py", "experiments/cache.py")
 
 def _implements_store_protocol(ctx: FileContext) -> bool:
     return any(ctx.module_is(suffix) for suffix in _PROTOCOL_MODULES)
-
-
-def _defined_functions(ctx: FileContext) -> dict[str, int]:
-    """Function/method names defined in a file, mapped to their first line."""
-    out: dict[str, int] = {}
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.setdefault(node.name, node.lineno)
-    return out
-
-
-def _word_in(name: str, source: str) -> bool:
-    return re.search(rf"\b{re.escape(name)}\b", source) is not None
 
 
 class Rule:
@@ -294,110 +270,6 @@ class NondeterministicKey(Rule):
                         f"{node.name!r}: keys must be pure functions of "
                         "content (seed RNGs explicitly, pass times in)",
                     )
-
-
-class VectorizedTwins:
-    """RPR004: every reference implementation has a tested vectorized twin.
-
-    For each ``X_reference`` function there must be an ``X`` (or
-    ``X_vectorized``) twin in the same module, and at least one test
-    module must reference *both* names -- that is what keeps the
-    bit-identity contract (``tests/test_vectorized_equivalence.py``)
-    honest when either side changes.  The check runs in reverse too:
-    ``X_vectorized`` functions need their ``X_reference``.  Pairs whose
-    names do not follow the convention are declared in
-    :data:`VECTORIZED_PAIRS` and verified identically.  The test-coverage
-    half only runs when test files are part of the lint set (so ``repro
-    lint src`` alone stays meaningful).
-    """
-
-    code = "RPR004"
-
-    def check_project(self, contexts: Iterable[FileContext]) -> Iterator[Violation]:
-        contexts = list(contexts)
-        src = [c for c in contexts if c.in_src()]
-        tests = [c for c in contexts if c.is_test()]
-        registry_names = {
-            (suffix, name)
-            for suffix, fast, ref in VECTORIZED_PAIRS
-            for name in (fast, ref)
-        }
-
-        def covered_by_registry(ctx: FileContext, name: str) -> bool:
-            return any(
-                ctx.module_is(suffix) and n == name for suffix, n in registry_names
-            )
-
-        def tested(a: str, b: str) -> bool:
-            if not tests:
-                return True
-            return any(
-                _word_in(a, t.source) and _word_in(b, t.source) for t in tests
-            )
-
-        for ctx in src:
-            defs = _defined_functions(ctx)
-            for name, lineno in sorted(defs.items()):
-                if name.endswith("_reference"):
-                    if covered_by_registry(ctx, name):
-                        continue
-                    stem = name[: -len("_reference")]
-                    twin = next(
-                        (t for t in (stem, stem + "_vectorized") if t in defs), None
-                    )
-                    if twin is None:
-                        yield Violation(
-                            self.code,
-                            ctx.rel,
-                            lineno,
-                            f"{name} has no vectorized twin ({stem} or "
-                            f"{stem}_vectorized) in this module",
-                        )
-                    elif not tested(name, twin):
-                        yield Violation(
-                            self.code,
-                            ctx.rel,
-                            lineno,
-                            f"no test module references both {name} and {twin}; "
-                            "add an equivalence test pinning them bit-identical",
-                        )
-                elif name.endswith("_vectorized"):
-                    if covered_by_registry(ctx, name):
-                        continue
-                    ref = name[: -len("_vectorized")] + "_reference"
-                    scalar = name[: -len("_vectorized")] + "_scalar"
-                    if ref not in defs and scalar not in defs:
-                        yield Violation(
-                            self.code,
-                            ctx.rel,
-                            lineno,
-                            f"{name} has no reference twin ({ref} or {scalar}) "
-                            "in this module; vectorized paths keep their "
-                            "scalar reference for equivalence testing",
-                        )
-
-        for suffix, fast, ref in VECTORIZED_PAIRS:
-            ctx = next((c for c in src if c.module_is(suffix)), None)
-            if ctx is None:
-                continue  # module not in the lint set
-            defs = _defined_functions(ctx)
-            for name in (fast, ref):
-                if name not in defs:
-                    yield Violation(
-                        self.code,
-                        ctx.rel,
-                        1,
-                        f"registry pair ({fast}, {ref}) names {name}, which is "
-                        "not defined in this module; update VECTORIZED_PAIRS",
-                    )
-            if fast in defs and ref in defs and not tested(fast, ref):
-                yield Violation(
-                    self.code,
-                    ctx.rel,
-                    defs[ref],
-                    f"no test module references both {fast} and {ref}; add an "
-                    "equivalence test pinning them bit-identical",
-                )
 
 
 class ModuleMutableState(Rule):
@@ -637,7 +509,6 @@ ALL_RULES = (
     RawStoreWrite(),
     UnstableHash(),
     NondeterministicKey(),
-    VectorizedTwins(),
     ModuleMutableState(),
     SwallowedException(),
     UnvalidatedStoreName(),

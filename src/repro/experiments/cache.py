@@ -109,7 +109,9 @@ def code_fingerprint() -> str:
     if _CODE_FINGERPRINT is None:
         from .. import datasets, gbdt
 
-        _CODE_FINGERPRINT = _hash_packages(gbdt, datasets)  # repro: noqa RPR104 -- per-process memo of a content hash; every process computes the identical value
+        # Per-process memo of a content hash; every process computes the
+        # identical value.
+        _CODE_FINGERPRINT = _hash_packages(gbdt, datasets)
     return _CODE_FINGERPRINT
 
 
@@ -127,7 +129,9 @@ def sim_fingerprint() -> str:
     if _SIM_FINGERPRINT is None:
         from .. import baselines, core, datasets, gbdt, memory, serving, sim
 
-        _SIM_FINGERPRINT = _hash_packages(  # repro: noqa RPR104 -- per-process memo of a content hash; every process computes the identical value
+        # Per-process memo of a content hash; every process computes the
+        # identical value.
+        _SIM_FINGERPRINT = _hash_packages(
             gbdt, datasets, baselines, core, memory, serving, sim
         )
     return _SIM_FINGERPRINT
@@ -441,5 +445,7 @@ def default_cache() -> ProfileCache:
     """The process-wide cache used when callers don't supply their own."""
     global _DEFAULT_CACHE
     if _DEFAULT_CACHE is None:
-        _DEFAULT_CACHE = ProfileCache()  # repro: noqa RPR104 -- per-process singleton over a shared on-disk root; the store, not the handle, is the shared state
+        # Per-process singleton over a shared on-disk root; the store, not
+        # the handle, is the shared state.
+        _DEFAULT_CACHE = ProfileCache()
     return _DEFAULT_CACHE

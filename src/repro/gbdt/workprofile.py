@@ -247,10 +247,6 @@ class WorkProfile:
         """Total records explicitly binned across all nodes and trees."""
         return float(self.stacked.n_binned.sum())
 
-    def binned_records_reference(self) -> float:
-        """Per-tree reference loop for :meth:`binned_records` (tests only)."""
-        return float(sum(t.n_binned.sum() for t in self.trees))
-
     def binned_record_fields(self) -> float:
         """Total (record, field) histogram updates -- the step-1 op count."""
         return self.binned_records() * self.n_fields
@@ -266,19 +262,6 @@ class WorkProfile:
             + np.sum(layout.stats_bytes_gather(binned, n))
             + np.sum(layout.pointer_bytes(binned))
         )
-
-    def step1_bytes_reference(self, layout: RecordLayout) -> float:
-        """Per-tree reference loop for :meth:`step1_bytes` (tests only)."""
-        n = self.n_records
-        total = 0.0
-        for t in self.trees:
-            binned = t.n_binned[t.n_binned > 0]
-            if binned.size == 0:
-                continue
-            total += float(np.sum(layout.row_bytes_gather(binned, n)))
-            total += float(np.sum(layout.stats_bytes_gather(binned, n)))
-            total += float(np.sum(layout.pointer_bytes(binned)))
-        return total
 
     def hot_access_fraction(self, n_hot_bins: int) -> float:
         """Fraction of histogram updates that land in the ``n_hot_bins``
@@ -308,10 +291,6 @@ class WorkProfile:
         """Nodes whose histogram was scanned for a split."""
         return int(self.stacked.split_evaluated.sum())
 
-    def step2_evaluations_reference(self) -> int:
-        """Per-tree reference loop for :meth:`step2_evaluations` (tests only)."""
-        return int(sum(t.split_evaluated.sum() for t in self.trees))
-
     def step2_bin_scans(self) -> float:
         """Total bins scanned by step 2 (evaluations x total bins)."""
         return float(self.step2_evaluations() * self.n_total_bins)
@@ -321,10 +300,6 @@ class WorkProfile:
     def partition_records(self) -> float:
         """Total records partitioned at split nodes (step-3 op count)."""
         return float(self.stacked.split_reach.sum())
-
-    def partition_records_reference(self) -> float:
-        """Per-tree reference loop for :meth:`partition_records` (tests only)."""
-        return float(sum(t.n_reach[t.is_split].sum() for t in self.trees))
 
     def step3_bytes(self, layout: RecordLayout, column_format: bool) -> float:
         """DRAM bytes for step 3.
@@ -346,32 +321,11 @@ class WorkProfile:
         # Read the incoming pointer stream, write true/false streams.
         return total + 2.0 * float(np.sum(layout.pointer_bytes(reach)))
 
-    def step3_bytes_reference(self, layout: RecordLayout, column_format: bool) -> float:
-        """Per-tree reference loop for :meth:`step3_bytes` (tests only)."""
-        n = self.n_records
-        total = 0.0
-        for t in self.trees:
-            mask = t.is_split
-            if not mask.any():
-                continue
-            reach = t.n_reach[mask]
-            if column_format:
-                fields = t.split_field[mask]
-                total += float(np.sum(layout.column_bytes_gather(fields, reach, n)))
-            else:
-                total += float(np.sum(layout.row_bytes_gather(reach, n)))
-            total += 2.0 * float(np.sum(layout.pointer_bytes(reach)))
-        return total
-
     # -- step 5: one-tree traversal --------------------------------------------------
 
     def traversal_hops(self) -> float:
         """Total interior-node visits over all records and trees."""
         return float(self.stacked.sum_path_len.sum())
-
-    def traversal_hops_reference(self) -> float:
-        """Per-tree reference loop for :meth:`traversal_hops` (tests only)."""
-        return float(sum(t.sum_path_len for t in self.trees))
 
     def traversal_records(self) -> float:
         return float(self.n_records * self.n_trees)
@@ -400,19 +354,6 @@ class WorkProfile:
             total = n_trees * layout.row_bytes_sequential(n)
         total += n_trees * (2.0 * layout.stats_bytes_sequential(n))  # g/h read + write
         total += n_trees * float(layout.pointer_bytes(n))  # ground-truth labels
-        return total
-
-    def step5_bytes_reference(self, layout: RecordLayout, column_format: bool) -> float:
-        """Per-tree reference loop for :meth:`step5_bytes` (tests only)."""
-        n = self.n_records
-        total = 0.0
-        for t in self.trees:
-            if column_format:
-                total += layout.column_bytes_sequential(t.relevant_fields.tolist(), n)
-            else:
-                total += layout.row_bytes_sequential(n)
-            total += 2.0 * layout.stats_bytes_sequential(n)  # g/h read + write
-            total += float(layout.pointer_bytes(n))  # ground-truth labels
         return total
 
     # -- whole-run summaries -----------------------------------------------------------

@@ -7,6 +7,10 @@ exactly once.
 
 from __future__ import annotations
 
+import contextlib
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from repro.datasets import (
     generate,
     make_numerical_fields,
 )
+from repro.experiments.store_server import serve_store
 from repro.gbdt import GBDTTrainer, TrainParams, train
 from repro.memory import bandwidth_profile
 from repro.sim import Executor
@@ -123,3 +128,22 @@ def paper_comparisons(executor):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@contextlib.contextmanager
+def serving(root: Path):
+    """Run ``repro store-serve`` over ``root`` in a thread; yields its URL."""
+    server = serve_store(root)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture()
+def served_url(tmp_path):
+    """A live store server over a fresh directory; yields its URL."""
+    with serving(tmp_path / "served") as url:
+        yield url

@@ -1,8 +1,9 @@
 """Equivalence oracles for the production GBDT kernels and serving queue.
 
 Plain, slow statements of what the vectorized paths in ``repro.gbdt``,
-``repro.serving`` and ``repro.memory`` must compute.  Tests pin the production code
-bit-identical to them:
+``repro.serving``, ``repro.memory`` and ``repro.core`` must compute.  Tests
+pin the production code bit-identical to them (to 1e-12 where a float sum
+is re-associated):
 
 * :func:`build_brute_force` -- histogram binning with pure Python loops;
 * :func:`best_split_many` -- the dense split search: every bin of every
@@ -13,7 +14,12 @@ bit-identical to them:
   discrete-event loop, one dispatch at a time;
 * :class:`ChannelSim` and :func:`dram_run_oracle` -- the DRAM oracle: one
   channel's FR-FCFS scheduler as a ``while pending`` loop, one request per
-  iteration, and a trace run channel by channel through it.
+  iteration, and a trace run channel by channel through it;
+* :func:`admit_records` -- step-1 record admission into the BU replicas,
+  earliest-free replica first, one record at a time;
+* :func:`binned_records` ... :func:`step5_bytes` -- the whole-run
+  :class:`~repro.gbdt.workprofile.WorkProfile` reductions as per-tree loops
+  over ``profile.trees`` instead of stacked-array sums.
 
 They live here, not in ``src``: nothing in the package runs them.
 """
@@ -27,11 +33,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.datasets.layout import RecordLayout
 from repro.gbdt import GBDTTrainer
 from repro.gbdt.histogram import Histogram, HistogramBuilder
 from repro.gbdt.split import SplitDecision, SplitSearcher, _no_split, leaf_weight
 from repro.gbdt.tree import Tree
-from repro.gbdt.workprofile import TreeWork
+from repro.gbdt.workprofile import TreeWork, WorkProfile
 from repro.memory import DRAMConfig, DRAMStats
 from repro.memory.address import AddressMapping
 from repro.serving.params import POLICIES, QUEUE_DISCIPLINES
@@ -41,10 +48,18 @@ __all__ = [
     "BankState",
     "ChannelSim",
     "LevelWiseOracle",
+    "admit_records",
     "best_split_many",
+    "binned_records",
     "build_brute_force",
     "dram_run_oracle",
+    "partition_records",
     "simulate_oracle",
+    "step1_bytes",
+    "step2_evaluations",
+    "step3_bytes",
+    "step5_bytes",
+    "traversal_hops",
 ]
 
 
@@ -633,3 +648,89 @@ def dram_run_oracle(
         latency_sum=latency_sum,
         config=cfg,
     )
+
+
+def admit_records(
+    arrivals: np.ndarray, fill: int, per_record: int, replicas: int
+) -> tuple[int, int]:
+    """``core.engine._admit_records``: earliest-free replica, one record at a time."""
+    replica_free = np.zeros(replicas, dtype=np.int64)
+    finish = 0
+    busy = 0
+    for i in range(arrivals.size):
+        r = int(np.argmin(replica_free))
+        start = max(int(arrivals[i]) + fill, int(replica_free[r]))
+        end = start + per_record
+        replica_free[r] = end
+        busy += per_record
+        finish = max(finish, end)
+    return finish, busy
+
+
+# -- WorkProfile reductions, one tree at a time ----------------------------------
+
+
+def binned_records(profile: WorkProfile) -> float:
+    """``WorkProfile.binned_records`` as a per-tree loop."""
+    return float(sum(t.n_binned.sum() for t in profile.trees))
+
+
+def step1_bytes(profile: WorkProfile, layout: RecordLayout) -> float:
+    """``WorkProfile.step1_bytes`` as a per-tree loop."""
+    n = profile.n_records
+    total = 0.0
+    for t in profile.trees:
+        binned = t.n_binned[t.n_binned > 0]
+        if binned.size == 0:
+            continue
+        total += float(np.sum(layout.row_bytes_gather(binned, n)))
+        total += float(np.sum(layout.stats_bytes_gather(binned, n)))
+        total += float(np.sum(layout.pointer_bytes(binned)))
+    return total
+
+
+def step2_evaluations(profile: WorkProfile) -> int:
+    """``WorkProfile.step2_evaluations`` as a per-tree loop."""
+    return int(sum(t.split_evaluated.sum() for t in profile.trees))
+
+
+def partition_records(profile: WorkProfile) -> float:
+    """``WorkProfile.partition_records`` as a per-tree loop."""
+    return float(sum(t.n_reach[t.is_split].sum() for t in profile.trees))
+
+
+def step3_bytes(profile: WorkProfile, layout: RecordLayout, column_format: bool) -> float:
+    """``WorkProfile.step3_bytes`` as a per-tree loop."""
+    n = profile.n_records
+    total = 0.0
+    for t in profile.trees:
+        mask = t.is_split
+        if not mask.any():
+            continue
+        reach = t.n_reach[mask]
+        if column_format:
+            fields = t.split_field[mask]
+            total += float(np.sum(layout.column_bytes_gather(fields, reach, n)))
+        else:
+            total += float(np.sum(layout.row_bytes_gather(reach, n)))
+        total += 2.0 * float(np.sum(layout.pointer_bytes(reach)))
+    return total
+
+
+def traversal_hops(profile: WorkProfile) -> float:
+    """``WorkProfile.traversal_hops`` as a per-tree loop."""
+    return float(sum(t.sum_path_len for t in profile.trees))
+
+
+def step5_bytes(profile: WorkProfile, layout: RecordLayout, column_format: bool) -> float:
+    """``WorkProfile.step5_bytes`` as a per-tree loop."""
+    n = profile.n_records
+    total = 0.0
+    for t in profile.trees:
+        if column_format:
+            total += layout.column_bytes_sequential(t.relevant_fields.tolist(), n)
+        else:
+            total += layout.row_bytes_sequential(n)
+        total += 2.0 * layout.stats_bytes_sequential(n)  # g/h read + write
+        total += float(layout.pointer_bytes(n))  # ground-truth labels
+    return total

@@ -14,12 +14,10 @@ the server's address.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -49,8 +47,8 @@ from repro.experiments.backend import (
     open_backend,
 )
 from repro.experiments.steal import LEASE_SUFFIX
-from repro.experiments.store_server import serve_store
 from repro.gbdt import TrainParams
+from tests.conftest import serving
 
 
 @pytest.fixture(params=["local", "http"])
@@ -65,14 +63,8 @@ def store(request, tmp_path):
     if request.param == "local":
         yield open_backend(root), root
         return
-    server = serve_store(root)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    url = f"http://127.0.0.1:{server.server_address[1]}/"
-    try:
+    with serving(root) as url:
         yield open_backend(url), root
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 class TestConformance:
@@ -482,24 +474,6 @@ def fake_runs(monkeypatch):
 
     monkeypatch.setattr(runner_mod, "run_scenario", fake)
     return calls
-
-
-@pytest.fixture()
-def served_url(tmp_path):
-    """A live store server over a fresh directory; yields its URL."""
-    with serving(tmp_path / "served") as url:
-        yield url
-
-
-@contextlib.contextmanager
-def serving(root: Path):
-    server = serve_store(root)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 class TestStealingOverURL:

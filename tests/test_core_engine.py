@@ -10,7 +10,9 @@ from repro.core import (
     PAPER_CONFIG,
     simulate_step1_micro,
 )
+from repro.core.engine import _admit_records
 from repro.datasets import dataset_spec
+from tests import oracles
 
 
 class TestConfig:
@@ -137,7 +139,8 @@ class TestMicroSimulation:
 
 
 class TestAdmissionVectorization:
-    """The vectorized admission schedule must match the scalar reference."""
+    """The closed-form admission schedule must match the one-record-at-a-time
+    oracle."""
 
     @pytest.mark.parametrize(
         "n,replicas,fill,per_record",
@@ -152,34 +155,21 @@ class TestAdmissionVectorization:
         ],
     )
     def test_matches_scalar_reference(self, n, replicas, fill, per_record):
-        from repro.core.engine import _admit_records_scalar, _admit_records_vectorized
-
         arrivals = np.linspace(0, 12345, n, endpoint=False).astype(np.int64)
-        assert _admit_records_vectorized(
+        assert _admit_records(arrivals, fill, per_record, replicas) == oracles.admit_records(
             arrivals, fill, per_record, replicas
-        ) == _admit_records_scalar(arrivals, fill, per_record, replicas)
+        )
 
     def test_matches_on_random_nondecreasing_arrivals(self, rng):
-        from repro.core.engine import _admit_records_scalar, _admit_records_vectorized
-
         for _ in range(50):
             n = int(rng.integers(0, 300))
             replicas = int(rng.integers(1, 32))
             fill = int(rng.integers(0, 250))
             per_record = int(rng.integers(1, 40))
             arrivals = np.sort(rng.integers(0, 4000, size=n)).astype(np.int64)
-            assert _admit_records_vectorized(
+            assert _admit_records(arrivals, fill, per_record, replicas) == oracles.admit_records(
                 arrivals, fill, per_record, replicas
-            ) == _admit_records_scalar(arrivals, fill, per_record, replicas)
-
-    def test_dispatch_uses_scalar_below_threshold(self):
-        from repro.core import engine
-
-        arrivals = np.arange(8, dtype=np.int64)
-        assert engine._ADMIT_VECTOR_MIN > 8
-        assert engine._admit_records(arrivals, 3, 5, 2) == engine._admit_records_scalar(
-            arrivals, 3, 5, 2
-        )
+            )
 
 
 class TestInference:

@@ -506,6 +506,27 @@ class TestRunStealing:
         # The lease was handed back, not left to age out.
         assert coordinator.read(scenario_key(scenarios[0])) is None
 
+    @pytest.mark.parametrize("over", ["directory", "url"])
+    def test_close_at_the_yield_releases_the_lease(self, tmp_path, fake_runs, request, over):
+        """A consumer that stops at the yield hands the lease back (it may
+        never have recorded the result); one that drains the generator
+        leaves the lease done."""
+        root = tmp_path / "coord" if over == "directory" else request.getfixturevalue("served_url")
+        scenarios = [tiny_scenario(seed=1)]
+        key = scenario_key(scenarios[0])
+        coordinator = Coordinator(root, ttl=60.0)
+        stream = _runner(tmp_path).run_stealing(scenarios, coordinator)
+        assert scenario_key(next(stream).scenario) == key
+        held = coordinator.read(key)
+        assert held is not None and not held.done
+        stream.close()
+        assert coordinator.read(key) is None
+        results = list(_runner(tmp_path).run_stealing(scenarios, coordinator))
+        assert [scenario_key(r.scenario) for r in results] == [key]
+        assert fake_runs == [key, key]  # the abandoned scenario ran again
+        lease = coordinator.read(key)
+        assert lease is not None and lease.done and lease.error is None
+
     def test_empty_sweep_yields_nothing(self, tmp_path, fake_runs):
         coordinator = Coordinator(tmp_path / "coord", ttl=60.0)
         assert list(_runner(tmp_path).run_stealing([], coordinator)) == []

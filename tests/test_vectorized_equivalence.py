@@ -11,6 +11,7 @@ between the two on randomized inputs:
   lane by lane, and the DRAM calibration vs the same traces run through it;
 * the vertex-by-vertex trainer vs the level-by-level oracle (trees, splits,
   losses, work profiles) across a small trees x depth x scale grid.
+* the stacked whole-run ``WorkProfile`` reductions vs per-tree loops.
 
 The oracles live in :mod:`tests.oracles`.
 """
@@ -35,6 +36,7 @@ from repro.memory import (
 from repro.memory.dram import _PAD_ROW, serve_lanes
 from repro.memory.profile import _CAL_BLOCKS
 from tests.conftest import small_spec_factory
+from tests import oracles
 from tests.oracles import ChannelSim, LevelWiseOracle, best_split_many, dram_run_oracle
 
 
@@ -392,42 +394,42 @@ class TestWorkProfileAggregation:
         return RecordLayout(profile.spec)
 
     def test_binned_records(self, profile):
-        assert profile.binned_records() == profile.binned_records_reference()
+        assert profile.binned_records() == oracles.binned_records(profile)
 
     def test_step1_bytes(self, profile, layout):
         assert profile.step1_bytes(layout) == pytest.approx(
-            profile.step1_bytes_reference(layout), rel=1e-12
+            oracles.step1_bytes(profile, layout), rel=1e-12
         )
 
     def test_step2_evaluations(self, profile):
-        assert profile.step2_evaluations() == profile.step2_evaluations_reference()
+        assert profile.step2_evaluations() == oracles.step2_evaluations(profile)
 
     def test_partition_records(self, profile):
-        assert profile.partition_records() == profile.partition_records_reference()
+        assert profile.partition_records() == oracles.partition_records(profile)
 
     @pytest.mark.parametrize("column_format", [True, False])
     def test_step3_bytes(self, profile, layout, column_format):
         assert profile.step3_bytes(layout, column_format) == pytest.approx(
-            profile.step3_bytes_reference(layout, column_format), rel=1e-12
+            oracles.step3_bytes(profile, layout, column_format), rel=1e-12
         )
 
     def test_traversal_hops(self, profile):
         assert profile.traversal_hops() == pytest.approx(
-            profile.traversal_hops_reference(), rel=1e-12
+            oracles.traversal_hops(profile), rel=1e-12
         )
 
     @pytest.mark.parametrize("column_format", [True, False])
     def test_step5_bytes(self, profile, layout, column_format):
         assert profile.step5_bytes(layout, column_format) == pytest.approx(
-            profile.step5_bytes_reference(layout, column_format), rel=1e-12
+            oracles.step5_bytes(profile, layout, column_format), rel=1e-12
         )
 
     def test_empty_profile_reductions_agree(self, profile, layout):
         from repro.gbdt.workprofile import WorkProfile
 
         empty = WorkProfile(spec=profile.spec, trees=[])
-        assert empty.binned_records() == empty.binned_records_reference() == 0.0
-        assert empty.step1_bytes(layout) == empty.step1_bytes_reference(layout) == 0.0
-        assert empty.traversal_hops() == empty.traversal_hops_reference() == 0.0
-        assert empty.step2_evaluations() == empty.step2_evaluations_reference() == 0
-        assert empty.partition_records() == empty.partition_records_reference() == 0.0
+        assert empty.binned_records() == oracles.binned_records(empty) == 0.0
+        assert empty.step1_bytes(layout) == oracles.step1_bytes(empty, layout) == 0.0
+        assert empty.traversal_hops() == oracles.traversal_hops(empty) == 0.0
+        assert empty.step2_evaluations() == oracles.step2_evaluations(empty) == 0
+        assert empty.partition_records() == oracles.partition_records(empty) == 0.0
