@@ -5,16 +5,14 @@
 #
 # Each section exercises one operational story against the real CLI:
 #   1. interrupt + --resume (zero retrain / zero re-simulate)
-#   2. static --shard partition + merge == unsharded sweep
-#   3. cost-balanced sharding (plan comparison + merge equivalence)
-#   4. work stealing over a shared lease directory (two concurrent
-#      workers, both claim work, merge == unsharded, one lease/scenario)
-#   5. serving sweep (--serve): cold run trains once, warm replay is
+#   2. work stealing over a shared lease directory (two concurrent
+#      workers, both claim work, merge == full sweep, one lease/scenario)
+#   3. serving sweep (--serve): cold run trains once, warm replay is
 #      zero re-simulation, the latency tail diverges from the mean under
 #      load (saturation), and serving manifests merge with inference
 #      manifests side by side
-#   6. work stealing over a remote store URL (repro store-serve + two
-#      workers sharing nothing but http://...; merge == unsharded, the
+#   4. work stealing over a remote store URL (repro store-serve + two
+#      workers sharing nothing but http://...; merge == full sweep, the
 #      served directory holds one done lease per scenario)
 #
 # Everything lands under /tmp (*.jsonl manifests, *.log transcripts) so a
@@ -28,7 +26,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 SWEEP="python -m repro.cli sweep --serial --trees 2 --dataset mq2008 --axis max_depth=2,3 --systems ideal-32-core booster"
 
-echo "=== smoke 1/6: sweep interrupt + resume ==="
+echo "=== smoke 1/4: sweep interrupt + resume ==="
 $SWEEP --out /tmp/sweep.jsonl
 # Simulate an interrupted run: drop the manifest's second line.
 head -n 1 /tmp/sweep.jsonl > /tmp/sweep.partial && mv /tmp/sweep.partial /tmp/sweep.jsonl
@@ -39,38 +37,7 @@ grep -q 'resume: 1/2 scenarios already in' /tmp/resume.log
 grep -q '\[stored\]' /tmp/resume.log
 python -c 'import json; lines = [json.loads(l) for l in open("/tmp/sweep.jsonl")]; assert len(lines) == 2 and all(l["error"] is None for l in lines), lines; assert lines[1]["stored"] is True, "resumed scenario was re-simulated"'
 
-echo "=== smoke 2/6: sharded sweep + merge ==="
-$SWEEP --out /tmp/full.jsonl
-# The same sweep as two shards: a disjoint cover of the scenario list,
-# each shard streaming its own manifest.
-$SWEEP --shard 1/2 --out /tmp/shard1.jsonl | tee /tmp/shards.log
-$SWEEP --shard 2/2 --out /tmp/shard2.jsonl | tee -a /tmp/shards.log
-# The shards run against the warm store: zero retraining.
-if grep -q '\[trained\]' /tmp/shards.log; then echo 'shard retrained!' >&2; exit 1; fi
-python -m repro.cli merge /tmp/merged.jsonl /tmp/shard1.jsonl /tmp/shard2.jsonl
-python -m repro.cli report --from-manifest /tmp/merged.jsonl
-# The merged manifest must match the unsharded run line for line (up to
-# order and execution provenance).
-python -c 'import json; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/full.jsonl"); merged = load("/tmp/merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "merged manifest diverges from the unsharded sweep"; print(f"merged manifest matches the unsharded sweep ({len(merged)} scenarios)")'
-
-echo "=== smoke 3/6: cost-balanced sharding ==="
-# On a heterogeneous sweep (trees x record scale spanning two orders of
-# magnitude), the cost-balanced partition must predict a strictly smaller
-# max shard cost than the hash partition.
-PLAN="python -m repro.cli plan --dataset mq2008 --trees 2 --axis n_trees=50,400 --axis scale=1,8 --shards 2"
-$PLAN --balance cost | tee /tmp/plan-cost.log
-$PLAN --balance hash | tee /tmp/plan-hash.log
-python -c 'maxcost = lambda p: float([l for l in open(p) if l.startswith("predicted max shard cost:")][0].split(":")[1].split("(")[0]); cost, hash_ = maxcost("/tmp/plan-cost.log"), maxcost("/tmp/plan-hash.log"); assert cost < hash_, (cost, hash_); print(f"cost balance wins: max shard cost {cost:g} < {hash_:g}")'
-# A 2-shard --balance cost sweep + merge equals the unsharded run (same
-# invariant the hash shards satisfy above; /tmp/full.jsonl is reused).
-$SWEEP --shard 1/2 --balance cost --out /tmp/cshard1.jsonl | tee /tmp/cshards.log
-$SWEEP --shard 2/2 --balance cost --out /tmp/cshard2.jsonl | tee -a /tmp/cshards.log
-if grep -q '\[trained\]' /tmp/cshards.log; then echo 'cost shard retrained!' >&2; exit 1; fi
-python -m repro.cli merge /tmp/cmerged.jsonl /tmp/cshard1.jsonl /tmp/cshard2.jsonl
-python -m repro.cli report --from-manifest /tmp/cmerged.jsonl
-python -c 'import json; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/full.jsonl"); merged = load("/tmp/cmerged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "cost-balanced merge diverges from the unsharded sweep"; print(f"cost-balanced merge matches the unsharded sweep ({len(merged)} scenarios)")'
-
-echo "=== smoke 4/6: work stealing over a shared lease directory ==="
+echo "=== smoke 2/4: work stealing over a shared lease directory ==="
 # Two workers drain ONE sweep through lease files in a shared directory.
 # A cold cache makes every scenario cost real training time, so both
 # workers reliably get to claim work (a warm store would let the first
@@ -88,13 +55,13 @@ python -m repro.cli steal-status /tmp/steal-coord | tee /tmp/steal-status.log
 # Both workers must have claimed at least one scenario.
 grep -Eq 'steal: claimed [1-9][0-9]*/6' /tmp/steal-w1.log
 grep -Eq 'steal: claimed [1-9][0-9]*/6' /tmp/steal-w2.log
-# The union of the worker manifests equals the unsharded sweep, and the
+# The union of the worker manifests equals the full sweep, and the
 # lease directory shows exactly one (done) lease per scenario.
 python -m repro.cli sweep --serial --trees 2 --dataset mq2008 $STEAL_AXES --systems ideal-32-core booster --out /tmp/steal-full.jsonl > /tmp/steal-full.log
 python -m repro.cli merge /tmp/steal-merged.jsonl /tmp/steal-w1.jsonl /tmp/steal-w2.jsonl
-python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/steal-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "steal-mode merge diverges from the unsharded sweep"; leases = list(pathlib.Path("/tmp/steal-coord").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"steal-mode merge matches the unsharded sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
+python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/steal-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "steal-mode merge diverges from the full sweep"; leases = list(pathlib.Path("/tmp/steal-coord").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"steal-mode merge matches the full sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
 
-echo "=== smoke 5/6: serving sweep (latency tail under load) ==="
+echo "=== smoke 3/4: serving sweep (latency tail under load) ==="
 # records_per_request=20000 puts the ideal-32-core design point's serving
 # capacity at ~112 qps, so arrival_qps=100,400 straddles it: the cool row
 # is stationary, the hot row saturates and the tail diverges from the mean.
@@ -117,8 +84,8 @@ python -m repro.cli report --from-manifest /tmp/serve-mixed.jsonl | tee /tmp/ser
 grep -q 'p99 (ms)' /tmp/serve-report.log
 grep -q 'booster (ms)' /tmp/serve-report.log
 
-echo "=== smoke 6/6: work stealing over a remote store URL ==="
-# The smoke-4 story again, but the workers share nothing except the URL
+echo "=== smoke 4/4: work stealing over a remote store URL ==="
+# The smoke-2 story again, but the workers share nothing except the URL
 # of a `repro store-serve` process: leases, the sweep descriptor, and
 # steal-status all travel over HTTP, and each worker keeps a private
 # (cold) local cache -- no shared filesystem anywhere.
@@ -143,11 +110,11 @@ grep -Eq 'steal: claimed [1-9][0-9]*/6' /tmp/remote-w2.log
 # from a change wake-up racing the claim protocol.
 grep -qF '0 stale lease(s) reclaimed' /tmp/remote-w1.log
 grep -qF '0 stale lease(s) reclaimed' /tmp/remote-w2.log
-# The union of the worker manifests equals the unsharded sweep (smoke 4
+# The union of the worker manifests equals the full sweep (smoke 2
 # already produced it), and the *served directory* -- a plain local store
 # the whole time -- holds exactly one done lease per scenario.
 python -m repro.cli merge /tmp/remote-merged.jsonl /tmp/remote-w1.jsonl /tmp/remote-w2.jsonl
-python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/remote-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "remote-store merge diverges from the unsharded sweep"; leases = list(pathlib.Path("/tmp/remote-store").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"remote-store merge matches the unsharded sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
+python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/remote-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "remote-store merge diverges from the full sweep"; leases = list(pathlib.Path("/tmp/remote-store").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"remote-store merge matches the full sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
 kill "$SRV" && trap - EXIT
 
 echo "all sweep smokes passed"

@@ -10,18 +10,15 @@ Installed as the ``repro`` console script::
     repro sweep --dataset higgs         # accelerator design space
     repro sweep --axis n_bus=1600,3200 --out results/sweeps/bus.jsonl
     repro sweep --axis n_bus=1600,3200 --out results/sweeps/bus.jsonl --resume
-    repro sweep --axis seed=1,2,3 --shard 1/2 --out shard1.jsonl  # host 1 of 2
-    repro sweep --axis trees=50,400 --shard 1/2 --balance cost --out s1.jsonl
     repro sweep --axis seed=1,2,3 --coordinate /shared/lease --out w1.jsonl
     repro store-serve /srv/store --port 8123     # remote store for URL sweeps
     repro sweep --axis seed=1,2,3 --coordinate http://host:8123/ --out w1.jsonl
     repro sweep --serve --axis arrival_qps=100,400 --out serve.jsonl  # latency tail
     repro steal-status /shared/lease    # who holds what, what is claimable
     repro steal-status http://host:8123/         # same ledger, over the wire
-    repro plan --axis trees=50,400 --axis scale=1,8 --shards 2  # predict costs
-    repro merge merged.jsonl shard1.jsonl shard2.jsonl  # union shard manifests
+    repro merge merged.jsonl w1.jsonl w2.jsonl          # union worker manifests
     repro report --from-manifest merged.jsonl           # render, zero re-runs
-    repro cache export warm.tar --axis seed=1,2,3       # seed a cold host
+    repro cache export /media/warm --axis seed=1,2,3    # seed a cold host
     repro validate                      # full reproduction claim checklist
 """
 
@@ -49,30 +46,26 @@ examples:
   repro sweep --axis n_bus=1600,3200 --axis dataset=higgs,flight
   repro sweep --axis seed=1,2,3 --out results/sweeps/seeds.jsonl
   repro sweep --axis seed=1,2,3 --out results/sweeps/seeds.jsonl --resume
-  repro sweep --axis seed=1,2,3 --shard 2/2 --out shard2.jsonl
+  repro sweep --axis seed=1,2,3 --coordinate /shared/lease --out w2.jsonl
   repro sweep --serve --axis arrival_qps=100,400,1600 --policy timeout
-  repro merge merged.jsonl shard1.jsonl shard2.jsonl
+  repro merge merged.jsonl w1.jsonl w2.jsonl
   repro report --from-manifest merged.jsonl
 
 Sweeps stream one JSONL line per scenario to --out as results complete
 (failures included, as structured error lines); --resume skips every
 scenario with a successful line in the manifest, and the persistent result
 store (results/cache/ or $REPRO_CACHE_DIR) replays completed timings with
-zero retraining and zero re-simulation.  --shard K/N deterministically
-partitions the expanded scenario list across N hosts -- by stable content
-hash (--balance hash, the default) or by LPT bin packing over estimated
-scenario costs (--balance cost); `repro plan` predicts the per-shard costs
-without running anything, `repro merge` unions the per-shard manifests
-back into one, and `repro report --from-manifest` renders it (with the
-recorded wall times) without running anything.  --coordinate DIR-or-URL
-replaces the static partition with dynamic work stealing: workers claim
-scenarios at runtime through atomic lease entries in a shared store -- a
-shared directory, or a `repro store-serve` URL for hosts with no shared
-filesystem (crashed workers' stale leases are reclaimed either way),
-`repro steal-status DIR-or-URL` shows the live ledger, and `repro merge`
-unions the per-worker manifests the same way it unions shard manifests.
-$REPRO_CACHE_DIR may also be a store URL, and `repro cache export/import`
-push/pull entries against one directly.
+zero retraining and zero re-simulation.  --coordinate DIR-or-URL spreads
+a sweep over workers and hosts by work stealing: workers claim scenarios
+at runtime, most expensive first, through atomic lease entries in a
+shared store -- a shared directory, or a `repro store-serve` URL for
+hosts with no shared filesystem (crashed workers' stale leases are
+reclaimed either way).  `repro steal-status DIR-or-URL` shows the live
+ledger, `repro merge` unions the per-worker manifests back into one, and
+`repro report --from-manifest` renders it (with the recorded wall times)
+without running anything.  $REPRO_CACHE_DIR may also be a store URL, and
+`repro cache export/import` push/pull entries to or from a store
+directory or URL directly.
 """
 
 __all__ = ["main", "build_parser"]
@@ -83,9 +76,9 @@ def _add_axis_options(
     axis_help: str,
     systems_help: str,
 ) -> None:
-    """The sweep-expansion surface shared by `sweep`, `plan`, and
-    `cache export`: all three must expand byte-identical scenarios (hence
-    identical keys) for the same command line, so the flags that feed
+    """The sweep-expansion surface shared by `sweep` and `cache export`:
+    both must expand byte-identical scenarios (hence identical keys) for
+    the same command line, so the flags that feed
     :func:`_expand_cli_scenarios` are declared exactly once."""
     parser.add_argument("--dataset", choices=BENCHMARK_NAMES, default="higgs")
     parser.add_argument(
@@ -96,12 +89,6 @@ def _add_axis_options(
         help=axis_help,
     )
     parser.add_argument("--systems", nargs="*", default=None, help=systems_help)
-
-
-def _add_balance_option(parser: argparse.ArgumentParser, default: str, help: str) -> None:
-    """`--balance hash|cost`, shared by `sweep` (default hash) and `plan`
-    (default cost) so the partition modes can never drift apart."""
-    parser.add_argument("--balance", choices=("hash", "cost"), default=default, help=help)
 
 
 def _add_lease_ttl_option(parser: argparse.ArgumentParser, help: str) -> None:
@@ -121,10 +108,10 @@ def _add_coordinate_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="work-stealing mode: claim scenarios at runtime through atomic "
         "lease entries in this shared store (most expensive scenario "
-        "first) instead of running a fixed --shard partition; the store is "
-        "a shared directory or the URL of a `repro store-serve` process, "
-        "every worker pointed at the same store drains the same sweep, and "
-        "stale leases from crashed workers are reclaimed",
+        "first); the store is a shared directory or the URL of a `repro "
+        "store-serve` process, every worker pointed at the same store "
+        "drains the same sweep, and stale leases from crashed workers are "
+        "reclaimed",
     )
     _add_lease_ttl_option(
         parser,
@@ -148,9 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=7, help="dataset seed")
 
-    # Serving-scenario knobs, shared by `sweep`, `plan`, and `cache export`
-    # so all three expand byte-identical scenarios (hence identical keys)
-    # for the same command line.
+    # Serving-scenario knobs, shared by `sweep` and `cache export` so both
+    # expand byte-identical scenarios (hence identical keys) for the same
+    # command line.
     serving_opts = argparse.ArgumentParser(add_help=False)
     serve_group = serving_opts.add_argument_group("serving (with --serve)")
     serve_group.add_argument(
@@ -296,23 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         "in the manifest and run only the missing/failed ones",
     )
     p_sweep.add_argument(
-        "--shard",
-        metavar="K/N",
-        default=None,
-        help="run only shard K of an N-way deterministic partition of the "
-        "expanded scenario list (1-based; every host derives the same "
-        "partition, so N hosts each running one shard cover the sweep "
-        "exactly once)",
-    )
-    _add_balance_option(
-        p_sweep,
-        default="hash",
-        help="how --shard partitions scenarios: 'hash' (stable content "
-        "hash, balanced in count) or 'cost' (deterministic LPT bin packing "
-        "over analytic cost estimates, balanced in expected wall time; "
-        "every host must pass the same mode)",
-    )
-    p_sweep.add_argument(
         "--inference",
         action="store_true",
         help="measure batch inference (Fig. 13) instead of training times; "
@@ -356,55 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8123, help="bind port; 0 picks a free port (default: 8123)"
     )
 
-    p_plan = sub.add_parser(
-        "plan",
-        parents=[common, serving_opts],
-        help="predict per-shard sweep costs without running anything",
-        description="Expand the sweep axes exactly like `repro sweep` and "
-        "print the predicted per-scenario and per-shard cost tables for an "
-        "N-way partition -- nothing is trained or simulated.  Costs come "
-        "from an analytic estimator (trees x depth x records x scale), "
-        "calibrated by the wall times recorded in the persistent result "
-        "store when scenarios have run before.",
-    )
-    _add_axis_options(
-        p_plan,
-        axis_help="sweep axis (repeatable), exactly as `repro sweep --axis`",
-        systems_help="hardware models of the target sweep",
-    )
-    p_plan.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="number of hosts the sweep would shard across (default: 1)",
-    )
-    _add_balance_option(
-        p_plan,
-        default="cost",
-        help="partitioner to predict for (default: cost; use 'hash' to see "
-        "what the count-balanced partition would cost)",
-    )
-    p_plan.add_argument(
-        "--inference",
-        action="store_true",
-        help="plan an inference sweep (calibrates from the inference-mode "
-        "result namespace)",
-    )
-
     p_merge = sub.add_parser(
         "merge",
-        help="union sweep shard manifests into one manifest",
-        description="Merge JSONL sweep manifests (e.g. one per --shard host) "
-        "into OUT: lines are deduped per (sweep kind, scenario cache_key), "
-        "successful lines are preferred over error lines, and manifests "
+        help="union sweep manifests into one manifest",
+        description="Merge JSONL sweep manifests (e.g. one per --coordinate "
+        "worker) into OUT: lines are deduped per (sweep kind, scenario "
+        "cache_key), successful lines are preferred over error lines, and manifests "
         "recorded under different simulation source (sim_code) are "
         "rejected rather than silently mixed.  Compare, inference, and "
         "serving manifests of the same sweep merge side by side.  Nothing "
         "is retrained or re-simulated.",
     )
     p_merge.add_argument("out", help="merged manifest to write")
-    p_merge.add_argument("inputs", nargs="+", help="shard manifests to union")
+    p_merge.add_argument("inputs", nargs="+", help="manifests to union")
 
     p_report = sub.add_parser(
         "report",
@@ -425,21 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser(
         "cache",
         help="export/import persistent store entries between hosts",
-        description="Move store entries (trained-profile pickles and stored "
-        "results) between hosts, so a warm host can seed cold sweep "
-        "shards.  The target is a tar archive, or -- as a push/pull with "
-        "no intermediate file -- the URL of a `repro store-serve` store.",
+        description="Copy store entries (trained-profile pickles and stored "
+        "results) between the local store and another store, so a warm "
+        "host can seed cold ones.  The other store is a directory (a "
+        "shared mount, or removable media for hosts with no network "
+        "path) or the URL of a `repro store-serve` store.",
     )
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_cexp = cache_sub.add_parser(
         "export",
         parents=[common, serving_opts],
-        help="tar up cache entries, or push them straight to a store URL "
+        help="copy local store entries to a store directory or URL "
         "(optionally filtered to one sweep's keys)",
     )
     p_cexp.add_argument(
-        "archive",
-        help="tar file to write, or an http(s):// store URL to push entries to",
+        "store",
+        help="store directory (created if missing) or http(s):// store URL "
+        "to push entries to",
     )
     _add_axis_options(
         p_cexp,
@@ -449,12 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cimp = cache_sub.add_parser(
         "import",
-        help="unpack a `repro cache export` archive -- or pull a remote "
-        "store's entries -- into the local store",
+        help="pull a store directory's or URL's entries into the local store",
     )
     p_cimp.add_argument(
-        "archive",
-        help="tar file to read, or an http(s):// store URL to pull entries from",
+        "store",
+        help="store directory or http(s):// store URL to pull entries from",
     )
 
     sub.add_parser(
@@ -552,19 +487,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (
         args.out
         or args.resume
-        or args.shard
         or args.inference
         or args.serve
         or args.coordinate
         or args.lease_ttl is not None
-        or args.balance != "hash"
     ):
         # Silently ignoring these would leave a scripted caller waiting on a
-        # manifest that never appears (or a shard that never ran).
+        # manifest that never appears.
         print(
-            "--out/--resume/--shard/--balance/--inference/--serve/"
-            "--coordinate/--lease-ttl apply to axis sweeps; add at least "
-            "one --axis NAME=V1,V2,...",
+            "--out/--resume/--inference/--serve/--coordinate/--lease-ttl "
+            "apply to axis sweeps; add at least one --axis NAME=V1,V2,...",
             file=sys.stderr,
         )
         return 2
@@ -793,8 +725,8 @@ def _infer_axes(scenarios: "Sequence[ScenarioSpec]") -> list[str]:
 def _expand_cli_scenarios(
     args: argparse.Namespace,
 ) -> "tuple[dict[str, list], list[ScenarioSpec]]":
-    """Validate and expand the sweep-shaped CLI inputs shared by ``sweep``,
-    ``plan``, and ``cache export``: ``--dataset/--seed/--trees/--systems``
+    """Validate and expand the sweep-shaped CLI inputs shared by ``sweep``
+    and ``cache export``: ``--dataset/--seed/--trees/--systems``
     plus repeatable ``--axis`` specs.  Returns ``(axes, scenarios)``;
     raises ``ValueError``/``KeyError`` with a printable message, so the
     two commands cannot drift in what they accept.
@@ -848,8 +780,6 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
         ResultStore,
         SweepRunner,
         default_cache,
-        parse_shard_spec,
-        partition_scenarios,
         read_axis,
         result_store_key,
         scenario_key,
@@ -866,21 +796,10 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
     try:
         if args.resume and not args.out:
             raise ValueError("--resume requires --out (the manifest to resume from)")
-        if args.balance == "cost" and not args.shard:
-            raise ValueError(
-                "--balance cost selects how --shard partitions scenarios; "
-                "add --shard K/N (or use `repro plan` to preview shard costs)"
-            )
         if args.resume and args.refresh:
             raise ValueError(
                 "--refresh forces recomputation and --resume skips completed "
                 "scenarios; the combination is contradictory -- drop one"
-            )
-        if args.coordinate and args.shard:
-            raise ValueError(
-                "--coordinate (dynamic work stealing) and --shard (static "
-                "partition) are alternative ways to split a sweep across "
-                "hosts; pick one"
             )
         if args.coordinate and args.workers is not None:
             raise ValueError(
@@ -894,7 +813,6 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--lease-ttl must be positive, got {args.lease_ttl:g}"
             )
-        shard = parse_shard_spec(args.shard) if args.shard else None
         axes, scenarios = _expand_cli_scenarios(args)
         serving_axes = sorted(set(axes) & SERVING_AXIS_NAMES)
         if serving_axes and mode != "serving":
@@ -915,17 +833,6 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
 
     cache = default_cache()
     results_store = ResultStore(root=cache.root)
-    total = len(scenarios)
-    if shard is not None:
-        # Partition BEFORE any cache/manifest work: ownership is a stable
-        # function of scenario content (hash or analytic LPT -- never of
-        # host-local observed durations, which would differ per store), so
-        # every host slices the identical expanded list the same way and
-        # the shards are a disjoint cover.
-        shard_index, shard_count = shard
-        scenarios = partition_scenarios(
-            scenarios, shard_index, shard_count, balance=args.balance, mode=mode
-        )
     if args.refresh:
         for scenario in scenarios:
             try:
@@ -961,17 +868,14 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
 
     axis_names = list(axes)
     what = _sweep_noun(mode)
-    balance_note = ", cost-balanced" if args.balance == "cost" else ""
-    shard_note = (
-        f" (shard {shard_index + 1}/{shard_count} of {total}{balance_note})"
-        if shard is not None
+    steal_note = (
+        f" (stealing from {coordinator.root}, lease TTL {coordinator.ttl:g}s)"
+        if coordinator is not None
         else ""
     )
-    if coordinator is not None:
-        shard_note = f" (stealing from {coordinator.root}, lease TTL {coordinator.ttl:g}s)"
     print(
         f"{what}: {len(scenarios)} scenarios over axes "
-        f"{', '.join(axis_names)}{shard_note} (cache: {cache.root})"
+        f"{', '.join(axis_names)}{steal_note} (cache: {cache.root})"
     )
     if resumed:
         print(
@@ -1140,107 +1044,8 @@ def _cmd_sweep_design_space(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    """Predict per-shard sweep costs without training or simulating.
-
-    Expands the axes exactly like ``repro sweep``, prices every scenario
-    with the analytic estimator calibrated by any wall times already
-    recorded in the result store, and prints the per-scenario and
-    per-shard tables for the requested partitioner.  The closing
-    ``predicted max shard cost`` line is deliberately machine-greppable --
-    CI compares it between ``--balance cost`` and ``--balance hash``.
-    """
-    from .experiments import (
-        ResultStore,
-        default_cache,
-        observed_durations,
-        plan_shards,
-        read_axis,
-        scenario_costs,
-        scenario_key,
-    )
-
-    if args.serve and args.inference:
-        print(
-            "--serve and --inference select different measurements of the "
-            "same scenarios; pick one",
-            file=sys.stderr,
-        )
-        return 2
-    mode = "serving" if args.serve else ("inference" if args.inference else "compare")
-    try:
-        if args.shards < 1:
-            raise ValueError(f"--shards must be >= 1, got {args.shards}")
-        axes, scenarios = _expand_cli_scenarios(args)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-
-    results_store = ResultStore(root=default_cache().root)
-    observed = observed_durations(results_store, scenarios, mode)
-    costs = scenario_costs(scenarios, mode, observed)
-    plans = plan_shards(
-        scenarios, args.shards, balance=args.balance, mode=mode, costs=costs
-    )
-    owner = {
-        scenario_key(s): plan.shard for plan in plans for s in plan.scenarios
-    }
-
-    axis_names = list(axes)
-    scenario_rows = []
-    for scenario in scenarios:
-        cells = []
-        for name in axis_names:
-            try:
-                cells.append(str(read_axis(scenario, name)))
-            except Exception:
-                cells.append("?")
-        key = scenario_key(scenario)
-        scenario_rows.append(
-            cells
-            + [
-                f"{costs[key]:.4g}",
-                "observed" if key in observed else "estimated",
-                str(owner[key] + 1),
-            ]
-        )
-    what = _sweep_noun(mode)
-    print(
-        render_table(
-            (axis_names or ["dataset"]) + ["cost", "source", "shard"],
-            scenario_rows
-            if axis_names
-            else [[args.dataset] + row[-3:] for row in scenario_rows],
-            title=f"{what} plan: {len(scenarios)} scenarios, "
-            f"{args.shards} shard(s), balance={args.balance}",
-        )
-    )
-    print()
-    total = sum(plan.cost for plan in plans)
-    shard_rows = [
-        [
-            str(plan.shard + 1),
-            str(plan.n_scenarios),
-            f"{plan.cost:.4g}",
-            f"{100.0 * plan.cost / total:.1f}%" if total > 0 else "-",
-        ]
-        for plan in plans
-    ]
-    print(render_table(["shard", "scenarios", "cost", "share"], shard_rows))
-    if observed:
-        print(
-            f"calibration: {len(observed)}/{len({scenario_key(s) for s in scenarios})} "
-            "scenario(s) have recorded wall times in the result store"
-        )
-    print(
-        f"predicted max shard cost: {max(plan.cost for plan in plans):.6g} "
-        f"(balance={args.balance}, total {total:.6g})"
-    )
-    return 0
-
-
 def _cmd_merge(args: argparse.Namespace) -> int:
-    """Union sweep shard manifests into one manifest (pure file work).
+    """Union sweep manifests into one manifest (pure file work).
 
     Lines are deduped by scenario ``cache_key`` with later-lines-supersede
     semantics (see :func:`_dedupe_manifest_lines`): a ``--resume``-healed
@@ -1288,7 +1093,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             pairs.append((key, d))
     best, order, collapsed = _dedupe_manifest_lines(pairs)
     # Uniformity is judged on the WINNERS: superseded stale lines (e.g. a
-    # shard resumed after a simulator edit re-ran everything and appended
+    # worker resumed after a simulator edit re-ran everything and appended
     # fresh lines) must not poison an otherwise-consistent merge.
     sim_codes = {best[key].get("sim_code") for key in order}
     kinds = sorted({kind for kind, _ in order})
@@ -1296,7 +1101,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         print(
             "refusing to merge manifests recorded under different simulation "
             f"source: sim_code {sorted(map(repr, sim_codes))}; re-run the "
-            "stale shards (or --resume them) instead",
+            "stale sweeps (or --resume them) instead",
             file=sys.stderr,
         )
         return 2
@@ -1326,7 +1131,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     """Render a sweep table straight from a manifest: zero re-runs.
 
-    This is the multi-host endgame: each shard streamed its own manifest,
+    This is the multi-host endgame: each worker streamed its own manifest,
     ``repro merge`` unioned them, and the report renders the merged rows
     without training or simulating anything.
     """
@@ -1427,66 +1232,57 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """`repro cache export/import`: move store entries between hosts.
+    """`repro cache export/import`: copy store entries to or from another store.
 
-    The archive argument is a tar path, or -- push/pull, no intermediate
-    file -- the URL of a `repro store-serve` store: `export URL` copies
-    the local store's entries up, `import URL` copies the remote store's
-    entries down.
+    The other store is a directory or the URL of a `repro store-serve`
+    store: `export STORE` pushes the local store's entries there, `import
+    STORE` pulls its entries into the local store.
     """
     from .experiments import default_cache
     from .experiments.backend import is_store_url
-    from .experiments.cache import copy_entries, export_entries, import_entries
+    from .experiments.cache import copy_entries
 
     cache = default_cache()
     if cache.root is None:  # pragma: no cover - default cache is always rooted
         print("the default cache has no disk root; nothing to move", file=sys.stderr)
         return 2
+    other = args.store
+    local_path = None if is_store_url(other) else pathlib.Path(other)
     if args.cache_command == "import":
+        if local_path is not None and not local_path.is_dir():
+            print(f"no such store directory: {other}", file=sys.stderr)
+            return 2
         try:
-            if is_store_url(args.archive):
-                imported = copy_entries(args.archive, cache.root)
-                what = f"pulled {len(imported)} entr(ies) from {args.archive}"
-            else:
-                imported = import_entries(cache.root, args.archive)
-                what = f"imported {len(imported)} entr(ies)"
-        except ValueError as exc:
-            # A crafted/corrupt archive (path components that could escape
-            # the store directory) is rejected before anything is written.
-            print(exc.args[0] if exc.args else exc, file=sys.stderr)
+            imported = copy_entries(other, cache.root)
+        except (OSError, ValueError) as exc:
+            print(f"cannot read store {other}: {exc}", file=sys.stderr)
             return 2
-        except OSError as exc:
-            print(f"cannot reach store: {exc}", file=sys.stderr)
-            return 2
-        print(f"{what} into {cache.root}")
+        print(f"imported {len(imported)} entr(ies) from {other} into {cache.root}")
         return 0
 
+    if local_path is not None and local_path.exists() and not local_path.is_dir():
+        print(f"not a store directory: {other}", file=sys.stderr)
+        return 2
     keys = None
     if args.axis:
-        from .experiments import result_store_key
+        from .experiments import SWEEP_MODES, result_store_key
 
         try:
             _, scenarios = _expand_cli_scenarios(args)
             keys = set()
             for scenario in scenarios:
                 keys.add(scenario.train_key())
-                keys.add(result_store_key(scenario, "compare"))
-                keys.add(result_store_key(scenario, "inference"))
-                keys.add(result_store_key(scenario, "serving"))
+                keys.update(result_store_key(scenario, mode) for mode in SWEEP_MODES)
         except (KeyError, ValueError) as exc:
             print(exc.args[0] if exc.args else exc, file=sys.stderr)
             return 2
     scope = "matching the sweep" if keys is not None else "in the store"
     try:
-        if is_store_url(args.archive):
-            members = copy_entries(cache.root, args.archive, keys=keys)
-            print(f"pushed {len(members)} entr(ies) {scope} -> {args.archive}")
-            return 0
-        members = export_entries(cache.root, args.archive, keys=keys)
+        exported = copy_entries(cache.root, other, keys=keys)
     except OSError as exc:
-        print(f"cannot reach store: {exc}", file=sys.stderr)
+        print(f"cannot write store {other}: {exc}", file=sys.stderr)
         return 2
-    print(f"exported {len(members)} entr(ies) {scope} -> {args.archive}")
+    print(f"exported {len(exported)} entr(ies) {scope} -> {other}")
     return 0
 
 
@@ -1591,7 +1387,6 @@ _COMMANDS = {
     "inference": _cmd_inference,
     "figures": _cmd_figures,
     "sweep": _cmd_sweep,
-    "plan": _cmd_plan,
     "merge": _cmd_merge,
     "report": _cmd_report,
     "cache": _cmd_cache,

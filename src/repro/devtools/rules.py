@@ -198,11 +198,11 @@ class RawStoreWrite(Rule):
 class UnstableHash(Rule):
     """RPR002: builtin ``hash()``/``id()`` near persisted identity.
 
-    Persisted keys, shard partitions, and lease stems must be identical
+    Persisted keys, claim orders, and lease stems must be identical
     across hosts, processes, and ``PYTHONHASHSEED`` values; builtin
     ``hash()`` is salted per process and ``id()`` is an address.  Content
     identity in this codebase is always ``hashlib`` over canonical JSON
-    (see ``ScenarioSpec.cache_key``/``shard_of``) -- any bare ``hash()``
+    (see ``ScenarioSpec.cache_key``/``lease_name``) -- any bare ``hash()``
     or ``id()`` call in package source is flagged, because there is no
     call site here where they are the right tool.
     """
@@ -222,7 +222,7 @@ class UnstableHash(Rule):
                     ctx,
                     node,
                     f"builtin {node.func.id}() is PYTHONHASHSEED/address-"
-                    "unstable; derive persisted keys, shard owners, and lease "
+                    "unstable; derive persisted keys, claim orders, and lease "
                     "stems with hashlib over canonical content instead",
                 )
 

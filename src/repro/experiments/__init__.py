@@ -15,15 +15,15 @@ design point x scale x systems) tuple -- a first-class object:
 * :class:`SweepRunner` -- cartesian-product sweep expansion over scenario
   axes, executed across a :mod:`concurrent.futures` process pool with
   results (including per-scenario failures) streamed as they complete;
-* :mod:`~repro.experiments.schedule` -- cost-balanced multi-host shard
-  scheduling: an analytic per-scenario cost estimator calibrated by the
-  wall times recorded in the result store, and a deterministic LPT
-  partitioner behind ``repro sweep --balance cost`` / ``repro plan``;
-* :mod:`~repro.experiments.steal` -- dynamic work stealing over a shared
-  lease store (``repro sweep --coordinate DIR-or-URL``): workers claim
-  scenarios at runtime through atomic lease entries, renew leases while
-  running, and reclaim stale leases from crashed peers, turning the
-  static shard layer into an elastic pool;
+* :mod:`~repro.experiments.schedule` -- claim-order pricing: an analytic
+  per-scenario cost estimator calibrated by the wall times recorded in
+  the result store, so work-stealing workers claim the most expensive
+  scenario first;
+* :mod:`~repro.experiments.steal` -- the multi-host path, dynamic work
+  stealing over a shared lease store (``repro sweep --coordinate
+  DIR-or-URL``): workers claim scenarios at runtime through atomic lease
+  entries, renew leases while running, and reclaim stale leases from
+  crashed peers, so the pool is elastic;
 * :mod:`~repro.experiments.backend` -- the pluggable storage layer
   beneath all of the above: :class:`StoreBackend` is the atomic
   create-exclusive / read / write / conditional-delete / list contract,
@@ -54,8 +54,6 @@ from .cache import (
     copy_entries,
     default_cache,
     default_cache_dir,
-    export_entries,
-    import_entries,
     sim_fingerprint,
 )
 from .pipeline import (
@@ -67,15 +65,9 @@ from .pipeline import (
 )
 from .scenario import DEFAULT_SYSTEMS, ScenarioSpec, ServingParams, cost_overrides_from
 from .schedule import (
-    BALANCE_MODES,
-    ShardPlan,
     cost_order,
-    cost_partition,
     estimate_cost,
-    lpt_assign,
     observed_durations,
-    partition_scenarios,
-    plan_shards,
     scenario_costs,
 )
 from .steal import (
@@ -96,18 +88,14 @@ from .runner import (
     apply_axis,
     expand_axes,
     parse_axis_specs,
-    parse_shard_spec,
     read_axis,
     result_store_key,
     run_scenario,
     scenario_key,
-    shard_of,
-    shard_scenarios,
 )
 
 __all__ = [
     "AXIS_NAMES",
-    "BALANCE_MODES",
     "CACHE_VERSION",
     "CANONICAL_AXES",
     "Coordinator",
@@ -125,7 +113,6 @@ __all__ = [
     "SWEEP_MODES",
     "ScenarioSpec",
     "ServingParams",
-    "ShardPlan",
     "StoreBackend",
     "StoreBackendError",
     "SweepResult",
@@ -136,31 +123,22 @@ __all__ = [
     "copy_entries",
     "cost_order",
     "cost_overrides_from",
-    "cost_partition",
     "default_cache",
     "default_cache_dir",
     "etag_of",
     "estimate_cost",
     "expand_axes",
-    "export_entries",
-    "import_entries",
     "is_store_url",
     "is_trained",
     "lease_name",
-    "lpt_assign",
     "observed_durations",
     "open_backend",
     "parse_axis_specs",
-    "parse_shard_spec",
-    "partition_scenarios",
-    "plan_shards",
     "read_axis",
     "result_store_key",
     "run_scenario",
     "scenario_costs",
     "scenario_key",
-    "shard_of",
-    "shard_scenarios",
     "sim_fingerprint",
     "steal_status",
     "train_scenario",

@@ -56,23 +56,20 @@ __all__ = [
     "copy_entries",
     "default_cache",
     "default_cache_dir",
-    "export_entries",
-    "import_entries",
     "sim_fingerprint",
     "sweep_stale_tmp",
     "validate_flat_name",
 ]
 
-#: File suffixes that may enter/leave a store through the tar
-#: export/import and store-to-store copy paths: trained-profile pickles
-#: and result-store JSON.
+#: File suffixes that may enter/leave a store through the store-to-store
+#: copy path: trained-profile pickles and result-store JSON.
 _ENTRY_SUFFIXES = (".pkl", ".json")
 
 #: Store entry names that are coordination metadata, not cache entries --
 #: one store may serve as a sweep's lease store *and* its cache (a single
 #: ``repro store-serve`` URL doing both jobs), and the work-stealing sweep
 #: descriptor (:data:`repro.experiments.steal.SWEEP_FILE`) matches the
-#: ``.json`` entry suffix, so export/copy must skip it by name.
+#: ``.json`` entry suffix, so the copy must skip it by name.
 _RESERVED_NAMES = frozenset({"sweep.json"})
 
 #: Bump to invalidate every on-disk artifact (serialization/trainer layout
@@ -225,8 +222,8 @@ class KeyedStore:
         """The entry's raw encoded bytes from the persistent layer, or ``None``.
 
         Bypasses both the memory layer and the codec: this is "what is
-        actually stored", for callers that ship entries around (export,
-        push/pull) or inspect them without trusting the decode.
+        actually stored", for callers that ship entries around (push/pull)
+        or inspect them without trusting the decode.
         """
         if self.backend is None:
             return None
@@ -322,96 +319,6 @@ class ResultStore(KeyedStore):
         return json.loads(raw)
 
 
-def _store_entry_names(
-    backend: StoreBackend, keys: Iterable[str] | None
-) -> list[str]:
-    """The sorted store-entry names to export/copy: real entries only,
-    optionally restricted to the given keys (filename stems)."""
-    wanted = None if keys is None else set(keys)
-    names: list[str] = []
-    for name in backend.list():
-        if name in _RESERVED_NAMES:
-            continue
-        stem, dot, suffix_part = name.rpartition(".")
-        if dot != "." or "." + suffix_part not in _ENTRY_SUFFIXES:
-            continue
-        if wanted is not None and stem not in wanted:
-            continue
-        names.append(name)
-    return names
-
-
-def export_entries(
-    root: str | Path | StoreBackend, tar_path: str | Path, keys: Iterable[str] | None = None
-) -> list[str]:
-    """Tar up store entries so a warm host can seed cold shards.
-
-    ``root`` is any store locator (directory, URL, or open backend);
-    ``keys=None`` exports every store entry, otherwise only entries whose
-    key (filename stem) is in ``keys``.  Returns the archive member names
-    (flat basenames -- the archive has no directory structure, so it can
-    be imported into any store).  Temp files and anything that is not a
-    store entry are never exported.
-    """
-    import io
-    import tarfile
-
-    backend = open_backend(root)
-    tar_path = Path(tar_path)
-    members: list[str] = []
-    tar_path.parent.mkdir(parents=True, exist_ok=True)
-    with tarfile.open(tar_path, "w") as tar:
-        for name in _store_entry_names(backend, keys):
-            entry = backend.get_entry(name)
-            if entry is None:
-                continue  # removed between list and read; it is simply gone
-            info = tarfile.TarInfo(name=name)
-            info.size = entry.size
-            info.mtime = int(entry.mtime)
-            tar.addfile(info, io.BytesIO(entry.data))
-            members.append(name)
-    return members
-
-
-def import_entries(root: str | Path | StoreBackend, tar_path: str | Path) -> list[str]:
-    """Unpack :func:`export_entries` archives into a store.
-
-    Only regular members whose name looks like a store entry are
-    extracted.  :func:`export_entries` archives are flat basenames, so a
-    member carrying any path structure (``sub/x.pkl``, ``../x.pkl``, an
-    absolute path, a directory) is a crafted or corrupt archive trying to
-    reach outside the store directory; the whole import is rejected up
-    front -- before anything is extracted -- by :func:`validate_flat_name`
-    rather than silently flattening or skipping it.  Flat non-entry members
-    (wrong suffix, links) are tolerated and skipped, as everywhere else
-    stores are read.  Entries land through the backend's atomic ``put``,
-    the same protocol concurrent sweep workers use, so importing into a
-    live store is safe.  Returns the imported entry names.
-    """
-    import tarfile
-
-    backend = open_backend(root)
-    if isinstance(backend, LocalBackend):
-        backend.root.mkdir(parents=True, exist_ok=True)
-    imported: list[str] = []
-    with tarfile.open(tar_path, "r") as tar:
-        members = tar.getmembers()
-        for member in members:
-            validate_flat_name(member.name, what="to import archive member")
-        for member in members:
-            name = member.name
-            if not member.isreg() or Path(name).suffix not in _ENTRY_SUFFIXES:
-                continue
-            if name in _RESERVED_NAMES:
-                continue  # coordination metadata from a dual-role store
-            fh = tar.extractfile(member)
-            if fh is None:
-                continue
-            backend.put(name, fh.read())
-            imported.append(name)
-    return imported
-
-
 def copy_entries(
     src: str | Path | StoreBackend,
     dst: str | Path | StoreBackend,
@@ -419,17 +326,27 @@ def copy_entries(
 ) -> list[str]:
     """Copy store entries between two stores (any backend combination).
 
-    The store-to-store transfer behind ``repro cache export URL`` (push)
-    and ``repro cache import URL`` (pull): the same entry filter as the
-    tar path, no intermediate archive.  Existing destination entries are
-    overwritten (entries are content-keyed, so "overwrite" means
-    "identical bytes" unless one side is corrupt).  Returns the copied
-    entry names.
+    The transfer behind ``repro cache export TARGET`` (push) and ``repro
+    cache import SOURCE`` (pull), where either side is a store directory
+    -- a shared mount, or removable media carrying a warm store offline --
+    or a ``repro store-serve`` URL.  Only real entries move: flat
+    trained-profile pickles and result JSON, never temp files,
+    subdirectories, or coordination metadata; ``keys`` (filename stems)
+    restricts the copy to one sweep's entries.  Existing destination
+    entries are overwritten (entries are content-keyed, so "overwrite"
+    means "identical bytes" unless one side is corrupt).  Returns the
+    copied entry names.
     """
     src_backend = open_backend(src)
     dst_backend = open_backend(dst)
+    wanted = None if keys is None else set(keys)
     copied: list[str] = []
-    for name in _store_entry_names(src_backend, keys):
+    for name in src_backend.list():
+        stem, dot, suffix = name.rpartition(".")
+        if name in _RESERVED_NAMES or dot != "." or dot + suffix not in _ENTRY_SUFFIXES:
+            continue
+        if wanted is not None and stem not in wanted:
+            continue
         data = src_backend.get(name)
         if data is None:
             continue  # removed between list and read; it is simply gone

@@ -25,7 +25,6 @@ than dropped, so one bad point never loses the rest of the sweep.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import os
@@ -53,13 +52,10 @@ __all__ = [
     "apply_axis",
     "expand_axes",
     "parse_axis_specs",
-    "parse_shard_spec",
     "read_axis",
     "result_store_key",
     "run_scenario",
     "scenario_key",
-    "shard_of",
-    "shard_scenarios",
 ]
 
 #: What a sweep measures per scenario: the training-time comparison (the
@@ -282,7 +278,7 @@ def parse_axis_specs(specs: Iterable[str]) -> dict[str, list]:
     Aliases are canonicalized at parse time (``trees`` -> ``n_trees``,
     ``records`` -> ``sim_records``, ``scale`` -> ``extra_scale``): the axes
     dict -- and everything derived from it, like sweep-table headers and
-    shard partitions -- is identical no matter which spelling the caller
+    manifest keys -- is identical no matter which spelling the caller
     used, so two hosts spelling the same sweep differently still agree.
     """
     axes: dict[str, list] = {}
@@ -319,8 +315,8 @@ class SweepResult:
     ``duration_s`` is the wall-clock the *original* execution took (train +
     simulate, as measured by :func:`run_scenario`); a replayed result keeps
     the duration it recorded when it actually ran, so manifests and the
-    result store double as the calibration corpus for cost-balanced shard
-    scheduling (:mod:`repro.experiments.schedule`).  Error results -- and
+    result store double as the calibration corpus for the work-stealing
+    claim order (:mod:`repro.experiments.schedule`).  Error results -- and
     lines from manifests written before durations existed -- carry ``None``.
     """
 
@@ -402,25 +398,22 @@ def scenario_key(scenario: ScenarioSpec) -> str:
 
     A scenario whose key cannot be derived (e.g. an unknown dataset name,
     where resolving the record count raises) must still flow through the
-    runner -- and the shard partitioner -- as a well-defined unit, so
-    bookkeeping falls back to the canonical JSON form instead of
+    runner -- and the work-stealing claim loop -- as a well-defined unit,
+    so bookkeeping falls back to the canonical JSON form instead of
     propagating the exception.  The fallback is content-derived too: every
-    host computes the same owner shard for an unkeyable scenario, which is
-    then reported there as a structured ``SweepResult(error=...)`` line
-    rather than crashing the partitioner before any manifest is written.
+    worker derives the same lease for an unkeyable scenario, whose one
+    claimant reports it as a structured ``SweepResult(error=...)`` line
+    rather than crashing the sweep before any manifest is written.
 
     Memoized: the key is a pure function of the (frozen, hashable)
-    scenario's content, and sweep bookkeeping, sharding, and cost
-    scheduling all ask for the same keys repeatedly.
+    scenario's content, and sweep bookkeeping, leases, and cost ordering
+    all ask for the same keys repeatedly.
     """
     try:
         return scenario.cache_key()
     except Exception:
         return "!" + scenario.to_json()
 
-
-#: Backwards-compatible private alias (pre-sharding internal name).
-_scenario_key = scenario_key
 
 
 def result_store_key(scenario: ScenarioSpec, mode: str = "compare") -> str:
@@ -437,61 +430,6 @@ def result_store_key(scenario: ScenarioSpec, mode: str = "compare") -> str:
     if mode == "compare":
         return key
     return ("i" if mode == "inference" else "v") + key[1:]
-
-
-def parse_shard_spec(text: str) -> tuple[int, int]:
-    """Parse a CLI ``K/N`` shard spec into a 0-based ``(index, count)``.
-
-    ``K`` is 1-based on the command line (``--shard 1/2``, ``--shard 2/2``)
-    because that is how operators number hosts; internally shards are
-    0-based.
-    """
-    k_text, sep, n_text = text.partition("/")
-    try:
-        if not sep:
-            raise ValueError(text)
-        k, n = int(k_text), int(n_text)
-    except ValueError:
-        raise ValueError(
-            f"bad shard spec {text!r}; expected K/N with integer "
-            "1 <= K <= N (e.g. --shard 2/4)"
-        ) from None
-    if n < 1 or not 1 <= k <= n:
-        raise ValueError(
-            f"bad shard spec {text!r}; expected K/N with integer 1 <= K <= N"
-        )
-    return k - 1, n
-
-
-def shard_of(scenario: ScenarioSpec, n_shards: int) -> int:
-    """The 0-based shard that owns ``scenario`` in an ``n_shards``-way split.
-
-    Ownership is a stable hash of :func:`scenario_key`, so every host
-    derives the identical partition from the identical scenario list --
-    regardless of axis spelling (aliases canonicalize before expansion and
-    the key hashes scenario *content*), host platform, or
-    ``PYTHONHASHSEED``.  Unkeyable scenarios partition by their canonical
-    JSON fallback key and surface as error results in their owning shard.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    digest = hashlib.sha256(scenario_key(scenario).encode()).hexdigest()
-    return int(digest, 16) % n_shards
-
-
-def shard_scenarios(
-    scenarios: Sequence[ScenarioSpec], shard: int, n_shards: int
-) -> list[ScenarioSpec]:
-    """The sublist of ``scenarios`` owned by ``shard`` (0-based) of ``n_shards``.
-
-    The N shards of a scenario list are a disjoint cover: every scenario
-    (duplicates included -- they share a key, hence an owner) lands in
-    exactly one shard, so running every shard and merging the manifests
-    reproduces the unsharded sweep.
-    """
-    if not 0 <= shard < n_shards:
-        raise ValueError(f"shard index {shard} outside 0..{n_shards - 1}")
-    return [s for s in scenarios if shard_of(s, n_shards) == shard]
 
 
 def _error_result(
@@ -903,9 +841,9 @@ class SweepRunner:
         scenarios = list(scenarios)
         slots: dict[str, list[int]] = {}
         for i, scenario in enumerate(scenarios):
-            slots.setdefault(_scenario_key(scenario), []).append(i)
+            slots.setdefault(scenario_key(scenario), []).append(i)
         for result in self.run(scenarios):
-            yield slots[_scenario_key(result.scenario)].pop(0), result
+            yield slots[scenario_key(result.scenario)].pop(0), result
 
     def run_all(self, scenarios: Sequence[ScenarioSpec]) -> list[SweepResult]:
         """All results, reordered to match the input scenario order."""

@@ -149,10 +149,10 @@ class ScenarioSpec:
         raises (unknown dataset name).
 
         Cost estimation (:mod:`repro.experiments.schedule`) must price
-        *every* scenario -- an unkeyable one still needs a well-defined
-        shard owner, where it fails fast as a structured error result --
-        so an unresolvable record count degrades to ``sim_records`` (or
-        the registry sim scale) instead of propagating.
+        *every* scenario -- an unkeyable one still takes its place in the
+        claim order, and its claimant fails fast with a structured error
+        result -- so an unresolvable record count degrades to
+        ``sim_records`` (or the registry sim scale) instead of propagating.
         """
         try:
             return self.resolved_records()

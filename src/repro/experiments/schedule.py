@@ -1,9 +1,9 @@
-"""Cost-balanced shard scheduling: estimate, calibrate, LPT bin-pack.
+"""Claim-order pricing for work-stealing sweeps: estimate, calibrate, order.
 
-PR 3's ``--shard K/N`` partitions the expanded scenario list by a stable
-hash of scenario content -- balanced in *count* only, so one shard can
-draw every expensive scenario (deep trees x large record scales) while
-its peers idle.  This module balances by *expected cost* instead:
+Workers of a ``repro sweep --coordinate`` pool claim the most expensive
+remaining scenario first -- LPT (longest processing time first) applied at
+runtime -- so no worker finishes a giant scenario long after its peers
+drained everything else.  This module prices the scenarios for that order:
 
 * :func:`estimate_cost` -- an analytic per-scenario estimate from the
   fields that dominate wall time (boosting rounds x tree depth x resolved
@@ -14,48 +14,28 @@ its peers idle.  This module balances by *expected cost* instead:
 * :func:`scenario_costs` -- blends the two: observed scenarios cost their
   measured seconds, unobserved ones cost the analytic estimate rescaled
   by the corpus' median observed/analytic ratio;
-* :func:`cost_partition` -- deterministic LPT (longest processing time)
-  bin packing of scenarios into shards, the classic greedy whose max-shard
-  cost is within 4/3 of optimal; ties are broken by
-  :func:`~repro.experiments.runner.scenario_key`, so every host derives
-  the identical assignment from the identical expanded list.
+* :func:`cost_order` -- the distinct scenarios, cost-descending, with ties
+  broken by :func:`~repro.experiments.runner.scenario_key`.
 
-``repro sweep --shard K/N --balance cost`` partitions with the *analytic*
-estimator only: hosts may hold different result stores, and folding
-host-local observations into the partition would silently break the
-disjoint-cover guarantee.  ``repro plan`` predicts that same partition --
-stored durations refine only its *pricing* (and the plan says how many it
-calibrated from), never the assignment, so the shard column always shows
-what each host will actually run.
+The order need not agree across workers -- the lease entries arbitrate
+ownership -- so each worker prices with whatever its own result store has
+observed.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cache import ResultStore
-from .runner import result_store_key, scenario_key, shard_scenarios
+from .runner import result_store_key, scenario_key
 from .scenario import ScenarioSpec
 
 __all__ = [
-    "BALANCE_MODES",
-    "ShardPlan",
     "cost_order",
-    "cost_partition",
     "estimate_cost",
-    "lpt_assign",
     "observed_durations",
-    "partition_scenarios",
-    "plan_shards",
     "scenario_costs",
 ]
-
-#: How ``--shard K/N`` picks each scenario's owner: ``hash`` (stable content
-#: hash, the PR-3 default -- balanced in count) or ``cost`` (deterministic
-#: LPT over estimated costs -- balanced in expected wall time).
-BALANCE_MODES = ("hash", "cost")
 
 
 def estimate_cost(
@@ -68,7 +48,7 @@ def estimate_cost(
     The analytic estimate multiplies the knobs that dominate wall time:
     boosting rounds x maximum tree depth x resolved record count x
     ``extra_scale`` (the Fig. 12 record multiplier).  Only ratios between
-    scenarios matter to the partitioner, so the units are arbitrary --
+    scenarios matter to the claim order, so the units are arbitrary --
     unless ``observed`` (a ``scenario_key`` -> wall-seconds mapping, e.g.
     from :func:`observed_durations`) holds this scenario, in which case the
     measured duration overrides the estimate outright.
@@ -128,7 +108,7 @@ def scenario_costs(
     cost the analytic estimate rescaled by the median observed/analytic
     ratio over the corpus, so the two kinds live on one comparable scale
     (mixing raw seconds with raw analytic units would let either side
-    dwarf the other and unbalance the packing).  With no observations the
+    dwarf the other and skew the claim order).  With no observations the
     analytic units pass through unscaled -- only ratios matter.
     """
     analytic = {scenario_key(s): estimate_cost(s, mode) for s in scenarios}
@@ -141,29 +121,6 @@ def scenario_costs(
         key: observed[key] if key in observed else cost * factor
         for key, cost in analytic.items()
     }
-
-
-def lpt_assign(items: Sequence[tuple[str, float]], n_shards: int) -> dict[str, int]:
-    """LPT bin packing: assign keyed costs to the least-loaded shard.
-
-    Items are processed in decreasing cost order (ties broken by key, so
-    the schedule is a pure function of content) and each lands on the
-    currently least-loaded shard (ties broken by shard index).  The
-    classic Graham bound applies: the max shard load is at most
-    ``4/3 - 1/(3N)`` times optimal.  Returns ``key -> shard index``.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    assignment: dict[str, int] = {}
-    loads = [(0.0, shard) for shard in range(n_shards)]
-    heapq.heapify(loads)
-    for key, cost in sorted(items, key=lambda kv: (-kv[1], kv[0])):
-        if key in assignment:
-            raise ValueError(f"duplicate item key {key!r}")
-        load, shard = heapq.heappop(loads)
-        assignment[key] = shard
-        heapq.heappush(loads, (load + max(float(cost), 0.0), shard))
-    return assignment
 
 
 def _grouped(
@@ -183,127 +140,15 @@ def cost_order(
 ) -> list[ScenarioSpec]:
     """Distinct scenarios in claim order: cost-descending, keys tie-break.
 
-    This is the LPT intuition behind :func:`cost_partition` applied
-    *dynamically*: a work-stealing pool whose workers always claim the
-    most expensive remaining scenario minimizes the tail where one worker
-    finishes a giant scenario long after its peers drained everything
-    else.  Duplicates collapse to their first occurrence (they share a
-    key, hence a lease).  Unlike a static partition, the order MAY fold in
-    host-local ``observed`` durations: ordering need not agree across
-    hosts for correctness -- the lease files arbitrate ownership -- so
-    each worker is free to use the best pricing its own result store can
-    offer.
+    A work-stealing pool whose workers always claim the most expensive
+    remaining scenario minimizes the tail where one worker finishes a
+    giant scenario long after its peers drained everything else.
+    Duplicates collapse to their first occurrence (they share a key, hence
+    a lease).  The order may fold in host-local ``observed`` durations:
+    ordering need not agree across hosts for correctness -- the lease
+    files arbitrate ownership -- so each worker is free to use the best
+    pricing its own result store can offer.
     """
     groups = _grouped(scenarios)
     costs = scenario_costs(scenarios, mode, observed)
     return [groups[key][0] for key in sorted(groups, key=lambda k: (-costs[k], k))]
-
-
-def cost_partition(
-    scenarios: Sequence[ScenarioSpec],
-    n_shards: int,
-    mode: str = "compare",
-    observed: Mapping[str, float] | None = None,
-) -> list[list[ScenarioSpec]]:
-    """Partition ``scenarios`` into ``n_shards`` cost-balanced shards.
-
-    Like :func:`~repro.experiments.runner.shard_scenarios`, the shards are
-    a disjoint cover of the input (duplicates share a key, hence an owner
-    -- their group costs its multiplicity) and each shard preserves the
-    input's relative order.  Unlike it, ownership minimizes the max shard
-    cost via deterministic LPT rather than spreading by hash.
-    """
-    groups = _grouped(scenarios)
-    costs = scenario_costs(scenarios, mode, observed)
-    assignment = lpt_assign(
-        [(key, costs[key] * len(group)) for key, group in groups.items()],
-        n_shards,
-    )
-    shards: list[list[ScenarioSpec]] = [[] for _ in range(n_shards)]
-    for scenario in scenarios:
-        shards[assignment[scenario_key(scenario)]].append(scenario)
-    return shards
-
-
-def partition_scenarios(
-    scenarios: Sequence[ScenarioSpec],
-    shard: int,
-    n_shards: int,
-    balance: str = "hash",
-    mode: str = "compare",
-    observed: Mapping[str, float] | None = None,
-) -> list[ScenarioSpec]:
-    """The sublist of ``scenarios`` owned by ``shard``, under either balance.
-
-    ``balance="hash"`` defers to the PR-3 stable-hash partition (and
-    ignores ``observed``); ``balance="cost"`` uses :func:`cost_partition`.
-    Every host must call this with the same ``balance`` (and, for cost,
-    the same ``observed`` corpus -- the CLI passes none) to keep the N
-    shards a disjoint cover.
-    """
-    if balance not in BALANCE_MODES:
-        raise ValueError(
-            f"unknown balance mode {balance!r}; known: {list(BALANCE_MODES)}"
-        )
-    if not 0 <= shard < n_shards:
-        raise ValueError(f"shard index {shard} outside 0..{n_shards - 1}")
-    if balance == "hash":
-        return shard_scenarios(scenarios, shard, n_shards)
-    return cost_partition(scenarios, n_shards, mode, observed)[shard]
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """One shard's predicted slice of a sweep (the ``repro plan`` row)."""
-
-    shard: int  # 0-based shard index
-    scenarios: tuple[ScenarioSpec, ...] = ()
-    cost: float = 0.0  # sum of per-occurrence predicted costs
-
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.scenarios)
-
-
-def plan_shards(
-    scenarios: Sequence[ScenarioSpec],
-    n_shards: int,
-    balance: str = "cost",
-    mode: str = "compare",
-    observed: Mapping[str, float] | None = None,
-    costs: Mapping[str, float] | None = None,
-) -> list[ShardPlan]:
-    """Predict the per-shard cost table for an N-way sweep partition.
-
-    The *assignment* is exactly what ``repro sweep --shard K/N`` with the
-    same ``balance`` would run -- in particular, cost balance partitions
-    with the analytic estimator only, never with ``observed``, because the
-    sweep does too (see :func:`partition_scenarios`): a plan whose shard
-    column diverged from the real partition would have operators
-    provisioning hosts for slices nobody runs.  The *pricing* does fold in
-    ``observed`` wall times (pass a precomputed :func:`scenario_costs` map
-    as ``costs`` to skip re-deriving it), so hash and cost balance are
-    compared on identical per-scenario estimates and the only difference
-    is the assignment.  Returns one :class:`ShardPlan` per shard (empty
-    shards included), in shard order.
-    """
-    if balance not in BALANCE_MODES:
-        raise ValueError(
-            f"unknown balance mode {balance!r}; known: {list(BALANCE_MODES)}"
-        )
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if balance == "cost":
-        shards = cost_partition(scenarios, n_shards, mode)
-    else:
-        shards = [shard_scenarios(scenarios, i, n_shards) for i in range(n_shards)]
-    if costs is None:
-        costs = scenario_costs(scenarios, mode, observed)
-    return [
-        ShardPlan(
-            shard=i,
-            scenarios=tuple(members),
-            cost=sum(costs[scenario_key(s)] for s in members),
-        )
-        for i, members in enumerate(shards)
-    ]

@@ -1,10 +1,8 @@
 """Work-stealing sweep coordination over a shared lease store.
 
-The static multi-host layer (``--shard K/N``, PRs 3-4) fixes each
-scenario's owner up front -- balanced in count or in *predicted* cost.
-Either way the partition is a bet: when one shard's estimate is wrong, or
-one host is simply slower, its peers finish and idle while it grinds on.
-This module replaces the bet with a runtime market.  Workers pointed at
+This is the one way to spread a sweep over several workers or hosts.
+Rather than fixing each scenario's owner up front -- a bet that fails as
+soon as one estimate is wrong or one host is slower -- workers pointed at
 one shared ``--coordinate`` store *claim* scenarios as they go:
 
 * a claim is one atomic create-exclusive of ``<scenario_key>.lease``
@@ -35,7 +33,7 @@ the server's address.
 Workers claim in cost-descending order (LPT dynamically --
 :func:`~repro.experiments.schedule.cost_order`), each streams its own
 JSONL manifest, and ``repro merge`` unions the per-worker manifests
-exactly as it unions shard manifests.  Adding a worker mid-sweep just
+into the manifest of the whole sweep.  Adding a worker mid-sweep just
 makes the sweep finish sooner; killing one delays its in-flight scenario
 by at most the TTL.
 

@@ -31,8 +31,6 @@ from repro.experiments import (
     SweepRunner,
     copy_entries,
     cost_order,
-    export_entries,
-    import_entries,
     scenario_key,
     steal_status,
 )
@@ -655,11 +653,13 @@ class TestPushPull:
         pulled = copy_entries(served_url, tmp_path / "cold")
         assert pulled == ["t1.pkl"]
 
-    def test_export_import_tar_against_a_remote_store(self, served_url, tmp_path):
+    def test_copy_through_a_directory_from_a_remote_store(self, served_url, tmp_path):
+        """A directory carries a remote store's entries to a host that can
+        reach neither the server nor the first host's disk."""
         remote = ProfileCache(root=served_url)
         remote.put("t1", {"w": 1})
-        tar_path = tmp_path / "warm.tar"
-        assert export_entries(served_url, tar_path) == ["t1.pkl"]
+        media = tmp_path / "media"
+        assert copy_entries(served_url, media) == ["t1.pkl"]
         cold = tmp_path / "cold"
-        assert import_entries(cold, tar_path) == ["t1.pkl"]
+        assert copy_entries(media, cold) == ["t1.pkl"]
         assert ProfileCache(root=cold).get("t1") == {"w": 1}

@@ -233,10 +233,6 @@ class TestCommands:
         assert main(["sweep", "--trees", "2", "--out", str(tmp_path / "m.jsonl")]) == 2
         assert "apply to axis sweeps" in capsys.readouterr().err
 
-    def test_sweep_shard_requires_axes(self, capsys):
-        assert main(["sweep", "--trees", "2", "--shard", "1/2"]) == 2
-        assert "apply to axis sweeps" in capsys.readouterr().err
-
     def test_sweep_inference_requires_axes(self, capsys):
         assert main(["sweep", "--trees", "2", "--inference"]) == 2
         assert "apply to axis sweeps" in capsys.readouterr().err
@@ -288,9 +284,9 @@ class TestCommands:
     def test_sweep_shard_merge_report_equals_unsharded(
         self, capsys, monkeypatch, tmp_path
     ):
-        """The acceptance criterion: --shard 1/2 + --shard 2/2 + merge yields
-        a manifest and report identical (up to line order) to the unsharded
-        sweep, with zero retraining on merge/report."""
+        """Two sweeps over disjoint halves of an axis, merged, yield a
+        manifest and report identical (up to line order) to the full sweep,
+        with zero retraining on merge/report."""
         import json
 
         self._isolate_cache(monkeypatch, tmp_path)
@@ -298,10 +294,11 @@ class TestCommands:
         s1, s2 = tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"
         merged = tmp_path / "merged.jsonl"
         assert main(self.SWEEP_ARGV + ["--out", str(full)]) == 0
-        assert main(self.SWEEP_ARGV + ["--shard", "1/2", "--out", str(s1)]) == 0
-        assert main(self.SWEEP_ARGV + ["--shard", "2/2", "--out", str(s2)]) == 0
-        out = capsys.readouterr().out
-        assert "(shard 1/2 of 2)" in out and "(shard 2/2 of 2)" in out
+        half = ["sweep", "--trees", "2", "--serial", "--dataset", "mq2008"]
+        half += ["--systems", "ideal-32-core", "booster"]
+        assert main(half + ["--axis", "max_depth=2", "--out", str(s1)]) == 0
+        assert main(half + ["--axis", "max_depth=3", "--out", str(s2)]) == 0
+        capsys.readouterr()
 
         def by_key(path):
             return {
@@ -309,11 +306,11 @@ class TestCommands:
                 for l in path.read_text().splitlines()
             }
 
-        # The shards are a disjoint cover of the full sweep.
-        shard_lines = len(s1.read_text().splitlines()) + len(
+        # The halves are a disjoint cover of the full sweep.
+        half_lines = len(s1.read_text().splitlines()) + len(
             s2.read_text().splitlines()
         )
-        assert shard_lines == 2
+        assert half_lines == 2
         assert set(by_key(s1)) | set(by_key(s2)) == set(by_key(full))
 
         # Merge and report are pure file work: no training, no simulation.
@@ -354,10 +351,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "resume: 2/2 scenarios already in" in out
 
-    def test_sweep_bad_shard_spec(self, capsys):
-        for spec in ("3/2", "0/2", "x/2", "2"):
-            assert main(["sweep", "--axis", "seed=1", "--shard", spec, "--trees", "2"]) == 2
-            assert "bad shard spec" in capsys.readouterr().err
+    def test_sweep_shard_and_plan_are_usage_errors(self, capsys):
+        """Work stealing is the one multi-host path: --shard, --balance and
+        `repro plan` are argparse usage errors."""
+        for argv in (
+            ["sweep", "--axis", "seed=1", "--shard", "1/2"],
+            ["sweep", "--axis", "seed=1", "--balance", "cost"],
+            ["plan", "--axis", "seed=1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage:" in capsys.readouterr().err
 
     def test_merge_prefers_success_over_error(self, capsys, monkeypatch, tmp_path):
         import json
@@ -421,7 +426,7 @@ class TestCommands:
     def test_merge_accepts_manifest_resumed_after_sim_edit(
         self, capsys, monkeypatch, tmp_path
     ):
-        """A shard resumed after a simulator edit appends fresh lines for
+        """A manifest resumed after a simulator edit appends fresh lines for
         every scenario; the stale lines are superseded, so the manifest
         must merge cleanly (uniformity is judged on the winners)."""
         import json
@@ -624,16 +629,17 @@ class TestCommands:
         assert "1 scenario(s) failed" in captured.err
 
     def test_cache_export_import_seeds_cold_host(self, capsys, monkeypatch, tmp_path):
-        """A warm host's exported entries let a cold shard run the same
-        sweep with zero retraining and zero simulation."""
+        """A warm host's entries, exported to a directory (removable media,
+        say), let a cold host run the same sweep with zero retraining and
+        zero simulation."""
         import repro.experiments.cache as cache_mod
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "warm"))
         monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
         assert main(self.SWEEP_ARGV) == 0
-        tar = tmp_path / "warm.tar"
+        media = tmp_path / "media"
         assert main([
-            "cache", "export", str(tar),
+            "cache", "export", str(media),
             "--trees", "2",
             "--dataset", "mq2008",
             "--axis", "max_depth=2,3",
@@ -641,7 +647,7 @@ class TestCommands:
         ]) == 0
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cold"))
         monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
-        assert main(["cache", "import", str(tar)]) == 0
+        assert main(["cache", "import", str(media)]) == 0
         capsys.readouterr()
         self._tripwire_runs(monkeypatch)
         assert main(self.SWEEP_ARGV) == 0
@@ -679,47 +685,39 @@ class TestCommands:
         assert "wall (s)" in out
         assert "recorded wall time" not in out  # nothing was recorded
 
-    def test_cache_import_rejects_escaping_archive(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        """`repro cache import` of a crafted archive whose members carry
-        path components exits 2 without writing anything."""
-        import io
-        import tarfile
-
+    def test_cache_import_rejects_non_directory(self, capsys, monkeypatch, tmp_path):
+        """`repro cache import` of a path that is not a store directory (a
+        plain file such as an old tar archive, or nothing at all) exits 2
+        without writing anything."""
         import repro.experiments.cache as cache_mod
 
         store = tmp_path / "store"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
         monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
-        evil = tmp_path / "evil.tar"
-        with tarfile.open(evil, "w") as tar:
-            info = tarfile.TarInfo("../escape.pkl")
-            info.size = 7
-            tar.addfile(info, io.BytesIO(b"payload"))
-        assert main(["cache", "import", str(evil)]) == 2
-        assert "refusing to import" in capsys.readouterr().err
-        assert not (tmp_path / "escape.pkl").exists()
-        assert list(store.iterdir()) == []
+        archive = tmp_path / "warm.tar"
+        archive.write_bytes(b"not a store")
+        for source in (archive, tmp_path / "missing"):
+            assert main(["cache", "import", str(source)]) == 2
+            assert "no such store directory" in capsys.readouterr().err
+        assert not store.exists()
+        assert main(["cache", "export", str(archive)]) == 2
+        assert "not a store directory" in capsys.readouterr().err
 
     def test_cache_export_unfiltered_and_bad_axis(self, capsys, monkeypatch, tmp_path):
-        import tarfile
-
         import repro.experiments.cache as cache_mod
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "warm"))
         monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
         assert main(self.SWEEP_ARGV) == 0
         capsys.readouterr()
-        tar = tmp_path / "all.tar"
-        assert main(["cache", "export", str(tar)]) == 0
-        with tarfile.open(tar) as t:
-            names = t.getnames()
+        media = tmp_path / "all"
+        assert main(["cache", "export", str(media)]) == 0
+        names = [p.name for p in media.iterdir()]
         # One trained profile (max_depth is a train axis: two artifacts)
         # plus two stored results.
         assert sum(n.endswith(".pkl") for n in names) == 2
         assert sum(n.endswith(".json") for n in names) == 2
-        assert main(["cache", "export", str(tar), "--axis", "bogus=1"]) == 2
+        assert main(["cache", "export", str(media), "--axis", "bogus=1"]) == 2
         assert "unknown sweep axis" in capsys.readouterr().err
 
     def test_sweep_bad_axis(self, capsys):

@@ -22,12 +22,8 @@ from repro.experiments import (
     apply_axis,
     expand_axes,
     parse_axis_specs,
-    parse_shard_spec,
     result_store_key,
     run_scenario,
-    scenario_key,
-    shard_of,
-    shard_scenarios,
     train_scenario,
 )
 from repro.gbdt import TrainParams
@@ -345,7 +341,7 @@ class TestSweepExpansion:
     def test_parse_axis_specs_canonicalizes_aliases(self):
         """Regression: the raw alias used to survive as the axes-dict key,
         so `trees=` and `n_trees=` sweeps carried different axis metadata
-        (labels, shard inputs) for identical scenarios."""
+        (labels, manifest keys) for identical scenarios."""
         assert parse_axis_specs(["trees=4,8"]) == {"n_trees": [4, 8]}
         assert parse_axis_specs(["records=500"]) == {"sim_records": [500]}
         assert parse_axis_specs(["scale=2.0"]) == {"extra_scale": [2.0]}
@@ -372,92 +368,6 @@ class TestSweepExpansion:
         for bad in (float("nan"), -2.0, "fast"):
             with pytest.raises(ValueError, match="finite, positive"):
                 replace(TINY, cost_overrides=(("pcie_gbps", bad),))
-
-
-class TestSharding:
-    def test_partition_is_disjoint_cover(self):
-        scenarios = expand_axes(TINY, {"max_depth": [2, 3, 4], "seed": [1, 2]})
-        for n in (1, 2, 3, 5):
-            shards = [shard_scenarios(scenarios, i, n) for i in range(n)]
-            assert sum(len(shard) for shard in shards) == len(scenarios)
-            covered = sorted(s.cache_key() for shard in shards for s in shard)
-            assert covered == sorted(s.cache_key() for s in scenarios)
-
-    def test_duplicate_scenarios_share_an_owner(self):
-        owners = {shard_of(TINY, 4) for _ in range(3)}
-        assert len(owners) == 1
-        owned = shard_scenarios([TINY, TINY], owners.pop(), 4)
-        assert owned == [TINY, TINY]
-
-    def test_partition_agrees_under_alias_respelling(self):
-        """Two hosts spelling the same sweep differently must derive the
-        identical shard assignment (ownership hashes scenario content)."""
-        spelled = expand_axes(TINY, parse_axis_specs(["trees=3,4,5"]))
-        canonical = expand_axes(TINY, parse_axis_specs(["n_trees=3,4,5"]))
-        for n in (2, 3):
-            for i in range(n):
-                assert shard_scenarios(spelled, i, n) == shard_scenarios(
-                    canonical, i, n
-                )
-
-    def test_partition_stable_across_processes(self):
-        """Ownership is a content hash: a fresh interpreter with a different
-        PYTHONHASHSEED must assign every scenario the same shard."""
-        scenarios = expand_axes(TINY, {"max_depth": [2, 3, 4]})
-        owners = [shard_of(s, 3) for s in scenarios]
-        code = (
-            "from repro.experiments import ScenarioSpec, expand_axes, shard_of\n"
-            f"base = ScenarioSpec.from_json({TINY.to_json()!r})\n"
-            "scenarios = expand_axes(base, {'max_depth': [2, 3, 4]})\n"
-            "print(*[shard_of(s, 3) for s in scenarios])\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-        env["PYTHONHASHSEED"] = "31337"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        ).stdout.split()
-        assert [int(o) for o in out] == owners
-
-    def test_unkeyable_scenario_owned_by_one_shard_and_errors_there(self, tmp_path):
-        """An unkeyable scenario (unknown dataset) must not crash the
-        partitioner: its canonical-JSON fallback key gives it exactly one
-        owner, where it surfaces as a structured error result."""
-        bad = replace(TINY, dataset="not-a-benchmark")
-        with pytest.raises(Exception):
-            bad.cache_key()  # the premise: this scenario is unkeyable
-        assert scenario_key(bad).startswith("!")
-        scenarios = [bad, TINY]
-        owners = [
-            i
-            for i in range(2)
-            if any(s is bad for s in shard_scenarios(scenarios, i, 2))
-        ]
-        assert len(owners) == 1
-        owned = shard_scenarios(scenarios, owners[0], 2)
-        results = SweepRunner(
-            cache=ProfileCache(root=tmp_path), parallel=False
-        ).run_all(owned)
-        failed = [r for r in results if r.scenario.dataset == "not-a-benchmark"]
-        assert len(failed) == 1 and failed[0].error is not None
-
-    def test_parse_shard_spec(self):
-        assert parse_shard_spec("1/2") == (0, 2)
-        assert parse_shard_spec("4/4") == (3, 4)
-        assert parse_shard_spec("1/1") == (0, 1)
-        for bad in ("0/2", "3/2", "x/2", "2", "2/", "/2", "1/0", "-1/2", "1/2/3"):
-            with pytest.raises(ValueError, match="bad shard spec"):
-                parse_shard_spec(bad)
-
-    def test_shard_arguments_validated(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            shard_of(TINY, 0)
-        with pytest.raises(ValueError, match="shard index"):
-            shard_scenarios([TINY], 2, 2)
 
 
 class TestInferenceSweeps:
@@ -707,8 +617,8 @@ class TestResultStore:
 
 
 class TestDurations:
-    """Recorded wall times: the calibration corpus for cost-balanced
-    shard scheduling (see test_schedule.py for the scheduler itself)."""
+    """Recorded wall times: the calibration corpus for the work-stealing
+    claim order (see test_schedule.py for the ordering itself)."""
 
     def test_fresh_run_records_wall_time(self, tmp_path):
         result = run_scenario(TINY, ProfileCache(root=tmp_path))
@@ -756,55 +666,30 @@ class TestDurations:
 
 
 class TestImportHardening:
-    """`repro cache import` must never write outside the store directory."""
+    """`repro cache import DIR` copies store entries and nothing else."""
 
-    @staticmethod
-    def _tar_with(tar_path, members):
-        import io
-        import tarfile
+    def test_flat_non_entries_are_skipped(self, capsys, monkeypatch, tmp_path):
+        """Only flat ``.pkl``/``.json`` entries cross: subdirectories, temp
+        files, the work-stealing descriptor, and other files stay behind."""
+        import repro.experiments.cache as cache_mod
+        from repro.cli import main
 
-        with tarfile.open(tar_path, "w") as tar:
-            for name, data in members:
-                info = tarfile.TarInfo(name)
-                info.size = len(data)
-                tar.addfile(info, io.BytesIO(data))
-
-    def test_rejects_members_with_path_components(self, tmp_path):
-        from repro.experiments import import_entries
-
-        root = tmp_path / "store"
-        for evil in ("../escape.pkl", "sub/nested.json", "/abs.pkl", ".."):
-            tar_path = tmp_path / "evil.tar"
-            self._tar_with(tar_path, [(evil, b"payload")])
-            with pytest.raises(ValueError, match="refusing to import"):
-                import_entries(root, tar_path)
-        assert not (tmp_path / "escape.pkl").exists()
-        assert list(root.iterdir()) == []  # nothing was extracted
-
-    def test_rejects_whole_archive_before_extracting(self, tmp_path):
-        """Validation is up front: a valid entry listed before the crafted
-        one must not land on disk either."""
-        from repro.experiments import import_entries
-
-        root = tmp_path / "store"
-        tar_path = tmp_path / "mixed.tar"
-        self._tar_with(
-            tar_path, [("sgood.json", b"{}"), ("../escape.pkl", b"payload")]
-        )
-        with pytest.raises(ValueError, match="refusing to import"):
-            import_entries(root, tar_path)
-        assert not (root / "sgood.json").exists()
-
-    def test_flat_non_entries_are_skipped(self, tmp_path):
-        from repro.experiments import import_entries
-
-        root = tmp_path / "store"
-        tar_path = tmp_path / "ok.tar"
-        self._tar_with(
-            tar_path, [("README.txt", b"notes"), ("sdeadbeef.json", b"{}")]
-        )
-        assert import_entries(root, tar_path) == ["sdeadbeef.json"]
-        assert sorted(p.name for p in root.iterdir()) == ["sdeadbeef.json"]
+        source = tmp_path / "media"
+        (source / "nested").mkdir(parents=True)
+        (source / "nested" / "tdeep.pkl").write_bytes(b"nested")
+        (source / "sub.json").mkdir()  # a directory with an entry suffix
+        (source / "tinflight.pkl.tmp").write_bytes(b"partial")
+        (source / "sweep.json").write_text("{}")
+        (source / "README.txt").write_text("notes")
+        (source / "sdeadbeef.json").write_text("{}")
+        (source / "t1.pkl").write_bytes(b"pickle")
+        store = tmp_path / "store"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
+        monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
+        assert main(["cache", "import", str(source)]) == 0
+        assert "imported 2 entr(ies)" in capsys.readouterr().out
+        assert sorted(p.name for p in store.iterdir()) == ["sdeadbeef.json", "t1.pkl"]
+        assert (store / "t1.pkl").read_bytes() == b"pickle"
 
 
 class TestFaultTolerance:

@@ -1,15 +1,12 @@
-"""Tests for cost-balanced shard scheduling (repro.experiments.schedule).
+"""Tests for claim-order pricing (repro.experiments.schedule).
 
 Covers the analytic estimator, the result-store calibration corpus, the
-deterministic LPT partitioner (disjoint cover, cross-process determinism,
-the Graham 4/3 bound), and the CLI surfaces built on them
-(``repro plan``, ``repro sweep --balance cost``, the report golden).
+cost-descending claim order work-stealing workers follow (including its
+cross-process determinism), and the ``repro report`` golden.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import os
 import pathlib
 import subprocess
@@ -23,17 +20,13 @@ from repro.experiments import (
     ProfileCache,
     ResultStore,
     ScenarioSpec,
-    cost_partition,
+    cost_order,
     estimate_cost,
     expand_axes,
-    lpt_assign,
     observed_durations,
-    partition_scenarios,
-    plan_shards,
     run_scenario,
     scenario_costs,
     scenario_key,
-    shard_scenarios,
 )
 from repro.gbdt import TrainParams
 
@@ -47,9 +40,8 @@ TINY = ScenarioSpec(
 SRC_DIR = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
-#: The acceptance-criteria axes: heterogeneous costs spanning ~two orders
-#: of magnitude, where count-balanced hash sharding is measurably worse
-#: than LPT.
+#: Heterogeneous costs spanning ~two orders of magnitude: the claim order
+#: has to interleave both axes to stay cost-descending.
 HETERO_AXES = {"n_trees": [50, 400], "extra_scale": [1.0, 8.0]}
 
 
@@ -121,156 +113,28 @@ class TestScenarioCosts:
         assert costs == {scenario_key(TINY): estimate_cost(TINY)}
 
 
-def _optimal_max_load(costs: list[float], n_shards: int) -> float:
-    """Brute-force optimal makespan (exponential; crafted inputs only)."""
-    best = float("inf")
-    for assignment in itertools.product(range(n_shards), repeat=len(costs)):
-        loads = [0.0] * n_shards
-        for cost, shard in zip(costs, assignment):
-            loads[shard] += cost
-        best = min(best, max(loads))
-    return best
-
-
-def _lpt_max_load(costs: list[float], n_shards: int) -> float:
-    assignment = lpt_assign(
-        [(f"k{i:02d}", c) for i, c in enumerate(costs)], n_shards
-    )
-    loads = [0.0] * n_shards
-    for i, cost in enumerate(costs):
-        loads[assignment[f"k{i:02d}"]] += cost
-    return max(loads)
-
-
-class TestLPT:
-    #: Crafted inputs including the classic LPT worst case ([3,3,2,2,2] on
-    #: 2 shards: LPT 7 vs optimal 6).
-    CRAFTED = [
-        [3.0, 3.0, 2.0, 2.0, 2.0],
-        [5.0, 4.0, 3.0, 3.0, 2.0, 2.0, 2.0],
-        [7.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-        [6.0, 6.0, 6.0],
-        [10.0],
-        [1.0, 1.0, 1.0, 1.0],
-    ]
-
-    def test_within_graham_bound_of_optimal(self):
-        for costs in self.CRAFTED:
-            for n_shards in (2, 3):
-                lpt = _lpt_max_load(costs, n_shards)
-                opt = _optimal_max_load(costs, n_shards)
-                bound = (4.0 / 3.0 - 1.0 / (3.0 * n_shards)) * opt
-                assert lpt <= bound + 1e-9, (costs, n_shards, lpt, opt)
-
-    def test_classic_worst_case_exact(self):
-        assert _lpt_max_load([3.0, 3.0, 2.0, 2.0, 2.0], 2) == 7.0
-        assert _optimal_max_load([3.0, 3.0, 2.0, 2.0, 2.0], 2) == 6.0
-
-    def test_input_order_independent(self):
-        """The schedule is a pure function of (key, cost) content: ties
-        break by key, so shuffled input order cannot change it."""
-        items = [("a", 2.0), ("b", 2.0), ("c", 2.0), ("d", 1.0), ("e", 1.0)]
-        assert lpt_assign(items, 2) == lpt_assign(list(reversed(items)), 2)
-
-    def test_duplicate_keys_rejected(self):
-        with pytest.raises(ValueError, match="duplicate item key"):
-            lpt_assign([("a", 1.0), ("a", 2.0)], 2)
-
-    def test_n_shards_validated(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            lpt_assign([("a", 1.0)], 0)
-
-
-class TestCostPartition:
-    def test_partition_is_disjoint_cover(self):
-        scenarios = expand_axes(TINY, {"max_depth": [2, 3, 4], "seed": [1, 2]})
-        for n in (1, 2, 3, 5):
-            shards = cost_partition(scenarios, n)
-            assert sum(len(shard) for shard in shards) == len(scenarios)
-            covered = sorted(s.cache_key() for shard in shards for s in shard)
-            assert covered == sorted(s.cache_key() for s in scenarios)
-
-    def test_duplicate_scenarios_share_an_owner(self):
-        scenarios = [TINY, replace(TINY, seed=11), TINY, TINY]
-        shards = cost_partition(scenarios, 2)
-        owners = [i for i, shard in enumerate(shards) if TINY in shard]
-        assert len(owners) == 1
-        assert shards[owners[0]].count(TINY) == 3
-
-    def test_unkeyable_scenario_owned_by_one_shard(self):
-        bad = replace(TINY, dataset="not-a-benchmark")
-        shards = cost_partition([bad, TINY], 2)
-        assert sum(shard.count(bad) for shard in shards) == 1
-
-    def test_beats_hash_on_heterogeneous_axes(self):
-        """The acceptance criterion, library level: on trees x scale axes
-        spanning two orders of magnitude, LPT's max shard cost is strictly
-        below the count-balanced hash partition's."""
+class TestCostOrder:
+    def test_cost_descending_with_duplicates_collapsed(self):
         scenarios = expand_axes(TINY, HETERO_AXES)
-        cost_max = max(p.cost for p in plan_shards(scenarios, 2, balance="cost"))
-        hash_max = max(p.cost for p in plan_shards(scenarios, 2, balance="hash"))
-        assert cost_max < hash_max
+        ordered = cost_order(scenarios + [scenarios[0]])
+        assert sorted(map(scenario_key, ordered)) == sorted(map(scenario_key, scenarios))
+        costs = [estimate_cost(s) for s in ordered]
+        assert costs == sorted(costs, reverse=True)
+        assert ordered[0].train.n_trees == 400 and ordered[0].extra_scale == 8.0
 
-    def test_plan_assignment_matches_sweep_partition_despite_observations(self):
-        """Regression: observed durations refine plan *pricing* only.  The
-        planned assignment must equal what `sweep --balance cost` (which
-        partitions analytic-only) will actually run, or operators would
-        provision hosts for slices nobody executes."""
-        scenarios = expand_axes(TINY, HETERO_AXES)
-        # A wildly off-model observation that would re-order an LPT packing
-        # driven by observed costs.
-        observed = {scenario_key(scenarios[0]): 1e9}
-        plans = plan_shards(scenarios, 2, balance="cost", observed=observed)
-        for plan in plans:
-            assert list(plan.scenarios) == partition_scenarios(
-                scenarios, plan.shard, 2, balance="cost"
-            )
-
-    def test_plan_shards_cover_and_price_consistently(self):
-        scenarios = expand_axes(TINY, HETERO_AXES)
-        for balance in ("cost", "hash"):
-            plans = plan_shards(scenarios, 3, balance=balance)
-            assert [p.shard for p in plans] == [0, 1, 2]
-            assert sum(p.n_scenarios for p in plans) == len(scenarios)
-            costs = scenario_costs(scenarios)
-            total = sum(costs[scenario_key(s)] for s in scenarios)
-            assert sum(p.cost for p in plans) == pytest.approx(total)
-
-    def test_partition_scenarios_hash_matches_pr3_partitioner(self):
-        scenarios = expand_axes(TINY, {"max_depth": [2, 3, 4]})
-        for i in range(2):
-            assert partition_scenarios(
-                scenarios, i, 2, balance="hash"
-            ) == shard_scenarios(scenarios, i, 2)
-
-    def test_partition_scenarios_validates(self):
-        with pytest.raises(ValueError, match="unknown balance mode"):
-            partition_scenarios([TINY], 0, 1, balance="fair")
-        with pytest.raises(ValueError, match="shard index"):
-            partition_scenarios([TINY], 2, 2, balance="cost")
-        with pytest.raises(ValueError, match="unknown balance mode"):
-            plan_shards([TINY], 1, balance="fair")
-        with pytest.raises(ValueError, match="n_shards"):
-            plan_shards([TINY], 0)
-
-    def test_partition_stable_across_processes(self):
-        """Ownership is a pure function of scenario content: a fresh
-        interpreter with a different PYTHONHASHSEED derives the identical
-        cost-balanced assignment (mirrors the shard_of hash test)."""
-        scenarios = expand_axes(TINY, HETERO_AXES)
-        shards = cost_partition(scenarios, 3)
-        owner = {
-            scenario_key(s): i for i, members in enumerate(shards) for s in members
-        }
-        owners = [owner[scenario_key(s)] for s in scenarios]
+    def test_order_stable_across_processes(self):
+        """The claim order is a pure function of scenario content: a fresh
+        interpreter with a different PYTHONHASHSEED yields the identical
+        scenario_key sequence.  Seeds do not move the cost, so every cost
+        level is a tie that only the key may break."""
+        axes = {**HETERO_AXES, "seed": [1, 2, 3]}
+        keys = [scenario_key(s) for s in cost_order(expand_axes(TINY, axes))]
         code = (
-            "from repro.experiments import (ScenarioSpec, cost_partition,\n"
+            "from repro.experiments import (ScenarioSpec, cost_order,\n"
             "    expand_axes, scenario_key)\n"
             f"base = ScenarioSpec.from_json({TINY.to_json()!r})\n"
-            f"scenarios = expand_axes(base, {HETERO_AXES!r})\n"
-            "shards = cost_partition(scenarios, 3)\n"
-            "owner = {scenario_key(s): i for i, ms in enumerate(shards) for s in ms}\n"
-            "print(*[owner[scenario_key(s)] for s in scenarios])\n"
+            f"scenarios = expand_axes(base, {axes!r})\n"
+            "print(*[scenario_key(s) for s in cost_order(scenarios)])\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
@@ -282,7 +146,7 @@ class TestCostPartition:
             env=env,
             check=True,
         ).stdout.split()
-        assert [int(o) for o in out] == owners
+        assert out == keys
 
 
 class TestObservedDurations:
@@ -309,153 +173,6 @@ class TestObservedDurations:
         del payload["result"]["duration_s"]
         ResultStore(root=tmp_path).put(key, payload)
         assert observed_durations(ResultStore(root=tmp_path), [TINY]) == {}
-
-
-def _isolate_cache(monkeypatch, tmp_path):
-    import repro.experiments.cache as cache_mod
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
-
-
-PLAN_ARGV = [
-    "plan",
-    "--dataset", "mq2008",
-    "--trees", "2",
-    "--axis", "n_trees=50,400",
-    "--axis", "scale=1,8",
-    "--shards", "2",
-]
-
-SWEEP_ARGV = [
-    "sweep",
-    "--trees", "2",
-    "--serial",
-    "--dataset", "mq2008",
-    "--axis", "max_depth=2,3",
-    "--systems", "ideal-32-core", "booster",
-]
-
-
-def _predicted_max(out: str) -> float:
-    (line,) = [l for l in out.splitlines() if l.startswith("predicted max shard cost:")]
-    return float(line.split(":")[1].split("(")[0])
-
-
-class TestPlanCLI:
-    def test_cost_balance_beats_hash_on_hetero_axes(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        """The acceptance criterion, CLI level: `repro plan --balance cost`
-        predicts a smaller max shard cost than `--balance hash`."""
-        _isolate_cache(monkeypatch, tmp_path)
-        assert main(PLAN_ARGV + ["--balance", "cost"]) == 0
-        cost_max = _predicted_max(capsys.readouterr().out)
-        assert main(PLAN_ARGV + ["--balance", "hash"]) == 0
-        hash_max = _predicted_max(capsys.readouterr().out)
-        assert cost_max < hash_max
-
-    def test_plan_prints_tables_without_running(self, capsys, monkeypatch, tmp_path):
-        _isolate_cache(monkeypatch, tmp_path)
-
-        def boom(*a, **k):
-            raise AssertionError("plan trained or simulated")
-
-        monkeypatch.setattr("repro.experiments.pipeline.train", boom)
-        monkeypatch.setattr("repro.sim.executor.Executor.from_scenario", boom)
-        assert main(PLAN_ARGV) == 0
-        out = capsys.readouterr().out
-        assert "sweep plan: 4 scenarios, 2 shard(s), balance=cost" in out
-        assert "n_trees" in out and "extra_scale" in out
-        assert out.count("estimated") == 4
-        assert "shard" in out and "share" in out
-
-    def test_plan_calibrates_from_warm_store(self, capsys, monkeypatch, tmp_path):
-        """Scenarios that already ran are priced by their recorded wall
-        times, and the plan says how many it calibrated from."""
-        _isolate_cache(monkeypatch, tmp_path)
-        assert main(SWEEP_ARGV) == 0
-        capsys.readouterr()
-        plan = [
-            "plan",
-            "--dataset", "mq2008",
-            "--trees", "2",
-            "--axis", "max_depth=2,3",
-            "--systems", "ideal-32-core", "booster",
-            "--shards", "2",
-        ]
-        assert main(plan) == 0
-        out = capsys.readouterr().out
-        assert out.count("observed") >= 2
-        assert "calibration: 2/2 scenario(s) have recorded wall times" in out
-
-    def test_plan_validates_inputs(self, capsys):
-        assert main(["plan", "--axis", "bogus=1", "--trees", "2"]) == 2
-        assert "unknown sweep axis" in capsys.readouterr().err
-        assert main(["plan", "--axis", "seed=1", "--shards", "0", "--trees", "2"]) == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
-        assert main(["plan", "--axis", "seed=1", "--systems", "boster", "--trees", "2"]) == 2
-        assert "unknown systems" in capsys.readouterr().err
-        assert main(["plan", "--axis", "dataset=bogus", "--trees", "2"]) == 2
-        assert "unknown benchmark" in capsys.readouterr().err
-
-
-class TestBalanceCLI:
-    def test_balance_cost_requires_shard(self, capsys):
-        assert main(["sweep", "--axis", "seed=1", "--balance", "cost", "--trees", "2"]) == 2
-        assert "--balance cost" in capsys.readouterr().err
-
-    def test_balance_requires_axes(self, capsys):
-        assert main(["sweep", "--trees", "2", "--balance", "cost"]) == 2
-        assert "apply to axis sweeps" in capsys.readouterr().err
-
-    def test_cost_sharded_sweep_merges_to_unsharded(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        """The acceptance criterion: a 2-shard --balance cost sweep plus
-        `repro merge` reproduces the unsharded manifest, and manifests
-        from hash- and cost-balanced runs merge cleanly together."""
-        _isolate_cache(monkeypatch, tmp_path)
-        full = tmp_path / "full.jsonl"
-        c1, c2 = tmp_path / "c1.jsonl", tmp_path / "c2.jsonl"
-        h1, h2 = tmp_path / "h1.jsonl", tmp_path / "h2.jsonl"
-        assert main(SWEEP_ARGV + ["--out", str(full)]) == 0
-        for shard, path in (("1/2", c1), ("2/2", c2)):
-            argv = SWEEP_ARGV + ["--shard", shard, "--balance", "cost", "--out", str(path)]
-            assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "(shard 1/2 of 2, cost-balanced)" in out
-
-        def by_key(path):
-            return {
-                json.loads(l)["cache_key"]: json.loads(l)
-                for l in path.read_text().splitlines()
-            }
-
-        # The cost shards are a disjoint cover of the full sweep.
-        assert len(c1.read_text().splitlines()) + len(c2.read_text().splitlines()) == 2
-        assert set(by_key(c1)) | set(by_key(c2)) == set(by_key(full))
-
-        merged = tmp_path / "merged.jsonl"
-        assert main(["merge", str(merged), str(c1), str(c2)]) == 0
-        full_lines, merged_lines = by_key(full), by_key(merged)
-        assert set(merged_lines) == set(full_lines)
-        for key, line in merged_lines.items():
-            assert line["error"] is None
-            assert line["scenario"] == full_lines[key]["scenario"]
-            assert line["comparison"] == full_lines[key]["comparison"]
-
-        # Hash-balanced shard manifests of the same sweep merge cleanly
-        # with the cost-balanced ones: dedupe is by scenario content key,
-        # not by how the shard happened to be partitioned.
-        for shard, path in (("1/2", h1), ("2/2", h2)):
-            assert main(SWEEP_ARGV + ["--shard", shard, "--out", str(path)]) == 0
-        capsys.readouterr()
-        mixed = tmp_path / "mixed.jsonl"
-        assert main(["merge", str(mixed), str(c1), str(c2), str(h1), str(h2)]) == 0
-        out = capsys.readouterr().out
-        assert "2 scenarios (2 ok, 0 failed" in out
-        assert set(by_key(mixed)) == set(full_lines)
 
 
 class TestReportGolden:

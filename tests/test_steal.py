@@ -3,7 +3,7 @@
 The fast tests monkeypatch ``run_scenario`` so claiming/stealing semantics
 are exercised without training anything; the equivalence tests run real
 (tiny) scenarios so the steal-mode manifests can be compared against the
-unsharded sweep's payloads byte for byte.
+one-piece sweep's payloads byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -531,6 +532,25 @@ class TestRunStealing:
         coordinator = Coordinator(tmp_path / "coord", ttl=60.0)
         assert list(_runner(tmp_path).run_stealing([], coordinator)) == []
 
+    def test_unkeyable_scenario_errors_once_beside_a_normal_one(self, tmp_path):
+        """An unknown dataset cannot be keyed, yet it must not crash the
+        claim loop: its canonical-JSON fallback key gives it one lease, and
+        the real runner reports it as exactly one structured error."""
+        bad = replace(tiny_scenario(), dataset="not-a-benchmark")
+        with pytest.raises(Exception):
+            bad.cache_key()  # the premise: this scenario is unkeyable
+        assert scenario_key(bad).startswith("!")
+        good = tiny_scenario()
+        coordinator = Coordinator(tmp_path / "coord", ttl=60.0)
+        results = list(_runner(tmp_path).run_stealing([bad, good], coordinator))
+        failed = [r for r in results if r.error is not None]
+        assert len(results) == 2 and len(failed) == 1
+        assert failed[0].scenario.dataset == "not-a-benchmark"
+        leases = {lease.key: lease for lease in coordinator.leases()}
+        assert len(leases) == 2 and all(lease.done for lease in leases.values())
+        assert leases[scenario_key(bad)].error is not None
+        assert leases[scenario_key(good)].error is None
+
 
 class TestStealStatus:
     def test_missing_directory_is_none(self, tmp_path):
@@ -680,8 +700,7 @@ class TestStealCLI:
 
     def test_steal_merge_equals_unsharded(self, capsys, monkeypatch, tmp_path):
         """One steal worker + one late (empty) worker merge to exactly the
-        unsharded sweep's manifest -- the static-partition equivalence,
-        under dynamic claiming."""
+        one-piece sweep's manifest."""
         from repro.cli import main
 
         self._isolate_cache(monkeypatch, tmp_path)
@@ -782,7 +801,6 @@ class TestStealCLI:
 
         coord = str(tmp_path / "coord")
         cases = [
-            (["--coordinate", coord, "--shard", "1/2"], "pick one"),
             (["--coordinate", coord, "--workers", "2"], "start more workers"),
             (["--lease-ttl", "60"], "--lease-ttl only applies"),
             (["--coordinate", coord, "--lease-ttl", "0"], "must be positive"),
