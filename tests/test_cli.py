@@ -351,18 +351,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "resume: 2/2 scenarios already in" in out
 
-    def test_sweep_shard_and_plan_are_usage_errors(self, capsys):
-        """Work stealing is the one multi-host path: --shard, --balance and
-        `repro plan` are argparse usage errors."""
-        for argv in (
-            ["sweep", "--axis", "seed=1", "--shard", "1/2"],
-            ["sweep", "--axis", "seed=1", "--balance", "cost"],
-            ["plan", "--axis", "seed=1"],
-        ):
+    def test_sweep_bad_shard_spec(self, capsys):
+        """Work stealing is the one multi-host path: every --shard spec,
+        well-formed or not, is an argparse usage error."""
+        for spec in ("1/2", "3/2", "0/2", "x/2", "2"):
+            argv = ["sweep", "--axis", "seed=1", "--shard", spec, "--trees", "2"]
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            assert "usage:" in capsys.readouterr().err
+            assert "unrecognized arguments: --shard" in capsys.readouterr().err
+
+    def test_sweep_shard_requires_axes(self, capsys, tmp_path):
+        """Without axes --shard is still a usage error, and the scale-out
+        flag that replaced it, --coordinate, applies to axis sweeps only."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--trees", "2", "--shard", "1/2"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        coord = tmp_path / "coord"
+        assert main(["sweep", "--trees", "2", "--coordinate", str(coord)]) == 2
+        assert "apply to axis sweeps" in capsys.readouterr().err
+        assert not coord.exists()
 
     def test_merge_prefers_success_over_error(self, capsys, monkeypatch, tmp_path):
         import json

@@ -12,8 +12,10 @@ from dataclasses import replace
 
 import pytest
 
+import repro.experiments.runner as runner_mod
 from repro.core import BoosterConfig
 from repro.experiments import (
+    Coordinator,
     ProfileCache,
     ResultStore,
     ScenarioSpec,
@@ -21,9 +23,11 @@ from repro.experiments import (
     SweepRunner,
     apply_axis,
     expand_axes,
+    lease_name,
     parse_axis_specs,
     result_store_key,
     run_scenario,
+    scenario_key,
     train_scenario,
 )
 from repro.gbdt import TrainParams
@@ -437,6 +441,59 @@ class TestInferenceSweeps:
             SweepRunner(mode="bogus")
         with pytest.raises(ValueError, match="unknown sweep mode"):
             result_store_key(TINY, "bogus")
+
+
+class TestSharding:
+    """Splitting a sweep across workers: lease files arbitrate ownership,
+    so every worker must derive the same lease for the same scenario."""
+
+    def test_duplicate_scenarios_share_an_owner(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake(scenario, cache=None, results=None, mode="compare"):
+            calls.append(scenario_key(scenario))
+            return SweepResult(scenario=scenario, comparison=None, kind=mode)
+
+        monkeypatch.setattr(runner_mod, "run_scenario", fake)
+        other = replace(TINY, seed=11)
+        coordinator = Coordinator(tmp_path / "coord", ttl=60.0)
+        results = list(
+            SweepRunner(cache=ProfileCache(root=tmp_path), parallel=False).run_stealing(
+                [TINY, other, TINY, TINY], coordinator
+            )
+        )
+        assert sorted(calls) == sorted([scenario_key(TINY), scenario_key(other)])
+        assert [r.scenario for r in results].count(TINY) == 1
+        leases = coordinator.leases()
+        assert len(leases) == 2 and all(lease.done for lease in leases)
+
+    def test_partition_stable_across_processes(self):
+        """Lease names are a content hash: a fresh interpreter with a
+        different PYTHONHASHSEED derives the same lease for every scenario,
+        unkeyable ones included."""
+        bad = replace(TINY, dataset="not-a-benchmark")
+        scenarios = expand_axes(TINY, {"max_depth": [2, 3, 4]}) + [bad]
+        names = [lease_name(scenario_key(s)) for s in scenarios]
+        code = (
+            "from dataclasses import replace\n"
+            "from repro.experiments import (ScenarioSpec, expand_axes,\n"
+            "    lease_name, scenario_key)\n"
+            f"base = ScenarioSpec.from_json({TINY.to_json()!r})\n"
+            "scenarios = expand_axes(base, {'max_depth': [2, 3, 4]})\n"
+            "scenarios.append(replace(base, dataset='not-a-benchmark'))\n"
+            "print(*[lease_name(scenario_key(s)) for s in scenarios])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONHASHSEED"] = "31337"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout.split()
+        assert out == names
 
 
 @pytest.fixture(scope="module")

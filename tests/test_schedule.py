@@ -2,7 +2,8 @@
 
 Covers the analytic estimator, the result-store calibration corpus, the
 cost-descending claim order work-stealing workers follow (including its
-cross-process determinism), and the ``repro report`` golden.
+cross-process determinism), the ``repro report`` golden, and the usage
+errors that replaced the static-sharding flags and ``repro plan``.
 """
 
 from __future__ import annotations
@@ -149,6 +150,19 @@ class TestCostOrder:
         assert out == keys
 
 
+class TestCostPartition:
+    """The claim order is the partition now: leases arbitrate ownership,
+    and every distinct scenario is offered for claiming exactly once."""
+
+    def test_unkeyable_scenario_owned_by_one_shard(self):
+        bad = replace(TINY, dataset="not-a-benchmark")
+        with pytest.raises(Exception):
+            bad.cache_key()  # the premise: this scenario is unkeyable
+        ordered = cost_order([bad, TINY, bad])
+        assert ordered.count(bad) == 1 and ordered.count(TINY) == 1
+        assert len(ordered) == 2
+
+
 class TestObservedDurations:
     def test_harvests_recorded_wall_times(self, tmp_path):
         run_scenario(TINY, ProfileCache(root=tmp_path))
@@ -186,3 +200,32 @@ class TestReportGolden:
         golden = (DATA_DIR / "report_golden.txt").read_text()
         assert captured.out == golden
         assert captured.err == ""
+
+
+class TestPlanCLI:
+    def test_plan_validates_inputs(self, capsys):
+        """`repro plan` is gone with static sharding: every invocation that
+        once reached its validation is now an argparse usage error."""
+        for argv in (
+            ["plan", "--axis", "bogus=1", "--trees", "2"],
+            ["plan", "--axis", "seed=1", "--shards", "0", "--trees", "2"],
+            ["plan", "--axis", "seed=1", "--shards", "2", "--trees", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "invalid choice: 'plan'" in capsys.readouterr().err
+
+
+class TestBalanceCLI:
+    def test_balance_requires_axes(self, capsys):
+        """--balance left with static sharding: with or without axes it is
+        an argparse usage error, never a silently ignored flag."""
+        for argv in (
+            ["sweep", "--trees", "2", "--balance", "cost"],
+            ["sweep", "--axis", "seed=1", "--trees", "2", "--balance", "cost"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --balance" in capsys.readouterr().err
