@@ -52,15 +52,12 @@ def main() -> None:
 
     # -- ensembles larger than one chip (Sec. III-D last paragraph) ---------------
     print("\n== Multi-chip round-robin for very large ensembles ==\n")
-    from repro.gbdt import EnsemblePredictor
-
     result = executor.train_result("higgs")  # served from the cache: trained above
-    data = executor.dataset("higgs")  # the memoized training dataset, reused
-    predictor = EnsemblePredictor(result.trees, result.base_margin, result.loss)
     engine = BoosterEngine(config=BoosterConfig(), bandwidth=executor.bandwidth)
     rows = []
     for n_trees in (500, 2000, 3200, 6400, 12800):
-        work = predictor.inference_work(data, n_trees_target=n_trees)
+        # Training's own step-5 walk gives the path lengths: no re-traversal.
+        work = result.profile.inference_work(n_trees)
         work = work.scaled(work.spec.paper_records / work.n_records)
         seconds = engine.inference_seconds(work)
         chips = max(1, -(-n_trees // engine.config.n_bus))

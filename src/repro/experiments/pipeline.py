@@ -5,8 +5,9 @@ The functional half of every experiment is ``generate(spec)`` followed by
 
 * :func:`benchmark_dataset` keeps one generated
   :class:`~repro.datasets.encoding.BinnedDataset` per (name, records, seed)
-  for the life of the process, so training and inference (and repeated
-  scenarios over the same data) share a single generation pass;
+  for the life of the process, so repeated scenarios over the same data
+  share a single generation pass (inference never needs the records: it is
+  priced from the training profile);
 * :func:`train_scenario` serves :class:`~repro.gbdt.trainer.TrainResult`
   artifacts through a :class:`~repro.experiments.cache.ProfileCache`,
   keyed by :meth:`ScenarioSpec.train_key` -- which covers *all*

@@ -3,26 +3,25 @@
 In batch inference each record traverses all trees; per tree one predicate is
 evaluated per level until a leaf emits a weak prediction, and the trees'
 outputs are summed (plus the base margin) into the strong prediction.  The
-:class:`EnsemblePredictor` performs this functionally and extracts the
-:class:`~repro.gbdt.workprofile.InferenceWork` quantities the Fig. 13 timing
-models need -- notably both the *actual* path lengths (what a CPU/GPU pays)
-and the max-depth bound (what a Booster BU's table walk pays).
+:class:`EnsemblePredictor` performs this functionally.  The Fig. 13 timing
+models price inference from
+:meth:`~repro.gbdt.workprofile.WorkProfile.inference_work` instead: training's
+step 5 already walked every record through every tree, so no second walk is
+needed to learn the path lengths.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..datasets.encoding import BinnedDataset
 from .losses import Loss
 from .tree import Tree
-from .workprofile import InferenceWork
 
 __all__ = ["EnsemblePredictor"]
 
 
 class EnsemblePredictor:
-    """Functional batch inference plus inference work extraction."""
+    """Functional batch inference over a trained ensemble."""
 
     def __init__(self, trees: list[Tree], base_margin: float, loss: Loss) -> None:
         if not trees:
@@ -40,48 +39,3 @@ class EnsemblePredictor:
     def predict(self, codes: np.ndarray) -> np.ndarray:
         """Predictions in the loss's natural space (probability for binary)."""
         return self.loss.predict_transform(self.predict_margin(codes))
-
-    def inference_work(
-        self, data: BinnedDataset, n_trees_target: int | None = None
-    ) -> InferenceWork:
-        """Measure traversal work for batch inference over ``data``.
-
-        ``n_trees_target`` extrapolates the measured per-tree statistics to
-        the paper's 500-tree models: path-length statistics are per-tree
-        properties, so totals scale linearly in the tree count.
-        """
-        codes = data.codes
-        n = codes.shape[0]
-        sum_len = 0.0
-        sq_sum = 0.0
-        count = 0
-        max_depth = 0
-        nodes = 0
-        table_bytes = 0.0
-        for t in self.trees:
-            _, depths = t.predict(codes, return_depth=True)
-            sum_len += float(depths.sum())
-            sq_sum += float(np.square(depths, dtype=np.float64).sum())
-            count += int(depths.size)
-            max_depth = max(max_depth, t.max_depth)
-            nodes += t.n_nodes
-            table_bytes += t.node_table().table_bytes()
-
-        measured_trees = len(self.trees)
-        target = n_trees_target or measured_trees
-        scale = target / measured_trees
-        mean_len = sum_len / count if count else 0.0
-        var = max(sq_sum / count - mean_len * mean_len, 0.0) if count else 0.0
-        cv = float(np.sqrt(var) / mean_len) if mean_len > 0 else 0.0
-
-        return InferenceWork(
-            spec=data.spec,
-            n_records=n,
-            n_trees=target,
-            max_depth=max_depth,
-            mean_path_len=mean_len,
-            sum_path_len=sum_len * scale,
-            path_len_cv=cv,
-            mean_tree_nodes=nodes / measured_trees,
-            table_bytes_total=table_bytes * scale,
-        )

@@ -23,9 +23,12 @@ import numpy as np
 
 from ..datasets.schema import DatasetSpec
 
-__all__ = ["Tree", "NodeTable"]
+__all__ = ["Tree", "NodeTable", "NODE_ENTRY_BYTES"]
 
 _NO_CHILD = -1
+
+#: Bytes per SRAM node-table entry (see :meth:`NodeTable.entry_bytes`).
+NODE_ENTRY_BYTES = 8
 
 
 @dataclass
@@ -58,7 +61,7 @@ class NodeTable:
         a leaf weight (4B) -> 8 bytes, matching the 2 KB SRAM / 256-entry
         sizing argument.
         """
-        return 8
+        return NODE_ENTRY_BYTES
 
     def table_bytes(self) -> int:
         return self.n_nodes * self.entry_bytes()

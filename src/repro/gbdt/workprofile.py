@@ -17,6 +17,7 @@ import numpy as np
 
 from ..datasets.layout import RecordLayout
 from ..datasets.schema import DatasetSpec
+from .tree import NODE_ENTRY_BYTES
 
 __all__ = ["TreeWork", "WorkProfile", "InferenceWork"]
 
@@ -106,6 +107,10 @@ class WorkProfile:
     the coefficient of variation of traversal path lengths, the SIMT
     divergence proxy.  ``smaller_child_fraction_mean`` documents split
     lopsidedness (the Allstate/Flight 99/1 behaviour).
+
+    ``measured`` is False on :meth:`scaled` / :meth:`with_trees_scaled`
+    copies: their totals are extrapolations, so :meth:`inference_work`
+    (which must match a walk over the training records) refuses them.
     """
 
     spec: DatasetSpec
@@ -118,6 +123,7 @@ class WorkProfile:
     #: Per-bin access counts measured at the root of the first tree; drives
     #: the CPU cache model (skewed data concentrates updates in few hot bins).
     root_bin_counts: np.ndarray | None = None
+    measured: bool = True
 
     @property
     def stacked(self) -> _StackedWork:
@@ -200,6 +206,7 @@ class WorkProfile:
             train_seconds_wall=self.train_seconds_wall,
             losses=self.losses,
             root_bin_counts=self.root_bin_counts,
+            measured=False,
         )
 
     def with_trees_scaled(self, n_trees_target: int) -> "WorkProfile":
@@ -221,6 +228,7 @@ class WorkProfile:
             train_seconds_wall=self.train_seconds_wall,
             losses=self.losses,
             root_bin_counts=self.root_bin_counts,
+            measured=False,
         )
 
     # -- structural shortcuts -----------------------------------------------------
@@ -355,6 +363,49 @@ class WorkProfile:
         total += n_trees * (2.0 * layout.stats_bytes_sequential(n))  # g/h read + write
         total += n_trees * float(layout.pointer_bytes(n))  # ground-truth labels
         return total
+
+    # -- batch inference (Sec. III-D / Fig. 13) ------------------------------------
+
+    def inference_work(self, n_trees_target: int | None = None) -> "InferenceWork":
+        """Batch-inference work over the training records, from step 5.
+
+        Step 5 already walked every training record through every tree, so
+        the per-tree path sums, depths and node counts recorded here are
+        exactly what a separate inference pass over the same records would
+        measure.  ``n_trees_target`` (default: the measured tree count)
+        extrapolates to the paper's 500-tree models: path-length statistics
+        are per-tree properties, so totals scale linearly in the tree count.
+
+        Only a measured profile qualifies: a :meth:`scaled` copy carries
+        rounded record counts and a :meth:`with_trees_scaled` copy replicated
+        trees, so both raise ``ValueError`` -- scale the returned
+        :class:`InferenceWork` instead.
+        """
+        if not self.measured:
+            raise ValueError("inference_work needs the measured profile, not a scaled copy")
+        if not self.trees:
+            raise ValueError("ensemble needs at least one tree")
+        measured_trees = self.n_trees
+        target = measured_trees if n_trees_target is None else n_trees_target
+        if target < 1:
+            raise ValueError("n_trees_target must be >= 1")
+        stk = self.stacked
+        scale = target / measured_trees
+        # Per-tree hop counts are integers stored as floats, so this sum is
+        # exact: a walk adding them tree by tree gets the same value.
+        sum_len = self.traversal_hops()
+        n_nodes = int(stk.n_nodes.sum())
+        return InferenceWork(
+            spec=self.spec,
+            n_records=self.n_records,
+            n_trees=target,
+            max_depth=int(stk.max_depth.max()),
+            mean_path_len=sum_len / (self.n_records * measured_trees),
+            sum_path_len=sum_len * scale,
+            path_len_cv=self.path_len_cv,
+            mean_tree_nodes=n_nodes / measured_trees,
+            table_bytes_total=float(NODE_ENTRY_BYTES * n_nodes) * scale,
+        )
 
     # -- whole-run summaries -----------------------------------------------------------
 

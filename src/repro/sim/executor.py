@@ -35,11 +35,10 @@ from ..baselines import (
 from ..baselines.base import StepTimes
 from ..core import BoosterConfig, BoosterEngine
 from ..datasets import BENCHMARK_NAMES
-from ..datasets.encoding import BinnedDataset
 from ..experiments.cache import ProfileCache, default_cache
-from ..experiments.pipeline import benchmark_dataset, train_scenario_tracked
+from ..experiments.pipeline import train_scenario_tracked
 from ..experiments.scenario import ScenarioSpec, cost_overrides_from
-from ..gbdt import EnsemblePredictor, TrainParams, TrainResult, WorkProfile
+from ..gbdt import TrainParams, TrainResult, WorkProfile
 from ..memory.profile import BandwidthProfile, bandwidth_profile
 from ..serving import (
     ServingParams,
@@ -188,10 +187,6 @@ class Executor:
 
     # -- functional training (persistently cached) ---------------------------------
 
-    def dataset(self, dataset: str) -> BinnedDataset:
-        """The generated simulation-scale dataset (memoized per process)."""
-        return benchmark_dataset(dataset, self.sim_records, self.seed)
-
     def train_result(self, dataset: str) -> TrainResult:
         result, hit = train_scenario_tracked(self.scenario(dataset), cache=self._cache)
         self.last_train_hit = hit
@@ -241,14 +236,14 @@ class Executor:
     ) -> InferenceResult:
         """Batch-inference comparison over all records (Fig. 13).
 
-        ``extra_scale`` multiplies the batch's record count on top of the
-        paper extrapolation, mirroring :meth:`profile`'s parameter so
+        The work comes from the training run's own step-5 walk
+        (:meth:`WorkProfile.inference_work` on the unscaled profile), so no
+        dataset is generated and no tree is walked again.  ``extra_scale``
+        multiplies the batch's record count on top of the paper
+        extrapolation, mirroring :meth:`profile`'s parameter so
         record-scaling sweeps measure scaled inference work too.
         """
-        result = self.train_result(dataset)
-        data = self.dataset(dataset)  # same memoized dataset training used
-        predictor = EnsemblePredictor(result.trees, result.base_margin, result.loss)
-        work = predictor.inference_work(data, n_trees_target=n_trees)
+        work = self.train_result(dataset).profile.inference_work(n_trees)
         if self.scale_to_paper:
             work = work.scaled(work.spec.paper_records / work.n_records * extra_scale)
         elif extra_scale != 1.0:
@@ -270,21 +265,18 @@ class Executor:
         Replays one arrival trace (generated from ``serving``'s parameters
         with ``seed``, or loaded from its recorded trace file) through the
         single-server batching queue once per system.  Per-batch service
-        cost derives from the same paper-scale :class:`InferenceWork` the
-        Fig. 13 batch comparison prices -- ``inference_seconds`` over the
-        work scaled to the batch's exact record count (x ``extra_scale``,
-        mirroring :meth:`inference`) -- so the serving numbers and the batch
-        numbers share one cost model by construction.  Everything after
-        arrival generation is a pure function of its inputs; the same
-        scenario yields a bit-identical :class:`ServingResult` in any
-        process.
+        cost derives from the same 500-tree :class:`InferenceWork` the
+        Fig. 13 batch comparison prices, read from the unscaled training
+        profile -- ``inference_seconds`` over the work scaled to the batch's
+        exact record count (x ``extra_scale``, mirroring :meth:`inference`)
+        -- so the serving numbers and the batch numbers share one cost model
+        by construction.  Everything after arrival generation is a pure
+        function of its inputs; the same scenario yields a bit-identical
+        :class:`ServingResult` in any process.
         """
         params = serving if serving is not None else ServingParams()
         times, priorities = build_arrivals(params, self.seed if seed is None else seed)
-        result = self.train_result(dataset)
-        data = self.dataset(dataset)  # same memoized dataset training used
-        predictor = EnsemblePredictor(result.trees, result.base_margin, result.loss)
-        base = predictor.inference_work(data, n_trees_target=PAPER_TREES)
+        base = self.train_result(dataset).profile.inference_work(PAPER_TREES)
         if params.arrival == "trace":
             span = float(times[-1] - times[0]) if times.size > 1 else 0.0
             offered = float(times.size / span) if span > 0 else float(times.size)

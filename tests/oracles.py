@@ -19,7 +19,10 @@ is re-associated):
   earliest-free replica first, one record at a time;
 * :func:`binned_records` ... :func:`step5_bytes` -- the whole-run
   :class:`~repro.gbdt.workprofile.WorkProfile` reductions as per-tree loops
-  over ``profile.trees`` instead of stacked-array sums.
+  over ``profile.trees`` instead of stacked-array sums;
+* :func:`inference_work` -- batch-inference work measured by walking every
+  record through every tree again, instead of reading training's step-5
+  walk off the profile.
 
 They live here, not in ``src``: nothing in the package runs them.
 """
@@ -33,12 +36,13 @@ from typing import Callable
 
 import numpy as np
 
+from repro.datasets.encoding import BinnedDataset
 from repro.datasets.layout import RecordLayout
 from repro.gbdt import GBDTTrainer
 from repro.gbdt.histogram import Histogram, HistogramBuilder
 from repro.gbdt.split import SplitDecision, SplitSearcher, _no_split, leaf_weight
 from repro.gbdt.tree import Tree
-from repro.gbdt.workprofile import TreeWork, WorkProfile
+from repro.gbdt.workprofile import InferenceWork, TreeWork, WorkProfile
 from repro.memory import DRAMConfig, DRAMStats
 from repro.memory.address import AddressMapping
 from repro.serving.params import POLICIES, QUEUE_DISCIPLINES
@@ -53,6 +57,7 @@ __all__ = [
     "binned_records",
     "build_brute_force",
     "dram_run_oracle",
+    "inference_work",
     "partition_records",
     "simulate_oracle",
     "step1_bytes",
@@ -734,3 +739,44 @@ def step5_bytes(profile: WorkProfile, layout: RecordLayout, column_format: bool)
         total += 2.0 * layout.stats_bytes_sequential(n)  # g/h read + write
         total += float(layout.pointer_bytes(n))  # ground-truth labels
     return total
+
+
+def inference_work(
+    trees: list[Tree], data: BinnedDataset, n_trees_target: int | None = None
+) -> InferenceWork:
+    """``WorkProfile.inference_work`` by walking ``data`` through ``trees``."""
+    if not trees:
+        raise ValueError("ensemble needs at least one tree")
+    codes = data.codes
+    sum_len = 0.0
+    sq_sum = 0.0
+    count = 0
+    max_depth = 0
+    nodes = 0
+    table_bytes = 0.0
+    for t in trees:
+        _, depths = t.predict(codes, return_depth=True)
+        sum_len += float(depths.sum())
+        sq_sum += float(np.square(depths, dtype=np.float64).sum())
+        count += int(depths.size)
+        max_depth = max(max_depth, t.max_depth)
+        nodes += t.n_nodes
+        table_bytes += t.node_table().table_bytes()
+
+    measured_trees = len(trees)
+    target = measured_trees if n_trees_target is None else n_trees_target
+    scale = target / measured_trees
+    mean_len = sum_len / count if count else 0.0
+    var = max(sq_sum / count - mean_len * mean_len, 0.0) if count else 0.0
+    cv = float(np.sqrt(var) / mean_len) if mean_len > 0 else 0.0
+    return InferenceWork(
+        spec=data.spec,
+        n_records=codes.shape[0],
+        n_trees=target,
+        max_depth=max_depth,
+        mean_path_len=mean_len,
+        sum_path_len=sum_len * scale,
+        path_len_cv=cv,
+        mean_tree_nodes=nodes / measured_trees,
+        table_bytes_total=table_bytes * scale,
+    )

@@ -22,6 +22,7 @@ from repro.experiments import (
     SweepResult,
     SweepRunner,
     apply_axis,
+    benchmark_dataset,
     expand_axes,
     lease_name,
     parse_axis_specs,
@@ -856,13 +857,17 @@ class TestExecutorFacade:
         executor.train_result("mq2008")
         assert executor._cache.hits == hits_before + 1
 
-    def test_inference_reuses_training_dataset(self, tmp_path, monkeypatch):
-        """Regression: Executor.inference used to regenerate the dataset."""
+    def test_inference_and_serve_generate_no_dataset(self, tmp_path, monkeypatch):
+        """Inference and serving are priced from the training profile: once
+        training is done, neither generates a dataset -- not even through
+        the process-wide memo, which is cleared here."""
         from repro.experiments import pipeline
+        from repro.serving import ServingParams
         from repro.sim import Executor
 
         executor = Executor.from_scenario(TINY, cache=ProfileCache(root=tmp_path))
         executor.train_result("mq2008")
+        pipeline._DATASET_MEMO.clear()
         generations = []
         real_generate = pipeline.generate
         monkeypatch.setattr(
@@ -871,18 +876,26 @@ class TestExecutorFacade:
             lambda spec: generations.append(spec) or real_generate(spec),
         )
         executor.inference("mq2008", n_trees=4)
-        assert generations == []  # served by the process-wide dataset memo
+        executor.serve("mq2008", serving=ServingParams(qps=100.0, duration_s=0.2))
+        assert generations == []
 
-    def test_inference_does_not_mutate_work(self, tmp_path):
-        """Regression: the paper-scaling used to mutate InferenceWork in place."""
-        from repro.gbdt import EnsemblePredictor
+    def test_inference_rejects_zero_trees(self, tmp_path):
+        """Regression: ``n_trees=0`` used to price the measured tree count."""
         from repro.sim import Executor
 
         executor = Executor.from_scenario(TINY, cache=ProfileCache(root=tmp_path))
+        with pytest.raises(ValueError, match="n_trees_target"):
+            executor.inference("mq2008", n_trees=0)
+
+    def test_inference_does_not_mutate_work(self, tmp_path):
+        """Regression: the paper-scaling used to mutate InferenceWork in place."""
+        from repro.sim import Executor
+        from tests.oracles import inference_work
+
+        executor = Executor.from_scenario(TINY, cache=ProfileCache(root=tmp_path))
         result = executor.train_result("mq2008")
-        data = executor.dataset("mq2008")
-        predictor = EnsemblePredictor(result.trees, result.base_margin, result.loss)
-        work = predictor.inference_work(data, n_trees_target=4)
+        data = benchmark_dataset("mq2008", TINY.sim_records, TINY.seed)
+        work = inference_work(result.trees, data, n_trees_target=4)
         before = (work.n_records, work.sum_path_len, work.spec.n_records)
         first = executor.inference("mq2008", n_trees=4)
         second = executor.inference("mq2008", n_trees=4)
@@ -890,14 +903,11 @@ class TestExecutorFacade:
         assert first.seconds == second.seconds
 
     def test_inference_scaled_copy(self):
-        from repro.gbdt import EnsemblePredictor
+        from tests.oracles import inference_work
 
         result = train_scenario(TINY, ProfileCache(root=None))
-        from repro.experiments import benchmark_dataset
-
         data = benchmark_dataset("mq2008", 500)
-        predictor = EnsemblePredictor(result.trees, result.base_margin, result.loss)
-        work = predictor.inference_work(data, n_trees_target=4)
+        work = inference_work(result.trees, data, n_trees_target=4)
         scaled = work.scaled(10.0)
         assert scaled is not work
         assert scaled.n_records == work.n_records * 10

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gbdt import EnsemblePredictor
 from repro.sim.executor import PAPER_TREES
 
 DATASET = "mq2008"
@@ -22,10 +21,7 @@ SCALE = 3.0
 
 def _paper_work(executor, dataset, n_trees=PAPER_TREES):
     """The unscaled inference work exactly as the executor derives it."""
-    result = executor.train_result(dataset)
-    data = executor.dataset(dataset)
-    predictor = EnsemblePredictor(result.trees, result.base_margin, result.loss)
-    return predictor.inference_work(data, n_trees_target=n_trees)
+    return executor.train_result(dataset).profile.inference_work(n_trees)
 
 
 class TestInferenceComposition:

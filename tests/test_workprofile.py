@@ -1,10 +1,14 @@
 """Tests for work profiles and their extrapolation (repro.gbdt.workprofile)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.datasets import RecordLayout
-from repro.gbdt import EnsemblePredictor
+from repro.datasets import BENCHMARK_NAMES, RecordLayout
+from repro.experiments import benchmark_dataset
+from repro.gbdt import EnsemblePredictor, TrainParams, WorkProfile, train
+from tests import oracles
 
 
 class TestAggregates:
@@ -135,15 +139,13 @@ class TestHotAccessFraction:
 
 
 class TestInferenceWork:
-    def test_padded_vs_actual_hops(self, trained, small_data):
-        pred = EnsemblePredictor(trained.trees, trained.base_margin, trained.loss)
-        work = pred.inference_work(small_data)
+    def test_padded_vs_actual_hops(self, trained):
+        work = trained.profile.inference_work()
         assert work.total_hops_padded >= work.total_hops_actual
 
-    def test_tree_target_scaling(self, trained, small_data):
-        pred = EnsemblePredictor(trained.trees, trained.base_margin, trained.loss)
-        w1 = pred.inference_work(small_data)
-        w2 = pred.inference_work(small_data, n_trees_target=w1.n_trees * 10)
+    def test_tree_target_scaling(self, trained):
+        w1 = trained.profile.inference_work()
+        w2 = trained.profile.inference_work(w1.n_trees * 10)
         assert w2.sum_path_len == pytest.approx(10 * w1.sum_path_len)
         assert w2.mean_path_len == pytest.approx(w1.mean_path_len)
 
@@ -154,3 +156,46 @@ class TestInferenceWork:
     def test_empty_ensemble_rejected(self, trained):
         with pytest.raises(ValueError):
             EnsemblePredictor([], 0.0, trained.loss)
+        with pytest.raises(ValueError):
+            WorkProfile(spec=trained.profile.spec, trees=[]).inference_work()
+
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_tree_target_below_one_rejected(self, trained, target):
+        """Regression: ``n_trees_target or measured`` read 0 as "measured"."""
+        with pytest.raises(ValueError, match="n_trees_target"):
+            trained.profile.inference_work(target)
+
+    @pytest.mark.parametrize(
+        "copy",
+        [
+            lambda p: p.scaled(1.0),
+            lambda p: p.scaled(3.0),
+            lambda p: p.with_trees_scaled(12),
+            lambda p: p.scaled(3.0).with_trees_scaled(12),
+        ],
+        ids=["scaled-1x", "scaled-3x", "trees-scaled", "both"],
+    )
+    def test_extrapolated_profile_rejected(self, trained, copy):
+        """A scaled copy's totals are extrapolations, not a step-5 walk."""
+        with pytest.raises(ValueError, match="measured profile"):
+            copy(trained.profile).inference_work()
+
+
+_SHAPES = [(n_trees, depth) for n_trees in (1, 3, 6) for depth in (1, 3, 6)]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("dataset", BENCHMARK_NAMES)
+def test_profile_inference_work_matches_walk_oracle(dataset, seed):
+    """Reading step 5 off the profile equals walking the records again,
+    field for field and ``spec`` included, for stumps, one-tree ensembles
+    and every tree target."""
+    data = benchmark_dataset(dataset, 300, seed)
+    for n_trees, depth in _SHAPES:
+        result = train(data, TrainParams(n_trees=n_trees, max_depth=depth))
+        for target in (None, 1, n_trees, 500):
+            got = result.profile.inference_work(target)
+            want = oracles.inference_work(result.trees, data, target)
+            case = (dataset, seed, n_trees, depth, target)
+            assert got.spec == want.spec, case
+            assert dataclasses.asdict(got) == dataclasses.asdict(want), case
