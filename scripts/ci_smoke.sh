@@ -14,6 +14,8 @@
 #   4. work stealing over a remote store URL (repro store-serve + two
 #      workers sharing nothing but http://...; merge == full sweep, the
 #      served directory holds one done lease per scenario)
+#   5. warm start: a second process over the same store loads the DRAM
+#      calibration the first one stored (identical output, one entry)
 #
 # Everything lands under /tmp (*.jsonl manifests, *.log transcripts) so a
 # failing CI run can upload the lot as artifacts.
@@ -26,7 +28,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 SWEEP="python -m repro.cli sweep --serial --trees 2 --dataset mq2008 --axis max_depth=2,3 --systems ideal-32-core booster"
 
-echo "=== smoke 1/4: sweep interrupt + resume ==="
+echo "=== smoke 1/5: sweep interrupt + resume ==="
 $SWEEP --out /tmp/sweep.jsonl
 # Simulate an interrupted run: drop the manifest's second line.
 head -n 1 /tmp/sweep.jsonl > /tmp/sweep.partial && mv /tmp/sweep.partial /tmp/sweep.jsonl
@@ -37,7 +39,7 @@ grep -q 'resume: 1/2 scenarios already in' /tmp/resume.log
 grep -q '\[stored\]' /tmp/resume.log
 python -c 'import json; lines = [json.loads(l) for l in open("/tmp/sweep.jsonl")]; assert len(lines) == 2 and all(l["error"] is None for l in lines), lines; assert lines[1]["stored"] is True, "resumed scenario was re-simulated"'
 
-echo "=== smoke 2/4: work stealing over a shared lease directory ==="
+echo "=== smoke 2/5: work stealing over a shared lease directory ==="
 # Two workers drain ONE sweep through lease files in a shared directory.
 # A cold cache makes every scenario cost real training time, so both
 # workers reliably get to claim work (a warm store would let the first
@@ -61,7 +63,7 @@ python -m repro.cli sweep --serial --trees 2 --dataset mq2008 $STEAL_AXES --syst
 python -m repro.cli merge /tmp/steal-merged.jsonl /tmp/steal-w1.jsonl /tmp/steal-w2.jsonl
 python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/steal-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "steal-mode merge diverges from the full sweep"; leases = list(pathlib.Path("/tmp/steal-coord").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"steal-mode merge matches the full sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
 
-echo "=== smoke 3/4: serving sweep (latency tail under load) ==="
+echo "=== smoke 3/5: serving sweep (latency tail under load) ==="
 # records_per_request=20000 puts the ideal-32-core design point's serving
 # capacity at ~112 qps, so arrival_qps=100,400 straddles it: the cool row
 # is stationary, the hot row saturates and the tail diverges from the mean.
@@ -84,7 +86,7 @@ python -m repro.cli report --from-manifest /tmp/serve-mixed.jsonl | tee /tmp/ser
 grep -q 'p99 (ms)' /tmp/serve-report.log
 grep -q 'booster (ms)' /tmp/serve-report.log
 
-echo "=== smoke 4/4: work stealing over a remote store URL ==="
+echo "=== smoke 4/5: work stealing over a remote store URL ==="
 # The smoke-2 story again, but the workers share nothing except the URL
 # of a `repro store-serve` process: leases, the sweep descriptor, and
 # steal-status all travel over HTTP, and each worker keeps a private
@@ -116,5 +118,17 @@ grep -qF '0 stale lease(s) reclaimed' /tmp/remote-w2.log
 python -m repro.cli merge /tmp/remote-merged.jsonl /tmp/remote-w1.jsonl /tmp/remote-w2.jsonl
 python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/remote-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "remote-store merge diverges from the full sweep"; leases = list(pathlib.Path("/tmp/remote-store").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"remote-store merge matches the full sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
 kill "$SRV" && trap - EXIT
+
+echo "=== smoke 5/5: warm start loads the stored DRAM calibration ==="
+# The first compare trains and calibrates into a fresh store; the second
+# process loads both.  Output must not change, and the store must hold
+# exactly one calibration entry.
+export REPRO_CACHE_DIR=/tmp/repro-ci-warm-cache
+rm -rf /tmp/repro-ci-warm-cache
+python -m repro.cli compare mq2008 --trees 2 > /tmp/warm-1.log
+python -m repro.cli compare mq2008 --trees 2 > /tmp/warm-2.log
+cmp /tmp/warm-1.log /tmp/warm-2.log
+test "$(find /tmp/repro-ci-warm-cache -maxdepth 1 -name 'dram*.pkl' | wc -l)" -eq 1
+echo "warm start: identical output, one stored calibration"
 
 echo "all sweep smokes passed"

@@ -359,11 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser(
         "cache",
         help="export/import persistent store entries between hosts",
-        description="Copy store entries (trained-profile pickles and stored "
-        "results) between the local store and another store, so a warm "
-        "host can seed cold ones.  The other store is a directory (a "
-        "shared mount, or removable media for hosts with no network "
-        "path) or the URL of a `repro store-serve` store.",
+        description="Copy store entries (trained-profile pickles, the DRAM "
+        "calibration and stored results) between the local store and "
+        "another store, so a warm host can seed cold ones.  The other "
+        "store is a directory (a shared mount, or removable media for "
+        "hosts with no network path) or the URL of a `repro store-serve` "
+        "store.",
     )
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_cexp = cache_sub.add_parser(
@@ -1266,10 +1267,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     keys = None
     if args.axis:
         from .experiments import SWEEP_MODES, result_store_key
+        from .memory.profile import calibration_key
 
         try:
             _, scenarios = _expand_cli_scenarios(args)
-            keys = set()
+            # The DRAM calibration every executor loads from the store.
+            keys = {calibration_key()}
             for scenario in scenarios:
                 keys.add(scenario.train_key())
                 keys.update(result_store_key(scenario, mode) for mode in SWEEP_MODES)

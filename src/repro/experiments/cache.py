@@ -16,6 +16,9 @@ Both are :class:`KeyedStore` instances sharing one store *location* --
 ``results/cache/`` by default, overridable with ``$REPRO_CACHE_DIR``,
 which may now also be an ``http://`` URL served by ``repro store-serve``:
 ``<train_key>.pkl`` pickles next to ``<cache_key>.json`` result files.
+The :class:`ProfileCache` also keeps the DRAM calibration
+(:func:`repro.memory.profile.bandwidth_profile` with ``store=``), one
+``dram<hash>.pkl`` entry per store.
 Storage is pluggable (:mod:`repro.experiments.backend`): a directory
 opens a :class:`~repro.experiments.backend.LocalBackend` (byte-identical
 to the pre-backend layout), a URL opens an

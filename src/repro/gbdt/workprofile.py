@@ -11,7 +11,7 @@ timed on *identical* work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -95,6 +95,30 @@ class _StackedWork:
     def split_fields(self) -> np.ndarray:
         """Predicate field of each split node, all trees."""
         return self.split_field[self.is_split]
+
+    def cycled(self, n_trees: int, relevant_per_tree: list[int]) -> "_StackedWork":
+        """The stack of ``n_trees`` trees replicated cyclically from these.
+
+        Equal, dtype included, to concatenating the replicated trees'
+        arrays: ``n_trees // T`` full cycles tile every array, then the
+        first ``n_trees % T`` trees' slice follows.  ``relevant_per_tree``
+        holds each base tree's relevant-field count, which places the
+        ``relevant_fields`` cut.
+        """
+        full, rest = divmod(n_trees, self.n_nodes.size)
+        node_cut = int(self.n_nodes[:rest].sum())
+        cuts = {
+            "relevant_fields": sum(relevant_per_tree[:rest]),
+            "sum_path_len": rest,
+            "max_depth": rest,
+            "n_nodes": rest,
+        }
+
+        def cycle(name: str) -> np.ndarray:
+            a = getattr(self, name)
+            return np.concatenate([np.tile(a, full), a[: cuts.get(name, node_cut)]])
+
+        return _StackedWork(**{f.name: cycle(f.name) for f in fields(self)})
 
 
 @dataclass
@@ -219,7 +243,7 @@ class WorkProfile:
         if not self.trees:
             return self
         reps = [self.trees[i % len(self.trees)] for i in range(n_trees_target)]
-        return WorkProfile(
+        out = WorkProfile(
             spec=self.spec,
             trees=reps,
             warp_conflict_factor=self.warp_conflict_factor,
@@ -230,6 +254,10 @@ class WorkProfile:
             root_bin_counts=self.root_bin_counts,
             measured=False,
         )
+        # Tile this profile's stack instead of re-concatenating every copy.
+        relevant = [t.n_relevant_fields for t in self.trees]
+        out._stacked = self.stacked.cycled(n_trees_target, relevant)
+        return out
 
     # -- structural shortcuts -----------------------------------------------------
 

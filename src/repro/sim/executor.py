@@ -104,7 +104,8 @@ class Executor:
         else:
             self.sim_trees = self.train_params.n_trees
         self._cache = self.cache if self.cache is not None else default_cache()
-        self._bandwidth: BandwidthProfile = bandwidth_profile()
+        # One calibration per store: a warm store hands it to every process.
+        self._bandwidth: BandwidthProfile = bandwidth_profile(store=self._cache)
         self._models = self._build_models()
         #: Provenance of the most recent train_result call: True = cache hit,
         #: False = this executor trained, None = no training requested yet.

@@ -712,19 +712,53 @@ class TestCommands:
         assert main(["cache", "export", str(archive)]) == 2
         assert "not a store directory" in capsys.readouterr().err
 
-    def test_cache_export_unfiltered_and_bad_axis(self, capsys, monkeypatch, tmp_path):
+    def test_cache_export_carries_calibration(self, capsys, monkeypatch, tmp_path):
+        """A sweep-filtered export carries the DRAM calibration, so the host
+        that imports it neither trains nor calibrates."""
         import repro.experiments.cache as cache_mod
+        import repro.memory.profile as profile_mod
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "warm"))
         monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
+        monkeypatch.setattr(profile_mod, "_CACHE", {})
+        compare = ["compare", "mq2008", "--trees", "2"]
+        assert main(compare) == 0
+        warm_out = capsys.readouterr().out
+        media = tmp_path / "media"
+        argv = ["cache", "export", str(media), "--trees", "2", "--dataset", "mq2008"]
+        assert main(argv + ["--axis", "seed=7"]) == 0
+        assert (media / f"{profile_mod.calibration_key()}.pkl").is_file()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cold"))
+        monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
+        assert main(["cache", "import", str(media)]) == 0
+        capsys.readouterr()
+
+        def boom(*a, **k):
+            raise AssertionError("recalibrated or retrained")
+
+        monkeypatch.setattr(profile_mod, "_CACHE", {})
+        monkeypatch.setattr("repro.memory.dram.DRAMSimulator.run_many", boom)
+        monkeypatch.setattr("repro.experiments.pipeline.train", boom)
+        assert main(compare) == 0
+        assert capsys.readouterr().out == warm_out
+
+    def test_cache_export_unfiltered_and_bad_axis(self, capsys, monkeypatch, tmp_path):
+        import repro.experiments.cache as cache_mod
+        import repro.memory.profile as profile_mod
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "warm"))
+        monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
+        # An empty memo makes the sweep calibrate and store the profile.
+        monkeypatch.setattr(profile_mod, "_CACHE", {})
         assert main(self.SWEEP_ARGV) == 0
         capsys.readouterr()
         media = tmp_path / "all"
         assert main(["cache", "export", str(media)]) == 0
         names = [p.name for p in media.iterdir()]
-        # One trained profile (max_depth is a train axis: two artifacts)
-        # plus two stored results.
-        assert sum(n.endswith(".pkl") for n in names) == 2
+        # Two trained profiles (max_depth is a train axis), the DRAM
+        # calibration, and two stored results.
+        assert f"{profile_mod.calibration_key()}.pkl" in names
+        assert sum(n.endswith(".pkl") for n in names) == 3
         assert sum(n.endswith(".json") for n in names) == 2
         assert main(["cache", "export", str(media), "--axis", "bogus=1"]) == 2
         assert "unknown sweep axis" in capsys.readouterr().err

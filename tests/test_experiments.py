@@ -846,6 +846,28 @@ class TestExecutorFacade:
         assert executor.costs.pcie_gbps == 32.0
         assert executor.sim_trees == scenario.train.n_trees
 
+    @pytest.mark.parametrize("remote", [False, True], ids=["directory", "url"])
+    def test_warm_store_skips_calibration(self, tmp_path, monkeypatch, served_url, remote):
+        """An executor in a fresh process (empty memo) over a warm store --
+        a directory or a `repro store-serve` URL -- loads the DRAM
+        calibration instead of simulating it."""
+        import pickle
+
+        import repro.memory.profile as profile_mod
+        from repro.memory.dram import DRAMSimulator
+        from repro.sim import Executor
+
+        root = served_url if remote else tmp_path / "store"
+        monkeypatch.setattr(profile_mod, "_CACHE", {})
+        cold = Executor.from_scenario(TINY, cache=ProfileCache(root=root))
+        monkeypatch.setattr(profile_mod, "_CACHE", {})
+        runs = []
+        monkeypatch.setattr(DRAMSimulator, "run_many", lambda *a, **k: runs.append(a))
+        warm = Executor.from_scenario(TINY, cache=ProfileCache(root=root))
+        assert runs == []
+        assert warm.bandwidth is not cold.bandwidth
+        assert pickle.dumps(warm.bandwidth) == pickle.dumps(cold.bandwidth)
+
     def test_executor_shares_sweep_artifacts(self, tmp_path):
         """The facade and the sweep runner hit the same persistent cache."""
         from repro.sim import Executor

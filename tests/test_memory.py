@@ -1,5 +1,8 @@
 """Tests for the cycle-level DRAM substrate (repro.memory)."""
 
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,8 @@ from repro.memory import (
     sequential,
     strided,
 )
+from repro.memory import profile as profile_mod
+from repro.memory.profile import BandwidthProfile, calibration_key
 
 
 class TestConfig:
@@ -222,3 +227,78 @@ class TestBandwidthProfile:
 
     def test_zero_bytes(self, bw_profile):
         assert bw_profile.seconds_for_bytes(0.0) == 0.0
+
+
+#: A short calibration trace: the store logic does not depend on its length.
+_SHORT = 2_000
+
+
+def _assert_same_profile(a, b):
+    """Field-by-field equality, value types and array dtypes included."""
+    for f in fields(BandwidthProfile):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(x) is type(y), f.name
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestStoredCalibration:
+    """``bandwidth_profile(store=...)``: one calibration per store."""
+
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        """Empty the in-process memo and count ``run_many`` calls."""
+        monkeypatch.setattr(profile_mod, "_CACHE", {})
+        calls = []
+        real = DRAMSimulator.run_many
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DRAMSimulator, "run_many", counted)
+        return calls
+
+    def test_key_covers_config_window_blocks_and_source(self, monkeypatch):
+        base = calibration_key()
+        assert base == calibration_key(DRAMConfig(), 16, 24_000)
+        assert base.startswith("dram")
+        others = {
+            calibration_key(DRAMConfig(n_channels=12)),
+            calibration_key(DRAMConfig(t_cas=13)),
+            calibration_key(DRAMConfig(clock_ghz=2.0)),
+            calibration_key(window=8),
+            calibration_key(n_blocks=_SHORT),
+        }
+        assert len(others) == 5 and base not in others
+        monkeypatch.setattr(profile_mod, "_source_digest", lambda: "edited dram model")
+        assert calibration_key() not in others | {base}
+
+    def test_loaded_profile_equals_fresh_calibration(self, tmp_path, runs):
+        from repro.experiments.cache import ProfileCache
+
+        fresh = bandwidth_profile(n_blocks=_SHORT, store=ProfileCache(root=tmp_path))
+        assert (tmp_path / f"{calibration_key(n_blocks=_SHORT)}.pkl").is_file()
+        profile_mod._CACHE.clear()
+        loaded = bandwidth_profile(n_blocks=_SHORT, store=ProfileCache(root=tmp_path))
+        assert len(runs) == 1
+        assert loaded is not fresh
+        _assert_same_profile(loaded, fresh)
+        # Later store-less calls read the memo the store lookup filled.
+        assert bandwidth_profile(n_blocks=_SHORT) is loaded
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign"])
+    def test_corrupt_entry_is_a_miss_and_rewritten(self, tmp_path, runs, damage):
+        from repro.experiments.cache import ProfileCache
+
+        bandwidth_profile(n_blocks=_SHORT, store=ProfileCache(root=tmp_path))
+        entry = tmp_path / f"{calibration_key(n_blocks=_SHORT)}.pkl"
+        good = entry.read_bytes()
+        bad = good[: len(good) // 2] if damage == "truncated" else pickle.dumps({"not": 1})
+        entry.write_bytes(bad)
+        profile_mod._CACHE.clear()
+        bandwidth_profile(n_blocks=_SHORT, store=ProfileCache(root=tmp_path))
+        assert len(runs) == 2
+        assert entry.read_bytes() == good

@@ -117,6 +117,21 @@ class TestScaling:
         same = p.with_trees_scaled(p.n_trees)
         assert same.binned_records() == p.binned_records()
 
+    @pytest.mark.parametrize("dataset", ["mq2008", "flight"])
+    def test_replicated_stack_equals_concatenation(self, dataset):
+        """A replicated copy's stack is tiled from the base profile's; it
+        must equal concatenating the replicated trees, dtypes included."""
+        data = benchmark_dataset(dataset, 400, 7)
+        base = train(data, TrainParams(n_trees=5, max_depth=4)).profile.scaled(10.0)
+        t = base.n_trees
+        for target in (1, t - 1, t, t + 1, 500):
+            tiled = base.with_trees_scaled(target)
+            concatenated = WorkProfile(spec=tiled.spec, trees=tiled.trees).stacked
+            for f in dataclasses.fields(concatenated):
+                got, want = getattr(tiled.stacked, f.name), getattr(concatenated, f.name)
+                assert got.dtype == want.dtype, (target, f.name)
+                assert np.array_equal(got, want), (target, f.name)
+
 
 class TestHotAccessFraction:
     def test_full_cache_hits_everything(self, trained):
