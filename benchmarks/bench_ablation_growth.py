@@ -21,8 +21,8 @@ from repro.sim.report import render_table
 def test_ablation_growth_strategy(benchmark, executor, emit):
     engines = {
         growth: BoosterEngine(
-            config=executor.booster_config,
-            costs=executor.costs,
+            config=executor.scenario.booster,
+            costs=executor.scenario.costs(),
             bandwidth=executor.bandwidth,
             growth=growth,
         )

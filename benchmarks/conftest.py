@@ -30,7 +30,7 @@ BENCH_SCENARIO = ScenarioSpec(train=TrainParams(n_trees=BENCH_TREES))
 
 @pytest.fixture(scope="session")
 def executor():
-    return Executor.from_scenario(BENCH_SCENARIO)
+    return Executor(BENCH_SCENARIO)
 
 
 @pytest.fixture(scope="session")

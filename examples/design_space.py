@@ -26,7 +26,7 @@ from repro.sim.report import render_table
 def main() -> None:
     dataset = sys.argv[1] if len(sys.argv) > 1 else "higgs"
     scenario = ScenarioSpec(dataset=dataset, train=TrainParams(n_trees=10))
-    executor = Executor.from_scenario(scenario)
+    executor = Executor(scenario)
     profile = executor.profile(dataset)
     baseline = executor.model("ideal-32-core").training_seconds(profile)
     area_model = AreaPowerModel()

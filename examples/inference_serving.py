@@ -19,7 +19,7 @@ from repro.sim.report import render_table
 
 
 def main() -> None:
-    executor = Executor.from_scenario(ScenarioSpec(train=TrainParams(n_trees=10)))
+    executor = Executor(ScenarioSpec(train=TrainParams(n_trees=10)))
 
     print("== Batch inference: one chip, 500 trees ==\n")
     rows = []

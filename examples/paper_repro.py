@@ -24,7 +24,7 @@ def main() -> None:
     unknown = [w for w in wanted if w not in ARTIFACTS]
     if unknown:
         raise SystemExit(f"unknown artifacts {unknown}; choose from {sorted(ARTIFACTS)}")
-    executor = Executor.from_scenario(ScenarioSpec(train=TrainParams(n_trees=10)))
+    executor = Executor(ScenarioSpec(train=TrainParams(n_trees=10)))
     print(build_all(executor, wanted))
 
 

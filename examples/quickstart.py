@@ -27,10 +27,10 @@ def main() -> None:
     dataset = sys.argv[1] if len(sys.argv) > 1 else "higgs"
     print(f"== Booster reproduction quickstart: {dataset} ==\n")
 
-    # Declare the experiment once; the executor facade runs it.  Training is
+    # Declare the experiment once; the executor runs it.  Training is
     # served from the persistent profile cache on repeat runs.
     scenario = ScenarioSpec(dataset=dataset, train=TrainParams(n_trees=10))
-    executor = Executor.from_scenario(scenario)
+    executor = Executor(scenario)
 
     result = executor.train_result(dataset)
     summary = result.profile.summary()

@@ -15,7 +15,9 @@
 #      workers sharing nothing but http://...; merge == full sweep, the
 #      served directory holds one done lease per scenario)
 #   5. warm start: a second process over the same store loads the DRAM
-#      calibration the first one stored (identical output, one entry)
+#      calibration the first one stored (identical output, one entry),
+#      and a sweep over the same flags reuses the direct command's
+#      training artifact (cache hit, nothing trained)
 #
 # Everything lands under /tmp (*.jsonl manifests, *.log transcripts) so a
 # failing CI run can upload the lot as artifacts.
@@ -119,16 +121,26 @@ python -m repro.cli merge /tmp/remote-merged.jsonl /tmp/remote-w1.jsonl /tmp/rem
 python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/remote-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "remote-store merge diverges from the full sweep"; leases = list(pathlib.Path("/tmp/remote-store").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"remote-store merge matches the full sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
 kill "$SRV" && trap - EXIT
 
-echo "=== smoke 5/5: warm start loads the stored DRAM calibration ==="
+echo "=== smoke 5/5: warm start loads the stored DRAM calibration and training ==="
 # The first compare trains and calibrates into a fresh store; the second
 # process loads both.  Output must not change, and the store must hold
-# exactly one calibration entry.
+# exactly one calibration entry.  A sweep over the same flags then builds
+# the same ScenarioSpec as the direct command, so it reuses that training
+# artifact instead of training again.
 export REPRO_CACHE_DIR=/tmp/repro-ci-warm-cache
 rm -rf /tmp/repro-ci-warm-cache
 python -m repro.cli compare mq2008 --trees 2 > /tmp/warm-1.log
 python -m repro.cli compare mq2008 --trees 2 > /tmp/warm-2.log
 cmp /tmp/warm-1.log /tmp/warm-2.log
 test "$(find /tmp/repro-ci-warm-cache -maxdepth 1 -name 'dram*.pkl' | wc -l)" -eq 1
-echo "warm start: identical output, one stored calibration"
+python -m repro.cli sweep --serial --trees 2 --dataset mq2008 --axis seed=7 \
+  --systems ideal-32-core booster > /tmp/warm-sweep.log
+cat /tmp/warm-sweep.log
+grep -q "\[cache hit\]" /tmp/warm-sweep.log
+if grep -q "\[trained\]" /tmp/warm-sweep.log; then
+  echo "sweep retrained what the direct compare trained" >&2
+  exit 1
+fi
+echo "warm start: identical output, one stored calibration, sweep reuses the training"
 
 echo "all sweep smokes passed"

@@ -28,7 +28,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # annotation-only: commands lazy-import the heavy layers
     from .experiments import ScenarioSpec, SweepResult
@@ -456,21 +456,28 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scenario(args: argparse.Namespace) -> "ScenarioSpec":
+    """The run configuration every command builds from ``--seed/--trees``."""
+    from .experiments import ScenarioSpec
+
+    return ScenarioSpec(seed=args.seed, train=TrainParams(n_trees=args.trees))
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
-    ex = Executor(sim_trees=args.trees, seed=args.seed)
+    ex = Executor(_scenario(args))
     cmp = ex.compare(args.dataset, systems=args.systems, extra_scale=args.scale)
     print(cmp.table())
     return 0
 
 
 def _cmd_inference(args: argparse.Namespace) -> int:
-    ex = Executor(sim_trees=args.trees, seed=args.seed)
+    ex = Executor(_scenario(args))
     print(ex.inference(args.dataset).table())
     return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    ex = Executor(sim_trees=args.trees, seed=args.seed)
+    ex = Executor(_scenario(args))
     names = args.names or list(ARTIFACTS)
     for name in names:
         try:
@@ -502,125 +509,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 2
     return _cmd_sweep_design_space(args)
-
-
-def _resumable_results(
-    path: pathlib.Path, mode: str = "compare"
-) -> "dict[str, SweepResult]":
-    """Parse a JSONL sweep manifest into ``(cache_key, SweepResult)`` pairs
-    that are safe to resume from.
-
-    Corrupt/partial lines are skipped (an interrupted run can leave a
-    truncated final line; tolerating it is what makes ``--resume`` safe
-    after any kind of crash), and so are failed results, lines of a
-    different *known* sweep kind (a compare manifest cannot resume an
-    inference sweep), and lines whose recorded ``sim_code`` does not match
-    the running simulation source -- replaying a pre-edit timing as
-    current would silently mix stale rows into the sweep.  Skipped
-    scenarios simply re-run.
-
-    A well-formed line of an *unknown* kind is different: it was written
-    by a newer repro, and silently dropping it would quietly re-run (and
-    re-append) work the manifest already holds.  That raises
-    :class:`ValueError` instead -- forward compatibility fails loudly.
-    """
-    from .experiments import SWEEP_MODES, SweepResult, sim_fingerprint
-
-    payload_fields = {"compare": "comparison", "inference": "inference", "serving": "serving"}
-    payload_field = payload_fields[mode]
-    pairs = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            d = json.loads(line)
-        except Exception:
-            continue
-        if not isinstance(d, dict) or "scenario" not in d:
-            continue
-        kind = d.get("kind", "compare")
-        if kind not in SWEEP_MODES:
-            raise ValueError(
-                f"manifest {path} contains result lines of unknown sweep "
-                f"kind {kind!r} (written by a newer repro?); refusing to "
-                "--resume -- upgrade repro or resume with a manifest this "
-                "version understands"
-            )
-        try:
-            if kind != mode:
-                continue
-            if d.get("error") is not None or d.get(payload_field) is None:
-                continue
-            if d.get("sim_code") != sim_fingerprint():
-                continue
-            result = SweepResult.from_dict(d)
-            key = d.get("cache_key") or result.scenario.cache_key()
-        except Exception:
-            continue
-        pairs.append((key, result))
-    return pairs
-
-
-def _manifest_entries(
-    path: pathlib.Path,
-) -> "tuple[list[tuple[dict, SweepResult]], int]":
-    """Every parseable ``SweepResult`` line of a manifest (errors included).
-
-    Returns ``(entries, skipped)`` where ``entries`` are ``(raw_dict,
-    SweepResult)`` pairs in file order and ``skipped`` counts corrupt or
-    partial lines (tolerated, as everywhere else manifests are read).
-    """
-    from .experiments import SweepResult
-
-    entries, skipped = [], 0
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            d = json.loads(line)
-            entries.append((d, SweepResult.from_dict(d)))
-        except Exception:
-            skipped += 1
-    return entries, skipped
-
-
-def _line_is_success(d: dict) -> bool:
-    payload = d.get("comparison")
-    if payload is None:
-        payload = d.get("inference")
-    if payload is None:
-        payload = d.get("serving")
-    return d.get("error") is None and payload is not None
-
-
-def _dedupe_manifest_lines(
-    pairs: "Iterable[tuple[dict, SweepResult]]",
-) -> "dict[tuple[str, str], dict]":
-    """Collapse manifest lines to one winner per ``(kind, cache_key)``.
-
-    Manifests append chronologically (``--resume`` re-runs are written
-    after the lines they supersede), so later lines win -- except an error
-    line never replaces a success.  Across files the same rule applies in
-    input order: list the freshest manifest last.  The two sweep kinds
-    never collapse into each other (they are different measurements of the
-    same scenario, not retries).  Returns ``(winners, order, collapsed)``
-    where ``order`` is first-appearance order of the surviving keys.
-    """
-    best: dict[tuple, dict] = {}
-    order: list[tuple] = []
-    collapsed = 0
-    for key, d in pairs:
-        key = (d.get("kind", "compare"), key)
-        if key not in best:
-            best[key] = d
-            order.append(key)
-            continue
-        collapsed += 1
-        if _line_is_success(d) or not _line_is_success(best[key]):
-            best[key] = d
-    return best, order, collapsed
 
 
 def _provenance(result: "SweepResult") -> str:
@@ -723,6 +611,19 @@ def _infer_axes(scenarios: "Sequence[ScenarioSpec]") -> list[str]:
     return varying or ["dataset"]
 
 
+def _axis_cells(scenario: "ScenarioSpec", names: Sequence[str]) -> list[str]:
+    """One table cell per axis of ``scenario``."""
+    from .experiments import read_axis
+
+    cells = []
+    for name in names:
+        try:
+            cells.append(str(read_axis(scenario, name)))
+        except Exception:
+            cells.append("?")  # e.g. records of an unknown dataset
+    return cells
+
+
 def _expand_cli_scenarios(
     args: argparse.Namespace,
 ) -> "tuple[dict[str, list], list[ScenarioSpec]]":
@@ -732,8 +633,9 @@ def _expand_cli_scenarios(
     raises ``ValueError``/``KeyError`` with a printable message, so the
     two commands cannot drift in what they accept.
     """
-    from .experiments import ScenarioSpec, ServingParams, expand_axes, parse_axis_specs
-    from .gbdt import TrainParams
+    from dataclasses import replace
+
+    from .experiments import ServingParams, expand_axes, parse_axis_specs
     from .sim.executor import MODEL_NAMES
 
     unknown_systems = [s for s in (args.systems or []) if s not in MODEL_NAMES]
@@ -761,10 +663,9 @@ def _expand_cli_scenarios(
             # file on another host keys identically, an edited file misses.
             kwargs.update(arrival="trace", trace_path=trace, trace_sha=trace_digest(trace))
         serving = ServingParams(**kwargs)
-    base = ScenarioSpec(
+    base = replace(
+        _scenario(args),
         dataset=args.dataset,
-        seed=args.seed,
-        train=TrainParams(n_trees=args.trees),
         systems=tuple(args.systems) if args.systems else (),
         serving=serving,
     )
@@ -781,10 +682,10 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
         ResultStore,
         SweepRunner,
         default_cache,
-        read_axis,
         result_store_key,
         scenario_key,
     )
+    from .experiments import manifest as manifests
 
     if args.serve and args.inference:
         print(
@@ -854,7 +755,7 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
     if args.resume and manifest is not None and manifest.exists():
         by_key: dict[str, list] = {}
         try:
-            resumable = _resumable_results(manifest, mode)
+            resumable = manifests.resumable(manifest, mode)
         except ValueError as exc:
             # e.g. the manifest holds rows of a sweep kind this version
             # does not know; dropping them would silently redo that work.
@@ -884,17 +785,8 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
             f"{manifest}; running the remaining {len(scenarios) - len(resumed)}"
         )
 
-    def axis_cells(scenario: "ScenarioSpec") -> list[str]:
-        cells = []
-        for name in axis_names:
-            try:
-                cells.append(str(read_axis(scenario, name)))
-            except Exception:
-                cells.append("?")  # e.g. records of an unknown dataset
-        return cells
-
     def to_row(result: "SweepResult") -> list[str]:
-        return axis_cells(result.scenario) + _metric_cells(result) + [
+        return _axis_cells(result.scenario, axis_names) + _metric_cells(result) + [
             _provenance(result),
             str(result.worker_pid),
         ]
@@ -940,7 +832,7 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
         if manifest_fh is not None:
             manifest_fh.write(json.dumps(result.to_dict()) + "\n")
             manifest_fh.flush()
-        cells = "x".join(axis_cells(result.scenario))
+        cells = "x".join(_axis_cells(result.scenario, axis_names))
         if result.error is not None:
             failures += 1
             print(f"  FAILED {cells}: {result.error}")
@@ -1017,7 +909,7 @@ def _cmd_sweep_design_space(args: argparse.Namespace) -> int:
     from .core import BoosterConfig, BoosterEngine
     from .energy import AreaPowerModel
 
-    ex = Executor(sim_trees=args.trees, seed=args.seed)
+    ex = Executor(_scenario(args))
     profile = ex.profile(args.dataset)
     baseline = ex.model("ideal-32-core").training_seconds(profile)
     area = AreaPowerModel()
@@ -1049,16 +941,16 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     """Union sweep manifests into one manifest (pure file work).
 
     Lines are deduped by scenario ``cache_key`` with later-lines-supersede
-    semantics (see :func:`_dedupe_manifest_lines`): a ``--resume``-healed
-    failure or a re-run under edited simulation source survives as its
-    freshest line only.  After deduping, the surviving lines must agree on
+    semantics (see :func:`repro.experiments.manifest.latest`): a
+    ``--resume``-healed failure or a re-run under edited simulation source
+    survives as its freshest line only.  After deduping, the surviving lines must agree on
     ``sim_code``; mixed winners are rejected -- unioning them would
     silently mix stale rows into one table.  Mixed sweep *kinds* merge
     fine: lines dedupe per ``(kind, cache_key)``, so one manifest can hold
     the compare, inference, and serving measurements of the same sweep
     side by side (``repro report`` renders one table per kind).
     """
-    from .experiments import scenario_key
+    from .experiments import manifest as manifests
 
     inputs = [pathlib.Path(p) for p in args.inputs]
     missing = [str(p) for p in inputs if not p.exists()]
@@ -1066,38 +958,18 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         print(f"no such manifest(s): {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    pairs = []
+    lines: list[tuple[str, dict]] = []
     skipped = 0
     for path in inputs:
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except Exception:
-                skipped += 1  # corrupt / partial line: tolerated
-                continue
-            if not isinstance(d, dict) or "scenario" not in d:
-                skipped += 1
-                continue
-            key = d.get("cache_key")
-            if not isinstance(key, str):
-                try:
-                    from .experiments import SweepResult
-
-                    result = SweepResult.from_dict(d)  # pre-cache_key manifest
-                    key = scenario_key(result.scenario)
-                except Exception:
-                    skipped += 1
-                    continue
-            pairs.append((key, d))
-    best, order, collapsed = _dedupe_manifest_lines(pairs)
+        found, unparseable = manifests.read(path)
+        lines += found
+        skipped += unparseable
+    winners, collapsed = manifests.latest(lines)
     # Uniformity is judged on the WINNERS: superseded stale lines (e.g. a
     # worker resumed after a simulator edit re-ran everything and appended
     # fresh lines) must not poison an otherwise-consistent merge.
-    sim_codes = {best[key].get("sim_code") for key in order}
-    kinds = sorted({kind for kind, _ in order})
+    sim_codes = {d.get("sim_code") for d in winners}
+    kinds = sorted({d.get("kind", "compare") for d in winners})
     if len(sim_codes) > 1:
         print(
             "refusing to merge manifests recorded under different simulation "
@@ -1106,23 +978,23 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if not best:
+    if not winners:
         print("nothing to merge: no parseable result lines", file=sys.stderr)
         return 2
 
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
-        for key in order:
-            fh.write(json.dumps(best[key]) + "\n")
+        for d in winners:
+            fh.write(json.dumps(d) + "\n")
             # Flush per line, like the sweep writer: an interrupted merge
             # leaves a prefix of durable lines, never a buffered torso.
             fh.flush()
-    errors = sum(not _line_is_success(best[key]) for key in order)
+    errors = sum(not manifests.is_success(d) for d in winners)
     kinds_note = f", kinds: {'+'.join(kinds)}" if len(kinds) > 1 else ""
     print(
-        f"merged {len(inputs)} manifest(s) -> {out}: {len(order)} scenarios "
-        f"({len(order) - errors} ok, {errors} failed; "
+        f"merged {len(inputs)} manifest(s) -> {out}: {len(winners)} scenarios "
+        f"({len(winners) - errors} ok, {errors} failed; "
         f"{collapsed} duplicate line(s) dropped, {skipped} unparseable "
         f"line(s) skipped{kinds_note})"
     )
@@ -1136,24 +1008,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
     ``repro merge`` unioned them, and the report renders the merged rows
     without training or simulating anything.
     """
-    from .experiments import SweepResult, scenario_key
+    from .experiments import SweepResult
+    from .experiments import manifest as manifests
 
     path = pathlib.Path(args.from_manifest)
     if not path.exists():
         print(f"no such manifest: {path}", file=sys.stderr)
         return 2
-    raw_entries, skipped = _manifest_entries(path)
+    lines, skipped = manifests.read(path)
     # A resumed manifest appends healed/re-run lines after the ones they
     # supersede; render one row per scenario (the freshest), exactly as
     # merge would keep it.
-    pairs = []
-    for d, result in raw_entries:
-        key = d.get("cache_key")
-        if not isinstance(key, str):
-            key = scenario_key(result.scenario)
-        pairs.append((key, d))
-    best, order, collapsed = _dedupe_manifest_lines(pairs)
-    entries = [SweepResult.from_dict(best[key]) for key in order]
+    winners, collapsed = manifests.latest(lines)
+    entries = [SweepResult.from_dict(d) for d in winners]
     if not entries:
         print(f"no parseable result lines in {path}", file=sys.stderr)
         return 2
@@ -1165,7 +1032,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    from .experiments import read_axis
     from .sim.results import geomean
 
     # One table per sweep kind, in first-appearance order: a merged
@@ -1185,14 +1051,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         rows = []
         speedups = []
         for result in group:
-            cells = []
-            for name in axis_names:
-                try:
-                    cells.append(str(read_axis(result.scenario, name)))
-                except Exception:
-                    cells.append("?")
             rows.append(
-                cells
+                _axis_cells(result.scenario, axis_names)
                 + _metric_cells(result)
                 + [_duration_cell(result), _provenance(result), str(result.worker_pid)]
             )
@@ -1377,7 +1237,7 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .sim.validate import report, validate_all
 
-    ex = Executor(sim_trees=args.trees, seed=args.seed)
+    ex = Executor(_scenario(args))
     claims = validate_all(ex)
     print(report(claims))
     return 0 if all(c.passed for c in claims) else 1

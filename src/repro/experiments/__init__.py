@@ -15,6 +15,9 @@ design point x scale x systems) tuple -- a first-class object:
 * :class:`SweepRunner` -- cartesian-product sweep expansion over scenario
   axes, executed across a :mod:`concurrent.futures` process pool with
   results (including per-scenario failures) streamed as they complete;
+* :mod:`~repro.experiments.manifest` -- the one set of rules for reading
+  the JSONL manifests sweeps stream (``repro merge``, ``repro report`` and
+  ``repro sweep --resume`` all read through it);
 * :mod:`~repro.experiments.schedule` -- claim-order pricing: an analytic
   per-scenario cost estimator calibrated by the wall times recorded in
   the result store, so work-stealing workers claim the most expensive
@@ -32,8 +35,8 @@ design point x scale x systems) tuple -- a first-class object:
   (:mod:`~repro.experiments.store_server`), so caches, result stores, and
   lease pools work across hosts that share nothing but a URL.
 
-The classic :class:`repro.sim.Executor` is a thin facade over this layer;
-see ``docs/experiments.md`` for the full tour.
+The classic :class:`repro.sim.Executor` is a thin consumer of one
+:class:`ScenarioSpec`; see ``docs/experiments.md`` for the full tour.
 """
 
 from .backend import (
@@ -63,7 +66,7 @@ from .pipeline import (
     train_scenario,
     train_scenario_tracked,
 )
-from .scenario import DEFAULT_SYSTEMS, ScenarioSpec, ServingParams, cost_overrides_from
+from .scenario import DEFAULT_SYSTEMS, ScenarioSpec, ServingParams
 from .schedule import (
     cost_order,
     estimate_cost,
@@ -122,7 +125,6 @@ __all__ = [
     "clear_memory_caches",
     "copy_entries",
     "cost_order",
-    "cost_overrides_from",
     "default_cache",
     "default_cache_dir",
     "etag_of",

@@ -490,7 +490,7 @@ def run_scenario(
     executions are stored back for the next run, each mode under its own
     key namespace.
     """
-    from ..sim.executor import Executor  # lazy: sim.executor is a facade over us
+    from ..sim.executor import Executor  # lazy: sim.executor imports this layer
 
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; known: {list(SWEEP_MODES)}")
@@ -501,7 +501,7 @@ def run_scenario(
     if stored is not None:
         return stored
     start = time.perf_counter()
-    executor = Executor.from_scenario(scenario, cache=cache)
+    executor = Executor(scenario, cache=cache)
     comparison = inference = serving = None
     if mode == "inference":
         inference = executor.inference(
@@ -515,7 +515,6 @@ def run_scenario(
             serving=scenario.serving,
             systems=list(scenario.systems),
             extra_scale=scenario.extra_scale,
-            seed=scenario.seed,
         )
     else:
         comparison = executor.compare(

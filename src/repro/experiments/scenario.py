@@ -38,10 +38,10 @@ from ..gbdt.trainer import TrainParams
 from ..serving.params import ServingParams
 from ..sim.calibrate import DEFAULT_COSTS, CostModel
 
-__all__ = ["DEFAULT_SYSTEMS", "ScenarioSpec", "ServingParams", "cost_overrides_from"]
+__all__ = ["DEFAULT_SYSTEMS", "ScenarioSpec", "ServingParams"]
 
 #: Systems compared when a scenario does not name its own subset (the Fig. 7
-#: headline set, matching ``Executor.compare``'s default).
+#: headline set, also ``Executor.compare``'s default).
 DEFAULT_SYSTEMS = (
     "sequential",
     "ideal-32-core",
@@ -50,7 +50,8 @@ DEFAULT_SYSTEMS = (
     "booster",
 )
 
-#: Boosting rounds a scenario trains by default (matches the executor).
+#: Boosting rounds a scenario trains by default; per-tree work is homogeneous
+#: after the first rounds and all results are ratios.
 DEFAULT_SCENARIO_TREES = 20
 
 _COST_FIELD_NAMES = frozenset(f.name for f in dc_fields(CostModel))
@@ -62,16 +63,6 @@ def _canonical(payload: dict) -> str:
 
 def _digest(payload: dict, prefix: str) -> str:
     return prefix + hashlib.sha256(_canonical(payload).encode()).hexdigest()[:20]
-
-
-def cost_overrides_from(costs: CostModel) -> tuple[tuple[str, float], ...]:
-    """Overrides that rebuild ``costs`` from :data:`DEFAULT_COSTS` (diff form)."""
-    out = []
-    for f in dc_fields(CostModel):
-        value = getattr(costs, f.name)
-        if value != getattr(DEFAULT_COSTS, f.name):
-            out.append((f.name, value))
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ __all__ = [
     "ComparisonResult",
     "CostModel",
     "DEFAULT_COSTS",
-    "DEFAULT_SIM_TREES",
     "Executor",
     "InferenceResult",
     "PAPER_TREES",
@@ -24,7 +23,7 @@ __all__ = [
     "render_table",
 ]
 
-_LAZY = {"Executor", "quick_compare", "PAPER_TREES", "DEFAULT_SIM_TREES"}
+_LAZY = {"Executor", "quick_compare", "PAPER_TREES"}
 
 
 def __getattr__(name: str) -> object:

@@ -1,4 +1,4 @@
-"""End-to-end experiment executor: a facade over :mod:`repro.experiments`.
+"""End-to-end experiment executor: a thin consumer of one :class:`ScenarioSpec`.
 
 Pipeline per dataset (mirrors the paper's methodology, Sec. IV):
 
@@ -8,19 +8,20 @@ Pipeline per dataset (mirrors the paper's methodology, Sec. IV):
    count (500 trees) -- time models consume paper-scale work;
 4. evaluate every hardware model on the identical profile.
 
-The executor no longer owns the caching: functional training is served by
-the experiments layer's persistent :class:`ProfileCache` (``results/cache/``
-by default), keyed by a content hash covering the dataset identity and
-*every* training hyper-parameter, so identical configurations are never
-retrained -- not within a session, and not across sessions.  Declarative
-sweeps over executor configurations live in
-:class:`repro.experiments.SweepRunner`; ``Executor.from_scenario`` bridges
-the two worlds.
+``Executor(scenario, cache)`` reads everything configurational -- training
+parameters, seed, record count, Booster design point, cost overrides and
+the extrapolation mode -- from its scenario; the dataset is a per-call
+argument, so one executor (one DRAM calibration, one model registry)
+prices every benchmark.  Functional training is served by the experiments
+layer's persistent :class:`ProfileCache` (``results/cache/`` by default),
+keyed by the scenario's ``train_key()``, so the executor, ``repro
+sweep`` and :class:`repro.experiments.SweepRunner` share one trained
+artifact per configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any
 
 from ..baselines import (
@@ -33,12 +34,12 @@ from ..baselines import (
     SequentialCPU,
 )
 from ..baselines.base import StepTimes
-from ..core import BoosterConfig, BoosterEngine
+from ..core import BoosterEngine
 from ..datasets import BENCHMARK_NAMES
 from ..experiments.cache import ProfileCache, default_cache
 from ..experiments.pipeline import train_scenario_tracked
-from ..experiments.scenario import ScenarioSpec, cost_overrides_from
-from ..gbdt import TrainParams, TrainResult, WorkProfile
+from ..experiments.scenario import DEFAULT_SYSTEMS, ScenarioSpec
+from ..gbdt import TrainResult, WorkProfile
 from ..memory.profile import BandwidthProfile, bandwidth_profile
 from ..serving import (
     ServingParams,
@@ -48,7 +49,6 @@ from ..serving import (
     simulate,
     summarize,
 )
-from .calibrate import DEFAULT_COSTS, CostModel
 from .results import ComparisonResult, InferenceResult
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "MODEL_NAMES",
     "quick_compare",
     "PAPER_TREES",
-    "DEFAULT_SIM_TREES",
 ]
 
 #: The paper trains 500 trees of depth up to 6 per benchmark (Sec. IV).
@@ -75,34 +74,21 @@ MODEL_NAMES = (
     "booster-no-opts",
     "booster-group-by-field",
 )
-#: Boosting rounds actually executed by the functional simulator; per-tree
-#: work is homogeneous after the first rounds and all results are ratios.
-DEFAULT_SIM_TREES = 20
 
 
 @dataclass
 class Executor:
     """Runs the full dataset -> profile -> timing pipeline with caching.
 
-    ``train_params`` pins the full training configuration; when omitted it
-    defaults to ``TrainParams(n_trees=sim_trees)``.  ``cache`` selects the
-    artifact store (the shared persistent default when omitted).
+    ``scenario`` pins the whole configuration except the dataset, which
+    every method takes per call; ``cache`` selects the artifact store (the
+    shared persistent default when omitted).
     """
 
-    costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
-    booster_config: BoosterConfig = field(default_factory=BoosterConfig)
-    sim_records: int | None = None  # None => registry default (paper / 1000)
-    sim_trees: int = DEFAULT_SIM_TREES
-    seed: int = 7
-    scale_to_paper: bool = True
-    train_params: TrainParams | None = None
+    scenario: ScenarioSpec = ScenarioSpec()
     cache: ProfileCache | None = None
 
     def __post_init__(self) -> None:
-        if self.train_params is None:
-            self.train_params = TrainParams(n_trees=self.sim_trees)
-        else:
-            self.sim_trees = self.train_params.n_trees
         self._cache = self.cache if self.cache is not None else default_cache()
         # One calibration per store: a warm store hands it to every process.
         self._bandwidth: BandwidthProfile = bandwidth_profile(store=self._cache)
@@ -111,45 +97,11 @@ class Executor:
         #: False = this executor trained, None = no training requested yet.
         self.last_train_hit: bool | None = None
 
-    # -- scenario bridge ---------------------------------------------------------
-
-    @classmethod
-    def from_scenario(
-        cls, scenario: ScenarioSpec, cache: ProfileCache | None = None
-    ) -> "Executor":
-        """Build an executor configured exactly like ``scenario``.
-
-        The scenario's dataset/systems/extra-scale choices are per-call
-        arguments on the executor side; everything configurational (costs,
-        design point, training params, scales, seed) carries over.
-        """
-        return cls(
-            costs=scenario.costs(),
-            booster_config=scenario.booster,
-            sim_records=scenario.sim_records,
-            seed=scenario.seed,
-            scale_to_paper=scenario.scale_to_paper,
-            train_params=scenario.train,
-            cache=cache,
-        )
-
-    def scenario(self, dataset: str) -> ScenarioSpec:
-        """The :class:`ScenarioSpec` describing this executor on ``dataset``."""
-        assert self.train_params is not None
-        return ScenarioSpec(
-            dataset=dataset,
-            sim_records=self.sim_records,
-            seed=self.seed,
-            train=self.train_params,
-            booster=self.booster_config,
-            cost_overrides=cost_overrides_from(self.costs),
-            scale_to_paper=self.scale_to_paper,
-        )
-
     # -- model registry ------------------------------------------------------------
 
     def _build_models(self) -> dict[str, HardwareModel]:
-        kw = dict(costs=self.costs, bandwidth=self._bandwidth)
+        kw = dict(costs=self.scenario.costs(), bandwidth=self._bandwidth)
+        booster = self.scenario.booster
         models: dict[str, HardwareModel] = {
             "sequential": SequentialCPU(**kw),
             "ideal-32-core": IdealMulticore(**kw),
@@ -157,15 +109,15 @@ class Executor:
             "ideal-gpu": IdealGPU(**kw),
             "real-gpu": RealGPU(**kw),
             "inter-record": InterRecordAccelerator(**kw),
-            "booster": BoosterEngine(config=self.booster_config, **kw),
+            "booster": BoosterEngine(config=booster, **kw),
             "booster-no-opts": BoosterEngine(
-                config=self.booster_config,
+                config=booster,
                 mapping_strategy="naive",
                 column_format=False,
                 **kw,
             ),
             "booster-group-by-field": BoosterEngine(
-                config=self.booster_config,
+                config=booster,
                 mapping_strategy="field",
                 column_format=False,
                 **kw,
@@ -189,7 +141,9 @@ class Executor:
     # -- functional training (persistently cached) ---------------------------------
 
     def train_result(self, dataset: str) -> TrainResult:
-        result, hit = train_scenario_tracked(self.scenario(dataset), cache=self._cache)
+        result, hit = train_scenario_tracked(
+            replace(self.scenario, dataset=dataset), cache=self._cache
+        )
         self.last_train_hit = hit
         return result
 
@@ -197,7 +151,7 @@ class Executor:
         """Paper-scale work profile (records x ``extra_scale``, 500 trees)."""
         result = self.train_result(dataset)
         prof = result.profile
-        if self.scale_to_paper:
+        if self.scenario.scale_to_paper:
             k = prof.spec.paper_records / prof.spec.n_records
             prof = prof.scaled(k * extra_scale).with_trees_scaled(PAPER_TREES)
         elif extra_scale != 1.0:
@@ -214,15 +168,8 @@ class Executor:
     ) -> ComparisonResult:
         """Training-time comparison (the Fig. 7 / 8 / 9 / 12 workhorse)."""
         prof = self.profile(dataset, extra_scale=extra_scale)
-        names = systems or [
-            "sequential",
-            "ideal-32-core",
-            "ideal-gpu",
-            "inter-record",
-            "booster",
-        ]
         times: dict[str, StepTimes] = {}
-        for name in names:
+        for name in systems or DEFAULT_SYSTEMS:
             times[name] = self._models[name].training_times(prof)
         return ComparisonResult(
             dataset=dataset, systems=times, profile_summary=prof.summary()
@@ -245,7 +192,7 @@ class Executor:
         record-scaling sweeps measure scaled inference work too.
         """
         work = self.train_result(dataset).profile.inference_work(n_trees)
-        if self.scale_to_paper:
+        if self.scenario.scale_to_paper:
             work = work.scaled(work.spec.paper_records / work.n_records * extra_scale)
         elif extra_scale != 1.0:
             work = work.scaled(extra_scale)
@@ -259,13 +206,12 @@ class Executor:
         serving: ServingParams | None = None,
         systems: list[str] | None = None,
         extra_scale: float = 1.0,
-        seed: int | None = None,
     ) -> ServingResult:
         """Traffic-driven serving comparison: latency tail under a queue.
 
         Replays one arrival trace (generated from ``serving``'s parameters
-        with ``seed``, or loaded from its recorded trace file) through the
-        single-server batching queue once per system.  Per-batch service
+        with the scenario's seed, or loaded from its recorded trace file)
+        through the single-server batching queue once per system.  Per-batch service
         cost derives from the same 500-tree :class:`InferenceWork` the
         Fig. 13 batch comparison prices, read from the unscaled training
         profile -- ``inference_seconds`` over the work scaled to the batch's
@@ -276,7 +222,7 @@ class Executor:
         :class:`ServingResult` in any process.
         """
         params = serving if serving is not None else ServingParams()
-        times, priorities = build_arrivals(params, self.seed if seed is None else seed)
+        times, priorities = build_arrivals(params, self.scenario.seed)
         base = self.train_result(dataset).profile.inference_work(PAPER_TREES)
         if params.arrival == "trace":
             span = float(times[-1] - times[0]) if times.size > 1 else 0.0
@@ -334,6 +280,7 @@ class Executor:
         return BENCHMARK_NAMES
 
 
-def quick_compare(dataset: str = "higgs", **kwargs: Any) -> ComparisonResult:
-    """One-call demo used by the README quickstart."""
-    return Executor(**kwargs).compare(dataset)
+def quick_compare(dataset: str = "higgs", **fields: Any) -> ComparisonResult:
+    """One-call demo used by the README quickstart; ``fields`` are
+    :class:`ScenarioSpec` fields, e.g. ``train=TrainParams(n_trees=2)``."""
+    return Executor(ScenarioSpec(**fields)).compare(dataset)

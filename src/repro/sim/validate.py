@@ -40,9 +40,8 @@ def _speedups(ex: Executor) -> dict[str, float]:
     return {name: ex.compare(name).speedup("booster") for name in ex.all_datasets()}
 
 
-def validate_all(ex: Executor | None = None) -> list[Claim]:
+def validate_all(ex: Executor) -> list[Claim]:
     """Evaluate the complete claim checklist; returns one Claim per row."""
-    ex = ex or Executor(sim_trees=6)
     claims: list[Claim] = []
 
     def add(exp_id: str, name: str, paper: str, measured: str, passed: bool) -> None:
@@ -159,9 +158,8 @@ def validate_all(ex: Executor | None = None) -> list[Claim]:
     return claims
 
 
-def report(claims: list[Claim] | None = None, ex: Executor | None = None) -> str:
+def report(claims: list[Claim]) -> str:
     """Render the claims checklist as a fixed-width table."""
-    claims = claims if claims is not None else validate_all(ex)
     rows = [[c.exp_id, c.name, c.paper, c.measured, c.verdict] for c in claims]
     n_ok = sum(c.passed for c in claims)
     return render_table(

@@ -116,7 +116,7 @@ def executor():
     trains once for the session (served from the session's profile cache)."""
     from repro.experiments import ScenarioSpec
 
-    return Executor.from_scenario(ScenarioSpec(train=TrainParams(n_trees=6)))
+    return Executor(ScenarioSpec(train=TrainParams(n_trees=6)))
 
 
 @pytest.fixture(scope="session")

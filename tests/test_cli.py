@@ -158,7 +158,7 @@ class TestCommands:
             raise AssertionError("resumed run retrained or re-simulated")
 
         monkeypatch.setattr("repro.experiments.pipeline.train", boom)
-        monkeypatch.setattr("repro.sim.executor.Executor.from_scenario", boom)
+        monkeypatch.setattr("repro.sim.executor.Executor.__post_init__", boom)
         assert main(argv + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "resume: 1/2 scenarios already in" in out
@@ -279,7 +279,7 @@ class TestCommands:
             raise AssertionError("retrained or re-simulated")
 
         monkeypatch.setattr("repro.experiments.pipeline.train", boom)
-        monkeypatch.setattr("repro.sim.executor.Executor.from_scenario", boom)
+        monkeypatch.setattr("repro.sim.executor.Executor.__post_init__", boom)
 
     def test_sweep_shard_merge_report_equals_unsharded(
         self, capsys, monkeypatch, tmp_path

@@ -389,7 +389,7 @@ class TestInferenceSweeps:
             _tripwire("train() despite stored inference result"),
         )
         monkeypatch.setattr(
-            "repro.sim.executor.Executor.from_scenario",
+            "repro.sim.executor.Executor.__post_init__",
             _tripwire("simulated despite stored inference result"),
         )
         second = run_scenario(TINY, ProfileCache(root=tmp_path), mode="inference")
@@ -620,7 +620,7 @@ class TestResultStore:
             "repro.experiments.pipeline.train", _tripwire("train() despite stored result")
         )
         monkeypatch.setattr(
-            "repro.sim.executor.Executor.from_scenario",
+            "repro.sim.executor.Executor.__post_init__",
             _tripwire("simulated despite stored result"),
         )
         second = run_scenario(TINY, ProfileCache(root=tmp_path))
@@ -691,7 +691,7 @@ class TestDurations:
             "repro.experiments.pipeline.train", _tripwire("train() on replay")
         )
         monkeypatch.setattr(
-            "repro.sim.executor.Executor.from_scenario",
+            "repro.sim.executor.Executor.__post_init__",
             _tripwire("simulated on replay"),
         )
         second = run_scenario(TINY, ProfileCache(root=tmp_path))
@@ -822,7 +822,7 @@ class TestFaultTolerance:
             "repro.experiments.pipeline.train", _tripwire("train() on resumed sweep")
         )
         monkeypatch.setattr(
-            "repro.sim.executor.Executor.from_scenario",
+            "repro.sim.executor.Executor.__post_init__",
             _tripwire("simulated on resumed sweep"),
         )
         second = SweepRunner(cache=ProfileCache(root=tmp_path), parallel=False).run_all(
@@ -837,14 +837,26 @@ class TestFaultTolerance:
 
 
 class TestExecutorFacade:
-    def test_from_scenario_roundtrip(self, tmp_path):
+    def test_executor_prices_and_trains_its_scenario(self, tmp_path):
+        """``Executor(scenario)`` prices every model with the scenario's
+        cost overrides and trains under the scenario's ``train_key()``."""
         from repro.sim import Executor
 
-        scenario = replace(TINY, cost_overrides=(("pcie_gbps", 32.0),))
-        executor = Executor.from_scenario(scenario, cache=ProfileCache(root=tmp_path))
-        assert executor.scenario("mq2008") == replace(scenario, systems=())
-        assert executor.costs.pcie_gbps == 32.0
-        assert executor.sim_trees == scenario.train.n_trees
+        scenario = replace(TINY, cost_overrides=(("cpu_hop_cycles", 8.0),))
+        cache = ProfileCache(root=tmp_path)
+        executor = Executor(scenario, cache=cache)
+        for name in executor.model_names:
+            assert executor.model(name).costs == scenario.costs()
+        key = replace(scenario, dataset="flight").train_key()
+        assert not cache.contains(key)
+        executor.train_result("flight")
+        assert executor.last_train_hit is False and cache.contains(key)
+        default = Executor(replace(scenario, cost_overrides=()), cache=cache)
+        systems = ["ideal-32-core"]
+        priced = executor.compare("flight", systems=systems).systems["ideal-32-core"]
+        baseline = default.compare("flight", systems=systems).systems["ideal-32-core"]
+        assert default.last_train_hit is True  # costs are not a training input
+        assert priced.total > baseline.total
 
     @pytest.mark.parametrize("remote", [False, True], ids=["directory", "url"])
     def test_warm_store_skips_calibration(self, tmp_path, monkeypatch, served_url, remote):
@@ -859,11 +871,11 @@ class TestExecutorFacade:
 
         root = served_url if remote else tmp_path / "store"
         monkeypatch.setattr(profile_mod, "_CACHE", {})
-        cold = Executor.from_scenario(TINY, cache=ProfileCache(root=root))
+        cold = Executor(TINY, cache=ProfileCache(root=root))
         monkeypatch.setattr(profile_mod, "_CACHE", {})
         runs = []
         monkeypatch.setattr(DRAMSimulator, "run_many", lambda *a, **k: runs.append(a))
-        warm = Executor.from_scenario(TINY, cache=ProfileCache(root=root))
+        warm = Executor(TINY, cache=ProfileCache(root=root))
         assert runs == []
         assert warm.bandwidth is not cold.bandwidth
         assert pickle.dumps(warm.bandwidth) == pickle.dumps(cold.bandwidth)
@@ -874,7 +886,7 @@ class TestExecutorFacade:
 
         cache = ProfileCache(root=tmp_path)
         SweepRunner(cache=cache, parallel=False).run_all([TINY])
-        executor = Executor.from_scenario(TINY, cache=ProfileCache(root=tmp_path))
+        executor = Executor(TINY, cache=ProfileCache(root=tmp_path))
         hits_before = executor._cache.hits
         executor.train_result("mq2008")
         assert executor._cache.hits == hits_before + 1
@@ -887,7 +899,7 @@ class TestExecutorFacade:
         from repro.serving import ServingParams
         from repro.sim import Executor
 
-        executor = Executor.from_scenario(TINY, cache=ProfileCache(root=tmp_path))
+        executor = Executor(TINY, cache=ProfileCache(root=tmp_path))
         executor.train_result("mq2008")
         pipeline._DATASET_MEMO.clear()
         generations = []
@@ -905,7 +917,7 @@ class TestExecutorFacade:
         """Regression: ``n_trees=0`` used to price the measured tree count."""
         from repro.sim import Executor
 
-        executor = Executor.from_scenario(TINY, cache=ProfileCache(root=tmp_path))
+        executor = Executor(TINY, cache=ProfileCache(root=tmp_path))
         with pytest.raises(ValueError, match="n_trees_target"):
             executor.inference("mq2008", n_trees=0)
 
@@ -914,7 +926,7 @@ class TestExecutorFacade:
         from repro.sim import Executor
         from tests.oracles import inference_work
 
-        executor = Executor.from_scenario(TINY, cache=ProfileCache(root=tmp_path))
+        executor = Executor(TINY, cache=ProfileCache(root=tmp_path))
         result = executor.train_result("mq2008")
         data = benchmark_dataset("mq2008", TINY.sim_records, TINY.seed)
         work = inference_work(result.trees, data, n_trees_target=4)

@@ -70,7 +70,7 @@ class TestServeComposition:
         from repro.serving import ServingParams
 
         params = ServingParams(qps=200.0, duration_s=0.5, policy="batch", max_batch=4)
-        result = executor.serve(DATASET, serving=params, seed=7, extra_scale=SCALE)
+        result = executor.serve(DATASET, serving=params, extra_scale=SCALE)
         base = _paper_work(executor, DATASET)
         booster = executor.model("booster")
         stats = result.stats("booster")

@@ -94,8 +94,8 @@ class TestLevelWiseOnBooster:
     def engines(self, executor):
         return {
             growth: BoosterEngine(
-                config=executor.booster_config,
-                costs=executor.costs,
+                config=executor.scenario.booster,
+                costs=executor.scenario.costs(),
                 bandwidth=executor.bandwidth,
                 growth=growth,
             )

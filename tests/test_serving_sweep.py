@@ -126,7 +126,7 @@ class TestStoreReplay:
             raise AssertionError("re-simulated despite stored serving result")
 
         monkeypatch.setattr("repro.experiments.pipeline.train", boom)
-        monkeypatch.setattr("repro.sim.executor.Executor.from_scenario", boom)
+        monkeypatch.setattr("repro.sim.executor.Executor.__post_init__", boom)
         second = run_scenario(TINY_SERVE, ProfileCache(root=tmp_path), mode="serving")
         assert second.stored and second.cache_hit and second.ok
         assert second.serving.to_dict() == first.serving.to_dict()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.baselines.base import StepTimes
+from repro.experiments import ScenarioSpec
+from repro.gbdt import TrainParams
 from repro.sim import (
     ComparisonResult,
     DEFAULT_COSTS,
@@ -197,10 +199,10 @@ class TestExecutor:
     def test_quick_compare(self):
         from repro import quick_compare
 
-        cmp = quick_compare("flight", sim_trees=2)
+        cmp = quick_compare("flight", train=TrainParams(n_trees=2))
         assert cmp.speedup("booster") > 1.0
 
     def test_unscaled_mode(self):
-        ex = Executor(sim_trees=2, scale_to_paper=False)
+        ex = Executor(ScenarioSpec(train=TrainParams(n_trees=2), scale_to_paper=False))
         prof = ex.profile("flight")
         assert prof.n_records == 10_000  # registry sim scale, not paper scale
