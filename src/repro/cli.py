@@ -30,15 +30,10 @@ import pathlib
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-if TYPE_CHECKING:  # annotation-only: commands lazy-import the heavy layers
+# Stdlib only at module level: the parser and `store-serve` never load
+# NumPy, and each command imports the layers it runs.
+if TYPE_CHECKING:
     from .experiments import ScenarioSpec, SweepResult
-
-from .datasets import BENCHMARK_NAMES, dataset_spec, generate, table3_rows
-from .gbdt import TrainParams, train
-from .serving.params import ARRIVAL_KINDS, POLICIES, QUEUE_DISCIPLINES
-from .sim.artifacts import ARTIFACTS, build
-from .sim.executor import Executor
-from .sim.report import render_table
 
 _EPILOG = """\
 examples:
@@ -80,6 +75,8 @@ def _add_axis_options(
     both must expand byte-identical scenarios (hence identical keys) for
     the same command line, so the flags that feed
     :func:`_expand_cli_scenarios` are declared exactly once."""
+    from .datasets import BENCHMARK_NAMES
+
     parser.add_argument("--dataset", choices=BENCHMARK_NAMES, default="higgs")
     parser.add_argument(
         "--axis",
@@ -122,6 +119,9 @@ def _add_coordinate_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .datasets import BENCHMARK_NAMES
+    from .serving.params import ARRIVAL_KINDS, POLICIES, QUEUE_DISCIPLINES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Booster: An Accelerator for Gradient "
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "names",
         nargs="*",
         default=[],
-        help=f"artifacts to render (default: all of {sorted(ARTIFACTS)})",
+        help="artifacts to render (default: all; an unknown name lists the choices)",
     )
 
     p_sweep = sub.add_parser(
@@ -422,6 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
+    from .datasets import table3_rows
+    from .sim.report import render_table
+
     rows = [
         [
             r["name"],
@@ -445,9 +448,13 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    spec = dataset_spec(args.dataset, n_records=args.records, seed=args.seed)
-    data = generate(spec)
-    result = train(data, TrainParams(n_trees=args.trees))
+    from dataclasses import replace
+
+    from .experiments import train_scenario
+    from .sim.report import render_table
+
+    scenario = replace(_scenario(args), dataset=args.dataset, sim_records=args.records)
+    result = train_scenario(scenario)
     summary = result.profile.summary()
     rows = [[k, v] for k, v in summary.items()]
     rows.append(["final loss", f"{result.losses[-1]:.5f}"])
@@ -459,11 +466,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _scenario(args: argparse.Namespace) -> "ScenarioSpec":
     """The run configuration every command builds from ``--seed/--trees``."""
     from .experiments import ScenarioSpec
+    from .gbdt import TrainParams
 
     return ScenarioSpec(seed=args.seed, train=TrainParams(n_trees=args.trees))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .sim.executor import Executor
+
     ex = Executor(_scenario(args))
     cmp = ex.compare(args.dataset, systems=args.systems, extra_scale=args.scale)
     print(cmp.table())
@@ -471,12 +481,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_inference(args: argparse.Namespace) -> int:
+    from .sim.executor import Executor
+
     ex = Executor(_scenario(args))
     print(ex.inference(args.dataset).table())
     return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from .sim.artifacts import ARTIFACTS, build
+    from .sim.executor import Executor
+
     ex = Executor(_scenario(args))
     names = args.names or list(ARTIFACTS)
     for name in names:
@@ -636,6 +651,9 @@ def _expand_cli_scenarios(
     from dataclasses import replace
 
     from .experiments import ServingParams, expand_axes, parse_axis_specs
+
+    # Also loads the whole run stack before `repro sweep` forks its pool,
+    # so the workers inherit it instead of each importing it again.
     from .sim.executor import MODEL_NAMES
 
     unknown_systems = [s for s in (args.systems or []) if s not in MODEL_NAMES]
@@ -686,6 +704,7 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
         scenario_key,
     )
     from .experiments import manifest as manifests
+    from .sim.report import render_table
 
     if args.serve and args.inference:
         print(
@@ -908,6 +927,8 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
 def _cmd_sweep_design_space(args: argparse.Namespace) -> int:
     from .core import BoosterConfig, BoosterEngine
     from .energy import AreaPowerModel
+    from .sim.executor import Executor
+    from .sim.report import render_table
 
     ex = Executor(_scenario(args))
     profile = ex.profile(args.dataset)
@@ -1010,6 +1031,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """
     from .experiments import SweepResult
     from .experiments import manifest as manifests
+    from .sim.report import render_table
 
     path = pathlib.Path(args.from_manifest)
     if not path.exists():
@@ -1159,6 +1181,7 @@ def _cmd_steal_status(args: argparse.Namespace) -> int:
     import time
 
     from .experiments.steal import DEFAULT_LEASE_TTL, steal_status
+    from .sim.report import render_table
 
     ttl = args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL
     if ttl <= 0:
@@ -1213,28 +1236,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_serve(args: argparse.Namespace) -> int:
-    """`repro store-serve`: serve a store directory over HTTP.
+    """`repro store-serve`: serve a store directory over HTTP until interrupted."""
+    from .experiments.store_server import run
 
-    Runs until interrupted; prints the bound URL first (with --port 0 the
-    kernel picks the port, so scripts parse it from this line).
-    """
-    from .experiments.store_server import serve_store
-
-    root = pathlib.Path(args.dir)
-    root.mkdir(parents=True, exist_ok=True)
-    server = serve_store(root, host=args.host, port=args.port)
-    host, port = server.server_address[0], server.server_address[1]
-    print(f"store-serve: serving {root.resolve()} at http://{host}:{port}/", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
+    return run(args.dir, host=args.host, port=args.port)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .sim.executor import Executor
     from .sim.validate import report, validate_all
 
     ex = Executor(_scenario(args))

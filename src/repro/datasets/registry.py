@@ -32,9 +32,12 @@ Dataset-specific statistical shape (Sec. IV observations we must induce):
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .schema import DatasetSpec, FieldKind, FieldSpec, TaskKind, make_numerical_fields
-from .encoding import BinnedDataset
-from .synthetic import generate
+
+if TYPE_CHECKING:  # the registry itself is NumPy-free; only load() generates
+    from .encoding import BinnedDataset
 
 __all__ = [
     "DEFAULT_SIM_SCALE",
@@ -231,6 +234,8 @@ def load(
     seed: int = 7,
 ) -> BinnedDataset:
     """Generate the binned dataset for a named benchmark."""
+    from .synthetic import generate
+
     return generate(dataset_spec(name, scale=scale, n_records=n_records, seed=seed))
 
 

@@ -37,65 +37,115 @@ design point x scale x systems) tuple -- a first-class object:
 
 The classic :class:`repro.sim.Executor` is a thin consumer of one
 :class:`ScenarioSpec`; see ``docs/experiments.md`` for the full tour.
+Exports resolve on first use (PEP 562), so ``repro store-serve`` reaches
+:mod:`~repro.experiments.store_server` without importing NumPy.
 """
 
-from .backend import (
-    Entry,
-    HTTPBackend,
-    LocalBackend,
-    StoreBackend,
-    StoreBackendError,
-    etag_of,
-    is_store_url,
-    open_backend,
-)
-from .cache import (
-    CACHE_VERSION,
-    KeyedStore,
-    ProfileCache,
-    ResultStore,
-    copy_entries,
-    default_cache,
-    default_cache_dir,
-    sim_fingerprint,
-)
-from .pipeline import (
-    benchmark_dataset,
-    clear_memory_caches,
-    is_trained,
-    train_scenario,
-    train_scenario_tracked,
-)
-from .scenario import DEFAULT_SYSTEMS, ScenarioSpec, ServingParams
-from .schedule import (
-    cost_order,
-    estimate_cost,
-    observed_durations,
-    scenario_costs,
-)
-from .steal import (
-    DEFAULT_LEASE_TTL,
-    Coordinator,
-    Lease,
-    LeaseLost,
-    lease_name,
-    steal_status,
-)
-from .runner import (
-    AXIS_NAMES,
-    CANONICAL_AXES,
-    SERVING_AXIS_NAMES,
-    SWEEP_MODES,
-    SweepResult,
-    SweepRunner,
-    apply_axis,
-    expand_axes,
-    parse_axis_specs,
-    read_axis,
-    result_store_key,
-    run_scenario,
-    scenario_key,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import export
+
+if TYPE_CHECKING:
+    from .backend import (
+        Entry,
+        HTTPBackend,
+        LocalBackend,
+        StoreBackend,
+        StoreBackendError,
+        etag_of,
+        is_store_url,
+        open_backend,
+    )
+    from .cache import (
+        CACHE_VERSION,
+        KeyedStore,
+        ProfileCache,
+        ResultStore,
+        copy_entries,
+        default_cache,
+        default_cache_dir,
+        sim_fingerprint,
+    )
+    from .pipeline import (
+        benchmark_dataset,
+        clear_memory_caches,
+        is_trained,
+        train_scenario,
+        train_scenario_tracked,
+    )
+    from .scenario import DEFAULT_SYSTEMS, ScenarioSpec, ServingParams
+    from .schedule import cost_order, estimate_cost, observed_durations, scenario_costs
+    from .steal import DEFAULT_LEASE_TTL, Coordinator, Lease, LeaseLost, lease_name, steal_status
+    from .runner import (
+        AXIS_NAMES,
+        CANONICAL_AXES,
+        SERVING_AXIS_NAMES,
+        SWEEP_MODES,
+        SweepResult,
+        SweepRunner,
+        apply_axis,
+        expand_axes,
+        parse_axis_specs,
+        read_axis,
+        result_store_key,
+        run_scenario,
+        scenario_key,
+    )
+
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "backend": (
+        "Entry",
+        "HTTPBackend",
+        "LocalBackend",
+        "StoreBackend",
+        "StoreBackendError",
+        "etag_of",
+        "is_store_url",
+        "open_backend",
+    ),
+    "cache": (
+        "CACHE_VERSION",
+        "KeyedStore",
+        "ProfileCache",
+        "ResultStore",
+        "copy_entries",
+        "default_cache",
+        "default_cache_dir",
+        "sim_fingerprint",
+    ),
+    "pipeline": (
+        "benchmark_dataset",
+        "clear_memory_caches",
+        "is_trained",
+        "train_scenario",
+        "train_scenario_tracked",
+    ),
+    "scenario": ("DEFAULT_SYSTEMS", "ScenarioSpec", "ServingParams"),
+    "schedule": ("cost_order", "estimate_cost", "observed_durations", "scenario_costs"),
+    "steal": (
+        "DEFAULT_LEASE_TTL",
+        "Coordinator",
+        "Lease",
+        "LeaseLost",
+        "lease_name",
+        "steal_status",
+    ),
+    "runner": (
+        "AXIS_NAMES",
+        "CANONICAL_AXES",
+        "SERVING_AXIS_NAMES",
+        "SWEEP_MODES",
+        "SweepResult",
+        "SweepRunner",
+        "apply_axis",
+        "expand_axes",
+        "parse_axis_specs",
+        "read_axis",
+        "result_store_key",
+        "run_scenario",
+        "scenario_key",
+    ),
+}
 
 __all__ = [
     "AXIS_NAMES",
@@ -146,3 +196,7 @@ __all__ = [
     "train_scenario",
     "train_scenario_tracked",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return export(__name__, _EXPORTS, name)

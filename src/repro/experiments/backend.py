@@ -40,10 +40,15 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # http.client is imported on first use: it loads ssl, ~2 MB
+    from http.client import HTTPConnection
 
 __all__ = [
     "TMP_SWEEP_AGE_SECONDS",
@@ -395,9 +400,18 @@ class HTTPBackend(StoreBackend):
     Conditional semantics live server-side under one mutation lock, so
     create-exclusive and the tag-guarded delete are *exact* over HTTP --
     the server is the single arbiter the shared filesystem used to be.
-    Connection failures surface as :class:`urllib.error.URLError` (an
-    ``OSError``), which every store consumer already treats as "entry
-    unreadable"; unexpected HTTP statuses raise :class:`StoreBackendError`.
+
+    A backend keeps one persistent HTTP/1.1 connection per thread and per
+    process (the lease renewer thread has its own, and a forked child opens
+    a new one rather than share its parent's socket).  A kept-alive connection
+    that fails before any response byte arrives -- the server closed it
+    while idle, or was restarted -- is retried once on a fresh connection.
+    Every other connection failure surfaces as an ``OSError``
+    (``ConnectionRefusedError``, a timeout, or :class:`StoreBackendError`
+    for a malformed response), which every store consumer already treats
+    as "entry unreadable"; unexpected HTTP statuses raise
+    :class:`StoreBackendError`.  Proxy environment variables are not
+    consulted: the store is reached directly.
     """
 
     def __init__(self, base_url: str, timeout: float = HTTP_TIMEOUT_SECONDS) -> None:
@@ -405,6 +419,13 @@ class HTTPBackend(StoreBackend):
             raise ValueError(f"not an http(s) store URL: {base_url!r}")
         self.base_url = base_url.rstrip("/") + "/"
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._https = parts.scheme.lower() == "https"
+        self._host = parts.hostname or ""
+        self._port = parts.port
+        self._path = parts.path
+        #: ``conn`` and the ``pid`` that opened it, per thread.
+        self._local = threading.local()
 
     @property
     def location(self) -> str:
@@ -413,6 +434,21 @@ class HTTPBackend(StoreBackend):
     def _url(self, name: str) -> str:
         validate_flat_name(name, what="store entry name")
         return self.base_url + urllib.parse.quote(name)
+
+    def _connection(self) -> HTTPConnection:
+        """This thread's connection, never one inherited across a fork."""
+        import http.client
+
+        local = self._local
+        conn: HTTPConnection | None = getattr(local, "conn", None)
+        if conn is not None and local.pid != os.getpid():
+            conn.close()  # closes this process's copy of the parent's socket
+            conn = None
+        if conn is None:
+            kind = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+            conn = kind(self._host, self._port, timeout=self.timeout)
+            local.conn, local.pid = conn, os.getpid()
+        return conn
 
     def _request(
         self,
@@ -424,19 +460,33 @@ class HTTPBackend(StoreBackend):
         reject: tuple[int, ...] = (),
     ) -> tuple[int, dict[str, str], bytes]:
         """One HTTP round trip; statuses outside ``ok``/``reject`` raise."""
-        import urllib.error
-        import urllib.request
+        import http.client
 
-        req = urllib.request.Request(url, data=data, method=method, headers=headers or {})
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                status = int(resp.status)
-                resp_headers = {k.lower(): v for k, v in resp.headers.items()}
+        target = self._path + url[len(self.base_url) :]
+        conn = self._connection()
+        for attempt in (1, 2):
+            reused = conn.sock is not None
+            answered = False
+            try:
+                conn.request(method, target, body=data, headers=headers or {})
+                resp = conn.getresponse()
+                answered = True
+                status = resp.status
+                resp_headers = {k.lower(): v for k, v in resp.getheaders()}
                 body = resp.read()
-        except urllib.error.HTTPError as exc:
-            status = int(exc.code)
-            resp_headers = {k.lower(): v for k, v in exc.headers.items()}
-            body = exc.read()
+                break
+            except ConnectionError:
+                conn.close()
+                # Only a kept-alive socket the server had already closed
+                # fails before answering; a fresh one has no such excuse.
+                if answered or not reused or attempt == 2:
+                    raise
+            except http.client.HTTPException as exc:
+                conn.close()
+                raise StoreBackendError(f"{method} {url}: bad response: {exc!r}") from exc
+            except OSError:
+                conn.close()
+                raise
         if status not in ok and status not in reject:
             detail = body[:200].decode("utf-8", "replace").strip()
             raise StoreBackendError(

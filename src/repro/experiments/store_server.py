@@ -37,7 +37,6 @@ the shared scratch directory it replaces (``docs/experiments.md``
 
 from __future__ import annotations
 
-import argparse
 import json
 import threading
 import urllib.parse
@@ -47,7 +46,7 @@ from typing import TypeVar
 
 from .backend import HTTP_TIMEOUT_SECONDS, LocalBackend, etag_of
 
-__all__ = ["StoreHTTPServer", "main", "serve_store"]
+__all__ = ["StoreHTTPServer", "run", "serve_store"]
 
 #: Refuse absurd single-entry uploads: store entries are lease stamps,
 #: JSON results, and small pickles.  This bounds memory per request, it is
@@ -86,6 +85,10 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
 
     server: StoreHTTPServer  # narrow the base class's annotation
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in separate writes; with Nagle's algorithm on,
+    # the body of a response on a kept-alive connection waits for the
+    # client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
     # Quieter than the BaseHTTPRequestHandler default (one line per request
     # on stderr drowns the sweep logs); error_message_format stays default.
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
@@ -285,29 +288,24 @@ def serve_store(root: str | Path, host: str = "127.0.0.1", port: int = 0) -> Sto
     return StoreHTTPServer((host, port), root)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``repro store-serve`` (also ``python -m`` runnable)."""
-    parser = argparse.ArgumentParser(
-        prog="repro store-serve",
-        description="Serve a store directory over HTTP for --coordinate URL sweeps.",
-    )
-    parser.add_argument("dir", help="store directory to serve (created if missing)")
-    parser.add_argument("--host", default="127.0.0.1", help="bind address (default: loopback)")
-    parser.add_argument("--port", type=int, default=8123, help="bind port; 0 picks a free port")
-    args = parser.parse_args(argv)
+def run(root: str | Path, host: str = "127.0.0.1", port: int = 8123) -> int:
+    """``repro store-serve``: serve ``root`` (created if missing) until SIGINT.
 
-    Path(args.dir).mkdir(parents=True, exist_ok=True)
-    server = serve_store(args.dir, host=args.host, port=args.port)
-    host, port = server.server_address[0], server.server_address[1]
-    print(f"store-serve: serving {Path(args.dir).resolve()} at http://{host}:{port}/", flush=True)
+    Prints the bound URL first and flushes it: with ``port=0`` the kernel
+    picks the port, so scripts parse it from this line, and no worker can
+    start before it appears.
+    """
+    Path(root).mkdir(parents=True, exist_ok=True)
+    server = serve_store(root, host=host, port=port)
+    bound_host, bound_port = server.server_address[0], server.server_address[1]
     try:
+        print(
+            f"store-serve: serving {Path(root).resolve()} at http://{bound_host}:{bound_port}/",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

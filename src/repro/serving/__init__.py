@@ -22,14 +22,28 @@ content-keyed :class:`~repro.experiments.cache.ResultStore` relies on).
 The package is dependency-free within ``repro`` (NumPy only), so the
 experiments layer can attach :class:`ServingParams` to a
 :class:`~repro.experiments.scenario.ScenarioSpec` and the executor can
-drive :func:`simulate` without import cycles.
+drive :func:`simulate` without import cycles.  Exports resolve on first
+use (PEP 562), so :mod:`repro.serving.params` imports without NumPy.
 """
 
-from .arrivals import build_arrivals, diurnal_times, load_trace, poisson_times, trace_digest
-from .params import ARRIVAL_KINDS, POLICIES, QUEUE_DISCIPLINES, ServingParams
-from .result import ServingResult, ServingStats, summarize
-from .simulator import QueueTrace, simulate
-from .stats import percentile, percentile_label
+from typing import TYPE_CHECKING
+
+from .._lazy import export
+
+if TYPE_CHECKING:
+    from .arrivals import build_arrivals, diurnal_times, load_trace, poisson_times, trace_digest
+    from .params import ARRIVAL_KINDS, POLICIES, QUEUE_DISCIPLINES, ServingParams
+    from .result import ServingResult, ServingStats, summarize
+    from .simulator import QueueTrace, simulate
+    from .stats import percentile, percentile_label
+
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "arrivals": ("build_arrivals", "diurnal_times", "load_trace", "poisson_times", "trace_digest"),
+    "params": ("ARRIVAL_KINDS", "POLICIES", "QUEUE_DISCIPLINES", "ServingParams"),
+    "result": ("ServingResult", "ServingStats", "summarize"),
+    "simulator": ("QueueTrace", "simulate"),
+    "stats": ("percentile", "percentile_label"),
+}
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -49,3 +63,7 @@ __all__ = [
     "summarize",
     "trace_digest",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return export(__name__, _EXPORTS, name)

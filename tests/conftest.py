@@ -131,9 +131,21 @@ def rng():
 
 
 @contextlib.contextmanager
-def serving(root: Path):
-    """Run ``repro store-serve`` over ``root`` in a thread; yields its URL."""
+def serving(root: Path, accepted: list | None = None):
+    """Run ``repro store-serve`` over ``root`` in a thread; yields its URL.
+
+    With ``accepted`` given, the client address of every connection the
+    server accepts is appended to it.
+    """
     server = serve_store(root)
+    if accepted is not None:
+        process = server.process_request
+
+        def counting(request, client_address):
+            accepted.append(client_address)
+            process(request, client_address)
+
+        server.process_request = counting
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}/"

@@ -14,8 +14,13 @@ the server's address.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -663,3 +668,177 @@ class TestPushPull:
         cold = tmp_path / "cold"
         assert copy_entries(media, cold) == ["t1.pkl"]
         assert ProfileCache(root=cold).get("t1") == {"w": 1}
+
+
+class TestPersistentConnections:
+    """``HTTPBackend`` keeps one connection per thread and process."""
+
+    @pytest.fixture()
+    def counted(self, tmp_path):
+        """(url, accepted connections, served directory) of a live server."""
+        accepted: list = []
+        root = tmp_path / "served"
+        with serving(root, accepted) as url:
+            yield url, accepted, root
+
+    def test_sequential_requests_reuse_one_connection(self, counted):
+        url, accepted, _ = counted
+        backend = HTTPBackend(url)
+        backend.put("a.json", b"1")
+        assert backend.get("a.json") == b"1"
+        assert backend.get("missing.json") is None  # a 404 keeps it open too
+        assert backend.contains("a.json")
+        assert backend.create("b.json", b"2") and not backend.create("b.json", b"3")
+        assert backend.list(".json") == ["a.json", "b.json"]
+        assert backend.delete_if("b.json", etag_of(b"2"))
+        assert backend.delete("a.json") and not backend.delete("a.json")
+        assert backend.sweep_tmp() == 0
+        assert backend.wait(0, 0.0) == 4
+        assert len(accepted) == 1
+
+    def test_renewer_thread_and_forked_child_open_their_own(self, counted):
+        url, accepted, _ = counted
+        coordinator = Coordinator(url, ttl=60.0)
+        assert coordinator.claim("k1")
+        assert len(accepted) == 1
+        with coordinator.renewing("k1", interval=0.02):
+            deadline = time.monotonic() + 5.0
+            while len(accepted) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # several renewals, all on the renewer's connection
+        assert len(accepted) == 2
+        assert coordinator.read("k1") is not None  # the main thread's connection
+        assert len(accepted) == 2
+
+        pid = os.fork()
+        if pid == 0:  # the child: never return into the test session
+            ok = False
+            try:
+                ok = coordinator.read("k1") is not None
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert len(accepted) == 3
+        # The child closed only its copy of the socket: the parent's
+        # connection still serves it without a reconnect.
+        assert coordinator.read("k1") is not None
+        assert len(accepted) == 3
+
+    def test_threads_sharing_one_backend_never_share_a_connection(self, counted):
+        """More threads than cores hammer one backend: every response
+        reaches the thread that asked, over that thread's connection."""
+        url, accepted, _ = counted
+        backend = HTTPBackend(url)
+        n_threads, n_rounds = 8, 25
+        wrong: list = []
+
+        def hammer(i):
+            for j in range(n_rounds):
+                data = f"{i}-{j}".encode()
+                backend.put(f"t{i}.json", data)
+                if backend.get(f"t{i}.json") != data:
+                    wrong.append((i, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert backend.wait(0, 0.0) == n_threads * n_rounds
+        assert len(accepted) == n_threads + 1  # plus the main thread's
+
+    def test_connection_close_response_drops_the_connection(self, counted):
+        url, accepted, _ = counted
+        backend = HTTPBackend(url)
+        backend.put("a.json", b"1")
+        # A negative counter is a 400 answered with `Connection: close`;
+        # `wait` degrades to sleeping out its (zero) timeout.
+        assert backend.wait(-1, 0.0) is None
+        assert len(accepted) == 1
+        assert backend.get("a.json") == b"1"
+        assert len(accepted) == 2
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@contextlib.contextmanager
+def store_serve_process(root, port: int = 0):
+    """``repro store-serve`` in a child process; yields ``(process, url)``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "store-serve", str(root), "--port", str(port)],
+        stdout=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        match = re.search(r"at (http://127\.0\.0\.1:\d+/)$", line.strip())
+        assert match is not None, line
+        yield proc, match.group(1)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+class TestStoreServeProcess:
+    """The real ``repro store-serve`` process under a persistent client."""
+
+    @pytest.mark.parametrize("operation", ["get", "put", "create"])
+    def test_request_survives_a_killed_and_restarted_server(self, tmp_path, operation):
+        """The first request on the connection a SIGKILLed server left
+        behind is retried once on a fresh connection to its successor."""
+        root = tmp_path / "store"
+        with store_serve_process(root) as (proc, url):
+            backend = HTTPBackend(url)
+            backend.put("a.json", b"1")
+            proc.send_signal(signal.SIGKILL)
+        port = int(url.rsplit(":", 1)[1].rstrip("/"))
+        with store_serve_process(root, port) as (proc, restarted):
+            assert restarted == url
+            if operation == "get":
+                assert backend.get("a.json") == b"1"
+            elif operation == "put":
+                backend.put("b.json", b"2")
+                assert (root / "b.json").read_bytes() == b"2"
+            else:
+                assert backend.create("c.json", b"3")
+                assert (root / "c.json").read_bytes() == b"3"
+
+    def test_sigint_stops_the_server_while_clients_hold_idle_connections(self, tmp_path):
+        with store_serve_process(tmp_path / "store") as (proc, url):
+            backend = HTTPBackend(url)
+            backend.put("a.json", b"1")
+            connected = threading.Barrier(4)
+            release = threading.Event()
+
+            def hold_a_connection():
+                backend.get("a.json")
+                connected.wait()
+                release.wait()
+
+            threads = [threading.Thread(target=hold_a_connection) for _ in range(3)]
+            for t in threads:
+                t.start()
+            try:
+                connected.wait(timeout=10)
+                start = time.monotonic()
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=5) == 0
+                assert time.monotonic() - start < 5
+            finally:
+                release.set()
+                for t in threads:
+                    t.join()

@@ -33,6 +33,60 @@ class TestParser:
         assert args.names == []
 
 
+#: Run in a fresh interpreter: the parser and the whole `store-serve`
+#: path must leave NumPy unimported (serve_forever is replaced by a probe).
+LEAN_START = """
+import sys
+import repro.cli
+loaded = sorted(m for m in sys.modules if m.startswith("repro"))
+assert loaded == ["repro", "repro.cli"], loaded
+repro.cli.build_parser()
+assert "numpy" not in sys.modules, "build_parser imported numpy"
+from repro.experiments import store_server
+
+def probe(self, poll_interval=0.5):
+    assert "numpy" not in sys.modules, "store-serve imported numpy"
+    print("lean", flush=True)
+
+store_server.StoreHTTPServer.serve_forever = probe
+sys.exit(repro.cli.main(["store-serve", sys.argv[1], "--port", "0"]))
+"""
+
+
+class TestLeanStart:
+    def test_parser_and_store_serve_do_not_import_numpy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", LEAN_START, str(tmp_path / "store")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("store-serve: serving ") and lines[1] == "lean"
+
+    @pytest.mark.parametrize("package", ["repro.datasets", "repro.serving", "repro.experiments"])
+    def test_lazy_exports_cover_all_and_resolve(self, package):
+        import importlib
+
+        module = importlib.import_module(package)
+        lazy = {name for names in module._EXPORTS.values() for name in names}
+        assert lazy == set(module.__all__)
+        for submodule, names in module._EXPORTS.items():
+            source = importlib.import_module(f"{package}.{submodule}")
+            for name in names:
+                assert getattr(module, name) is getattr(source, name)
+
+
 class TestCommands:
     def test_datasets(self, capsys):
         assert main(["datasets"]) == 0
@@ -45,6 +99,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "training summary: flight" in out
         assert "final loss" in out
+
+    def test_train_reuses_the_stored_artifact(self, capsys, monkeypatch):
+        """`repro train` reads and writes the store like every other command."""
+        argv = ["train", "mq2008", "--trees", "2", "--seed", "23"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the second run trained again")
+
+        monkeypatch.setattr("repro.experiments.pipeline.train", boom)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
 
     def test_compare(self, capsys):
         code = main(

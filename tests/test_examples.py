@@ -1,4 +1,4 @@
-"""Run every script under ``examples/`` end to end.
+"""Run every script under ``examples/`` end to end (and collect ``benchmarks/``).
 
 Each example runs in its own interpreter with ``PYTHONPATH=src`` and one
 shared, initially empty ``REPRO_CACHE_DIR``, exactly as a reader would run
@@ -56,3 +56,20 @@ def test_example_runs_to_completion(script, example_env, tmp_path):
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     assert lines, f"{script.name} printed nothing"
     assert lines[-1].startswith(FINAL_LINES[script.name]), lines[-1]
+
+
+def test_pytest_collects_every_benchmark_file():
+    """`pytest benchmarks` runs the bench_*.py files instead of passing
+    with no tests collected."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"]
+        + ["benchmarks"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    collected = {line.split("::")[0] for line in proc.stdout.splitlines() if "::" in line}
+    expected = {f"benchmarks/{p.name}" for p in (ROOT / "benchmarks").glob("bench_*.py")}
+    assert expected and collected == expected
