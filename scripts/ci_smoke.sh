@@ -6,7 +6,8 @@
 # Each section exercises one operational story against the real CLI:
 #   1. interrupt + --resume (zero retrain / zero re-simulate)
 #   2. work stealing over a shared lease directory (two concurrent
-#      workers, both claim work, merge == full sweep, one lease/scenario)
+#      workers, both claim work, merge == full sweep, one lease/scenario;
+#      two cold workers over a hardware-only axis train once)
 #   3. serving sweep (--serve): cold run trains once, warm replay is
 #      zero re-simulation, the latency tail diverges from the mean under
 #      load (saturation), and serving manifests merge with inference
@@ -64,6 +65,16 @@ grep -Eq 'steal: claimed [1-9][0-9]*/6' /tmp/steal-w2.log
 python -m repro.cli sweep --serial --trees 2 --dataset mq2008 $STEAL_AXES --systems ideal-32-core booster --out /tmp/steal-full.jsonl > /tmp/steal-full.log
 python -m repro.cli merge /tmp/steal-merged.jsonl /tmp/steal-w1.jsonl /tmp/steal-w2.jsonl
 python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/steal-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "steal-mode merge diverges from the full sweep"; leases = list(pathlib.Path("/tmp/steal-coord").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"steal-mode merge matches the full sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
+
+# Two cold workers over a hardware-only axis share one training artifact:
+# the train lease lets exactly one of them train it.
+rm -rf /tmp/repro-ci-train-once-cache /tmp/train-once-coord
+ONCE="python -m repro.cli sweep --serial --trees 2 --dataset mq2008 --axis clock_ghz=0.8,1.2 --systems ideal-32-core booster --coordinate /tmp/train-once-coord"
+REPRO_CACHE_DIR=/tmp/repro-ci-train-once-cache $ONCE --out /tmp/train-once-w1.jsonl > /tmp/train-once-w1.log 2>&1 &
+O1=$!
+REPRO_CACHE_DIR=/tmp/repro-ci-train-once-cache $ONCE --out /tmp/train-once-w2.jsonl > /tmp/train-once-w2.log 2>&1
+wait "$O1"
+python -c 'import json; rows = [json.loads(l) for p in ("/tmp/train-once-w1.jsonl", "/tmp/train-once-w2.jsonl") for l in open(p)]; assert len(rows) == 2 and all(r["error"] is None for r in rows), rows; cold = sum(r["cache_hit"] is False for r in rows); assert cold == 1, f"{cold} cache_hit=false rows: the shared artifact trained {cold} times"; print("train lease: two cold workers trained the shared artifact once")'
 
 echo "=== smoke 3/5: serving sweep (latency tail under load) ==="
 # records_per_request=20000 puts the ideal-32-core design point's serving

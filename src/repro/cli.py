@@ -245,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario sweep: cartesian axes, parallel workers, persistent cache",
         description="Without --axis, prints the classic Booster design-space "
         "table. With one or more --axis NAME=V1,V2,... arguments, expands the "
-        "cartesian product into scenarios and runs them across a process "
-        "pool, serving functional training and completed timing results from "
-        "the persistent stores (results/cache/ or $REPRO_CACHE_DIR).  A "
+        "cartesian product into scenarios and runs them across forked "
+        "work-stealing workers, serving functional training and completed "
+        "timing results from the persistent stores (results/cache/ or $REPRO_CACHE_DIR).  A "
         "failing scenario is reported and streamed like any other result; "
         "the rest of the sweep completes.",
     )
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         systems_help="hardware models to time in each scenario",
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=None, help="process-pool size (default: auto)"
+        "--workers", type=int, default=None, help="number of worker processes (default: auto)"
     )
     p_sweep.add_argument(
         "--serial", action="store_true", help="run scenarios in-process, one by one"
@@ -652,7 +652,7 @@ def _expand_cli_scenarios(
 
     from .experiments import ServingParams, expand_axes, parse_axis_specs
 
-    # Also loads the whole run stack before `repro sweep` forks its pool,
+    # Also loads the whole run stack before `repro sweep` forks its workers,
     # so the workers inherit it instead of each importing it again.
     from .sim.executor import MODEL_NAMES
 
@@ -704,6 +704,7 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
         scenario_key,
     )
     from .experiments import manifest as manifests
+    from .experiments.steal import SweepMismatch
     from .sim.report import render_table
 
     if args.serve and args.inference:
@@ -843,11 +844,10 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
         mode=mode,
     )
 
-    def emit(index: int | None, result: "SweepResult") -> None:
+    def emit(index: int, result: "SweepResult") -> None:
         """Record one completed result: table row, manifest line, progress."""
         nonlocal failures
-        if index is not None:
-            ordered[index] = to_row(result)
+        ordered[index] = to_row(result)
         if manifest_fh is not None:
             manifest_fh.write(json.dumps(result.to_dict()) + "\n")
             manifest_fh.flush()
@@ -867,39 +867,33 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
                 metric, speedup = _metric_cells(result)
                 print(f"  done {cells}: booster {metric} {unit} ({speedup}) [{label}]")
 
-    claimed = 0
+    if coordinator is None:
+        stream = (
+            (pending[i][0], result)
+            for i, result in runner.run_indexed([s for _, s in pending])
+        )
+    else:
+        # Work-stealing mode: the lease store decides who runs what, so this
+        # worker's table holds only the scenarios it claimed (plus its own
+        # resumed rows); `repro merge` over the workers' manifests
+        # reassembles the whole sweep.
+        completed = {scenario_key(scenarios[i]) for i in resumed}
+        stream = runner.run_indexed(scenarios, coordinator, completed)
+    claimed: set[str] = set()
     try:
-        if coordinator is not None:
-            # Work-stealing mode: the lease directory decides who runs what,
-            # so this worker's table holds only the scenarios it claimed
-            # (plus its own resumed rows); `repro merge` over the workers'
-            # manifests reassembles the whole sweep.
-            slots: dict[str, list[int]] = {}
-            for i, s in enumerate(scenarios):
-                if i not in resumed:
-                    slots.setdefault(scenario_key(s), []).append(i)
-            completed_keys = {scenario_key(scenarios[i]) for i in resumed}
-            try:
-                for result in runner.run_stealing(
-                    scenarios, coordinator, completed=completed_keys
-                ):
-                    claimed += 1
-                    bucket = slots.get(scenario_key(result.scenario))
-                    emit(bucket.pop(0) if bucket else None, result)
-            except ValueError as exc:
-                # e.g. the directory is coordinating a different sweep.
-                print(exc.args[0] if exc.args else exc, file=sys.stderr)
-                return 2
-        else:
-            for sub_index, result in runner.run_indexed([s for _, s in pending]):
-                emit(pending[sub_index][0], result)
+        for index, result in stream:
+            claimed.add(scenario_key(result.scenario))
+            emit(index, result)
+    except SweepMismatch as exc:
+        print(exc.args[0] if exc.args else exc, file=sys.stderr)
+        return 2
     finally:
         if manifest_fh is not None:
             manifest_fh.close()
     if coordinator is not None:
         distinct = len({scenario_key(s) for s in scenarios})
         print(
-            f"steal: claimed {claimed}/{distinct} scenario(s) "
+            f"steal: claimed {len(claimed)}/{distinct} scenario(s) "
             f"(lease dir: {coordinator.root}, "
             f"{coordinator.stolen} stale lease(s) reclaimed)"
         )

@@ -32,6 +32,7 @@ Dataset-specific statistical shape (Sec. IV observations we must induce):
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 from .schema import DatasetSpec, FieldKind, FieldSpec, TaskKind, make_numerical_fields
@@ -210,6 +211,7 @@ def _check(name: str) -> str:
     return key
 
 
+@functools.lru_cache(maxsize=256)
 def dataset_spec(
     name: str,
     scale: float = DEFAULT_SIM_SCALE,
@@ -220,6 +222,7 @@ def dataset_spec(
 
     ``scale`` multiplies the paper's record count; ``n_records`` overrides it
     outright.  Structure (fields, cardinalities) never changes with scale.
+    Memoized: specs are immutable, and every scenario key derives one.
     """
     key = _check(name)
     if n_records is None:

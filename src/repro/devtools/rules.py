@@ -275,7 +275,7 @@ class NondeterministicKey(Rule):
 class ModuleMutableState(Rule):
     """RPR005: module-level mutable containers in worker-imported modules.
 
-    ``SweepRunner`` pool workers fork (or re-import) the package: a
+    ``SweepRunner`` sweep workers fork (or re-import) the package: a
     module-level dict/list/set that functions mutate in place is state the
     parent may have populated before the fork, silently shared into every
     worker -- or state a worker populates believing it is shared when it

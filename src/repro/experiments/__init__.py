@@ -13,8 +13,9 @@ design point x scale x systems) tuple -- a first-class object:
   timing results, keyed by the scenario's full cache key, so finished
   experiments are replayed instead of re-simulated;
 * :class:`SweepRunner` -- cartesian-product sweep expansion over scenario
-  axes, executed across a :mod:`concurrent.futures` process pool with
-  results (including per-scenario failures) streamed as they complete;
+  axes, drained by forked workers running the work-stealing claim loop
+  over a private lease directory, with results (including per-scenario
+  failures) streamed as they complete;
 * :mod:`~repro.experiments.manifest` -- the one set of rules for reading
   the JSONL manifests sweeps stream (``repro merge``, ``repro report`` and
   ``repro sweep --resume`` all read through it);
@@ -68,8 +69,6 @@ if TYPE_CHECKING:
     )
     from .pipeline import (
         benchmark_dataset,
-        clear_memory_caches,
-        is_trained,
         train_scenario,
         train_scenario_tracked,
     )
@@ -115,8 +114,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "pipeline": (
         "benchmark_dataset",
-        "clear_memory_caches",
-        "is_trained",
         "train_scenario",
         "train_scenario_tracked",
     ),
@@ -172,7 +169,6 @@ __all__ = [
     "SweepRunner",
     "apply_axis",
     "benchmark_dataset",
-    "clear_memory_caches",
     "copy_entries",
     "cost_order",
     "default_cache",
@@ -181,7 +177,6 @@ __all__ = [
     "estimate_cost",
     "expand_axes",
     "is_store_url",
-    "is_trained",
     "lease_name",
     "observed_durations",
     "open_backend",

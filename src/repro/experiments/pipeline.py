@@ -25,8 +25,6 @@ from .scenario import ScenarioSpec
 
 __all__ = [
     "benchmark_dataset",
-    "clear_memory_caches",
-    "is_trained",
     "train_scenario",
     "train_scenario_tracked",
 ]
@@ -53,11 +51,6 @@ def benchmark_dataset(
     return data
 
 
-def is_trained(scenario: ScenarioSpec, cache: ProfileCache | None = None) -> bool:
-    """True when the scenario's training artifact is already cached."""
-    return scenario.train_key() in (cache or default_cache())
-
-
 def train_scenario_tracked(
     scenario: ScenarioSpec, cache: ProfileCache | None = None
 ) -> tuple[TrainResult, bool]:
@@ -65,7 +58,7 @@ def train_scenario_tracked(
 
     The second element is True when the artifact came out of the cache and
     False when this call actually trained.  It is derived from the lookup
-    itself -- not from a separate ``is_trained`` snapshot, which under
+    itself -- not from a separate membership check, which under
     concurrent sweep workers could observe a sibling's publication between
     the check and the act and mislabel the provenance.
     """
@@ -90,8 +83,3 @@ def train_scenario(
     workers), then an actual ``train()`` run whose result is stored back.
     """
     return train_scenario_tracked(scenario, cache)[0]
-
-
-def clear_memory_caches() -> None:
-    """Drop process-local memoized datasets (test isolation helper)."""
-    _DATASET_MEMO.clear()

@@ -1,46 +1,45 @@
-"""Cartesian sweep expansion and the fault-tolerant parallel sweep runner.
+"""Cartesian sweep expansion and the fault-tolerant sweep runner.
 
 A sweep is a base :class:`ScenarioSpec` plus named *axes*, each a list of
 values; :func:`expand_axes` produces the cartesian product as concrete
-scenarios.  :class:`SweepRunner` executes them either serially or across a
-:class:`concurrent.futures.ProcessPoolExecutor` -- functional training is
-the hot path and is pure CPU-bound NumPy, so one process per scenario is
-the right grain -- streaming :class:`SweepResult` objects as they complete.
+scenarios.  :class:`SweepRunner` executes them with one engine, the
+work-stealing claim loop :meth:`SweepRunner.run_stealing`: over a shared
+store for ``repro sweep --coordinate``, or over a private lease directory
+in the worker processes :meth:`SweepRunner.run` forks (training is
+CPU-bound NumPy, so one process per worker is the right grain).
 
-Workers share two persistent stores (one directory):
-
-* the :class:`~repro.experiments.cache.ProfileCache` of trained artifacts,
-  so re-running an identical sweep performs zero functional-training calls;
-* the :class:`~repro.experiments.cache.ResultStore` of timing results, so a
-  scenario that already completed -- in this run, an earlier run, or an
-  interrupted run -- is served back without re-simulating anything
-  (``SweepResult.stored`` marks that provenance).
-
-Failures are data, not aborts: a raising worker produces a
-``SweepResult(error=...)`` that streams like any other result, and
-scenarios queued behind a failed representative are re-dispatched rather
-than dropped, so one bad point never loses the rest of the sweep.
+Workers share the :class:`~repro.experiments.cache.ProfileCache` of
+trained artifacts and the :class:`~repro.experiments.cache.ResultStore`
+of timing results, so a re-run sweep neither retrains nor re-simulates
+(``SweepResult.stored`` marks a replayed result).  Failures are data, not
+aborts: a raising scenario yields a ``SweepResult(error=...)`` like any
+other result, and a worker that dies is a dead lease holder whose
+scenario a peer steals.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import os
+import shutil
+import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields as dc_fields, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, cast
 
 if TYPE_CHECKING:  # annotation-only: keep the lease machinery a lazy import
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
+
     from .steal import Coordinator
 
 from ..serving.result import ServingResult
 from ..sim.calibrate import CostModel
 from ..sim.results import ComparisonResult, InferenceResult
 from .cache import CACHE_VERSION, ProfileCache, ResultStore, default_cache, sim_fingerprint
-from .pipeline import is_trained
 from .scenario import _COST_FIELD_NAMES, ScenarioSpec, ServingParams
 
 __all__ = [
@@ -57,6 +56,10 @@ __all__ = [
     "run_scenario",
     "scenario_key",
 ]
+
+#: Poll of an idle forked worker (a private directory announces no lease
+#: change; the quarter-TTL default would add up to 1 s per sweep).
+_POLL_S = 0.02
 
 #: What a sweep measures per scenario: the training-time comparison (the
 #: Fig. 7 workhorse), the batch-inference comparison (Fig. 13), or the
@@ -415,6 +418,19 @@ def scenario_key(scenario: ScenarioSpec) -> str:
         return "!" + scenario.to_json()
 
 
+@functools.lru_cache(maxsize=4096)
+def scenario_train_key(scenario: ScenarioSpec) -> str | None:
+    """``train_key()``, or ``None`` for an unkeyable scenario.
+
+    Memoized like :func:`scenario_key`: deriving it resolves the dataset's
+    spec, and an idle sweep worker asks for it on every pass.
+    """
+    try:
+        return scenario.train_key()
+    except Exception:
+        return None
+
+
 
 def result_store_key(scenario: ScenarioSpec, mode: str = "compare") -> str:
     """The :class:`ResultStore` key for one scenario in one sweep mode.
@@ -544,42 +560,13 @@ def run_scenario(
     return result
 
 
-#: Worker-process store instances, one per root: pool workers execute many
-#: scenarios, and reusing the memory layers avoids re-unpickling a shared
-#: training artifact (or re-reading a result file) once per sibling.
-_WORKER_CACHES: dict[str | None, ProfileCache] = {}  # repro: noqa RPR005 -- per-worker-process memo, only populated inside pool workers after fork; parent never writes it
-_WORKER_RESULT_STORES: dict[str | None, ResultStore] = {}  # repro: noqa RPR005 -- per-worker-process memo, only populated inside pool workers after fork; parent never writes it
-
-
-def _run_payload(payload: tuple[dict, str | None, str | None, str]) -> SweepResult:
-    """Process-pool entry point (module-level so it pickles).
-
-    Exceptions are captured into error results here, in the worker: the
-    pool stays healthy and the parent never sees a raising future for an
-    ordinary scenario failure.
-    """
-    scenario_dict, cache_root, results_root, mode = payload
-    scenario = ScenarioSpec.from_dict(scenario_dict)
-    cache = _WORKER_CACHES.get(cache_root)
-    if cache is None:
-        cache = _WORKER_CACHES[cache_root] = ProfileCache(root=cache_root)
-    results = _WORKER_RESULT_STORES.get(results_root)
-    if results is None:
-        results = _WORKER_RESULT_STORES[results_root] = ResultStore(root=results_root)
-    try:
-        return run_scenario(scenario, cache, results, mode)
-    except Exception as exc:
-        return _error_result(scenario, exc, mode)
-
-
 class SweepRunner:
     """Expands and executes scenario sweeps, streaming results.
 
-    ``max_workers=None`` sizes the pool to ``min(len(scenarios),
-    max(cpu_count, 2))`` -- at least two workers, so sweeps exercise the
-    multi-process path even on single-core machines.  ``parallel=False``
-    (or a single scenario) runs everything in-process, which is also the
-    mode where monkeypatched counters can observe training calls.
+    ``max_workers=None`` forks ``min(distinct scenarios, max(cpu_count,
+    2))`` workers -- at least two, so sweeps exercise the multi-process
+    path even on single-core machines.  ``parallel=False`` runs everything
+    in-process, where monkeypatched counters can observe training calls.
     ``mode`` selects the per-scenario measurement (see :data:`SWEEP_MODES`).
     """
 
@@ -615,98 +602,77 @@ class SweepRunner:
             return _error_result(scenario, exc, self.mode)
 
     def run(self, scenarios: Sequence[ScenarioSpec]) -> Iterator[SweepResult]:
-        """Yield results as scenarios complete (completion order).
+        """Yield one result per distinct scenario, in completion order.
 
-        Scenarios sharing an untrained training artifact are phased: one
-        representative per train key runs first and publishes the artifact,
-        then its siblings fan out as cache hits -- hardware-only sweeps
-        (e.g. an ``n_bus`` axis) train each configuration once, not once
-        per worker.
-
-        A failing scenario never aborts the sweep: its exception becomes a
-        ``SweepResult(error=...)``, and any siblings queued behind a failed
-        representative are re-dispatched (the first sibling is promoted to
-        representative) so every input scenario produces exactly one result.
+        Forks workers that run :meth:`run_stealing` over a private lease
+        directory and yields what they pipe back.  If every worker dies,
+        each unreported scenario yields an error result.
+        ``parallel=False``, a pool of one, or a diskless cache (which
+        workers could not share) runs the scenarios in-process instead.
         """
-        scenarios = list(scenarios)
-        if not scenarios:
-            return
-        workers = self._pool_size(len(scenarios))
-        # A diskless cache cannot be shared with workers: a parallel run
-        # would retrain per process.  Serial keeps the train-once guarantee.
+        distinct: dict[str, ScenarioSpec] = {}
+        for scenario in scenarios:
+            distinct.setdefault(scenario_key(scenario), scenario)
+        workers = self._pool_size(len(distinct))
         if not self.parallel or workers == 1 or self.cache.root is None:
-            for scenario in scenarios:
+            for scenario in distinct.values():
                 yield self._guarded(scenario)
             return
-        root = str(self.cache.root)
-        results_root = str(self.results.root) if self.results.root is not None else None
+        import multiprocessing
+        from multiprocessing.connection import wait
 
-        def submit(
-            pool: ProcessPoolExecutor, scenario: ScenarioSpec
-        ) -> "Future":
-            return pool.submit(
-                _run_payload, (scenario.to_dict(), root, results_root, self.mode)
-            )
+        from .steal import Coordinator  # lazy: avoids an import cycle
 
-        pool = ProcessPoolExecutor(max_workers=workers)
-        pending: dict = {}
+        def work(own_reader: "Connection", writer: "Connection") -> None:
+            # Leave the parent the only reader of every pipe, so a send
+            # after the parent died fails at once instead of working on.
+            for reader in [own_reader, *pool]:
+                reader.close()
+            coordinator = Coordinator(lease_dir)
+            for result in self.run_stealing(
+                list(distinct.values()), coordinator, poll_interval=_POLL_S
+            ):
+                writer.send(result)
+
+        context = multiprocessing.get_context("fork")
+        lease_dir = tempfile.mkdtemp(prefix="repro-sweep-")
+        pool: dict[Connection, BaseProcess] = {}  # result pipe's read end -> worker
         try:
-            representative: dict[str, object] = {}  # train_key -> its future
-            for scenario in scenarios:
-                try:
-                    key = scenario.train_key()
-                except Exception as exc:
-                    # Unkeyable (e.g. unknown dataset): report, keep sweeping.
-                    yield _error_result(scenario, exc, self.mode)
-                    continue
-                rep = representative.get(key)
-                if rep is not None and not is_trained(scenario, self.cache):
-                    # Queue behind the in-flight representative for this key.
-                    pending[rep].append(scenario)
-                else:
+            for _ in range(workers):
+                reader, writer = context.Pipe(duplex=False)
+                worker = context.Process(target=work, args=(reader, writer), daemon=True)
+                worker.start()
+                writer.close()  # the worker holds the only write end: EOF = exit
+                pool[reader] = worker
+            exit_codes: list[int | None] = []
+            while pool:
+                for reader in cast("list[Connection]", wait(list(pool))):
                     try:
-                        future = submit(pool, scenario)
-                    except Exception as exc:  # pool unusable (e.g. broken)
-                        yield _error_result(scenario, exc, self.mode)
+                        result = reader.recv()
+                    except (EOFError, OSError):
+                        # Reap at once: a zombie holder looks alive to its
+                        # peers, which would wait out the TTL to steal.
+                        worker = pool.pop(reader)
+                        worker.join()
+                        exit_codes.append(worker.exitcode)
+                        reader.close()
                         continue
-                    pending[future] = [scenario]
-                    representative.setdefault(key, future)
-            while pending:
-                done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                for future in done:
-                    group = pending.pop(future)
-                    try:
-                        result = future.result()
-                    except Exception as exc:
-                        # The worker died outright (SIGKILL / broken pool):
-                        # the scenario still gets a structured error result.
-                        result = _error_result(group[0], exc, self.mode)
-                    siblings = group[1:]
-                    if siblings:
-                        if result.error is None or is_trained(siblings[0], self.cache):
-                            # The artifact exists on disk (the representative
-                            # either succeeded, or failed *after* training
-                            # published it): fan the siblings out in parallel.
-                            dispatch = [[sib] for sib in siblings]
-                        else:
-                            # Representative failed before publishing; promote
-                            # the first sibling, keep the rest queued behind
-                            # it -- nothing is silently dropped.
-                            dispatch = [list(siblings)]
-                        for group_ in dispatch:
-                            try:
-                                pending[submit(pool, group_[0])] = group_
-                            except Exception as exc:
-                                for sib in group_:
-                                    yield _error_result(sib, exc, self.mode)
-                    yield result
+                    # A stolen scenario may be reported twice: yield it once.
+                    if distinct.pop(scenario_key(result.scenario), None) is not None:
+                        yield result
+            lost = ChildProcessError(
+                f"every sweep worker exited (exit codes {exit_codes}) "
+                "before reporting this scenario"
+            )
+            for scenario in distinct.values():
+                yield _error_result(scenario, lost, self.mode)
         finally:
-            # On abandonment (GeneratorExit) or interrupt, drop the
-            # not-yet-started work instead of blocking on the whole sweep;
-            # scenarios queued behind a representative are never submitted.
-            for future in pending:
-                future.cancel()
-            pool.shutdown(wait=True, cancel_futures=True)
+            # Abandoned (GeneratorExit) or interrupted: stop the workers.
+            for reader, worker in pool.items():
+                worker.kill()
+                worker.join()
+                reader.close()
+            shutil.rmtree(lease_dir, ignore_errors=True)
 
     def run_stealing(
         self,
@@ -715,42 +681,33 @@ class SweepRunner:
         completed: Iterable[str] = (),
         poll_interval: float | None = None,
     ) -> Iterator[SweepResult]:
-        """Yield results for the scenarios this worker claims from a shared
-        lease directory (work-stealing mode).
+        """Yield results for the scenarios this worker claims from
+        ``coordinator``'s lease store (work-stealing mode).
 
-        Every worker pointed at ``coordinator``'s directory drains the
-        *same* sweep: instead of running a fixed partition, each claims
-        scenarios at runtime -- most expensive first
-        (:func:`~repro.experiments.schedule.cost_order`, priced with the
-        local result store's recorded wall times) -- runs each claimed
-        scenario in-process under a background-renewed lease, marks the
-        lease done, and moves to the next unclaimed scenario.  Scenarios a
-        live peer holds are left alone; stale leases (renewal TTL expired,
-        or the holder is a dead process on this host) are broken and their
-        scenarios stolen, so a crashed worker delays its in-flight
-        scenario by at most the TTL instead of losing it.
+        Every worker on the store drains the *same* sweep, claiming the
+        most expensive remaining scenario first
+        (:func:`~repro.experiments.schedule.cost_order`) and running it
+        in-process under a background-renewed lease.  A live peer's lease
+        is skipped without a claim attempt; a stale one (TTL expired, or
+        its holder is a dead process on this host) is broken and its
+        scenario stolen.  A scenario whose training artifact is not in
+        the profile cache yet also runs under the artifact's *train lease*
+        (:meth:`~repro.experiments.steal.Coordinator.train_leases`), and
+        waits while a live peer holds it, so each artifact trains once.
 
-        The generator finishes only when every distinct scenario is done
-        *somewhere*: a worker that exhausted the claimable work polls its
-        peers' leases, stealing anything that goes stale -- which is what
-        makes the pool elastic (a worker added mid-sweep shortens the
-        sweep; the last worker standing finishes it alone).  Between
-        passes it parks in :meth:`StoreBackend.wait
-        <repro.experiments.backend.StoreBackend.wait>` on the change
-        counter read before the pass: a store server wakes it the moment a
-        lease changes, and every backend wakes it after ``poll_interval``
-        (default a quarter TTL, capped at 1 s) to look for stale leases.
-        A live peer's lease is skipped without a claim attempt.
+        The generator finishes when every distinct scenario is done
+        somewhere, so the last worker standing finishes the sweep.
+        Between passes it waits in :meth:`StoreBackend.wait
+        <repro.experiments.backend.StoreBackend.wait>`, which a store
+        server ends on any lease change; ``poll_interval`` (default a
+        quarter TTL, capped at 1 s) bounds the wait.
 
-        ``completed`` keys (e.g. scenarios resumed from this worker's own
-        manifest) are marked done for the pool without re-running and
-        yield no result.  Duplicate scenarios share a key, hence a lease:
-        one run and one yielded result per distinct scenario, exactly the
-        granularity ``repro merge`` dedupes at.  A failed scenario's lease
-        is marked done too (with its error recorded): its structured error
-        line is this worker's manifest entry, and retrying is ``--resume``'s
-        job, not the pool's -- peers immediately re-claiming a
-        deterministic failure would spin forever.
+        ``completed`` keys (e.g. resumed from this worker's manifest) are
+        marked done without running.  Duplicates share a key, hence a
+        lease: one result per distinct scenario.  Scenario and train
+        leases are marked done even when the run failed: retrying is
+        ``--resume``'s job, and peers re-claiming a deterministic failure
+        would spin forever.
         """
         from .schedule import cost_order, observed_durations  # lazy: avoids an import cycle
 
@@ -775,6 +732,8 @@ class SweepRunner:
         if poll_interval is None:
             poll_interval = min(max(coordinator.ttl / 4.0, 0.05), 1.0)
         backend = coordinator.backend
+        train_leases = coordinator.train_leases()
+        trained: set[str] = set()  # train keys seen published (or given up on)
         while pending:
             # Read the change counter BEFORE the pass: a lease that changes
             # mid-pass then cuts the wait below short instead of being
@@ -789,60 +748,90 @@ class SweepRunner:
                     continue
                 if lease is not None and not coordinator.is_stale(lease):
                     continue  # a live peer is on it; try the next scenario
+                train_key = self._untrained_key(pending[key], trained)
+                if train_key is not None:
+                    held = train_leases.read(train_key)
+                    if held is not None and held.done:
+                        trained.add(train_key)  # its holder ran: no lease needed
+                        train_key = None
+                    elif held is not None and not train_leases.is_stale(held):
+                        continue  # a live peer is training it; run a sibling later
+                    elif not train_leases.claim(train_key):
+                        continue  # a peer won the race for it
                 if not coordinator.claim(key):
+                    if train_key is not None:
+                        train_leases.release(train_key)
                     continue  # a peer won the race for it
                 scenario = pending.pop(key)
                 progressed = True
                 try:
-                    with coordinator.renewing(key):
+                    with contextlib.ExitStack() as renewals:
+                        renewals.enter_context(coordinator.renewing(key))
+                        if train_key is not None:
+                            renewals.enter_context(train_leases.renewing(train_key))
                         result = self._guarded(scenario)
                 except BaseException:
                     # Interrupted mid-run (KeyboardInterrupt, GeneratorExit):
                     # hand the scenario straight back instead of making the
                     # peers wait out the TTL.
                     coordinator.release(key)
+                    if train_key is not None:
+                        train_leases.release(train_key)
                     raise
-                # The lease is marked done only AFTER the consumer resumes
-                # the generator -- i.e. after it durably recorded the
-                # yielded result (the CLI writes and flushes the manifest
-                # line between iterations).  Marking done first would open
-                # a window where a crash leaves the scenario completed in
-                # the ledger but present in nobody's manifest, silently
-                # shrinking the merged sweep.  The swapped order fails the
-                # other way: a crash inside the window leaves the lease
-                # claimed, it goes stale, and a peer re-runs the scenario
-                # (served from the result store) into a duplicate manifest
-                # line that `repro merge` dedupes -- at-least-once, which
-                # merge semantics already absorb.
-                consumed = False
+                if train_key is not None:
+                    train_leases.mark_done(train_key, error=result.error)
+                    trained.add(train_key)
+                # Mark done only AFTER the consumer resumes us, i.e. after
+                # it durably recorded the result: done-first would let a
+                # crash drop the scenario from every manifest.  A crash in
+                # this window instead leaves a stale lease, and a peer's
+                # re-run (a stored replay) is a duplicate `repro merge`
+                # dedupes.
                 try:
                     yield result
-                    consumed = True
-                finally:
-                    if consumed:
-                        coordinator.mark_done(key, error=result.error)
-                    else:
-                        # Abandoned at the yield (consumer closed us):
-                        # whether the result was recorded is unknowable
-                        # here, so hand the scenario back for a peer.
-                        coordinator.release(key)
+                except BaseException:
+                    # Abandoned at the yield (consumer closed us): whether
+                    # the result was recorded is unknowable here, so hand
+                    # the scenario back for a peer.
+                    coordinator.release(key)
+                    raise
+                coordinator.mark_done(key, error=result.error)
             if pending and not progressed:
                 backend.wait(generation or 0, poll_interval)
 
-    def run_indexed(
-        self, scenarios: Sequence[ScenarioSpec]
-    ) -> Iterator[tuple[int, SweepResult]]:
-        """Like :meth:`run`, but each result carries its input index.
+    def _untrained_key(self, scenario: ScenarioSpec, trained: set[str]) -> str | None:
+        """The scenario's train key, unless its artifact is known to exist
+        (an unkeyable scenario fails before training: no lease needed)."""
+        key = scenario_train_key(scenario)
+        if key is None or key in trained:
+            return None
+        if key in self.cache:
+            trained.add(key)
+            return None
+        return key
 
-        Duplicate scenarios are allowed; each occurrence is matched to one
-        result (earliest free index for that scenario first).
+    def run_indexed(
+        self,
+        scenarios: Sequence[ScenarioSpec],
+        coordinator: "Coordinator | None" = None,
+        completed: Iterable[str] = (),
+    ) -> Iterator[tuple[int, SweepResult]]:
+        """Like :meth:`run` (:meth:`run_stealing`, given a ``coordinator``),
+        but each result carries its input index.
+
+        Duplicates run once (one key, one lease), and their result is
+        handed to every occurrence: one manifest line per input scenario.
         """
-        scenarios = list(scenarios)
         slots: dict[str, list[int]] = {}
         for i, scenario in enumerate(scenarios):
             slots.setdefault(scenario_key(scenario), []).append(i)
-        for result in self.run(scenarios):
-            yield slots[scenario_key(result.scenario)].pop(0), result
+        if coordinator is None:
+            stream = self.run(scenarios)
+        else:
+            stream = self.run_stealing(scenarios, coordinator, completed)
+        for result in stream:
+            for index in slots[scenario_key(result.scenario)]:
+                yield index, result
 
     def run_all(self, scenarios: Sequence[ScenarioSpec]) -> list[SweepResult]:
         """All results, reordered to match the input scenario order."""
@@ -851,9 +840,3 @@ class SweepRunner:
         for i, result in self.run_indexed(scenarios):
             out[i] = result
         return [r for r in out if r is not None]
-
-    def sweep(
-        self, base: ScenarioSpec, axes: dict[str, Sequence]
-    ) -> Iterator[SweepResult]:
-        """Expand ``axes`` over ``base`` and run the product."""
-        return self.run(expand_axes(base, axes))

@@ -14,8 +14,9 @@ drained everything else.  This module prices the scenarios for that order:
 * :func:`scenario_costs` -- blends the two: observed scenarios cost their
   measured seconds, unobserved ones cost the analytic estimate rescaled
   by the corpus' median observed/analytic ratio;
-* :func:`cost_order` -- the distinct scenarios, cost-descending, with ties
-  broken by :func:`~repro.experiments.runner.scenario_key`.
+* :func:`cost_order` -- the distinct scenarios, cost-descending, siblings
+  that share a training artifact grouped behind their most expensive
+  member, ties broken by :func:`~repro.experiments.runner.scenario_key`.
 
 The order need not agree across workers -- the lease entries arbitrate
 ownership -- so each worker prices with whatever its own result store has
@@ -27,7 +28,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .cache import ResultStore
-from .runner import result_store_key, scenario_key
+from .runner import result_store_key, scenario_key, scenario_train_key
 from .scenario import ScenarioSpec
 
 __all__ = [
@@ -123,32 +124,30 @@ def scenario_costs(
     }
 
 
-def _grouped(
-    scenarios: Sequence[ScenarioSpec],
-) -> dict[str, list[ScenarioSpec]]:
-    """Scenarios grouped by content key, first-appearance order preserved."""
-    groups: dict[str, list[ScenarioSpec]] = {}
-    for scenario in scenarios:
-        groups.setdefault(scenario_key(scenario), []).append(scenario)
-    return groups
-
-
 def cost_order(
     scenarios: Sequence[ScenarioSpec],
     mode: str = "compare",
     observed: Mapping[str, float] | None = None,
 ) -> list[ScenarioSpec]:
-    """Distinct scenarios in claim order: cost-descending, keys tie-break.
+    """Distinct scenarios in claim order: cost-descending, siblings grouped.
 
     A work-stealing pool whose workers always claim the most expensive
     remaining scenario minimizes the tail where one worker finishes a
     giant scenario long after its peers drained everything else.
     Duplicates collapse to their first occurrence (they share a key, hence
-    a lease).  The order may fold in host-local ``observed`` durations:
-    ordering need not agree across hosts for correctness -- the lease
-    files arbitrate ownership -- so each worker is free to use the best
-    pricing its own result store can offer.
+    a lease).  Siblings -- scenarios sharing one training artifact --
+    follow the group's most expensive member, so the worker that trained
+    an artifact reaches its siblings before the next group.  The order
+    may fold in host-local ``observed`` durations: ordering need not
+    agree across hosts for correctness -- the lease files arbitrate
+    ownership -- so each worker is free to use the best pricing its own
+    result store can offer.
     """
-    groups = _grouped(scenarios)
+    distinct: dict[str, ScenarioSpec] = {}
+    for scenario in scenarios:
+        distinct.setdefault(scenario_key(scenario), scenario)
     costs = scenario_costs(scenarios, mode, observed)
-    return [groups[key][0] for key in sorted(groups, key=lambda k: (-costs[k], k))]
+    groups: dict[str, list[ScenarioSpec]] = {}
+    for key in sorted(distinct, key=lambda k: (-costs[k], k)):
+        groups.setdefault(scenario_train_key(distinct[key]) or key, []).append(distinct[key])
+    return [scenario for group in groups.values() for scenario in group]

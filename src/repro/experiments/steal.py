@@ -22,7 +22,9 @@ one shared ``--coordinate`` store *claim* scenarios as they go:
   rather than lost;
 * a finished scenario's lease is rewritten as ``done`` (with the error
   string, if it failed), which is both the "don't re-run this" signal to
-  peers and the progress ledger ``repro steal-status`` renders.
+  peers and the progress ledger ``repro steal-status`` renders;
+* a *train* lease (``<train_key>.train``) makes scenarios that share an
+  untrained artifact wait for one holder to train it.
 
 Because every primitive routes through the backend, ``--coordinate``
 accepts a directory (shared-filesystem pools, NFS included) *or* an
@@ -65,9 +67,11 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "LEASE_SUFFIX",
     "SWEEP_FILE",
+    "TRAIN_LEASE_SUFFIX",
     "Coordinator",
     "Lease",
     "LeaseLost",
+    "SweepMismatch",
     "lease_name",
     "steal_status",
 ]
@@ -79,6 +83,9 @@ DEFAULT_LEASE_TTL = 300.0
 
 #: Filename suffix of lease files in a coordination store.
 LEASE_SUFFIX = ".lease"
+
+#: Filename suffix of train leases, which no scenario count may include.
+TRAIN_LEASE_SUFFIX = ".train"
 
 #: The sweep descriptor the first worker publishes in the store, so
 #: later workers can verify they are all draining the same sweep.
@@ -92,6 +99,10 @@ _SAFE_KEY = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 class LeaseLost(RuntimeError):
     """This worker's lease vanished or now belongs to another worker."""
+
+
+class SweepMismatch(ValueError):
+    """The store coordinates a different sweep (or its descriptor is unreadable)."""
 
 
 def lease_name(key: str) -> str:
@@ -185,6 +196,9 @@ class Coordinator:
     stamps) and the staleness TTL.
     """
 
+    #: Entry-name suffix of the leases this handle claims and lists.
+    suffix = LEASE_SUFFIX
+
     def __init__(
         self,
         root: str | Path | StoreBackend,
@@ -212,7 +226,15 @@ class Coordinator:
         return backend.root if isinstance(backend, LocalBackend) else backend.location
 
     def _lease_entry(self, key: str) -> str:
-        return lease_name(key) + LEASE_SUFFIX
+        return lease_name(key) + self.suffix
+
+    def train_leases(self) -> "Coordinator":
+        """This worker's handle on the store's *train* leases: keyed by
+        ``ScenarioSpec.train_key()``, otherwise exactly like scenario
+        leases, with counters of their own."""
+        train = Coordinator(self.backend, ttl=self.ttl, host=self.host, pid=self.pid)
+        train.suffix = TRAIN_LEASE_SUFFIX
+        return train
 
     def lease_path(self, key: str) -> Path:
         """The on-disk path of one lease -- local backends only.
@@ -439,10 +461,10 @@ class Coordinator:
             self.backend.create(SWEEP_FILE, json.dumps(mine, sort_keys=True).encode())
             existing = self._read_sweep(self.backend)
         if existing is None:
-            raise ValueError(f"unreadable sweep descriptor in {self.root}")
+            raise SweepMismatch(f"unreadable sweep descriptor in {self.root}")
         for field in ("mode", "sim_code", "n_scenarios", "keys_digest"):
             if existing.get(field) != mine[field]:
-                raise ValueError(
+                raise SweepMismatch(
                     f"lease store {self.root} is coordinating a different "
                     f"sweep ({field}: {existing.get(field)!r} there vs "
                     f"{mine[field]!r} here); every worker must run the same "
@@ -465,13 +487,13 @@ class Coordinator:
     # -- inspection ------------------------------------------------------------
 
     def leases(self) -> list[Lease]:
-        """Every lease currently in the store, sorted by entry name."""
+        """Every lease of this handle's kind in the store, sorted by entry name."""
         out = []
-        for name in self.backend.list(LEASE_SUFFIX):
+        for name in self.backend.list(self.suffix):
             entry = self.backend.get_entry(name)
             if entry is None:
                 continue  # removed between list and read
-            out.append(self._parse(entry.data, entry.mtime, name[: -len(LEASE_SUFFIX)]))
+            out.append(self._parse(entry.data, entry.mtime, name[: -len(self.suffix)]))
         return out
 
 

@@ -1,13 +1,29 @@
 """Simulation orchestration: cost constants, executor, results, reports.
 
-The executor is imported lazily: it depends on the hardware-model packages,
-which themselves import the leaf modules here (``calibrate``), so an eager
-import would be circular.
+Exports resolve on first use (PEP 562, through ``repro/_lazy.py``): the
+executor depends on the hardware-model packages, which themselves import
+the leaf modules here (``calibrate``), and ``results`` loads NumPy through
+``repro.serving.result``.  Importing one NumPy-free submodule -- ``repro
+steal-status`` needs only ``repro.sim.report`` -- therefore loads nothing
+else.
 """
 
-from .calibrate import DEFAULT_COSTS, CostModel
-from .report import format_speedup, render_series, render_table
-from .results import ComparisonResult, InferenceResult, geomean
+from typing import TYPE_CHECKING
+
+from .._lazy import export
+
+if TYPE_CHECKING:
+    from .calibrate import DEFAULT_COSTS, CostModel
+    from .executor import PAPER_TREES, Executor, quick_compare
+    from .report import format_speedup, render_series, render_table
+    from .results import ComparisonResult, InferenceResult, geomean
+
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "calibrate": ("DEFAULT_COSTS", "CostModel"),
+    "executor": ("Executor", "PAPER_TREES", "quick_compare"),
+    "report": ("format_speedup", "render_series", "render_table"),
+    "results": ("ComparisonResult", "InferenceResult", "geomean"),
+}
 
 __all__ = [
     "ComparisonResult",
@@ -23,12 +39,6 @@ __all__ = [
     "render_table",
 ]
 
-_LAZY = {"Executor", "quick_compare", "PAPER_TREES"}
-
 
 def __getattr__(name: str) -> object:
-    if name in _LAZY:
-        from . import executor as _executor
-
-        return getattr(_executor, name)
-    raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
+    return export(__name__, _EXPORTS, name)

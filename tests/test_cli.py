@@ -74,7 +74,44 @@ class TestLeanStart:
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("store-serve: serving ") and lines[1] == "lean"
 
-    @pytest.mark.parametrize("package", ["repro.datasets", "repro.serving", "repro.experiments"])
+    def test_steal_status_does_not_import_numpy(self, tmp_path):
+        """`repro steal-status` reads lease stamps and renders one table:
+        neither NumPy nor the serving simulator may load for it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.experiments import Coordinator
+
+        coordinator = Coordinator(tmp_path / "coord", ttl=60.0)
+        coordinator.ensure_sweep(["sk1", "sk2"], "compare")
+        coordinator.claim("sk1")
+        coordinator.mark_done("sk1")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['steal-status', sys.argv[1]]) == 0\n"
+            "print(sorted({'numpy', 'repro.serving.simulator'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "coord")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "1 done, 0 failed" in proc.stdout
+        assert lines[-1] == "[]"
+
+    @pytest.mark.parametrize(
+        "package", ["repro.datasets", "repro.serving", "repro.experiments", "repro.sim"]
+    )
     def test_lazy_exports_cover_all_and_resolve(self, package):
         import importlib
 

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -570,7 +571,8 @@ class TestSweepRunner:
 
     def test_parallel_trains_hardware_axes_once(self, tmp_path):
         """Scenarios differing only in hardware knobs share one cold
-        training: the representative trains, siblings are cache hits."""
+        training: the train lease's holder trains, its siblings wait for
+        the artifact and are cache hits."""
         scenarios = expand_axes(TINY, {"n_bus": [1600, 3200, 6400, 12800]})
         assert len({s.train_key() for s in scenarios}) == 1
         results = SweepRunner(
@@ -590,11 +592,17 @@ class TestSweepRunner:
         assert [r.cache_hit for r in results] == [False, True]
 
     def test_run_all_keeps_duplicate_scenarios(self, tmp_path):
-        results = SweepRunner(
-            cache=ProfileCache(root=tmp_path), parallel=False
-        ).run_all([TINY, TINY, TINY])
-        assert len(results) == 3
-        assert [r.scenario for r in results] == [TINY, TINY, TINY]
+        """Duplicates share a key, hence a lease: they run once, and the one
+        result fills every occurrence, serial and parallel alike."""
+        other = replace(TINY, seed=11)
+        for parallel in (False, True):
+            results = SweepRunner(
+                cache=ProfileCache(root=tmp_path / str(parallel)),
+                max_workers=2,
+                parallel=parallel,
+            ).run_all([TINY, other, TINY, TINY])
+            assert [r.scenario for r in results] == [TINY, other, TINY, TINY]
+            assert results[0] is results[2] is results[3]
 
     def test_run_scenario_result_shape(self, tmp_path):
         result = run_scenario(TINY, ProfileCache(root=tmp_path))
@@ -765,8 +773,8 @@ class TestFaultTolerance:
         assert ResultStore(root=tmp_path).get(bad.cache_key()) is None
 
     def test_parallel_failed_representative_releases_siblings(self, tmp_path):
-        """Scenarios queued behind a failed representative are re-dispatched
-        (promoted), not silently dropped with the old future.result() abort."""
+        """A failed run still marks its train lease done, so the siblings
+        waiting on that lease run instead of being dropped."""
         bad = replace(TINY, systems=("no-such-system",))
         good = expand_axes(TINY, {"n_bus": [1600, 3200, 6400]})
         scenarios = [bad, *good]  # all four share one train key; bad leads
@@ -782,8 +790,9 @@ class TestFaultTolerance:
     def test_parallel_pretrain_failure_promotes_every_sibling(
         self, tmp_path, monkeypatch
     ):
-        """When the representative dies before publishing the artifact, the
-        promotion chain gives every queued sibling its own error result."""
+        """When training itself raises, no artifact is ever published: each
+        sibling runs after the failed holder's train lease is done, and
+        gets its own error result."""
         if multiprocessing.get_start_method() != "fork":  # pragma: no cover
             pytest.skip("tripwire inheritance requires fork start method")
 
@@ -809,6 +818,79 @@ class TestFaultTolerance:
         by_ok = {r.error is None: r for r in results}
         assert by_ok[False].scenario == bad
         assert by_ok[True].scenario == TINY
+
+    def test_killed_worker_scenario_is_stolen(self, tmp_path, monkeypatch):
+        """A worker that dies mid-scenario (mid-training, holding both the
+        scenario and the train lease) is a dead holder on this host: its
+        peer steals both leases, and the sweep still yields every scenario
+        exactly once.  Sweep workers always fork, so they inherit the
+        tripwire."""
+        from repro.gbdt import train as real_train
+
+        marker = tmp_path / "tripped"
+
+        def die_once(data, params):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return real_train(data, params)
+            os._exit(1)
+
+        monkeypatch.setattr("repro.experiments.pipeline.train", die_once)
+        scenarios = expand_axes(TINY, {"n_bus": [1600, 3200, 6400]})
+        results = SweepRunner(
+            cache=ProfileCache(root=tmp_path / "cache"), max_workers=2
+        ).run_all(scenarios)
+        assert marker.exists()  # the tripwire fired: one worker died
+        assert [r.scenario for r in results] == scenarios
+        assert all(r.ok for r in results)
+        assert sum(not r.cache_hit for r in results) == 1
+        assert len({r.worker_pid for r in results}) == 1  # the survivor ran all
+
+    def test_every_worker_killed_yields_error_results(self, tmp_path, monkeypatch):
+        """If every worker dies, the sweep ends with a structured error per
+        unreported scenario instead of hanging."""
+
+        def die(data, params):
+            os._exit(1)
+
+        monkeypatch.setattr("repro.experiments.pipeline.train", die)
+        scenarios = expand_axes(TINY, {"max_depth": [2, 3]})
+        results = SweepRunner(
+            cache=ProfileCache(root=tmp_path), max_workers=2
+        ).run_all(scenarios)
+        assert [r.scenario for r in results] == scenarios
+        assert all(r.error is not None and "exit codes [1, 1]" in r.error for r in results)
+
+    def test_workers_stop_when_the_parent_dies(self, tmp_path):
+        """A SIGKILLed sweep leaves no worker draining it: each result pipe's
+        only reader was the parent, so a worker's next send fails at once."""
+        ran = tmp_path / "ran"
+        ran.mkdir()
+        code = (
+            "import os, signal, sys, time\n"
+            "import repro.experiments.runner as runner_mod\n"
+            "from repro.experiments import ProfileCache, ScenarioSpec, SweepResult, SweepRunner\n"
+            "def fake(scenario, cache=None, results=None, mode='compare'):\n"
+            "    time.sleep(0.1)\n"
+            "    open(os.path.join(sys.argv[1], str(scenario.seed)), 'w').close()\n"
+            "    return SweepResult(scenario, None, False, os.getpid(), error='fake')\n"
+            "runner_mod.run_scenario = fake\n"
+            "scenarios = [ScenarioSpec(dataset='mq2008', seed=s) for s in range(40)]\n"
+            "runner = SweepRunner(cache=ProfileCache(root=sys.argv[2]), max_workers=2)\n"
+            "for _ in runner.run(scenarios):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC_DIR, "TMPDIR": str(tmp_path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(ran), str(tmp_path / "cache")],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == -9, proc.stderr
+        time.sleep(1.0)  # two live orphans would run ~20 more scenarios
+        assert len(list(ran.iterdir())) <= 8
 
     def test_resume_runs_zero_train_zero_simulate(self, tmp_path, monkeypatch):
         """The acceptance criterion: re-running a completed sweep touches

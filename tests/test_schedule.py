@@ -123,6 +123,17 @@ class TestCostOrder:
         assert costs == sorted(costs, reverse=True)
         assert ordered[0].train.n_trees == 400 and ordered[0].extra_scale == 8.0
 
+    def test_siblings_follow_their_most_expensive_member(self):
+        """Scenarios sharing a training artifact are claimed back to back,
+        behind the group's most expensive member: plain cost order would
+        put the other group's (2, 5.0) before the (8, 1.0) sibling."""
+        scenarios = expand_axes(TINY, {"n_trees": [2, 8], "extra_scale": [1.0, 5.0]})
+        assert estimate_cost(scenarios[1]) > estimate_cost(scenarios[2])  # (2, 5.0), (8, 1.0)
+        ordered = cost_order(scenarios)
+        assert [(s.train.n_trees, s.extra_scale) for s in ordered] == [
+            (8, 5.0), (8, 1.0), (2, 5.0), (2, 1.0)
+        ]
+
     def test_order_stable_across_processes(self):
         """The claim order is a pure function of scenario content: a fresh
         interpreter with a different PYTHONHASHSEED yields the identical

@@ -29,6 +29,7 @@ from repro.experiments import (
     SweepResult,
     SweepRunner,
     cost_order,
+    expand_axes,
     lease_name,
     scenario_key,
     steal_status,
@@ -552,6 +553,40 @@ class TestRunStealing:
         assert leases[scenario_key(good)].error is None
 
 
+class TestTrainLease:
+    @pytest.mark.parametrize("over", ["directory", "url"])
+    def test_two_workers_train_a_shared_artifact_once(self, tmp_path, request, over):
+        """Hardware-only siblings share one train key: whichever worker
+        claims its train lease trains, the other waits for the artifact.
+        Train leases stay out of the scenario ledger."""
+        root = tmp_path / "coord" if over == "directory" else request.getfixturevalue("served_url")
+        scenarios = expand_axes(tiny_scenario(), {"clock_ghz": [0.8, 1.0, 1.2, 1.4]})
+        assert len({s.train_key() for s in scenarios}) == 1
+        outputs: dict[str, list] = {"a": [], "b": []}
+
+        def worker(name):
+            coordinator = Coordinator(root, ttl=60.0, host=f"host-{name}")
+            outputs[name] = list(
+                _runner(tmp_path).run_stealing(scenarios, coordinator, poll_interval=0.01)
+            )
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in outputs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        results = outputs["a"] + outputs["b"]
+        assert sorted(scenario_key(r.scenario) for r in results) == sorted(
+            scenario_key(s) for s in scenarios
+        )
+        assert all(r.ok for r in results)
+        assert sum(r.cache_hit is False for r in results) == 1
+        status = steal_status(root)
+        assert status["counts"]["done"] == 4 and status["unclaimed"] == 0
+        train_lease = Coordinator(root, ttl=60.0).train_leases().read(scenarios[0].train_key())
+        assert train_lease is not None and train_lease.done
+
+
 class TestStealStatus:
     def test_missing_directory_is_none(self, tmp_path):
         assert steal_status(tmp_path / "nope") is None
@@ -795,6 +830,20 @@ class TestStealCLI:
         ]
         assert main(argv) == 2
         assert "different sweep" in capsys.readouterr().err
+
+    def test_other_value_errors_are_not_taken_for_a_mismatch(self, monkeypatch, tmp_path):
+        """Only a sweep mismatch is a usage error (exit 2): any other
+        ValueError raised while the sweep runs propagates with its traceback."""
+        from repro.cli import main
+
+        self._isolate_cache(monkeypatch, tmp_path)
+
+        def broken(self, scenario):
+            raise ValueError("not a mismatch")
+
+        monkeypatch.setattr(SweepRunner, "_guarded", broken)
+        with pytest.raises(ValueError, match="not a mismatch"):
+            main(self._sweep_argv(["--coordinate", str(tmp_path / "coord")]))
 
     def test_coordinate_flag_validation(self, capsys, tmp_path):
         from repro.cli import main
