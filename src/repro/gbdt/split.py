@@ -119,13 +119,12 @@ def segment_cumsum(
     if values.ndim != 1:
         raise ValueError("segment_cumsum expects a 1-D array")
     starts = offsets[:-1]
-    sizes = np.diff(offsets)
-    if sizes.sum() != values.shape[0]:
+    if offsets[-1] - offsets[0] != values.shape[0]:
         raise ValueError("offsets do not cover the array")
     c = np.cumsum(values)
     base_vals = c[starts] - values[starts]
     if at is None:
-        return c - np.repeat(base_vals, sizes)
+        return c - np.repeat(base_vals, np.diff(offsets))
     if segment_of_at is None:
         raise ValueError("segment_cumsum needs segment_of_at together with at")
     return c[at] - base_vals[segment_of_at]
@@ -166,6 +165,22 @@ class SplitSearcher:
         # their gain bands would be uniformly -inf and can never win.
         self._has_num = bool(self._num_candidate.any())
         self._has_cat = bool(self._cat_candidate.any())
+        # Each field's first bin: always kept by the compacted cumsums, so
+        # the kept columns still split into one segment per field.
+        self._field_start = np.zeros(n_bins, dtype=bool)
+        self._field_start[self.offsets[:-1]] = True
+
+    def cannot_split(self, h_tot: float) -> bool:
+        """True when ``h_tot < 2 * min_child_weight`` (and the weight is > 0).
+
+        Such a node has no valid split, so the trainer does not search it.  A
+        candidate with ``hl >= mcw`` either has ``hl <= h_tot < 2 * hl``, so
+        ``h_tot - hl`` is exact (Sterbenz's lemma) and below ``mcw``, or has
+        ``hl > h_tot``, so ``h_tot - hl`` is negative.  Either way its right
+        child breaks the weight constraint and its gain is ``-inf``.
+        """
+        mcw = self.params.min_child_weight
+        return mcw > 0 and h_tot < 2 * mcw
 
     # -- gain math --------------------------------------------------------------
 
@@ -229,8 +244,13 @@ class SplitSearcher:
           bin.  Elsewhere adding the missing aggregates adds zeros, so every
           gain equals the missing-right band's at the same bin, which comes
           first in variant order and wins the tie;
-        * the segmented cumsum is gathered at the kept bins with the same
-          ``c - base`` arithmetic as the dense scan;
+        * the segmented cumsums are gathered at the kept bins with the same
+          ``c - base`` arithmetic as the dense scan.  When fewer than a
+          quarter of the columns are occupied, the running sums are taken
+          over the occupied columns plus each field's first bin only: an
+          all-zero column adds ``+0.0`` to a running sum and cannot move it;
+        * with unit hessians (:attr:`Histogram.unit_hess`) the hess cumsum is
+          the count cumsum, taken once;
         * each band's first maximum is found, then the first maximum in
           variant order -- the dense ``(variant, bin)`` scan's tie-breaking.
 
@@ -269,9 +289,19 @@ class SplitSearcher:
             occupied = (count != 0) | (grad != 0) | (hess != 0)
             bins = np.flatnonzero((occupied & self._num_candidate) | self._num_bin0)
             fields = self._field_of_bin[bins]
-            gl, hl, cl = (
-                segment_cumsum(v, self.offsets, bins, fields) for v in (grad, hess, count)
-            )
+            cols: slice | np.ndarray = slice(None)
+            offsets, at = self.offsets, bins
+            occupied |= self._field_start
+            if 4 * int(np.count_nonzero(occupied)) < self._n_bins:
+                # Compacted columns; their field starts are a segment partition.
+                # Below a quarter the gathers cost less than the dense cumsums
+                # they save (docs/performance.md, "Leaner training kernels").
+                cols = np.flatnonzero(occupied)
+                offsets = np.searchsorted(cols, self.offsets)
+                at = np.searchsorted(cols, bins)
+            gl = segment_cumsum(grad[cols], offsets, at, fields)
+            cl = segment_cumsum(count[cols], offsets, at, fields)
+            hl = cl if hist.unit_hess else segment_cumsum(hess[cols], offsets, at, fields)
             add_bands(0, bins, fields, gl, hl, cl)
         if self._has_cat:
             bins, fields = self._cat_bins, self._cat_fields

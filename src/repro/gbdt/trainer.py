@@ -13,6 +13,17 @@ level by level.  The above assumes the former", Sec. II-A):
    g/h and the total loss;
 6. start the next tree.
 
+Step 5's result is read off the partition: the records of each leaf's
+``index`` are exactly the records a walk of the finished tree sends there, so
+each record's leaf weight and path length (the leaf's depth) are written
+when the leaf is made.  :meth:`Tree.predict` stays the inference path.
+
+The host skips work that cannot change the model, and charges the modelled
+work as if it were done: a vertex whose hessian total is below twice
+``min_child_weight`` has no valid split (:meth:`SplitSearcher.cannot_split`),
+so it is recorded as evaluated but not searched, and a smaller child is not
+binned when neither child will be searched.
+
 Level-by-level growth visits the same vertices in the same breadth-first
 order and builds the identical model, so one trained profile prices both
 schedules: the schedule is a pricing input
@@ -92,7 +103,7 @@ class _NodeTask:
 
     depth: int
     index: np.ndarray
-    hist: Histogram | None  # None => bin explicitly if a split will be attempted
+    hist: Histogram | None  # None => not searched (the root is binned when popped)
     g_tot: float
     h_tot: float
     c_tot: float
@@ -137,13 +148,12 @@ class GBDTTrainer:
         root_bin_counts: np.ndarray | None = None
         for round_ix in range(params.n_trees):
             g, h = self.loss.gradients(margin, y)
-            tree, work, fracs, root_counts = self._grow_tree(g, h)
+            tree, work, fracs, root_counts, pred, depths = self._grow_tree(g, h)
             trees.append(tree)
             if root_bin_counts is None and root_counts is not None:
                 root_bin_counts = root_counts
 
-            # Step 5: one-tree traversal over *all* records, updating margins.
-            pred, depths = tree.predict(data.codes, return_depth=True)
+            # Step 5: every record's leaf weight and path length, updating margins.
             margin += pred  # leaf weights already include the learning rate
             losses[round_ix] = self.loss.value(margin, y)
 
@@ -187,9 +197,21 @@ class GBDTTrainer:
 
     # -- tree growth ----------------------------------------------------------------
 
+    def _may_split(self, task: _NodeTask) -> bool:
+        """Depth and size limits allow a split, so step 2 is charged at ``task``."""
+        return (
+            task.depth < self.params.max_depth
+            and task.index.size >= 2 * self.params.split.min_child_records
+        )
+
+    def _searchable(self, task: _NodeTask) -> bool:
+        """Step 2 runs on the host: ``task`` may split and its hessian allows it."""
+        return self._may_split(task) and not self.searcher.cannot_split(task.h_tot)
+
     def _grow_tree(
         self, g: np.ndarray, h: np.ndarray
-    ) -> tuple[Tree, TreeWork, list[float], np.ndarray | None]:
+    ) -> tuple[Tree, TreeWork, list[float], np.ndarray | None, np.ndarray, np.ndarray]:
+        """Grow one tree; also returns each record's leaf weight and path length."""
         data = self.data
         params = self.params
         spec = data.spec
@@ -197,6 +219,8 @@ class GBDTTrainer:
         lr = params.learning_rate
         n = data.n_records
         tree = Tree(spec)
+        leaf_weights = np.empty(n, dtype=np.float64)
+        path_lens = np.empty(n, dtype=np.int64)
 
         depths: list[int] = []
         reaches: list[int] = []
@@ -224,24 +248,20 @@ class GBDTTrainer:
             task = queue.popleft()
             n_reach = int(task.index.size)
 
-            can_split = (
-                task.depth < params.max_depth
-                and n_reach >= 2 * params.split.min_child_records
-            )
+            can_split = self._may_split(task)
 
-            # Step 1: bin explicitly unless the subtraction trick supplied the
-            # histogram at the parent; nodes that will not attempt a split
-            # (depth/size limits) never need one.
+            # Step 1: the root is binned explicitly whenever it may split;
+            # below it the parent supplied the histogram (smaller child binned,
+            # larger by subtraction), or none if neither child is searched.
             hist = task.hist
             n_binned = task.binned_at_parent
-            if hist is None and can_split:
+            if task.parent < 0 and can_split:
                 hist = self.builder.build(task.index, g, h)
                 n_binned = n_reach
-            if task.parent < 0 and hist is not None and root_counts is None:
                 root_counts = hist.count.copy()
 
             decision: SplitDecision | None = None
-            if can_split:
+            if self._searchable(task):
                 assert hist is not None
                 # Step 2 (host-offloaded): scan all bins for the best split.
                 decision = self.searcher.best_split(
@@ -269,6 +289,8 @@ class GBDTTrainer:
                 w = lr * leaf_weight(task.g_tot, task.h_tot, lam)
                 node = tree.add_leaf(task.depth, w)
                 self._attach(tree, task, node)
+                leaf_weights[task.index] = w
+                path_lens[task.index] = task.depth
                 continue
 
             assert decision is not None and left_idx is not None and right_idx is not None
@@ -311,11 +333,13 @@ class GBDTTrainer:
             if task.depth + 1 < params.max_depth:
                 # Children may split, so they need histograms: bin the smaller
                 # child explicitly and derive the larger one by subtraction.
-                assert hist is not None
-                small_hist = self.builder.build(small.index, g, h)
-                small.hist = small_hist
+                # The binning is charged even when neither child is searched
+                # and the host skips it.
                 small.binned_at_parent = int(small.index.size)
-                large.hist = hist.subtract(small_hist)
+                if self._searchable(left_task) or self._searchable(right_task):
+                    assert hist is not None
+                    small.hist = self.builder.build(small.index, g, h)
+                    large.hist = hist.subtract(small.hist)
             queue.append(left_task)
             queue.append(right_task)
 
@@ -333,7 +357,7 @@ class GBDTTrainer:
             max_path_len=0,
             loss_after=0.0,
         )
-        return tree, work, child_fracs, root_counts
+        return tree, work, child_fracs, root_counts, leaf_weights, path_lens
 
     def _attach(self, tree: Tree, task: _NodeTask, node: int) -> None:
         if task.parent < 0:

@@ -397,8 +397,9 @@ class WorkProfile:
     def inference_work(self, n_trees_target: int | None = None) -> "InferenceWork":
         """Batch-inference work over the training records, from step 5.
 
-        Step 5 already walked every training record through every tree, so
-        the per-tree path sums, depths and node counts recorded here are
+        Step 5 already recorded every training record's path through every
+        tree (read off the partition, equal to a walk of the finished tree),
+        so the per-tree path sums, depths and node counts recorded here are
         exactly what a separate inference pass over the same records would
         measure.  ``n_trees_target`` (default: the measured tree count)
         extrapolates to the paper's 500-tree models: path-length statistics

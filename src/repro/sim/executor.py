@@ -184,7 +184,7 @@ class Executor:
     ) -> InferenceResult:
         """Batch-inference comparison over all records (Fig. 13).
 
-        The work comes from the training run's own step-5 walk
+        The work comes from the training run's own step-5 path lengths
         (:meth:`WorkProfile.inference_work` on the unscaled profile), so no
         dataset is generated and no tree is walked again.  ``extra_scale``
         multiplies the batch's record count on top of the paper

@@ -9,7 +9,8 @@ is re-associated):
 * :func:`best_split_many` -- the dense split search: every bin of every
   vertex scored, no bin compaction;
 * :class:`LevelWiseOracle` -- level-by-level tree growth (Sec. II-A), one
-  vertex at a time, with the smaller-child subtraction at every level;
+  vertex at a time, with the smaller-child subtraction at every level, every
+  vertex searched and step 5 as a walk of the finished tree;
 * :func:`simulate_oracle` -- the serving queue as a heap-driven
   discrete-event loop, one dispatch at a time;
 * :class:`ChannelSim` and :func:`dram_run_oracle` -- the DRAM oracle: one
@@ -241,7 +242,7 @@ class LevelWiseOracle(GBDTTrainer):
 
     def _grow_tree(
         self, g: np.ndarray, h: np.ndarray
-    ) -> tuple[Tree, TreeWork, list[float], np.ndarray | None]:
+    ) -> tuple[Tree, TreeWork, list[float], np.ndarray | None, np.ndarray, np.ndarray]:
         data = self.data
         params = self.params
         n = data.n_records
@@ -350,7 +351,9 @@ class LevelWiseOracle(GBDTTrainer):
             max_path_len=0,
             loss_after=0.0,
         )
-        return tree, work, child_fracs, root_counts
+        # Step 5: walk the finished tree with every record.
+        leaf_weights, path_lens = tree.predict(data.codes, return_depth=True)
+        return tree, work, child_fracs, root_counts, leaf_weights, path_lens
 
     def _partition_level(
         self,

@@ -45,7 +45,7 @@ class TestBuild:
         hist = builder.build(idx, g, h)
         # Density property: each field's bins sum to exactly the record count.
         for j in range(data.n_fields):
-            sl = builder.field_slice(j)
+            sl = slice(builder.offsets[j], builder.offsets[j + 1])
             assert hist.count[sl].sum() == pytest.approx(100)
 
     def test_per_field_grad_totals_equal_node_total(self, builder, gh, data):
@@ -53,7 +53,7 @@ class TestBuild:
         idx = np.arange(37, 180)
         hist = builder.build(idx, g, h)
         for j in range(data.n_fields):
-            sl = builder.field_slice(j)
+            sl = slice(builder.offsets[j], builder.offsets[j + 1])
             assert hist.grad[sl].sum() == pytest.approx(g[idx].sum())
             assert hist.hess[sl].sum() == pytest.approx(h[idx].sum())
 
@@ -75,6 +75,68 @@ class TestBuild:
         idx = np.arange(k)
         hist = builder.build(idx, g, h)
         assert hist.count.sum() == pytest.approx(k * builder.data.n_fields)
+
+    def test_successive_builds_match_brute_force(self, data, gh):
+        """Growing and shrinking builds reuse one scratch buffer; each must
+        equal the brute-force oracle, so no stale rows leak between calls."""
+        builder = HistogramBuilder(data)
+        g, h = gh
+        rng = np.random.default_rng(11)
+        for size in (300, 7, 150, 1, 299, 40, 300, 2):
+            idx = np.sort(rng.choice(data.n_records, size=size, replace=False))
+            fast = builder.build(idx, g, h)
+            slow = build_brute_force(builder, idx, g, h)
+            assert fast.count.tobytes() == slow.count.tobytes()
+            assert fast.grad.tobytes() == slow.grad.tobytes()
+            assert fast.hess.tobytes() == slow.hess.tobytes()
+
+    def test_positions_index_like_numpy(self, builder, gh, data):
+        """A negative position counts from the end, as ``g[index]`` does, and
+        a position past the last record raises."""
+        g, h = gh
+        n = data.n_records
+        idx = np.array([-1, 4, -n, 17, -2])
+        fast = builder.build(idx, g, h)
+        slow = build_brute_force(builder, idx % n, g, h)
+        assert fast.count.tobytes() == slow.count.tobytes()
+        assert fast.grad.tobytes() == slow.grad.tobytes()
+        assert fast.hess.tobytes() == slow.hess.tobytes()
+        with pytest.raises(IndexError):
+            builder.build(np.array([0, n]), g, h)
+
+    def test_unit_hessian_is_the_count_histogram(self, builder, gh, data):
+        """Squared error's ``h == 1`` returns the count histogram as hess,
+        bit-identical to binning the ones one update at a time."""
+        g, _ = gh
+        ones = np.ones(data.n_records)
+        idx = np.arange(5, 290, 2)
+        hist = builder.build(idx, g, ones)
+        slow = build_brute_force(builder, idx, g, ones)
+        assert hist.unit_hess and hist.hess is hist.count
+        assert hist.hess.tobytes() == slow.hess.tobytes()
+        assert hist.grad.tobytes() == slow.grad.tobytes()
+
+    def test_one_other_hessian_bins_hess(self, builder, gh, data):
+        """A single selected ``h != 1`` needs its own hess histogram."""
+        g, _ = gh
+        h = np.ones(data.n_records)
+        h[101] = 1.5
+        idx = np.arange(5, 290, 2)
+        hist = builder.build(idx, g, h)
+        assert not hist.unit_hess
+        assert hist.hess.tobytes() == build_brute_force(builder, idx, g, h).hess.tobytes()
+        assert builder.build(idx[idx != 101], g, h).unit_hess
+
+    def test_unit_hessian_subtraction_keeps_sharing(self, builder, gh, data):
+        g, h = gh
+        ones = np.ones(data.n_records)
+        parent = builder.build(np.arange(200), g, ones)
+        child = builder.build(np.arange(0, 200, 3), g, ones)
+        sibling = parent.subtract(child)
+        assert sibling.unit_hess
+        assert np.array_equal(sibling.count, parent.count - child.count)
+        mixed = builder.build(np.arange(200), g, h).subtract(child)
+        assert not mixed.unit_hess
 
 
 class TestSubtraction:
@@ -111,25 +173,8 @@ class TestSubtraction:
 
 
 class TestHistogramStructure:
-    def test_field_slice_covers_all_bins(self, builder, data):
-        total = 0
-        for j in range(data.n_fields):
-            sl = builder.field_slice(j)
-            total += sl.stop - sl.start
-        assert total == builder.n_bins
-
     def test_shape_mismatch_rejected(self):
         from repro.gbdt import Histogram
 
         with pytest.raises(ValueError):
             Histogram(count=np.zeros(4), grad=np.zeros(5), hess=np.zeros(4))
-
-    def test_totals_for_field(self, builder, gh):
-        g, h = gh
-        idx = np.arange(64)
-        hist = builder.build(idx, g, h)
-        sl = builder.field_slice(0)
-        c, gr, he = hist.totals_for_field(sl.start, sl.stop)
-        assert c == pytest.approx(64)
-        assert gr == pytest.approx(g[idx].sum())
-        assert he == pytest.approx(h[idx].sum())

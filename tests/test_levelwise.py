@@ -2,7 +2,9 @@
 
 The vertex-by-vertex trainer is the only tree grower; level-by-level growth
 is checked against the oracle in :mod:`tests.oracles` and priced by
-``BoosterEngine(growth="level")`` from the same trained profile.
+``BoosterEngine(growth="level")`` from the same trained profile.  The oracle
+also searches every vertex and walks the finished tree for step 5, so it
+pins the trainer's skipped searches and partition-derived step 5.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from repro.core import BoosterEngine
 from repro.datasets import TaskKind, generate
-from repro.gbdt import TrainParams, train
+from repro.gbdt import GBDTTrainer, TrainParams, train
 from tests.conftest import small_spec_factory
 from tests.oracles import LevelWiseOracle
 
@@ -54,6 +56,20 @@ class TestEquivalence:
         assert pv.step2_evaluations() == pl.step2_evaluations()
         assert pv.traversal_hops() == pl.traversal_hops()
         assert pv.smaller_child_fraction_mean == pl.smaller_child_fraction_mean
+
+    @pytest.mark.parametrize("task", [TaskKind.BINARY, TaskKind.REGRESSION])
+    def test_partition_step5_matches_oracle_walk(self, task):
+        """The trainer reads each record's leaf weight and path length off
+        the partition; the oracle walks the finished tree.  Per record they
+        must agree bit for bit."""
+        data = generate(small_spec_factory(n_records=500, task=task, seed=17))
+        params = TrainParams(n_trees=1, max_depth=5)
+        vertex, level = GBDTTrainer(data, params), LevelWiseOracle(data, params)
+        g, h = vertex.loss.gradients(np.full(data.n_records, 0.1), data.y)
+        *_, v_weights, v_lens = vertex._grow_tree(g, h)
+        *_, l_weights, l_lens = level._grow_tree(g, h)
+        assert v_weights.tobytes() == l_weights.tobytes()
+        assert np.array_equal(v_lens, l_lens)
 
     def test_regression_task_equivalence(self):
         data = generate(small_spec_factory(n_records=400, task=TaskKind.REGRESSION))

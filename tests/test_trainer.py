@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import TaskKind, generate
-from repro.gbdt import TrainParams, train
+from repro.gbdt import GBDTTrainer, SplitParams, SplitSearcher, TrainParams, train
 from tests.conftest import small_spec_factory
 
 
@@ -92,8 +92,54 @@ class TestWorkAccounting:
     def test_traversal_hops_match_tree_predictions(self, trained, small_data):
         for tree, tw in zip(trained.trees, trained.profile.trees):
             _, depths = tree.predict(small_data.codes, return_depth=True)
-            assert tw.sum_path_len == pytest.approx(depths.sum())
+            assert tw.sum_path_len == depths.sum()
             assert tw.max_path_len == depths.max()
+
+    @pytest.mark.parametrize("task", [TaskKind.BINARY, TaskKind.REGRESSION])
+    def test_step5_from_partition_equals_tree_predict_replay(self, task):
+        """Step 5 is read off the partition; per record it must equal a
+        ``Tree.predict`` walk of the finished tree, and the trained losses
+        must equal the losses of the replayed margins."""
+        data = generate(small_spec_factory(task=task, n_records=600, seed=13))
+        params = TrainParams(n_trees=4)
+        trainer = GBDTTrainer(data, params)
+        loss = trainer.loss
+        margin = np.full(data.n_records, loss.base_margin(data.y))
+        for _ in range(params.n_trees):
+            g, h = loss.gradients(margin, data.y)
+            tree, _, _, _, leaf_weights, path_lens = trainer._grow_tree(g, h)
+            pred, depths = tree.predict(data.codes, return_depth=True)
+            assert leaf_weights.tobytes() == pred.tobytes()
+            assert np.array_equal(path_lens, depths)
+            margin += pred
+        result = train(data, params)
+        replay = np.full(data.n_records, result.base_margin)
+        for t, tree in enumerate(result.trees):
+            replay += tree.predict(data.codes)
+            assert loss.value(replay, data.y) == result.losses[t]
+
+    def test_light_hessian_nodes_are_charged_but_not_searched(self, small_data, monkeypatch):
+        """Nodes with ``h_tot < 2 * min_child_weight`` stay evaluated in the
+        profile but are never searched; with ``min_child_weight=0`` every
+        evaluated node is searched."""
+        calls = []
+        real = SplitSearcher.best_split
+
+        def counting(self, hist, g_tot, h_tot, c_tot):
+            calls.append(h_tot)
+            return real(self, hist, g_tot, h_tot, c_tot)
+
+        monkeypatch.setattr(SplitSearcher, "best_split", counting)
+        params = TrainParams(n_trees=6)
+        res = train(small_data, params)
+        evaluated = res.profile.step2_evaluations()
+        assert 0 < len(calls) < evaluated
+        assert min(calls) >= 2 * params.split.min_child_weight
+
+        calls.clear()
+        free = TrainParams(n_trees=6, split=SplitParams(min_child_weight=0.0))
+        res = train(small_data, free)
+        assert len(calls) == res.profile.step2_evaluations()
 
     def test_relevant_fields_match_trees(self, trained):
         for tree, tw in zip(trained.trees, trained.profile.trees):

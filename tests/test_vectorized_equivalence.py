@@ -215,6 +215,68 @@ class TestBestSplitMany:
         hists, _, _, _, g_tot, h_tot, c_tot = self._histograms(numerical, num_builder, 6, seed=8)
         self._assert_rows_match(searcher, hists, g_tot, h_tot, c_tot)
 
+    @pytest.mark.parametrize("unit_hessian", [False, True])
+    def test_compacted_and_dense_cumsums(self, data, builder, unit_hessian):
+        """Small nodes occupy under a quarter of the columns (``best_split``
+        takes its cumsums over the occupied ones), large nodes more (dense
+        cumsums); both match the oracle, with real and with unit hessians."""
+        searcher = SplitSearcher(data.spec, builder.offsets, TrainParams().split)
+        g, h = _random_stats(data.n_records, 29)
+        rng = np.random.default_rng(29)
+        hists, totals = [], []
+        for size in (2, 3, 9, 40, 400, 700):
+            index = np.sort(rng.choice(data.n_records, size=size, replace=False))
+            hists.append(builder.build(index, g, np.ones_like(h) if unit_hessian else h))
+            h_tot = float(size) if unit_hessian else h[index].sum()
+            totals.append((g[index].sum(), h_tot, float(size)))
+        occupancy = [
+            ((x.count != 0) | (x.grad != 0) | (x.hess != 0) | searcher._field_start).mean()
+            for x in hists
+        ]
+        assert min(occupancy) < 0.25 < max(occupancy)
+        assert all(x.unit_hess == unit_hessian for x in hists)
+        self._assert_rows_match(searcher, hists, *map(np.array, zip(*totals)))
+
+    @given(
+        seed=st.integers(0, 10**6),
+        ratio=st.floats(0.0, 0.99),
+        mcw=st.floats(1e-3, 50.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_light_hessian_node_has_no_valid_split(self, data, builder, seed, ratio, mcw):
+        """``h_tot < 2 * min_child_weight``: the dense oracle finds no valid
+        split on arbitrary histograms, so the trainer may skip the search.
+        The left sums may even exceed ``h_tot``."""
+        rng = np.random.default_rng(seed)
+        k = 4
+        count = rng.integers(0, 6, size=(k, builder.n_bins)).astype(np.float64)
+        grad = rng.normal(size=count.shape) * (count > 0)
+        hess = rng.uniform(0.0, 2.0 * mcw, size=count.shape) * (count > 0)
+        g_tot = rng.normal(size=k)
+        c_tot = rng.integers(2, 40, size=k).astype(np.float64)
+        h_tot = np.array([2 * mcw * ratio, np.nextafter(2 * mcw, 0.0), 0.0, mcw])
+        params = SplitParams(lambda_=1.0, gamma=0.0, min_child_weight=mcw, min_child_records=1)
+        searcher = SplitSearcher(data.spec, builder.offsets, params)
+        for j, decision in enumerate(
+            best_split_many(searcher, count, grad, hess, g_tot, h_tot, c_tot)
+        ):
+            assert searcher.cannot_split(h_tot[j])
+            assert not decision.valid
+        # The same histograms split once the hessian total reaches 2 * mcw.
+        roomy = np.full(k, 8 * mcw + hess.sum(axis=1).max())
+        assert not any(searcher.cannot_split(x) for x in roomy)
+        roomy_decisions = best_split_many(searcher, count, grad, hess, g_tot, roomy, c_tot)
+        assert any(d.valid for d in roomy_decisions)
+
+    def test_skip_rule_needs_positive_min_child_weight(self, data, builder):
+        for mcw in (0.0, -1.0):
+            params = SplitParams(min_child_weight=mcw)
+            searcher = SplitSearcher(data.spec, builder.offsets, params)
+            assert not any(searcher.cannot_split(x) for x in (-1.0, 0.0, 1e-300, 1.0))
+        searcher = SplitSearcher(data.spec, builder.offsets, SplitParams(min_child_weight=1.0))
+        assert searcher.cannot_split(np.nextafter(2.0, 0.0))
+        assert not searcher.cannot_split(2.0)
+
 
 def _serve_oracle_lanes(cfg, window, lanes):
     """Pack per-lane ``(arrivals, banks, rows)`` streams for ``serve_lanes``."""
@@ -368,12 +430,16 @@ class TestGrowTreeEquivalence:
     def test_single_tree_identity(self, data):
         params = TrainParams(n_trees=1, max_depth=5)
         g, h = _random_stats(data.n_records, 17)
-        v_tree, v_work, v_fracs, v_counts = GBDTTrainer(data, params)._grow_tree(g, h)
-        l_tree, l_work, l_fracs, l_counts = LevelWiseOracle(data, params)._grow_tree(g, h)
+        v_tree, v_work, v_fracs, v_counts, v_w, v_len = GBDTTrainer(data, params)._grow_tree(g, h)
+        l_tree, l_work, l_fracs, l_counts, l_w, l_len = LevelWiseOracle(data, params)._grow_tree(
+            g, h
+        )
         _assert_same_tree(v_tree, l_tree)
         _assert_same_work(v_work, l_work)
         assert v_fracs == l_fracs
         assert np.array_equal(v_counts, l_counts)
+        assert v_w.tobytes() == l_w.tobytes()
+        assert np.array_equal(v_len, l_len)
 
 
 class TestWorkProfileAggregation:
