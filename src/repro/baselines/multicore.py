@@ -29,9 +29,6 @@ class SequentialCPU(HardwareModel):
     reduce_copies = 0  # single copy: nothing to reduce
     sync_overhead = False
 
-    def _hist_bytes(self, profile: WorkProfile) -> float:
-        return profile.n_total_bins * self.costs.host_bin_bytes
-
     def _compute_seconds(self, cycles: float) -> float:
         return cycles / (self.costs.cpu_clock_ghz * 1e9) / self.threads
 

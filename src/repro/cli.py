@@ -396,28 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "validate", parents=[common], help="run the reproduction claim checklist"
     )
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="run the project invariant linter (RPR rules)",
-        description="AST-based checker for the invariants the orchestration "
-        "stack depends on: atomic store writes, hash-stable keys, "
-        "fork-safe worker state, flushed manifests, and more.  See "
-        "docs/development.md for the rule catalogue and the inline "
-        "'# repro: noqa RPRxxx -- reason' suppression policy.",
-    )
-    p_lint.add_argument(
-        "paths",
-        nargs="*",
-        default=[],
-        help="files or directories to lint (default: src tests)",
-    )
-    p_lint.add_argument(
-        "--select",
-        default=None,
-        metavar="RULES",
-        help="comma-separated rule codes to run (e.g. RPR001,RPR005)",
-    )
     return parser
 
 
@@ -1222,13 +1200,6 @@ def _cmd_steal_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """`repro lint`: machine-check the project invariants (RPR rules)."""
-    from .devtools.lint import lint_main
-
-    return lint_main(args.paths, select=args.select)
-
-
 def _cmd_store_serve(args: argparse.Namespace) -> int:
     """`repro store-serve`: serve a store directory over HTTP until interrupted."""
     from .experiments.store_server import run
@@ -1259,7 +1230,6 @@ _COMMANDS = {
     "steal-status": _cmd_steal_status,
     "store-serve": _cmd_store_serve,
     "validate": _cmd_validate,
-    "lint": _cmd_lint,
 }
 
 

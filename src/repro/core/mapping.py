@@ -48,10 +48,6 @@ class BinMapping:
     #: Expected updates per SRAM per record, one entry per SRAM of a copy.
     sram_load: np.ndarray
 
-    @property
-    def records_in_flight(self) -> int:
-        return self.replicas
-
     def throughput_records_per_cycle(self, bu_op_cycles: int) -> float:
         """Step-1 record throughput of the whole chip.
 

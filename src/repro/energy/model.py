@@ -44,10 +44,6 @@ class EnergyBreakdown:
     sram_accesses: float
     dram_bytes: float
 
-    @property
-    def total_joules(self) -> float:
-        return self.sram_joules + self.dram_joules
-
 
 class EnergyModel:
     """Training-energy accounting for the three Fig. 10 systems."""

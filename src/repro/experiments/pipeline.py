@@ -29,7 +29,9 @@ __all__ = [
     "train_scenario_tracked",
 ]
 
-_DATASET_MEMO: dict[tuple[str, int, int], BinnedDataset] = {}  # repro: noqa RPR005 -- content-keyed deterministic memo: a forked copy regenerates identical datasets, so sharing or not sharing is indistinguishable
+# Content-keyed deterministic memo: a forked copy regenerates identical
+# datasets, so sharing it across fork or not is indistinguishable.
+_DATASET_MEMO: dict[tuple[str, int, int], BinnedDataset] = {}
 #: Benchmarks at the default sim scale are all small; one suite touches at
 #: most the five registry datasets plus a handful of swept variants, so a
 #: small LRU bounds memory on long records/seed sweeps.

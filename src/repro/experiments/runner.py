@@ -707,7 +707,8 @@ class SweepRunner:
         lease: one result per distinct scenario.  Scenario and train
         leases are marked done even when the run failed: retrying is
         ``--resume``'s job, and peers re-claiming a deterministic failure
-        would spin forever.
+        would spin forever.  A scenario replayed from the result store
+        trained nothing, so it releases its train lease instead.
         """
         from .schedule import cost_order, observed_durations  # lazy: avoids an import cycle
 
@@ -778,7 +779,11 @@ class SweepRunner:
                     if train_key is not None:
                         train_leases.release(train_key)
                     raise
-                if train_key is not None:
+                if train_key is not None and result.stored:
+                    # A stored replay trained nothing: hand the lease back
+                    # so the sibling that does train holds it.
+                    train_leases.release(train_key)
+                elif train_key is not None:
                     train_leases.mark_done(train_key, error=result.error)
                     trained.add(train_key)
                 # Mark done only AFTER the consumer resumes us, i.e. after

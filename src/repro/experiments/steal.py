@@ -540,7 +540,9 @@ class _LeaseRenewer:
             except LeaseLost:
                 self.lost = True
                 return
-            except Exception:  # repro: noqa RPR006 -- transient I/O: next tick retries, and the lease TTL is the bounded backstop
+            except Exception:
+                # Transient I/O: the next tick retries, and the lease TTL is
+                # the bounded backstop.
                 pass
 
 

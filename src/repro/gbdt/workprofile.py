@@ -366,11 +366,6 @@ class WorkProfile:
     def traversal_records(self) -> float:
         return float(self.n_records * self.n_trees)
 
-    def mean_relevant_fields(self) -> float:
-        if not self.trees:
-            return 0.0
-        return float(np.mean([t.n_relevant_fields for t in self.trees]))
-
     def step5_bytes(self, layout: RecordLayout, column_format: bool) -> float:
         """DRAM bytes for step 5: record fetch + g/h read/update + labels.
 

@@ -65,8 +65,3 @@ class DRAMConfig:
     def peak_gbps(self) -> float:
         """Peak bandwidth in GB/s at the configured clock."""
         return self.peak_bytes_per_cycle * self.clock_ghz
-
-    def bandwidth_gbps(self, bytes_moved: float, cycles: float) -> float:
-        if cycles <= 0:
-            return 0.0
-        return (bytes_moved / cycles) * self.clock_ghz

@@ -38,7 +38,9 @@ _DENSITY_LADDER = (0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0)
 #: negligible (<1%), short enough to simulate in well under a second.
 _CAL_BLOCKS = 24_000
 
-_CACHE: dict[tuple, "BandwidthProfile"] = {}  # repro: noqa RPR005 -- content-keyed deterministic memo of pure simulation outputs; fork copies recompute identical profiles
+# Content-keyed deterministic memo of pure simulation outputs; forked copies
+# recompute identical profiles, so it is fork-safe.
+_CACHE: dict[tuple, "BandwidthProfile"] = {}
 
 
 @dataclass

@@ -31,6 +31,7 @@ from repro.experiments import (
     cost_order,
     expand_axes,
     lease_name,
+    observed_durations,
     scenario_key,
     steal_status,
 )
@@ -554,14 +555,43 @@ class TestRunStealing:
 
 
 class TestTrainLease:
-    @pytest.mark.parametrize("over", ["directory", "url"])
-    def test_two_workers_train_a_shared_artifact_once(self, tmp_path, request, over):
+    @pytest.mark.parametrize(
+        "over, stored_sibling",
+        [
+            pytest.param("directory", False, id="directory"),
+            pytest.param("url", False, id="url"),
+            pytest.param("directory", True, id="stored-sibling"),
+        ],
+    )
+    def test_two_workers_train_a_shared_artifact_once(
+        self, tmp_path, request, monkeypatch, over, stored_sibling
+    ):
         """Hardware-only siblings share one train key: whichever worker
         claims its train lease trains, the other waits for the artifact.
-        Train leases stay out of the scenario ledger."""
+        Train leases stay out of the scenario ledger.  A sibling replayed
+        from the result store trains nothing, so its train lease must not
+        let the others run unguarded."""
+        import repro.experiments.pipeline as pipeline_mod
+
         root = tmp_path / "coord" if over == "directory" else request.getfixturevalue("served_url")
         scenarios = expand_axes(tiny_scenario(), {"clock_ghz": [0.8, 1.0, 1.2, 1.4]})
         assert len({s.train_key() for s in scenarios}) == 1
+        if stored_sibling:
+            seed = _runner(tmp_path)
+            assert runner_mod.run_scenario(scenarios[0], seed.cache, seed.results).ok
+            # The stored sibling is claimed first, so it takes the train lease.
+            observed = observed_durations(seed.results, scenarios)
+            assert cost_order(scenarios, "compare", observed)[0] == scenarios[0]
+            seed.cache.invalidate(scenarios[0].train_key())  # result stored, artifact gone
+        trains: list[object] = []
+        real_train = pipeline_mod.train
+
+        def counting_train(data, params):
+            trains.append(params)
+            time.sleep(0.2)  # hold the artifact back long enough for a peer to race
+            return real_train(data, params)
+
+        monkeypatch.setattr(pipeline_mod, "train", counting_train)
         outputs: dict[str, list] = {"a": [], "b": []}
 
         def worker(name):
@@ -581,6 +611,8 @@ class TestTrainLease:
         )
         assert all(r.ok for r in results)
         assert sum(r.cache_hit is False for r in results) == 1
+        assert len(trains) == 1
+        assert sum(r.stored for r in results) == int(stored_sibling)
         status = steal_status(root)
         assert status["counts"]["done"] == 4 and status["unclaimed"] == 0
         train_lease = Coordinator(root, ttl=60.0).train_leases().read(scenarios[0].train_key())
@@ -770,6 +802,27 @@ class TestStealCLI:
         leases = list(coord.glob(f"*{LEASE_SUFFIX}"))
         assert len(leases) == 2
         assert all(json.loads(p.read_bytes())["done"] for p in leases)
+
+    def test_manifest_line_is_readable_before_mark_done(self, monkeypatch, tmp_path):
+        """A scenario is marked done only after its --out line is readable:
+        a crash after mark_done must not drop it from every manifest."""
+        from repro.cli import main
+
+        self._isolate_cache(monkeypatch, tmp_path)
+        out = tmp_path / "w1.jsonl"
+        recorded: list[bool] = []
+        real_mark_done = Coordinator.mark_done
+
+        def checking_mark_done(self, key, error=None):
+            if self.suffix == LEASE_SUFFIX:  # scenario leases, not train leases
+                lines = out.read_text().splitlines()
+                recorded.append(key in {json.loads(line)["cache_key"] for line in lines})
+            real_mark_done(self, key, error=error)
+
+        monkeypatch.setattr(Coordinator, "mark_done", checking_mark_done)
+        argv = self._sweep_argv(["--coordinate", str(tmp_path / "coord"), "--out", str(out)])
+        assert main(argv) == 0
+        assert recorded == [True, True]
 
     def test_steal_status_renders_ledger(self, capsys, monkeypatch, tmp_path):
         from repro.cli import main
