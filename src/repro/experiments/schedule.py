@@ -116,10 +116,15 @@ def scenario_costs(
     observed = {k: v for k, v in (observed or {}).items() if k in analytic}
     if not observed:
         return analytic
-    ratios = sorted(v / analytic[k] for k, v in observed.items() if analytic[k] > 0)
-    factor = ratios[len(ratios) // 2] if ratios else 1.0
+    pairs = sorted(
+        (v / analytic[k], analytic[k], v) for k, v in observed.items() if analytic[k] > 0
+    )
+    # Rescale through the median pair itself, not its rounded ratio: an
+    # unobserved sibling with the same analytic cost then ties exactly with
+    # the measured one (``a * (d / a)`` rounds above ``d`` for some ``d``).
+    _, a_ref, d_ref = pairs[len(pairs) // 2] if pairs else (1.0, 1.0, 1.0)
     return {
-        key: observed[key] if key in observed else cost * factor
+        key: observed[key] if key in observed else cost / a_ref * d_ref
         for key, cost in analytic.items()
     }
 

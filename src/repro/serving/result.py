@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields as dc_fields
 from typing import Any
 
-from .simulator import QueueTrace
+import numpy as np
+
+from .simulator import FloatArray, IntArray, QueueTrace
 from .stats import percentile, percentile_label
 
 __all__ = ["ServingStats", "ServingResult", "summarize"]
@@ -68,13 +70,13 @@ class ServingStats:
 _STAT_FIELDS = frozenset(f.name for f in dc_fields(ServingStats))
 
 
-def _downsample(samples: list[tuple[float, int]], limit: int) -> list[list[float]]:
+def _downsample(times: FloatArray, depths: IntArray, limit: int) -> list[list[float]]:
     """Evenly thin the dispatch-grid depth samples to at most ``limit``."""
-    if len(samples) <= limit:
-        return [[float(t), float(d)] for t, d in samples]
-    step = (len(samples) - 1) / (limit - 1)
-    picked = sorted({round(k * step) for k in range(limit)})
-    return [[float(samples[j][0]), float(samples[j][1])] for j in picked]
+    if times.size > limit:
+        step = (times.size - 1) / (limit - 1)
+        picked = sorted({round(k * step) for k in range(limit)})
+        times, depths = times[picked], depths[picked]
+    return [[t, float(d)] for t, d in zip(times.tolist(), depths.tolist())]
 
 
 def summarize(
@@ -103,14 +105,17 @@ def summarize(
         )
     ms = trace.latencies_s * 1e3
     span = trace.last_finish_s - trace.first_arrival_s
+    p50, p99, p999 = percentile(ms, (50, 99, 99.9))
+    sizes = trace.batch_sizes
     return ServingStats(
         n_requests=n,
-        # A sequential Python sum, not NumPy's pairwise one: the stored
-        # mean must not change with the summation order.
-        mean_ms=float(sum(ms.tolist()) / n),
-        p50_ms=percentile(ms, 50),
-        p99_ms=percentile(ms, 99),
-        p999_ms=percentile(ms, 99.9),
+        # A left-to-right sum, which ``cumsum`` is: NumPy's ``sum`` is
+        # pairwise and Python's (from 3.12) compensated, and the stored mean
+        # must not change with the summation order or the Python version.
+        mean_ms=float(np.cumsum(ms)[-1]) / n,
+        p50_ms=p50,
+        p99_ms=p99,
+        p999_ms=p999,
         max_ms=float(ms.max()),
         p99_label=percentile_label(99, n),
         p999_label=percentile_label(99.9, n),
@@ -118,11 +123,9 @@ def summarize(
         offered_qps=float(offered_qps),
         capacity_qps=float(capacity_qps),
         saturated=bool(capacity_qps > 0 and offered_qps > capacity_qps),
-        mean_batch=float(sum(trace.batch_sizes) / len(trace.batch_sizes))
-        if trace.batch_sizes
-        else 0.0,
+        mean_batch=int(sizes.sum()) / sizes.size if sizes.size else 0.0,
         max_queue_depth=int(trace.max_queue_depth),
-        queue_depth=_downsample(trace.queue_depth, MAX_TRAJECTORY_POINTS),
+        queue_depth=_downsample(trace.dispatch_s, trace.queue_depth, MAX_TRAJECTORY_POINTS),
     )
 
 

@@ -33,9 +33,11 @@ Two exact implementations share the work, chosen by the inputs alone:
 * the **event loop** (a heap of ``(rank, arrival, index)``) runs the
   ``timeout`` policy and priority queues with mixed ranks.
 
-Both produce the same :class:`QueueTrace` to the bit.  The array path
-calls ``service_seconds`` once per distinct batch size, in the order
-those sizes are first dispatched; the loop calls it at every dispatch.
+Both produce the same :class:`QueueTrace` to the bit, per-batch telemetry
+included.  The telemetry is NumPy arrays, so the array path makes Python
+objects only for the stretches it replays.  It calls ``service_seconds``
+once per distinct batch size, in the order those sizes are first
+dispatched; the loop calls it at every dispatch.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,19 +59,26 @@ FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
 
 
+def _empty(dtype: type) -> Any:
+    return field(default_factory=lambda: np.zeros(0, dtype=dtype))
+
+
 @dataclass
 class QueueTrace:
     """Raw outcome of one simulated system: per-request latencies plus the
     queue/batch telemetry the summary statistics are computed from.
 
-    ``latencies_s`` is indexed in arrival-time order (stable-sorted);
-    ``queue_depth`` samples ``(dispatch time, requests left waiting)`` at
-    every batch launch, the natural event grid of a single-server queue.
+    ``latencies_s`` is indexed in arrival-time order (stable-sorted).  The
+    other three arrays hold one entry per batch launch, in dispatch order
+    -- the natural event grid of a single-server queue: ``batch_sizes``
+    (int64 requests served), ``dispatch_s`` (float64 launch time) and
+    ``queue_depth`` (int64 requests left waiting at that launch).
     """
 
     latencies_s: FloatArray
-    batch_sizes: list[int] = field(default_factory=list)
-    queue_depth: list[tuple[float, int]] = field(default_factory=list)
+    batch_sizes: IntArray = _empty(np.int64)
+    dispatch_s: FloatArray = _empty(np.float64)
+    queue_depth: IntArray = _empty(np.int64)
     first_arrival_s: float = 0.0
     last_finish_s: float = 0.0
     max_queue_depth: int = 0
@@ -97,9 +106,13 @@ def simulate(
         raise ValueError("max_batch and records_per_request must be >= 1")
     if not math.isfinite(timeout_s) or timeout_s < 0:
         raise ValueError(f"timeout_s must be finite and >= 0, got {timeout_s!r}")
-    order = np.argsort(times, kind="stable")
-    ts = np.asarray(times, dtype=np.float64)[order]
-    ranks = np.asarray(priorities, dtype=np.int64)[order]
+    ts = np.asarray(times, dtype=np.float64)
+    ranks = np.asarray(priorities, dtype=np.int64)
+    if ranks.shape != ts.shape:
+        raise ValueError(f"{ranks.size} priorities for {ts.size} arrival times")
+    if not (ts[1:] >= ts[:-1]).all():  # generated arrivals come sorted
+        order = np.argsort(ts, kind="stable")
+        ts, ranks = ts[order], ranks[order]
     n = int(ts.size)
     if n == 0:
         return QueueTrace(latencies_s=np.zeros(0, dtype=np.float64))
@@ -117,7 +130,8 @@ def simulate(
     free_at = 0.0
     max_depth = 0
     batch_sizes: list[int] = []
-    depth_samples: list[tuple[float, int]] = []
+    dispatch_times: list[float] = []
+    depths: list[int] = []
 
     def admit_until(t: float) -> int:
         """Move every arrival at or before ``t`` into the pool."""
@@ -159,12 +173,14 @@ def simulate(
             latencies[idx] = done_t - arrival
         free_at = done_t
         batch_sizes.append(k)
-        depth_samples.append((dispatch_t, len(pool)))
+        dispatch_times.append(dispatch_t)
+        depths.append(len(pool))
 
     return QueueTrace(
         latencies_s=latencies,
-        batch_sizes=batch_sizes,
-        queue_depth=depth_samples,
+        batch_sizes=np.array(batch_sizes, dtype=np.int64),
+        dispatch_s=np.array(dispatch_times, dtype=np.float64),
+        queue_depth=np.array(depths, dtype=np.int64),
         first_arrival_s=float(ts[0]),
         last_finish_s=free_at,
         max_queue_depth=max_depth,
@@ -199,7 +215,6 @@ def _simulate_arrival_order(
     sizes, dispatch times and queue depths then follow from the schedule.
     """
     n = int(ts.size)
-    tl = ts.tolist()
     costs: dict[int, float] = {}
 
     def cost(k: int) -> float:
@@ -219,16 +234,27 @@ def _simulate_arrival_order(
         """Run the loop from batch head ``h`` on a server free at ``free``
         until the next idle start; return its index (``n`` at the end) and
         the completion time before it."""
+        # ``tl[j] == ts[base + j]`` as Python floats, converted only as far
+        # as the run reads: replays usually cover a small share of ``ts``.
+        base = h
+        tl: list[float] = []
         while True:
-            dispatch_t = max(free, tl[h])
-            k = bisect_right(tl, dispatch_t, h, min(n, h + cap)) - h
+            # A batch reads at most ``ts[h : h + cap + 2]``: its admission
+            # search, then the two arrivals after it.
+            end = min(n, h + cap + 2)
+            if base + len(tl) < end:
+                tl += ts[base + len(tl) : max(end, base + 2 * len(tl))].tolist()
+            j = h - base
+            dispatch_t = max(free, tl[j])
+            k = bisect_right(tl, dispatch_t, j, min(n, h + cap) - base) - j
             free = dispatch_t + cost(k)
             r_head.append(h)
             r_size.append(k)
             r_start.append(dispatch_t)
             r_end.append(free)
             h += k
-            if h == n or (tl[h] > free and (cap == 1 or h + 1 == n or tl[h + 1] > tl[h])):
+            j += k
+            if h == n or (tl[j] > free and (cap == 1 or h + 1 == n or tl[j + 1] > tl[j])):
                 return h, free
 
     done = np.empty(n, dtype=np.float64)
@@ -243,7 +269,6 @@ def _simulate_arrival_order(
             if q > h:  # not already covered by the previous replay
                 h, free = replay(q - 1, free if q - 1 == h else float(done[q - 2]))
 
-    del tl  # before the per-batch output lists are built
     heads = np.asarray(r_head)
     sizes = np.asarray(r_size)
     # Every request a replayed batch served, batch by batch.
@@ -254,16 +279,25 @@ def _simulate_arrival_order(
     is_head[heads] = True
     heads_all = np.flatnonzero(is_head)
     sizes_all = np.diff(heads_all, append=n)
+    replayed = np.searchsorted(heads_all, heads)
     dispatch = ts[heads_all]
-    dispatch[np.searchsorted(heads_all, heads)] = r_start
-    waiting = np.searchsorted(ts, dispatch, side="right")
-    waiting -= np.cumsum(sizes_all)
+    dispatch[replayed] = r_start
+    # A speculated head ``q`` is served alone and ``q + 1`` arrives strictly
+    # later (else it would have been flagged and ``q`` replayed), so nobody
+    # waits at its dispatch.  Only the replayed dispatches count arrivals.
+    waiting = np.zeros(heads_all.size, dtype=np.int64)
+    r_waiting = np.searchsorted(ts, r_start, side="right") - (heads + sizes)
+    waiting[replayed] = r_waiting
     last_finish = float(done[-1])
     return QueueTrace(
         latencies_s=np.subtract(done, ts, out=done),
-        batch_sizes=sizes_all.tolist(),
-        queue_depth=list(zip(dispatch.tolist(), waiting.tolist())),
+        batch_sizes=sizes_all,
+        dispatch_s=dispatch,
+        queue_depth=waiting,
         first_arrival_s=float(ts[0]),
         last_finish_s=last_finish,
-        max_queue_depth=int((waiting + sizes_all).max()),
+        # A speculated batch holds one request with none waiting; the first
+        # batch always replays and holds at least one, so the replayed
+        # batches hold the maximum.
+        max_queue_depth=int((r_waiting + sizes).max()),
     )

@@ -16,26 +16,39 @@ honestly.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence, overload
 
 import numpy as np
 
 __all__ = ["percentile", "percentile_label", "min_samples_for_percentile"]
 
 
-def percentile(values: Iterable[float], q: float) -> float:
+@overload
+def percentile(values: Iterable[float], q: float) -> float: ...
+
+
+@overload
+def percentile(values: Iterable[float], q: Sequence[float]) -> list[float]: ...
+
+
+def percentile(values: Iterable[float], q: float | Sequence[float]) -> float | list[float]:
     """Linear-interpolated ``q``-th percentile of ``values``.
 
-    ``q`` is in percent (``50`` = median).  Raises on an empty sample --
+    ``q`` is in percent (``50`` = median).  A sequence of ``q``s returns
+    one float per ``q`` from a single partition of the sample, each equal
+    to the one-``q`` call bit for bit.  Raises on an empty sample --
     callers that may see one decide the degenerate rendering themselves.
     """
     sample = values if isinstance(values, np.ndarray) else list(values)
     vals = np.asarray(sample, dtype=np.float64)
     if vals.size == 0:
         raise ValueError("percentile of an empty sequence is undefined")
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile q must lie in [0, 100], got {q!r}")
-    return float(np.percentile(vals, q, method="linear"))
+    qs = list(q) if isinstance(q, Sequence) else [q]
+    for one in qs:
+        if not 0 <= one <= 100:
+            raise ValueError(f"percentile q must lie in [0, 100], got {one!r}")
+    out = np.percentile(vals, qs, method="linear").tolist()
+    return out if isinstance(q, Sequence) else out[0]
 
 
 def min_samples_for_percentile(q: float) -> int:

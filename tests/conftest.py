@@ -146,7 +146,8 @@ def serving(root: Path, accepted: list | None = None):
             process(request, client_address)
 
         server.process_request = counting
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    # shutdown() waits out one poll interval (0.5 s by default).
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}/"
     finally:

@@ -471,7 +471,8 @@ def simulate_oracle(
     free_at = 0.0
     max_depth = 0
     batch_sizes: list[int] = []
-    depth_samples: list[tuple[float, int]] = []
+    dispatch_times: list[float] = []
+    depths: list[int] = []
 
     def admit_until(t: float) -> int:
         """Move every arrival at or before ``t`` into the pool."""
@@ -519,12 +520,14 @@ def simulate_oracle(
             latencies[idx] = done_t - arrival
         free_at = done_t
         batch_sizes.append(k)
-        depth_samples.append((dispatch_t, len(pool)))
+        dispatch_times.append(dispatch_t)
+        depths.append(len(pool))
 
     return QueueTrace(
         latencies_s=latencies,
-        batch_sizes=batch_sizes,
-        queue_depth=depth_samples,
+        batch_sizes=np.array(batch_sizes, dtype=np.int64),
+        dispatch_s=np.array(dispatch_times, dtype=np.float64),
+        queue_depth=np.array(depths, dtype=np.int64),
         first_arrival_s=float(ts[0]),
         last_finish_s=free_at,
         max_queue_depth=max_depth,

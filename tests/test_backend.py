@@ -375,7 +375,8 @@ class TestStoreServerProtocol:
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), ListingOnly)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        # shutdown() waits out one poll interval (0.5 s by default).
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
         try:
             backend = HTTPBackend(f"http://127.0.0.1:{server.server_address[1]}/")
             deadline = time.monotonic() + 1.0

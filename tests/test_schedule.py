@@ -109,6 +109,19 @@ class TestScenarioCosts:
         assert costs[scenario_key(a)] == observed[scenario_key(a)]
         assert costs[scenario_key(b)] == pytest.approx(2.0 * estimate_cost(b))
 
+    def test_equal_analytic_costs_tie_exactly(self):
+        """A sibling with the observed scenario's analytic cost costs exactly
+        its measured seconds, so the key tie-break orders the two; the
+        rescale ``a * (d / a)`` rounds above ``d`` for some ``d``."""
+        a, b = expand_axes(TINY, {"clock_ghz": [0.8, 1.0]})
+        analytic = estimate_cost(a)
+        assert estimate_cost(b) == analytic
+        durations = [0.01 + k * 0.000245 for k in range(2001)]
+        assert any(analytic * (d / analytic) > d for d in durations)
+        for d in durations:
+            costs = scenario_costs([a, b], observed={scenario_key(a): d})
+            assert costs[scenario_key(b)] == d
+
     def test_foreign_observations_ignored(self):
         costs = scenario_costs([TINY], observed={"s-not-in-sweep": 1e9})
         assert costs == {scenario_key(TINY): estimate_cost(TINY)}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving.stats import min_samples_for_percentile, percentile, percentile_label
 
@@ -25,6 +28,28 @@ class TestPercentile:
         linear interpolation keeps the estimate below the maximum."""
         assert percentile([1.0, 2.0, 10.0], 99) < 10.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        qs=st.lists(st.floats(0, 100), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_several_qs_match_one_q_calls_bit_for_bit(self, n, qs, seed):
+        values = np.random.default_rng(seed).lognormal(0.0, 2.0, size=n)
+        many = percentile(values, qs)
+        assert isinstance(many, list)
+        assert many == [percentile(values, q) for q in qs]
+        assert many == percentile(values.tolist(), tuple(qs))
+
+    def test_latency_qs_in_one_call(self):
+        values = np.random.default_rng(3).exponential(size=37_000)
+        assert percentile(values, (50, 99, 99.9)) == [
+            percentile(values, 50),
+            percentile(values, 99),
+            percentile(values, 99.9),
+        ]
+        assert isinstance(percentile(values, 50), float)
+
     def test_rejects_empty_and_out_of_range(self):
         with pytest.raises(ValueError, match="empty"):
             percentile([], 50)
@@ -32,6 +57,8 @@ class TestPercentile:
             percentile([1.0], 101)
         with pytest.raises(ValueError, match=r"\[0, 100\]"):
             percentile([1.0], -1)
+        with pytest.raises(ValueError, match=r"\[0, 100\], got 101"):
+            percentile([1.0], [50, 101])
 
 
 class TestLabels:
