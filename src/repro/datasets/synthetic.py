@@ -16,13 +16,17 @@ Each generator draws per-field latent contributions to a score and then
 thresholds (binary) or emits (regression) the label, so trees trained on the
 data recover axis-aligned structure exactly like trees trained on the real
 datasets would.
+
+Each numerical column is sorted once (:class:`~repro.datasets.encoding.
+SortedColumn`): its step threshold, its quantile bin edges and its bin codes
+are all read off that one sorted copy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .encoding import BinnedDataset, discretize_numerical, quantile_bin_edges, smallest_code_dtype
+from .encoding import BinnedDataset, SortedColumn, smallest_code_dtype, sorted_quantile
 from .schema import DatasetSpec, FieldKind, TaskKind
 
 __all__ = ["generate", "zipf_probabilities"]
@@ -56,14 +60,17 @@ def _categorical_column(
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def _step_effect(rng: np.random.Generator, x: np.ndarray, weight: float) -> np.ndarray:
+def _step_effect(
+    rng: np.random.Generator, x: np.ndarray, column: SortedColumn, weight: float
+) -> np.ndarray:
     """Axis-aligned step contribution for a numerical field.
 
     A step at a random quantile gives tree-recoverable structure (a single
     split captures the whole effect), which is what produces early-pure leaves
-    and shallow trees when weights are large.
+    and shallow trees when weights are large.  The threshold is read off
+    ``column``, the field's one sorted copy of ``x``.
     """
-    threshold = np.quantile(x, rng.uniform(0.25, 0.75))
+    threshold = sorted_quantile(column.finite, rng.uniform(0.25, 0.75))
     return weight * np.where(x >= threshold, 1.0, -1.0)
 
 
@@ -97,12 +104,12 @@ def generate(spec: DatasetSpec, keep_raw: bool = False) -> BinnedDataset:
             col = cats
         else:
             x = rng.standard_normal(n)
+            column = SortedColumn(x)
             if f.target_weight != 0.0:
-                score += _step_effect(rng, x, f.target_weight)
+                score += _step_effect(rng, x, column, f.target_weight)
                 # Also a small linear term so deeper splits keep finding gain.
                 score += 0.15 * f.target_weight * x
-            edges = quantile_bin_edges(x, f.n_bins)
-            col = discretize_numerical(x, edges, f.missing_bin)
+            col = column.codes(column.bin_edges(f.n_bins), f.missing_bin)
             if keep_raw:
                 raw_cols.append(x)
 

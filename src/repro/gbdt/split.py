@@ -13,9 +13,12 @@ field are tried on both sides and the better direction kept.  For categorical
 fields (one-hot semantics) candidates are one-vs-rest on each category.
 
 The whole search is vectorized over the flattened bin space: segmented
-cumulative sums give every candidate's left aggregate in O(total bins), and
-:meth:`SplitSearcher.best_split` then scores only the bins that can win
-(exact bin compaction).
+cumulative sums give every candidate's left aggregate in O(total bins).
+:meth:`SplitSearcher.best_split` scores a vertex that holds records in at
+least :data:`DENSE_MIN_OCCUPANCY` of its bins densely, every bin of every
+variant family in the searcher's scratch buffers; a sparser vertex it scores
+only at the bins that can win (exact bin compaction).  Both give the dense
+scan's decision bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,18 @@ from ..datasets.schema import DatasetSpec, FieldKind
 from .histogram import Histogram
 
 __all__ = ["SplitParams", "SplitDecision", "SplitSearcher", "segment_cumsum", "leaf_weight"]
+
+#: The share of bins holding records from which :meth:`SplitSearcher.best_split`
+#: scores a vertex densely.  Below it the compacted scorer's gathers cost less
+#: than the bins they skip (docs/performance.md, "Sort-once binning and the
+#: dense split scorer").
+DENSE_MIN_OCCUPANCY = 0.3
+
+#: One variant family's winner: (variant, gain, global bin, left grad, left
+#: hess, left count).  Variants: 0/1 numerical with missing records sent
+#: right/left, 2/3 categorical likewise.
+_Band = tuple[int, float, int, float, float, float]
+
 
 @dataclass(frozen=True)
 class SplitParams:
@@ -130,6 +145,39 @@ def segment_cumsum(
     return c[at] - base_vals[segment_of_at]
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One variant family's columns, as the dense scorer reads them."""
+
+    #: 0 for the numerical variants, 2 for the categorical ones.
+    variant: int
+    #: The bins of the fields from the family's first candidate to its last.
+    cols: slice
+    #: Non-candidate bins of the span (masked to ``-inf``).
+    excluded: np.ndarray
+    #: Per span bin, its field's index among the span's fields.
+    fields: np.ndarray
+    #: The first and the missing bin of each of the span's fields.
+    starts: np.ndarray
+    miss: np.ndarray
+
+    @classmethod
+    def of(
+        cls, variant: int, candidate: np.ndarray, offsets: np.ndarray, field_of_bin: np.ndarray
+    ) -> "_Family":
+        bins = np.flatnonzero(candidate)
+        first, last = int(field_of_bin[bins[0]]), int(field_of_bin[bins[-1]])
+        cols = slice(int(offsets[first]), int(offsets[last + 1]))
+        return cls(
+            variant=variant,
+            cols=cols,
+            excluded=~candidate[cols],
+            fields=field_of_bin[cols] - first,
+            starts=offsets[first : last + 1],
+            miss=offsets[first + 1 : last + 2] - 1,
+        )
+
+
 class SplitSearcher:
     """Vectorized best-split search for a dataset's bin space."""
 
@@ -169,6 +217,20 @@ class SplitSearcher:
         # the kept columns still split into one segment per field.
         self._field_start = np.zeros(n_bins, dtype=bool)
         self._field_start[self.offsets[:-1]] = True
+        # The dense scorer scores each variant family over the span of its
+        # fields.  Its scratch is rewritten by every dense search (a
+        # decision holds only Python scalars): the left sums of the
+        # missing-right/left rows, and the gain with its float and bool
+        # temporaries, whose float rows first hold the running sums and the
+        # per-field spreads the left sums are built from.
+        self._families = [
+            _Family.of(variant, candidate, self.offsets, self._field_of_bin)
+            for variant, candidate in ((0, self._num_candidate), (2, self._cat_candidate))
+            if candidate.any()
+        ]
+        self._left = np.empty((2, 3, n_bins))
+        self._gain_work = np.empty((3, 2, n_bins))
+        self._mask_work = np.empty((2, 2, n_bins), dtype=bool)
 
     def cannot_split(self, h_tot: float) -> bool:
         """True when ``h_tot < 2 * min_child_weight`` (and the weight is > 0).
@@ -192,30 +254,45 @@ class SplitSearcher:
         g_tot: float,
         h_tot: float,
         c_tot: float,
+        excluded: np.ndarray | None = None,
+        work: tuple[np.ndarray, ...] | None = None,
     ) -> np.ndarray:
-        """Vector gain for candidate left aggregates; invalid -> -inf."""
+        """Vector gain for candidate left aggregates; invalid or excluded -> -inf.
+
+        ``work`` is ``(gain, float temp, float temp, bool temp, bool temp)``
+        of ``gl``'s shape; with it the call allocates nothing, and the gain
+        is written to ``work[0]``.
+        """
         p = self.params
-        gr = g_tot - gl
-        hr = h_tot - hl
-        cr = c_tot - cl
+        if work is None:
+            shape = np.shape(gl)
+            work = (np.empty(shape), np.empty(shape), np.empty(shape))
+            work += (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+        gain, t, gr, invalid, below = work
         parent_term = (g_tot * g_tot) / (h_tot + p.lambda_)
         # 0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - parent) - gamma, in
-        # that operation order, updated in place: a few large temporaries
-        # instead of one per operator.
+        # that operation order.  A side is too light where the smaller of
+        # its two weights is below the floor: ``fmin`` skips a NaN exactly
+        # as ``hl < mcw | hr < mcw`` does.
         with np.errstate(divide="ignore", invalid="ignore"):
-            gain = gl * gl
-            gain /= hl + p.lambda_
+            np.multiply(gl, gl, out=gain)
+            np.add(hl, p.lambda_, out=t)
+            gain /= t
+            np.subtract(h_tot, hl, out=t)
+            np.less(np.fmin(hl, t, out=gr), p.min_child_weight, out=invalid)
+            t += p.lambda_
+            np.subtract(g_tot, gl, out=gr)
             gr *= gr
-            gr /= hr + p.lambda_
+            gr /= t
             gain += gr
             gain -= parent_term
             gain *= 0.5
             gain -= p.gamma
-        invalid = hl < p.min_child_weight
-        invalid |= hr < p.min_child_weight
-        invalid |= cl < p.min_child_records
-        invalid |= cr < p.min_child_records
-        gain[invalid] = -np.inf
+        np.subtract(c_tot, cl, out=t)
+        invalid |= np.less(np.fmin(cl, t, out=t), p.min_child_records, out=below)
+        if excluded is not None:
+            invalid |= excluded
+        np.copyto(gain, -np.inf, where=invalid)
         return gain
 
     # -- search -----------------------------------------------------------------
@@ -230,101 +307,42 @@ class SplitSearcher:
         every record once *per field*.)  The modelled step-2 work
         (:class:`~repro.gbdt.workprofile.TreeWork` and the timing models) is
         O(total bins) regardless of how many records reached the node -- the
-        property that justifies offloading step 2 to the host.  Only this host
-        software skips the bins that cannot win (exact bin compaction):
+        property that justifies offloading step 2 to the host.  This host
+        software scores a vertex one of two ways, both exact:
 
-        * variant families without candidate bins are not scored;
-        * the numerical bands score only bins whose ``count``, ``grad`` or
-          ``hess`` is non-zero, plus each field's local bin 0.  An all-zero
-          bin's left aggregates equal its predecessor's, so its gain ties an
-          earlier bin and can never be the first maximum.  Bin 0 has no
-          predecessor in its field and must stay: with missing records sent
-          left, an empty bin 0 splits off exactly the missing records;
-        * the missing-left bands score only fields with a non-empty missing
-          bin.  Elsewhere adding the missing aggregates adds zeros, so every
-          gain equals the missing-right band's at the same bin, which comes
-          first in variant order and wins the tie;
-        * the segmented cumsums are gathered at the kept bins with the same
-          ``c - base`` arithmetic as the dense scan.  When fewer than a
-          quarter of the columns are occupied, the running sums are taken
-          over the occupied columns plus each field's first bin only: an
-          all-zero column adds ``+0.0`` to a running sum and cannot move it;
-        * with unit hessians (:attr:`Histogram.unit_hess`) the hess cumsum is
-          the count cumsum, taken once;
-        * each band's first maximum is found, then the first maximum in
-          variant order -- the dense ``(variant, bin)`` scan's tie-breaking.
+        * records in at least :data:`DENSE_MIN_OCCUPANCY` of the bins
+          (non-zero ``count``): the dense scorer (:meth:`_dense_bands`) scores
+          every bin of every variant family in the searcher's scratch
+          buffers, non-candidates masked to ``-inf``;
+        * fewer: the compacted scorer (:meth:`_compacted_bands`) scores only
+          the bins that can win.
+
+        Either way variant families without candidate bins are not scored,
+        the missing-left bands are skipped when no field has a non-empty
+        missing bin (adding zeros ties the missing-right band, which comes
+        first in variant order and wins the tie), and with unit hessians
+        (:attr:`Histogram.unit_hess`) the hess cumsum is the count cumsum,
+        taken once.  Each band's first maximum is found, then the first
+        maximum in variant order -- the dense ``(variant, bin)`` scan's
+        tie-breaking.
 
         The decision is bit-identical to a dense scan that scores every bin
         (property-tested against the dense oracle in ``tests/``).
         """
         if hist.n_bins != self._n_bins:
             raise ValueError("histogram does not match this dataset's bin space")
-        count, grad, hess = hist.count, hist.grad, hist.hess
-        miss = self._miss_idx
-        g_miss, h_miss, c_miss = grad[miss], hess[miss], count[miss]
-
-        # (variant, bins, left grad, left hess, left count), in variant order.
-        bands: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        has_missing = (c_miss != 0) | (g_miss != 0) | (h_miss != 0)
-
-        def add_bands(
-            variant: int,
-            bins: np.ndarray,
-            fields: np.ndarray,
-            gl: np.ndarray,
-            hl: np.ndarray,
-            cl: np.ndarray,
-        ) -> None:
-            """The missing-right band, then missing-left where it can differ."""
-            bands.append((variant, bins, gl, hl, cl))
-            keep = has_missing[fields]
-            if not keep.any():
-                return
-            if not keep.all():
-                bins, fields, gl, hl, cl = bins[keep], fields[keep], gl[keep], hl[keep], cl[keep]
-            gm, hm, cm = g_miss[fields], h_miss[fields], c_miss[fields]
-            bands.append((variant + 1, bins, gl + gm, hl + hm, cl + cm))
-
-        if self._has_num:
-            occupied = (count != 0) | (grad != 0) | (hess != 0)
-            bins = np.flatnonzero((occupied & self._num_candidate) | self._num_bin0)
-            fields = self._field_of_bin[bins]
-            cols: slice | np.ndarray = slice(None)
-            offsets, at = self.offsets, bins
-            occupied |= self._field_start
-            if 4 * int(np.count_nonzero(occupied)) < self._n_bins:
-                # Compacted columns; their field starts are a segment partition.
-                # Below a quarter the gathers cost less than the dense cumsums
-                # they save (docs/performance.md, "Leaner training kernels").
-                cols = np.flatnonzero(occupied)
-                offsets = np.searchsorted(cols, self.offsets)
-                at = np.searchsorted(cols, bins)
-            gl = segment_cumsum(grad[cols], offsets, at, fields)
-            cl = segment_cumsum(count[cols], offsets, at, fields)
-            hl = cl if hist.unit_hess else segment_cumsum(hess[cols], offsets, at, fields)
-            add_bands(0, bins, fields, gl, hl, cl)
-        if self._has_cat:
-            bins, fields = self._cat_bins, self._cat_fields
-            add_bands(2, bins, fields, grad[bins], hess[bins], count[bins])
+        occupied = np.not_equal(hist.count, 0, out=self._mask_work[0, 0])
+        if np.count_nonzero(occupied) < DENSE_MIN_OCCUPANCY * self._n_bins:
+            bands = self._compacted_bands(hist, occupied, g_tot, h_tot, c_tot)
+        else:
+            bands = self._dense_bands(hist, g_tot, h_tot, c_tot)
         if not bands:
             return _no_split(-np.inf, g_tot, h_tot, c_tot)
 
-        args: list[int] = []
-        maxes: list[float] = []
-        for _, _, gl, hl, cl in bands:
-            gain = self._gain(gl, hl, cl, g_tot, h_tot, c_tot)
-            arg = int(np.argmax(gain))
-            args.append(arg)
-            maxes.append(gain[arg])
-        best = int(np.argmax(maxes))
-        best_gain = float(maxes[best])
+        best = int(np.argmax([band[1] for band in bands]))
+        variant, best_gain, bin_idx, gl_v, hl_v, cl_v = bands[best]
         if not np.isfinite(best_gain) or best_gain <= 0.0:
             return _no_split(best_gain, g_tot, h_tot, c_tot)
-
-        variant, bins, gl, hl, cl = bands[best]
-        k = args[best]
-        bin_idx = int(bins[k])
-        gl_v, hl_v, cl_v = float(gl[k]), float(hl[k]), float(cl[k])
         return SplitDecision(
             field=int(self._field_of_bin[bin_idx]),
             threshold_bin=int(self._local_bin[bin_idx]),
@@ -338,6 +356,129 @@ class SplitSearcher:
             hess_right=h_tot - hl_v,
             count_right=c_tot - cl_v,
         )
+
+    def _dense_bands(
+        self, hist: Histogram, g_tot: float, h_tot: float, c_tot: float
+    ) -> list[_Band]:
+        """Every variant family's winner, scoring every bin of its span in scratch.
+
+        A family's missing-right row holds the left sums of every bin of its
+        span: segmented cumsums for the numerical family (the running sum
+        from bin 0 minus each field's base, as :func:`segment_cumsum`), the
+        bins themselves for the categorical one.  Its missing-left row adds
+        each bin's field's missing aggregates, and is skipped when no field
+        has a non-empty missing bin.  One gain pass scores both rows,
+        non-candidates masked to ``-inf``, and each row's first maximum is
+        its band's winner.  Nothing is gathered at kept bins and no
+        ``n_bins`` temporary is allocated.
+        """
+        unit = hist.unit_hess
+        sums: tuple[np.ndarray, ...] = (hist.grad, hist.count)
+        if not unit:
+            sums += (hist.hess,)
+        k = len(sums)
+        bands: list[_Band] = []
+        # Running sums and spreads live in the gain's float rows until the
+        # gain is taken.
+        prefixes, spreads = self._gain_work[:, 0], self._gain_work[:, 1]
+        for fam in self._families:
+            span = fam.cols.stop - fam.cols.start
+            left, spread = self._left[:, :k, :span], spreads[:k, :span]
+            if fam.variant == 0:
+                for values, prefix, base, out in zip(sums, prefixes, spread, left[0]):
+                    c = np.cumsum(values[: fam.cols.stop], out=prefix[: fam.cols.stop])
+                    field_base = c[fam.starts] - values[fam.starts]
+                    # "clip" writes straight into ``out`` ("raise" buffers it).
+                    np.take(field_base, fam.fields, out=base, mode="clip")
+                    np.subtract(c[fam.cols], base, out=out)
+            else:
+                for values, out in zip(sums, left[0]):
+                    np.copyto(out, values[fam.cols])
+            missing = np.stack([values[fam.miss] for values in sums])
+            n_rows = 1
+            if missing.any():
+                np.take(missing, fam.fields, axis=1, out=spread, mode="clip")
+                np.add(left[0], spread, out=left[1])
+                n_rows = 2
+            gl, cl = left[:n_rows, 0], left[:n_rows, 1]
+            hl = cl if unit else left[:n_rows, 2]
+            work = (*self._gain_work[:, :n_rows, :span], *self._mask_work[:, :n_rows, :span])
+            gain = self._gain(gl, hl, cl, g_tot, h_tot, c_tot, fam.excluded, work)
+            for i, b in enumerate(np.argmax(gain, axis=1).tolist()):
+                left_sums = (float(gl[i, b]), float(hl[i, b]), float(cl[i, b]))
+                bands.append((fam.variant + i, float(gain[i, b]), fam.cols.start + b, *left_sums))
+        return bands
+
+    def _compacted_bands(
+        self, hist: Histogram, occupied: np.ndarray, g_tot: float, h_tot: float, c_tot: float
+    ) -> list[_Band]:
+        """Every variant family's winner, scoring only the bins that can win.
+
+        * the numerical bands score only occupied bins (non-zero ``count``,
+          ``grad`` or ``hess``), plus each field's local bin 0.  An all-zero
+          bin's left aggregates equal its predecessor's, so its gain ties an
+          earlier bin and can never be the first maximum.  Bin 0 has no
+          predecessor in its field and must stay: with missing records sent
+          left, an empty bin 0 splits off exactly the missing records;
+        * their running sums are taken over the occupied columns plus each
+          field's first bin only, and gathered at the kept bins with the
+          same ``c - base`` arithmetic as the dense scan: an all-zero column
+          adds ``+0.0`` to a running sum and cannot move it;
+        * the missing-left bands score only fields with a non-empty missing
+          bin.  Elsewhere adding the missing aggregates adds zeros, so every
+          gain equals the missing-right band's at the same bin, which comes
+          first in variant order and wins the tie.
+        """
+        count, grad, hess = hist.count, hist.grad, hist.hess
+        miss = self._miss_idx
+        g_miss, h_miss, c_miss = grad[miss], hess[miss], count[miss]
+        has_missing = (c_miss != 0) | (g_miss != 0) | (h_miss != 0)
+        bands: list[_Band] = []
+
+        def winner(
+            variant: int, bins: np.ndarray, gl: np.ndarray, hl: np.ndarray, cl: np.ndarray
+        ) -> None:
+            gain = self._gain(gl, hl, cl, g_tot, h_tot, c_tot)
+            k = int(np.argmax(gain))
+            left_sums = (float(gl[k]), float(hl[k]), float(cl[k]))
+            bands.append((variant, float(gain[k]), int(bins[k]), *left_sums))
+
+        def add_bands(
+            variant: int,
+            bins: np.ndarray,
+            fields: np.ndarray,
+            gl: np.ndarray,
+            hl: np.ndarray,
+            cl: np.ndarray,
+        ) -> None:
+            """The missing-right band, then missing-left where it can differ."""
+            winner(variant, bins, gl, hl, cl)
+            keep = has_missing[fields]
+            if not keep.any():
+                return
+            if not keep.all():
+                bins, fields, gl, hl, cl = bins[keep], fields[keep], gl[keep], hl[keep], cl[keep]
+            gm, hm, cm = g_miss[fields], h_miss[fields], c_miss[fields]
+            winner(variant + 1, bins, gl + gm, hl + hm, cl + cm)
+
+        if self._has_num:
+            occupied |= grad != 0
+            if not hist.unit_hess:
+                occupied |= hess != 0
+            bins = np.flatnonzero((occupied & self._num_candidate) | self._num_bin0)
+            fields = self._field_of_bin[bins]
+            # Compacted columns; their field starts are a segment partition.
+            cols = np.flatnonzero(occupied | self._field_start)
+            offsets = np.searchsorted(cols, self.offsets)
+            at = np.searchsorted(cols, bins)
+            gl = segment_cumsum(grad[cols], offsets, at, fields)
+            cl = segment_cumsum(count[cols], offsets, at, fields)
+            hl = cl if hist.unit_hess else segment_cumsum(hess[cols], offsets, at, fields)
+            add_bands(0, bins, fields, gl, hl, cl)
+        if self._has_cat:
+            bins, fields = self._cat_bins, self._cat_fields
+            add_bands(2, bins, fields, grad[bins], hess[bins], count[bins])
+        return bands
 
     @property
     def n_bins(self) -> int:

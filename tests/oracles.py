@@ -23,7 +23,11 @@ is re-associated):
   over ``profile.trees`` instead of stacked-array sums;
 * :func:`inference_work` -- batch-inference work measured by walking every
   record through every tree again, instead of reading training's step-5
-  walk off the profile.
+  walk off the profile;
+* :func:`quantile_bin_edges` -- numerical bin edges by ``np.quantile`` over
+  the finite values, instead of read off one sort per column;
+* :func:`warp_conflict_factor` -- warp bin conflicts measured field by field,
+  counting each warp's runs with ``np.add.at``.
 
 They live here, not in ``src``: nothing in the package runs them.
 """
@@ -60,12 +64,14 @@ __all__ = [
     "dram_run_oracle",
     "inference_work",
     "partition_records",
+    "quantile_bin_edges",
     "simulate_oracle",
     "step1_bytes",
     "step2_evaluations",
     "step3_bytes",
     "step5_bytes",
     "traversal_hops",
+    "warp_conflict_factor",
 ]
 
 
@@ -786,3 +792,32 @@ def inference_work(
         mean_tree_nodes=nodes / measured_trees,
         table_bytes_total=table_bytes * scale,
     )
+
+
+def quantile_bin_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
+    """The ``n_bins - 1`` interior quantile edges by ``np.quantile``."""
+    finite = values[np.isfinite(values)]
+    if finite.size == 0:
+        return np.zeros(n_bins - 1, dtype=np.float64)
+    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    return np.quantile(finite, qs).astype(np.float64)
+
+
+def warp_conflict_factor(codes: np.ndarray, warp: int = 32, sample: int = 4096) -> float:
+    """Mean over fields of each field's mean per-warp maximum bin multiplicity."""
+    n, n_fields = codes.shape
+    use = min(n, sample)
+    use -= use % warp
+    if use < warp:
+        return 1.0
+    factors = np.empty(n_fields, dtype=np.float64)
+    for j in range(n_fields):
+        groups = np.sort(codes[:use, j].reshape(-1, warp), axis=1)
+        n_rows = groups.shape[0]
+        change = np.ones((n_rows, warp), dtype=np.int64)
+        change[:, 1:] = (groups[:, 1:] != groups[:, :-1]).astype(np.int64)
+        run_id = np.cumsum(change, axis=1) - 1
+        counts = np.zeros((n_rows, warp), dtype=np.int64)
+        np.add.at(counts, (np.repeat(np.arange(n_rows), warp), run_id.ravel()), 1)
+        factors[j] = counts.max(axis=1).mean()
+    return float(factors.mean())

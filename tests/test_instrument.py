@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.datasets import BENCHMARK_NAMES, load
 from repro.gbdt import max_run_lengths, path_length_cv, warp_conflict_factor
+from tests import oracles
 
 
 class TestMaxRunLengths:
@@ -58,6 +60,40 @@ class TestWarpConflictFactor:
         flight = load("flight", n_records=2048)
         higgs = load("higgs", n_records=2048)
         assert warp_conflict_factor(flight.codes) > 2 * warp_conflict_factor(higgs.codes)
+
+
+class TestWarpConflictMatchesLoop:
+    """The whole-matrix factor == the field-by-field ``np.add.at`` loop, exactly."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_registry_datasets(self, name):
+        codes = load(name, seed=7).codes
+        assert warp_conflict_factor(codes) == oracles.warp_conflict_factor(codes)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_code_matrices(self, seed):
+        """Seeded shapes, a third with ``sample`` and a third with ``n`` below ``warp``."""
+        rng = np.random.default_rng(seed)
+        warp = int(rng.integers(1, 41))
+        below = int(rng.integers(1, max(warp, 2)))
+        n = below - 1 if seed % 3 == 1 else int(rng.integers(0, 301))
+        sample = below if seed % 3 == 0 else int(rng.integers(1, 301))
+        n_fields = int(rng.integers(1, 7))
+        n_bins = [1, 2, 5, 256, 70_000][seed % 5]
+        dtype = np.uint8 if n_bins <= 256 else np.uint32
+        codes = rng.integers(0, n_bins, size=(n, n_fields)).astype(dtype)
+        expected = oracles.warp_conflict_factor(codes, warp=warp, sample=sample)
+        assert warp_conflict_factor(codes, warp=warp, sample=sample) == expected
+
+    def test_sample_below_warp(self):
+        codes = np.zeros((100, 3), dtype=np.uint8)
+        assert warp_conflict_factor(codes, warp=32, sample=20) == 1.0
+
+    @pytest.mark.parametrize("width", [1, 127, 128, 255, 256])
+    def test_run_lengths_at_position_dtype_limits(self, width):
+        rows = np.zeros((2, width), dtype=np.int64)
+        rows[1, width // 2 :] = 1
+        assert max_run_lengths(rows).tolist() == [width, width - width // 2]
 
 
 class TestPathLengthCV:

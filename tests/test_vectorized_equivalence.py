@@ -25,7 +25,8 @@ from repro.datasets import DatasetSpec, FieldKind, FieldSpec, generate
 from repro.datasets.layout import RecordLayout
 from repro.gbdt import GBDTTrainer, TrainParams, train
 from repro.gbdt.histogram import Histogram, HistogramBuilder
-from repro.gbdt.split import SplitParams, SplitSearcher
+from repro.gbdt import split as split_module
+from repro.gbdt.split import DENSE_MIN_OCCUPANCY, SplitParams, SplitSearcher
 from repro.memory import (
     DRAMConfig,
     DRAMSimulator,
@@ -217,9 +218,9 @@ class TestBestSplitMany:
 
     @pytest.mark.parametrize("unit_hessian", [False, True])
     def test_compacted_and_dense_cumsums(self, data, builder, unit_hessian):
-        """Small nodes occupy under a quarter of the columns (``best_split``
-        takes its cumsums over the occupied ones), large nodes more (dense
-        cumsums); both match the oracle, with real and with unit hessians."""
+        """Small nodes hold records in under ``DENSE_MIN_OCCUPANCY`` of the
+        bins (``best_split`` compacts), large nodes in more (dense scorer);
+        both match the oracle, with real and with unit hessians."""
         searcher = SplitSearcher(data.spec, builder.offsets, TrainParams().split)
         g, h = _random_stats(data.n_records, 29)
         rng = np.random.default_rng(29)
@@ -229,11 +230,8 @@ class TestBestSplitMany:
             hists.append(builder.build(index, g, np.ones_like(h) if unit_hessian else h))
             h_tot = float(size) if unit_hessian else h[index].sum()
             totals.append((g[index].sum(), h_tot, float(size)))
-        occupancy = [
-            ((x.count != 0) | (x.grad != 0) | (x.hess != 0) | searcher._field_start).mean()
-            for x in hists
-        ]
-        assert min(occupancy) < 0.25 < max(occupancy)
+        occupancy = [np.mean(x.count != 0) for x in hists]
+        assert min(occupancy) < DENSE_MIN_OCCUPANCY < max(occupancy)
         assert all(x.unit_hess == unit_hessian for x in hists)
         self._assert_rows_match(searcher, hists, *map(np.array, zip(*totals)))
 
@@ -276,6 +274,170 @@ class TestBestSplitMany:
         searcher = SplitSearcher(data.spec, builder.offsets, SplitParams(min_child_weight=1.0))
         assert searcher.cannot_split(np.nextafter(2.0, 0.0))
         assert not searcher.cannot_split(2.0)
+
+
+class TestDenseAndCompactedScorers:
+    """Each of ``best_split``'s two scorers, forced, == the dense oracle."""
+
+    @pytest.fixture(params=["dense", "compacted"])
+    def scorer(self, request, monkeypatch):
+        """Force one scorer: every vertex counts as occupied, or none does."""
+        floor = 0.0 if request.param == "dense" else 2.0
+        monkeypatch.setattr(split_module, "DENSE_MIN_OCCUPANCY", floor)
+        return request.param
+
+    @staticmethod
+    def _check(searcher, hists, totals) -> list:
+        """``best_split`` == the oracle row for every ``(hist, totals)`` pair."""
+        g_tot, h_tot, c_tot = map(np.array, zip(*totals))
+        return TestBestSplitMany._assert_rows_match(searcher, hists, g_tot, h_tot, c_tot)
+
+    @staticmethod
+    def _built(data, builder, seed, unit_hessian=False, sizes=(3, 40, 200, 700)):
+        g, h = _random_stats(data.n_records, seed)
+        if unit_hessian:
+            h = np.ones_like(h)
+        rng = np.random.default_rng(seed)
+        hists, totals = [], []
+        for size in sizes:
+            index = np.sort(rng.choice(data.n_records, size=size, replace=False))
+            hists.append(builder.build(index, g, h))
+            totals.append((g[index].sum(), h[index].sum(), float(index.size)))
+        return hists, totals
+
+    @pytest.mark.parametrize("unit_hessian", [False, True])
+    def test_unit_and_real_hessians(self, data, builder, scorer, unit_hessian):
+        hists, totals = self._built(data, builder, 41, unit_hessian)
+        assert all(x.unit_hess == unit_hessian for x in hists)
+        self._check(SplitSearcher(data.spec, builder.offsets, TrainParams().split), hists, totals)
+
+    @staticmethod
+    def _arbitrary(data, builder, seed: int, k: int = 24):
+        """``k`` arbitrary histograms over the mixed spec, missing bins
+        included, with totals at least every field's own sums."""
+        rng = np.random.default_rng(seed)
+        count = rng.integers(0, 5, size=(k, builder.n_bins)).astype(np.float64)
+        grad = rng.normal(size=count.shape) * (count > 0)
+        hess = rng.uniform(0.1, 1.0, size=count.shape) * (count > 0)
+        hists = [Histogram(count[j], grad[j], hess[j]) for j in range(k)]
+        starts = builder.offsets[:-1]
+        totals = [
+            tuple(np.add.reduceat(x[j], starts).max() for x in (grad, hess, count))
+            for j in range(k)
+        ]
+        params = SplitParams(lambda_=1.0, gamma=0.0, min_child_weight=0.0, min_child_records=1)
+        return SplitSearcher(data.spec, builder.offsets, params), hists, totals
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_arbitrary_histograms(self, data, builder, seed):
+        searcher, hists, totals = self._arbitrary(data, builder, seed)
+        for floor in (0.0, 2.0):
+            split_module.DENSE_MIN_OCCUPANCY = floor
+            try:
+                self._check(searcher, hists, totals)
+            finally:
+                split_module.DENSE_MIN_OCCUPANCY = DENSE_MIN_OCCUPANCY
+
+    def test_categorical_and_missing_left_bands(self, data, builder, scorer):
+        """Every variant family -- numerical and categorical, missing
+        records sent right and left -- wins somewhere, and matches."""
+        won = set()
+        for seed in range(12):
+            searcher, hists, totals = self._arbitrary(data, builder, seed)
+            batch = self._check(searcher, hists, totals)
+            won |= {(d.is_categorical, d.missing_left) for d in batch if d.valid}
+        assert won == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_subtraction_residue_bins(self, data, builder, scorer):
+        """Zero-count bins with rounding-residual grad/hess after two levels
+        of ``subtract`` are scored by both scorers."""
+        g, h = _random_stats(data.n_records, 5)
+        rng = np.random.default_rng(5)
+        hists, totals = [], []
+        for _ in range(6):
+            parent = np.flatnonzero(rng.random(data.n_records) < 0.6)
+            sibling = np.setdiff1d(np.arange(data.n_records), parent)
+            child = parent[rng.random(parent.size) < 0.9]
+            other = np.setdiff1d(parent, child)
+            full = builder.build(np.arange(data.n_records), g, h)
+            parent_hist = full.subtract(builder.build(sibling, g, h))
+            hists.append(parent_hist.subtract(builder.build(child, g, h)))
+            totals.append((g[other].sum(), h[other].sum(), float(other.size)))
+        assert all(((x.count == 0) & ((x.grad != 0) | (x.hess != 0))).any() for x in hists)
+        self._check(SplitSearcher(data.spec, builder.offsets, TrainParams().split), hists, totals)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("numerical:4", "numerical:9", "numerical:15"),
+            ("numerical:6", "categorical:5", "numerical:6", "categorical:3"),
+        ],
+    )
+    def test_fields_of_unequal_size(self, scorer, kinds):
+        """Numerical fields of different sizes, or interleaved with
+        categorical ones: each bin's base is spread from its own field."""
+        fields = []
+        for i, kind in enumerate(kinds):
+            name, size = kind.split(":")
+            numerical = name == "numerical"
+            fields.append(
+                FieldSpec(
+                    name=f"f{i}",
+                    kind=FieldKind.NUMERICAL if numerical else FieldKind.CATEGORICAL,
+                    n_bins=int(size) if numerical else 256,
+                    n_categories=0 if numerical else int(size),
+                    missing_rate=0.1,
+                    target_weight=1.0,
+                )
+            )
+        spec = DatasetSpec(name="ragged", fields=tuple(fields), n_records=400, seed=5)
+        ragged = generate(spec)
+        ragged_builder = HistogramBuilder(ragged)
+        searcher = SplitSearcher(spec, ragged_builder.offsets, TrainParams().split)
+        for unit_hessian in (False, True):
+            hists, totals = self._built(ragged, ragged_builder, 13, unit_hessian, (20, 150, 400))
+            self._check(searcher, hists, totals)
+
+    @pytest.mark.parametrize("occupied_bins, dense", [(5, False), (6, True), (7, True)])
+    def test_occupancy_at_the_crossover(self, monkeypatch, occupied_bins, dense):
+        """Two 10-bin fields: 6 of 20 bins is exactly ``DENSE_MIN_OCCUPANCY``
+        and takes the dense scorer, 5 the compacted one; both are exact."""
+        assert DENSE_MIN_OCCUPANCY * 20 == 6
+        fields = tuple(
+            FieldSpec(name=f"x{i}", kind=FieldKind.NUMERICAL, n_bins=9) for i in range(2)
+        )
+        spec = DatasetSpec(name="crossover", fields=fields, n_records=10)
+        params = SplitParams(lambda_=1.0, gamma=0.0, min_child_weight=0.0, min_child_records=1)
+        searcher = SplitSearcher(spec, np.array([0, 10, 20]), params)
+        calls = []
+        dense_bands = SplitSearcher._dense_bands
+        monkeypatch.setattr(
+            SplitSearcher, "_dense_bands", lambda s, *a: calls.append(1) or dense_bands(s, *a)
+        )
+        rng = np.random.default_rng(occupied_bins)
+        count = np.zeros(20)
+        count[rng.choice(20, size=occupied_bins, replace=False)] = rng.integers(1, 5, occupied_bins)
+        grad = rng.normal(size=20) * (count > 0)
+        hist = Histogram(count, grad, count * 0.5)
+        totals = [(grad.sum() / 2, count.sum() / 4, count.sum() / 2)]
+        self._check(searcher, [hist], totals)
+        assert bool(calls) == dense
+
+    def test_back_to_back_searches_share_no_state(self, data, builder):
+        """One searcher, many searches through both scorers in both orders:
+        each decision holds plain scalars and equals the oracle's, so no
+        decision aliases scratch or sees an earlier search's leftovers."""
+        searcher = SplitSearcher(data.spec, builder.offsets, TrainParams().split)
+        hists, totals = self._built(data, builder, 7, sizes=(2, 700, 5, 300, 1, 650))
+        unit, unit_totals = self._built(data, builder, 8, unit_hessian=True, sizes=(600, 4, 500))
+        hists, totals = hists + unit, totals + unit_totals
+        forward = [searcher.best_split(x, *t) for x, t in zip(hists, totals)]
+        backward = [searcher.best_split(x, *t) for x, t in zip(hists[::-1], totals[::-1])][::-1]
+        assert forward == backward == self._check(searcher, hists, totals)
+        for decision in forward:
+            for value in vars(decision).values():
+                assert isinstance(value, (int, float)) and not isinstance(value, np.ndarray)
 
 
 def _serve_oracle_lanes(cfg, window, lanes):
