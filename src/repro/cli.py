@@ -467,17 +467,23 @@ def _cmd_inference(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from .sim.artifacts import ARTIFACTS, build
+    from .sim.artifacts import ARTIFACTS
     from .sim.executor import Executor
 
-    ex = Executor(_scenario(args))
     names = args.names or list(ARTIFACTS)
+    # Check every name before rendering any, so a typo late in the list
+    # fails at once instead of after the earlier artifacts have trained.
+    unknown = [name for name in names if name not in ARTIFACTS]
+    if unknown:
+        print(
+            f"unknown artifact {', '.join(map(repr, unknown))}; "
+            f"choose from {sorted(ARTIFACTS)}",
+            file=sys.stderr,
+        )
+        return 2
+    ex = Executor(_scenario(args))
     for name in names:
-        try:
-            print(build(name, ex))
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
+        print(ARTIFACTS[name](ex))
         print()
     return 0
 

@@ -1,9 +1,9 @@
 """Renderable reproductions of every paper table and figure.
 
 Each builder takes a shared :class:`Executor` and returns the rendered text
-artifact.  The benchmark suite, the ``paper_repro`` example, and the CLI all
-go through these functions, so there is exactly one implementation of each
-table/figure.
+artifact, with the paper's published values beside the measured ones where
+the paper gives them.  ``repro figures`` renders them by name from
+:data:`ARTIFACTS`, the one implementation of each table and figure.
 """
 
 from __future__ import annotations
@@ -12,14 +12,18 @@ from typing import Callable
 
 import numpy as np
 
+from ..core import PAPER_CONFIG
 from ..datasets import paper_seq_minutes, table3_rows
-from ..energy import AreaPowerModel, EnergyModel, SRAMEnergyModel
+from ..energy import SYSTEM_SRAM, TABLE6, AreaPowerModel, EnergyModel, SRAMEnergyModel
 from ..memory import DRAMSimulator, sequential
 from .executor import Executor
 from .report import render_table
 from .results import geomean
 
-__all__ = ["ARTIFACTS", "build", "build_all"]
+__all__ = ["ARTIFACTS"]
+
+#: Fig. 7's published Booster speedups (Sec. V-B names only these two bars).
+PAPER_FIG7 = {"iot": 30.6, "flight": 4.6}
 
 
 def table3(ex: Executor) -> str:
@@ -46,11 +50,17 @@ def table3(ex: Executor) -> str:
 
 
 def table4(ex: Executor) -> str:
-    stats = DRAMSimulator().run(sequential(24_000))
+    sim = DRAMSimulator()
+    cfg, stats = sim.config, sim.run(sequential(24_000))
     return render_table(
         ["quantity", "value"],
         [
-            ["config", "24 ch x 16 banks, 1 KB rows, 12-12-12-28"],
+            ["channels", cfg.n_channels],
+            ["banks/channel", cfg.n_banks],
+            ["row size", f"{cfg.row_bytes} B"],
+            ["tCAS-tRP-tRCD-tRAS", f"{cfg.t_cas}-{cfg.t_rp}-{cfg.t_rcd}-{cfg.t_ras}"],
+            ["block", f"{cfg.block_bytes} B"],
+            ["peak bandwidth", f"{cfg.peak_gbps:.0f} GB/s"],
             ["sustained stream", f"{stats.sustained_gbps:.1f} GB/s (paper ~400)"],
             ["row hit rate", f"{stats.row_hit_rate:.3f}"],
         ],
@@ -59,24 +69,41 @@ def table4(ex: Executor) -> str:
 
 
 def table5(ex: Executor) -> str:
-    m = SRAMEnergyModel()
+    c, m = ex.scenario.costs(), SRAMEnergyModel()
+    units = {
+        "ideal-32-core": ("Ideal 32-core", f"{c.cpu_threads} cores", c.cpu_clock_ghz),
+        "ideal-gpu": ("Ideal GPU", f"{c.gpu_lanes} SMs", c.gpu_clock_ghz),
+        "booster": ("Booster", f"{ex.scenario.booster.n_bus} BUs", c.booster_clock_ghz),
+    }
+    rows = []
+    for system, (capacity, banks) in SYSTEM_SRAM.items():
+        label, cores, clock = units[system]
+        sram = f"{capacity // 1024} KB" + (f" x{banks} banks" if banks > 1 else "")
+        rows.append([label, cores, f"{clock}", sram, f"{m.normalized(capacity, banks):.2f}"])
     return render_table(
-        ["config", "SRAM", "energy (norm.)"],
-        [
-            ["Ideal 32-core", "32 KB", f"{m.normalized(32 * 1024):.2f}"],
-            ["Ideal GPU", "96 KB x32 banks", f"{m.normalized(96 * 1024, 32):.2f}"],
-            ["Booster", "2 KB", f"{m.normalized(2 * 1024):.2f}"],
-        ],
-        title="Table V -- normalized SRAM access energy",
+        ["config", "cores/units", "clock GHz", "SRAM", "energy (norm.)"],
+        rows,
+        title="Table V -- hardware parameters (paper energies: 1.00 / 2.64 / 0.71)",
     )
 
 
 def table6(ex: Executor) -> str:
-    rows = [[n, f"{a:.1f}", f"{p:.1f}"] for n, a, p in AreaPowerModel().estimate().rows()]
+    model = AreaPowerModel()
+    many = model.estimate()
+    paper = [TABLE6[k] for k in ("control", "fpu", "sram", "total")]
+    rows = [
+        [name, f"{a:.1f}", f"{pa:.1f}", f"{p:.1f}", f"{pp:.1f}"]
+        for (name, a, p), (pa, pp) in zip(many.rows(), paper)
+    ]
+    # Sec. V-G: the 3200 banks cost ~70% more area and ~59% more power than
+    # one bank of the same 6.4 MB.
+    one = model.estimate(n_bus=1, n_clusters=1, sram_bytes=PAPER_CONFIG.total_sram_bytes)
+    area, power = many.sram_mm2 / one.sram_mm2, many.sram_w / one.sram_w
+    rows.append(["SRAM 3200 / 1 bank (ratio)", f"{area:.2f}", "~1.70", f"{power:.2f}", "~1.59"])
     return render_table(
-        ["component", "area mm2", "power W"],
+        ["component", "area mm2", "paper", "power W", "paper"],
         rows,
-        title="Table VI -- ASIC budget (paper: 60.0 mm2 / 23.2 W)",
+        title="Table VI -- ASIC area/power (45 nm, 1 GHz) and SRAM banking overhead",
     )
 
 
@@ -96,24 +123,22 @@ def fig6(ex: Executor) -> str:
 
 
 def fig7(ex: Executor) -> str:
-    rows, sps = [], []
+    rows, booster, gpu = [], [], []
     for name in ex.all_datasets():
         cmp = ex.compare(name)
-        b = cmp.speedup("booster")
-        sps.append(b)
-        rows.append(
-            [
-                name,
-                f"{cmp.speedup('ideal-gpu'):.2f}x",
-                f"{cmp.speedup('inter-record'):.2f}x",
-                f"{b:.2f}x",
-            ]
-        )
-    rows.append(["geomean", "-", "-", f"{geomean(sps):.2f}x"])
+        b, g = cmp.speedup("booster"), cmp.speedup("ideal-gpu")
+        booster.append(b)
+        gpu.append(g)
+        ir = cmp.speedup("inter-record")
+        paper = f"{PAPER_FIG7[name]:.1f}x" if name in PAPER_FIG7 else "-"
+        rows.append([name, f"{g:.2f}x", f"{ir:.2f}x", f"{b:.2f}x", paper])
+    rows.append(["geomean", f"{geomean(gpu):.2f}x", "-", f"{geomean(booster):.2f}x", "11.4x"])
+    over_gpu = geomean(b / g for b, g in zip(booster, gpu))
+    rows.append(["geomean over Ideal GPU", "-", "-", f"{over_gpu:.2f}x", "6.4x"])
     return render_table(
-        ["dataset", "Ideal GPU", "IR", "Booster"],
+        ["dataset", "Ideal GPU", "IR", "Booster", "paper (Booster)"],
         rows,
-        title="Fig. 7 -- speedup over Ideal 32-core (paper geomean 11.4x)",
+        title="Fig. 7 -- speedup over Ideal 32-core",
     )
 
 
@@ -235,16 +260,3 @@ ARTIFACTS: dict[str, Callable[[Executor], str]] = {
     "fig12": fig12,
     "fig13": fig13,
 }
-
-
-def build(name: str, ex: Executor) -> str:
-    """Render one artifact by name (KeyError lists the choices)."""
-    if name not in ARTIFACTS:
-        raise KeyError(f"unknown artifact {name!r}; choose from {sorted(ARTIFACTS)}")
-    return ARTIFACTS[name](ex)
-
-
-def build_all(ex: Executor, names: list[str] | None = None) -> str:
-    """Render several artifacts joined by blank lines."""
-    keys = names or list(ARTIFACTS)
-    return "\n\n".join(build(k, ex) for k in keys)

@@ -14,11 +14,11 @@ class TestSequential:
         assert seq > 10 * par  # near-linear scaling on the parallel steps
 
     def test_steps135_dominate_sequential(self, paper_comparisons):
-        # Fig. 6: steps 1+3+5 are >90% of sequential time for the large sets.
-        for name in ("iot", "higgs", "flight"):
+        # Fig. 6: steps 1+3+5 are >98% of sequential time except for Mq2008.
+        for name in ("iot", "higgs", "allstate", "flight"):
             st = paper_comparisons[name].systems["sequential"]
             share = (st.step1 + st.step3 + st.step5) / st.total
-            assert share > 0.90
+            assert share > 0.95, name
 
     def test_mq2008_step2_share_largest(self, paper_comparisons):
         # Fig. 6: Mq2008's small dataset gives step 2 its largest share.
@@ -27,6 +27,14 @@ class TestSequential:
             for name, cmp in paper_comparisons.items()
         }
         assert shares["mq2008"] == max(shares.values())
+
+    def test_iot_step1_share_largest(self, paper_comparisons):
+        # Fig. 6: IoT's shallow trees make it the most step-1-heavy benchmark.
+        shares = {
+            name: cmp.systems["sequential"].step1 / cmp.systems["sequential"].total
+            for name, cmp in paper_comparisons.items()
+        }
+        assert shares["iot"] == max(shares.values())
 
 
 class TestIdealMulticore:

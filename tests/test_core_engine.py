@@ -114,10 +114,31 @@ class TestTrainingTimes:
         assert naive.step1 == pytest.approx(grouped.step1, rel=0.01)
 
 
+class TestRateMatching:
+    def test_bu_count_knee_on_higgs(self, executor):
+        """Sec. III-B: speedup grows while step 1 is compute-bound, then
+        flattens once the BUs saturate DRAM; 3200 BUs sit on the plateau."""
+        prof = executor.profile("higgs")
+        base = executor.compare("higgs", systems=["ideal-32-core"]).seconds("ideal-32-core")
+        speedups = []
+        for clusters in (2, 5, 10, 25, 50, 100, 200):
+            engine = BoosterEngine(
+                config=BoosterConfig(n_clusters=clusters), bandwidth=executor.bandwidth
+            )
+            speedups.append(base / engine.training_times(prof).total)
+        knee = max(speedups)
+        assert speedups[1] / speedups[0] > 1.2
+        assert knee / speedups[0] > 3.0
+        # Past the knee extra BUs only add broadcast fill and replica
+        # reduction, so the curve stays flat (and may dip slightly).
+        assert abs(speedups[-1] - speedups[-3]) / speedups[-3] < 0.05
+        assert speedups[4] > 0.95 * knee  # 50 clusters = 3200 BUs
+
+
 class TestMicroSimulation:
     """The paper's validation role: cycle-accurate pipeline vs analytic model."""
 
-    @pytest.mark.parametrize("name", ["higgs", "flight"])
+    @pytest.mark.parametrize("name", ["higgs", "flight", "mq2008"])
     def test_micro_matches_analytic(self, name):
         spec = dataset_spec(name, n_records=2000)
         res = simulate_step1_micro(2000, spec)

@@ -68,6 +68,8 @@ class TestFig8Breakdown:
             residual = st.step2 + st.other
             norm = cmp.normalized_breakdown("booster")
             assert norm["total"] < 0.35, name  # far below the baseline
+            cpu = cmp.systems["ideal-32-core"]
+            assert accelerated < 0.35 * (cpu.step1 + cpu.step3 + cpu.step5), name
             if name in ("mq2008",):  # bin-heavy: residual clearly dominates
                 assert residual > accelerated
 
@@ -86,6 +88,14 @@ class TestFig8Breakdown:
         assert shares["mq2008"] == max(shares.values())
         below_median = sorted(sps.values())[: len(sps) // 2 + 1]
         assert sps["mq2008"] in below_median
+
+    def test_gpu_halves_parallel_steps_but_not_step2(self, paper_comparisons):
+        # The Ideal GPU's 64 lanes halve the 32-core's steps 1/3/5; step 2
+        # stays on the host and gains nothing.
+        for name, cmp in paper_comparisons.items():
+            cpu, gpu = cmp.systems["ideal-32-core"], cmp.systems["ideal-gpu"]
+            assert 0.4 < gpu.step1 / cpu.step1 < 0.6, name
+            assert gpu.step2 >= 0.99 * cpu.step2, name
 
 
 class TestFig9Ablation:
@@ -130,23 +140,25 @@ class TestFig9Ablation:
 
 
 class TestFig12Scaling:
-    def test_speedups_grow_with_scale(self, executor, paper_comparisons):
-        # Paper: every benchmark improves at 10x; geomean 11.4 -> 27.9.
+    def test_speedups_grow_with_scale(self, executor, speedups):
+        # Paper: every benchmark improves at 10x; geomean 11.4 -> 27.9 (the
+        # model's growth is weaker but clearly positive).
+        scaled = {}
         for name in executor.all_datasets():
-            base = paper_comparisons[name].speedup("booster")
-            scaled = executor.compare(
+            scaled[name] = executor.compare(
                 name, systems=["ideal-32-core", "booster"], extra_scale=10.0
             ).speedup("booster")
-            assert scaled > base, name
+            assert scaled[name] > speedups[name], name
+        assert geomean(scaled.values()) > 1.2 * geomean(speedups.values())
 
     def test_gpu_gain_stays_flat(self, executor):
         # Paper: "The speedup of Ideal GPU ... remains modest (<2x) and
         # similar to the speedups with the unscaled datasets."
-        for name in ("higgs", "flight"):
+        for name in executor.all_datasets():
             cmp = executor.compare(
                 name, systems=["ideal-32-core", "ideal-gpu"], extra_scale=10.0
             )
-            assert cmp.speedup("ideal-gpu") < 2.0
+            assert cmp.speedup("ideal-gpu") < 2.0, name
 
 
 class TestFig13Inference:

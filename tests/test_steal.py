@@ -160,7 +160,10 @@ class TestStaleReclaim:
         holder = Coordinator(tmp_path, ttl=0.05, host="h1", pid=101)
         thief = Coordinator(tmp_path, ttl=0.05, host="h2", pid=202)
         holder.claim("sk1")
-        assert thief.claim("sk1") is False  # still fresh
+        # A reader judges staleness by its own TTL: a long-TTL peer checks
+        # that the lease is live without racing the thief's 50 ms window.
+        peer = Coordinator(tmp_path, ttl=60.0, host="h3", pid=303)
+        assert peer.claim("sk1") is False  # still fresh
         time.sleep(0.1)
         assert thief.claim("sk1") is True
         assert thief.stolen == 1
