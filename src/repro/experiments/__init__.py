@@ -19,10 +19,6 @@ design point x scale x systems) tuple -- a first-class object:
 * :mod:`~repro.experiments.manifest` -- the one set of rules for reading
   the JSONL manifests sweeps stream (``repro merge``, ``repro report`` and
   ``repro sweep --resume`` all read through it);
-* :mod:`~repro.experiments.schedule` -- claim-order pricing: an analytic
-  per-scenario cost estimator calibrated by the wall times recorded in
-  the result store, so work-stealing workers claim the most expensive
-  scenario first;
 * :mod:`~repro.experiments.steal` -- the multi-host path, dynamic work
   stealing over a shared lease store (``repro sweep --coordinate
   DIR-or-URL``): workers claim scenarios at runtime through atomic lease
@@ -73,7 +69,6 @@ if TYPE_CHECKING:
         train_scenario_tracked,
     )
     from .scenario import DEFAULT_SYSTEMS, ScenarioSpec, ServingParams
-    from .schedule import cost_order, estimate_cost, observed_durations, scenario_costs
     from .steal import DEFAULT_LEASE_TTL, Coordinator, Lease, LeaseLost, lease_name, steal_status
     from .runner import (
         AXIS_NAMES,
@@ -118,7 +113,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "train_scenario_tracked",
     ),
     "scenario": ("DEFAULT_SYSTEMS", "ScenarioSpec", "ServingParams"),
-    "schedule": ("cost_order", "estimate_cost", "observed_durations", "scenario_costs"),
     "steal": (
         "DEFAULT_LEASE_TTL",
         "Coordinator",
@@ -170,21 +164,17 @@ __all__ = [
     "apply_axis",
     "benchmark_dataset",
     "copy_entries",
-    "cost_order",
     "default_cache",
     "default_cache_dir",
     "etag_of",
-    "estimate_cost",
     "expand_axes",
     "is_store_url",
     "lease_name",
-    "observed_durations",
     "open_backend",
     "parse_axis_specs",
     "read_axis",
     "result_store_key",
     "run_scenario",
-    "scenario_costs",
     "scenario_key",
     "sim_fingerprint",
     "steal_status",

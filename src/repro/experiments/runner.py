@@ -317,9 +317,7 @@ class SweepResult:
 
     ``duration_s`` is the wall-clock the *original* execution took (train +
     simulate, as measured by :func:`run_scenario`); a replayed result keeps
-    the duration it recorded when it actually ran, so manifests and the
-    result store double as the calibration corpus for the work-stealing
-    claim order (:mod:`repro.experiments.schedule`).  Error results -- and
+    the duration it recorded when it actually ran.  Error results -- and
     lines from manifests written before durations existed -- carry ``None``.
     """
 
@@ -430,6 +428,32 @@ def scenario_train_key(scenario: ScenarioSpec) -> str | None:
     except Exception:
         return None
 
+
+def claim_order(scenarios: Iterable[ScenarioSpec]) -> list[ScenarioSpec]:
+    """Distinct scenarios in work-stealing claim order, most expensive first.
+
+    Claiming the costliest remaining scenario first (LPT at runtime) keeps
+    one worker from finishing a giant scenario long after its peers drained
+    the rest.  The cost is analytic -- boosting rounds x tree depth x
+    resolved records x ``extra_scale`` -- and ties break by
+    :func:`scenario_key`, so every worker derives the same order from
+    content alone.  Duplicates collapse to their first occurrence (they
+    share a key, hence a lease); an unkeyable scenario costs 0 and sorts
+    last, where its claimant fails fast.
+    """
+
+    def cost(scenario: ScenarioSpec) -> float:
+        try:
+            records = scenario.resolved_records()
+        except Exception:
+            return 0.0
+        train = scenario.train
+        return float(train.n_trees) * float(train.max_depth) * float(records) * scenario.extra_scale
+
+    distinct: dict[str, ScenarioSpec] = {}
+    for scenario in scenarios:
+        distinct.setdefault(scenario_key(scenario), scenario)
+    return sorted(distinct.values(), key=lambda s: (-cost(s), scenario_key(s)))
 
 
 def result_store_key(scenario: ScenarioSpec, mode: str = "compare") -> str:
@@ -685,13 +709,12 @@ class SweepRunner:
         ``coordinator``'s lease store (work-stealing mode).
 
         Every worker on the store drains the *same* sweep, claiming the
-        most expensive remaining scenario first
-        (:func:`~repro.experiments.schedule.cost_order`) and running it
-        in-process under a background-renewed lease.  A live peer's lease
-        is skipped without a claim attempt; a stale one (TTL expired, or
-        its holder is a dead process on this host) is broken and its
-        scenario stolen.  A scenario whose training artifact is not in
-        the profile cache yet also runs under the artifact's *train lease*
+        most expensive remaining scenario first (:func:`claim_order`) and
+        running it in-process under a background-renewed lease.  A live
+        peer's lease is skipped without a claim attempt; a stale one (TTL
+        expired, or its holder is a dead process on this host) is broken
+        and its scenario stolen.  A scenario whose training artifact is not
+        in the profile cache yet also runs under the artifact's *train lease*
         (:meth:`~repro.experiments.steal.Coordinator.train_leases`), and
         waits while a live peer holds it, so each artifact trains once.
 
@@ -710,14 +733,9 @@ class SweepRunner:
         would spin forever.  A scenario replayed from the result store
         trained nothing, so it releases its train lease instead.
         """
-        from .schedule import cost_order, observed_durations  # lazy: avoids an import cycle
-
-        scenarios = list(scenarios)
-        if not scenarios:
+        ordered = claim_order(scenarios)
+        if not ordered:
             return
-        ordered = cost_order(
-            scenarios, self.mode, observed_durations(self.results, scenarios, self.mode)
-        )
         keys = [scenario_key(s) for s in ordered]
         coordinator.ensure_sweep(keys, self.mode)
         completed = set(completed)

@@ -131,25 +131,6 @@ class ScenarioSpec:
             self.dataset, n_records=self.sim_records, seed=self.seed
         ).n_records
 
-    #: Record count assumed by :meth:`approx_records` when the dataset is
-    #: unknown (matches the registry benchmarks' simulation scale).
-    FALLBACK_RECORDS = 1000
-
-    def approx_records(self) -> int:
-        """:meth:`resolved_records`, with a finite fallback when resolving
-        raises (unknown dataset name).
-
-        Cost estimation (:mod:`repro.experiments.schedule`) must price
-        *every* scenario -- an unkeyable one still takes its place in the
-        claim order, and its claimant fails fast with a structured error
-        result -- so an unresolvable record count degrades to
-        ``sim_records`` (or the registry sim scale) instead of propagating.
-        """
-        try:
-            return self.resolved_records()
-        except Exception:
-            return self.sim_records or self.FALLBACK_RECORDS
-
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -33,7 +33,7 @@ identical either way: hosts in a URL-coordinated pool share nothing but
 the server's address.
 
 Workers claim in cost-descending order (LPT dynamically --
-:func:`~repro.experiments.schedule.cost_order`), each streams its own
+:func:`~repro.experiments.runner.claim_order`), each streams its own
 JSONL manifest, and ``repro merge`` unions the per-worker manifests
 into the manifest of the whole sweep.  Adding a worker mid-sweep just
 makes the sweep finish sooner; killing one delays its in-flight scenario

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..energy import AreaPowerModel, EnergyModel, SRAMEnergyModel
+from ..energy import SYSTEM_SRAM, AreaPowerModel, EnergyModel, SRAMEnergyModel
 from ..memory import bandwidth_profile
 from .executor import Executor
 from .report import render_table
@@ -69,7 +69,7 @@ def validate_all(ex: Executor) -> list[Claim]:
 
     # -- Table V: SRAM energies -----------------------------------------------------
     m = SRAMEnergyModel()
-    vals = (m.normalized(32 * 1024), m.normalized(96 * 1024, 32), m.normalized(2 * 1024))
+    vals = [m.normalized(*SYSTEM_SRAM[s]) for s in ("ideal-32-core", "ideal-gpu", "booster")]
     ok = m.validate_table5()
     add("Table V", "normalized SRAM energies", "1.00 / 2.64 / 0.71",
         " / ".join(f"{v:.2f}" for v in vals), ok)

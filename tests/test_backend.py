@@ -35,7 +35,6 @@ from repro.experiments import (
     SweepResult,
     SweepRunner,
     copy_entries,
-    cost_order,
     scenario_key,
     steal_status,
 )
@@ -49,6 +48,7 @@ from repro.experiments.backend import (
     is_store_url,
     open_backend,
 )
+from repro.experiments.runner import claim_order
 from repro.experiments.steal import LEASE_SUFFIX
 from repro.gbdt import TrainParams
 from tests.conftest import serving
@@ -534,7 +534,7 @@ class TestStealingOverURL:
         # still find the lease stale.
         ttl, poll = 1.0, 0.2
         later = [tiny_scenario(seed=s) for s in (4, 5, 6)]
-        held = scenario_key(cost_order(later)[0])
+        held = scenario_key(claim_order(later)[0])
         collected: list = []
         finished: list[float] = []
         with serving(tmp_path / "second") as url:
@@ -564,7 +564,7 @@ class TestStealingOverURL:
     def test_parked_worker_wakes_when_live_peer_finishes(self, served_url, tmp_path, fake_runs):
         """URL twin of the local wait test, with a poll too long to hide behind."""
         scenarios = [tiny_scenario(seed=s) for s in (1, 2)]
-        held_key = scenario_key(cost_order(scenarios)[0])
+        held_key = scenario_key(claim_order(scenarios)[0])
         peer = Coordinator(served_url, ttl=9999.0)  # live pid: not stealable
         assert peer.claim(held_key)
         collected: list = []

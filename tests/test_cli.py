@@ -1,9 +1,13 @@
 """Tests for the command-line interface (repro.cli) and artifact builders."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.sim.artifacts import ARTIFACTS
+
+DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
 
 class TestParser:
@@ -924,3 +928,45 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "claim checklist" in out
         assert "FAIL" not in out
+
+
+class TestReportGolden:
+    def test_report_matches_golden_snapshot(self, capsys):
+        """Regression lock on `repro report --from-manifest` formatting
+        (including the duration column and the wall-time total): a checked
+        -in fixture manifest must render byte-for-byte like the golden."""
+        manifest = DATA_DIR / "report_golden.jsonl"
+        assert main(["report", "--from-manifest", str(manifest)]) == 0
+        captured = capsys.readouterr()
+        golden = (DATA_DIR / "report_golden.txt").read_text()
+        assert captured.out == golden
+        assert captured.err == ""
+
+
+class TestPlanCLI:
+    def test_plan_validates_inputs(self, capsys):
+        """`repro plan` is gone with static sharding: every invocation that
+        once reached its validation is now an argparse usage error."""
+        for argv in (
+            ["plan", "--axis", "bogus=1", "--trees", "2"],
+            ["plan", "--axis", "seed=1", "--shards", "0", "--trees", "2"],
+            ["plan", "--axis", "seed=1", "--shards", "2", "--trees", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "invalid choice: 'plan'" in capsys.readouterr().err
+
+
+class TestBalanceCLI:
+    def test_balance_requires_axes(self, capsys):
+        """--balance left with static sharding: with or without axes it is
+        an argparse usage error, never a silently ignored flag."""
+        for argv in (
+            ["sweep", "--trees", "2", "--balance", "cost"],
+            ["sweep", "--axis", "seed=1", "--trees", "2", "--balance", "cost"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --balance" in capsys.readouterr().err

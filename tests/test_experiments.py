@@ -683,8 +683,8 @@ class TestResultStore:
 
 
 class TestDurations:
-    """Recorded wall times: the calibration corpus for the work-stealing
-    claim order (see test_schedule.py for the ordering itself)."""
+    """Recorded wall times (``duration_s``), carried through manifests and
+    the result store; the claim order itself is tested in test_steal.py."""
 
     def test_fresh_run_records_wall_time(self, tmp_path):
         result = run_scenario(TINY, ProfileCache(root=tmp_path))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -28,13 +29,12 @@ from repro.experiments import (
     ScenarioSpec,
     SweepResult,
     SweepRunner,
-    cost_order,
     expand_axes,
     lease_name,
-    observed_durations,
     scenario_key,
     steal_status,
 )
+from repro.experiments.runner import claim_order
 from repro.experiments.steal import LEASE_SUFFIX, SWEEP_FILE, Lease
 from repro.gbdt import TrainParams
 
@@ -311,6 +311,80 @@ class TestEnsureSweep:
                 Coordinator(tmp_path, ttl=ttl)
 
 
+#: Costs spanning ~two orders of magnitude: the claim order has to
+#: interleave both axes to stay cost-descending.
+HETERO_AXES = {"n_trees": [50, 400], "extra_scale": [1.0, 8.0]}
+
+
+def _cost(scenario: ScenarioSpec) -> float:
+    train = scenario.train
+    return train.n_trees * train.max_depth * scenario.resolved_records() * scenario.extra_scale
+
+
+class TestClaimOrder:
+    """The claim order is the partition: leases arbitrate ownership, and
+    every distinct scenario is offered for claiming exactly once."""
+
+    def test_cost_descending_with_duplicates_collapsed(self):
+        scenarios = expand_axes(tiny_scenario(), HETERO_AXES)
+        ordered = claim_order(scenarios + [scenarios[0]])
+        assert sorted(map(scenario_key, ordered)) == sorted(map(scenario_key, scenarios))
+        costs = [_cost(s) for s in ordered]
+        assert costs == sorted(costs, reverse=True)
+        assert ordered[0].train.n_trees == 400 and ordered[0].extra_scale == 8.0
+
+    def test_each_cost_knob_moves_a_scenario_ahead(self):
+        base = tiny_scenario()
+        heavier = [
+            replace(base, train=replace(base.train, n_trees=20)),
+            replace(base, train=replace(base.train, max_depth=12)),
+            replace(base, sim_records=5000),
+            replace(base, extra_scale=8.0),
+        ]
+        for scenario in heavier:
+            assert claim_order([base, scenario]) == [scenario, base]
+
+    def test_hardware_knobs_tie_and_break_by_key(self):
+        """Hardware axes are analytic simulation inputs that barely move
+        wall time, so hardware-only siblings tie on cost."""
+        siblings = expand_axes(tiny_scenario(), {"clock_ghz": [0.8, 1.0, 1.2, 1.4]})
+        assert claim_order(siblings) == sorted(siblings, key=scenario_key)
+
+    def test_unkeyable_scenario_offered_once_and_last(self):
+        bad = replace(tiny_scenario(), dataset="not-a-benchmark")
+        with pytest.raises(Exception):
+            bad.cache_key()  # the premise: this scenario is unkeyable
+        assert claim_order([bad, tiny_scenario(), bad]) == [tiny_scenario(), bad]
+
+    def test_order_stable_across_processes(self):
+        """The claim order is a pure function of scenario content: a fresh
+        interpreter with a different PYTHONHASHSEED yields the identical
+        scenario_key sequence.  Seeds do not move the cost, so every cost
+        level is a tie that only the key may break."""
+        base = tiny_scenario()
+        axes = {**HETERO_AXES, "seed": [1, 2, 3]}
+        keys = [scenario_key(s) for s in claim_order(expand_axes(base, axes))]
+        code = (
+            "from repro.experiments import ScenarioSpec, expand_axes, scenario_key\n"
+            "from repro.experiments.runner import claim_order\n"
+            f"base = ScenarioSpec.from_json({base.to_json()!r})\n"
+            f"scenarios = expand_axes(base, {axes!r})\n"
+            "print(*[scenario_key(s) for s in claim_order(scenarios)])\n"
+        )
+        src_dir = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONHASHSEED"] = "31337"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout.split()
+        assert out == keys
+
+
 @pytest.fixture()
 def fake_runs(monkeypatch):
     """Replace ``run_scenario`` with an instant fake; returns the call log."""
@@ -349,11 +423,35 @@ class TestRunStealing:
             scenario_key(s) for s in scenarios
         }
         # Claimed most-expensive-first: the fake ran deep trees before shallow.
-        expected = [scenario_key(s) for s in cost_order(scenarios)]
+        expected = [scenario_key(s) for s in claim_order(scenarios)]
         assert fake_runs == expected
         # One lease per scenario, all done.
         leases = coordinator.leases()
         assert len(leases) == len(scenarios) and all(lease.done for lease in leases)
+
+    def test_no_result_store_reads_before_the_first_claim(self, tmp_path, fake_runs, monkeypatch):
+        """The claim order is analytic: pricing it reads no stored result."""
+        scenarios = [tiny_scenario(seed=s, depth=d) for s in (1, 2) for d in (2, 5)]
+        reads: list[str] = []
+        real_get = ResultStore.get
+
+        def counting_get(self, key):
+            reads.append(key)
+            return real_get(self, key)
+
+        monkeypatch.setattr(ResultStore, "get", counting_get)
+        coordinator = Coordinator(tmp_path / "coord", ttl=60.0)
+        reads_at_claim: list[int] = []
+        claim = coordinator.claim
+
+        def counting_claim(key):
+            reads_at_claim.append(len(reads))
+            return claim(key)
+
+        coordinator.claim = counting_claim
+        results = list(_runner(tmp_path).run_stealing(scenarios, coordinator))
+        assert len(results) == len(scenarios)
+        assert reads_at_claim[0] == 0
 
     def test_two_workers_split_without_double_running(self, tmp_path, fake_runs):
         scenarios = [tiny_scenario(seed=s, depth=d) for s in (1, 2, 3) for d in (2, 4)]
@@ -450,7 +548,7 @@ class TestRunStealing:
     def test_worker_waits_for_live_peer_to_finish(self, tmp_path, fake_runs):
         scenarios = [tiny_scenario(seed=s) for s in (1, 2)]
         coord_dir = tmp_path / "coord"
-        held_key = scenario_key(cost_order(scenarios)[0])
+        held_key = scenario_key(claim_order(scenarios)[0])
         peer = Coordinator(coord_dir, ttl=9999.0)  # live pid: not stealable
         assert peer.claim(held_key)
         collected = []
@@ -476,7 +574,7 @@ class TestRunStealing:
     def test_live_peer_lease_is_skipped_without_a_claim(self, tmp_path, fake_runs):
         scenarios = [tiny_scenario(seed=s) for s in (1, 2)]
         coord_dir = tmp_path / "coord"
-        held_key = scenario_key(cost_order(scenarios)[0])
+        held_key = scenario_key(claim_order(scenarios)[0])
         peer = Coordinator(coord_dir, ttl=9999.0)  # live pid: not stealable
         assert peer.claim(held_key)
         coordinator = Coordinator(coord_dir, ttl=9999.0, pid=31337)
@@ -581,11 +679,10 @@ class TestTrainLease:
         assert len({s.train_key() for s in scenarios}) == 1
         if stored_sibling:
             seed = _runner(tmp_path)
-            assert runner_mod.run_scenario(scenarios[0], seed.cache, seed.results).ok
-            # The stored sibling is claimed first, so it takes the train lease.
-            observed = observed_durations(seed.results, scenarios)
-            assert cost_order(scenarios, "compare", observed)[0] == scenarios[0]
-            seed.cache.invalidate(scenarios[0].train_key())  # result stored, artifact gone
+            # Store the first sibling in claim order, so it takes the train lease.
+            first = claim_order(scenarios)[0]
+            assert runner_mod.run_scenario(first, seed.cache, seed.results).ok
+            seed.cache.invalidate(first.train_key())  # result stored, artifact gone
         trains: list[object] = []
         real_train = pipeline_mod.train
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.energy import SYSTEM_SRAM, SRAMEnergyModel
 from repro.sim.validate import Claim, report, validate_all
 
 GOLDEN = Path(__file__).parent / "data" / "validate_golden.txt"
@@ -28,6 +29,15 @@ class TestValidateAll:
 
     def test_claim_count(self, claims):
         assert len(claims) >= 14
+
+    def test_table5_row_reads_system_sram(self, claims):
+        """Table V's measured energies come from the per-system SRAM
+        configurations the energy model prices, not from literals."""
+        (row,) = [c for c in claims if c.exp_id == "Table V"]
+        model = SRAMEnergyModel()
+        systems = ("ideal-32-core", "ideal-gpu", "booster")
+        expected = [model.normalized(*SYSTEM_SRAM[s]) for s in systems]
+        assert [float(v) for v in row.measured.split(" / ")] == [round(v, 2) for v in expected]
 
     def test_verdict_strings(self):
         assert Claim("x", "y", "a", "b", True).verdict == "ok"
