@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 export REPRO_CACHE_DIR="${REPRO_CACHE_DIR:-/tmp/repro-ci-cache}"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-SWEEP="python -m repro.cli sweep --serial --trees 2 --dataset mq2008 --axis max_depth=2,3 --systems ideal-32-core booster"
+SWEEP="python -m repro.cli sweep --workers 1 --trees 2 --dataset mq2008 --axis max_depth=2,3 --systems ideal-32-core booster"
 
 echo "=== smoke 1/5: sweep interrupt + resume ==="
 $SWEEP --out /tmp/sweep.jsonl
@@ -50,7 +50,7 @@ echo "=== smoke 2/5: work stealing over a shared lease directory ==="
 export REPRO_CACHE_DIR=/tmp/repro-ci-steal-cache
 rm -rf /tmp/repro-ci-steal-cache /tmp/steal-coord
 STEAL_AXES="--axis max_depth=2,3,4,5,6,7"
-STEAL="python -m repro.cli sweep --serial --trees 2 --dataset mq2008 $STEAL_AXES --systems ideal-32-core booster --coordinate /tmp/steal-coord --lease-ttl 300"
+STEAL="python -m repro.cli sweep --trees 2 --dataset mq2008 $STEAL_AXES --systems ideal-32-core booster --coordinate /tmp/steal-coord --lease-ttl 300"
 $STEAL --out /tmp/steal-w1.jsonl > /tmp/steal-w1.log 2>&1 &
 W1=$!
 $STEAL --out /tmp/steal-w2.jsonl | tee /tmp/steal-w2.log
@@ -62,14 +62,14 @@ grep -Eq 'steal: claimed [1-9][0-9]*/6' /tmp/steal-w1.log
 grep -Eq 'steal: claimed [1-9][0-9]*/6' /tmp/steal-w2.log
 # The union of the worker manifests equals the full sweep, and the
 # lease directory shows exactly one (done) lease per scenario.
-python -m repro.cli sweep --serial --trees 2 --dataset mq2008 $STEAL_AXES --systems ideal-32-core booster --out /tmp/steal-full.jsonl > /tmp/steal-full.log
+python -m repro.cli sweep --workers 1 --trees 2 --dataset mq2008 $STEAL_AXES --systems ideal-32-core booster --out /tmp/steal-full.jsonl > /tmp/steal-full.log
 python -m repro.cli merge /tmp/steal-merged.jsonl /tmp/steal-w1.jsonl /tmp/steal-w2.jsonl
 python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/steal-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "steal-mode merge diverges from the full sweep"; leases = list(pathlib.Path("/tmp/steal-coord").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"steal-mode merge matches the full sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
 
 # Two cold workers over a hardware-only axis share one training artifact:
 # the train lease lets exactly one of them train it.
 rm -rf /tmp/repro-ci-train-once-cache /tmp/train-once-coord
-ONCE="python -m repro.cli sweep --serial --trees 2 --dataset mq2008 --axis clock_ghz=0.8,1.2 --systems ideal-32-core booster --coordinate /tmp/train-once-coord"
+ONCE="python -m repro.cli sweep --trees 2 --dataset mq2008 --axis clock_ghz=0.8,1.2 --systems ideal-32-core booster --coordinate /tmp/train-once-coord"
 REPRO_CACHE_DIR=/tmp/repro-ci-train-once-cache $ONCE --out /tmp/train-once-w1.jsonl > /tmp/train-once-w1.log 2>&1 &
 O1=$!
 REPRO_CACHE_DIR=/tmp/repro-ci-train-once-cache $ONCE --out /tmp/train-once-w2.jsonl > /tmp/train-once-w2.log 2>&1
@@ -82,7 +82,7 @@ echo "=== smoke 3/5: serving sweep (latency tail under load) ==="
 # is stationary, the hot row saturates and the tail diverges from the mean.
 export REPRO_CACHE_DIR=/tmp/repro-ci-serve-cache
 rm -rf /tmp/repro-ci-serve-cache
-SERVE="python -m repro.cli sweep --serial --trees 2 --dataset mq2008 --systems ideal-32-core booster --serve --serve-duration 2.0 --axis records_per_request=20000 --axis arrival_qps=100,400"
+SERVE="python -m repro.cli sweep --workers 1 --trees 2 --dataset mq2008 --systems ideal-32-core booster --serve --serve-duration 2.0 --axis records_per_request=20000 --axis arrival_qps=100,400"
 $SERVE --out /tmp/serve.jsonl | tee /tmp/serve.log
 grep -q '\[trained\]' /tmp/serve.log   # cold cache: the design point trains once
 # Warm replay: zero retraining, zero re-simulation, both rows [stored].
@@ -92,7 +92,7 @@ test "$(grep -c '\[stored\]' /tmp/serve-warm.log)" -eq 2
 python -c 'import json; rows = [json.loads(l) for l in open("/tmp/serve.jsonl")]; assert len(rows) == 2 and all(r["error"] is None and r["kind"] == "serving" for r in rows), rows; by_qps = {r["scenario"]["serving"]["qps"]: r["serving"]["systems"] for r in rows}; hot = by_qps[400.0]["ideal-32-core"]; assert hot["saturated"] and hot["sustained_qps"] < hot["offered_qps"], hot; assert hot["p99_ms"] > 1.5 * hot["mean_ms"] > 0, (hot["p99_ms"], hot["mean_ms"]); cool = by_qps[100.0]["ideal-32-core"]; assert not cool["saturated"], cool; assert cool["p99_ms"] > 2 * cool["mean_ms"] > 0, (cool["p99_ms"], cool["mean_ms"]); assert by_qps[400.0]["booster"]["p99_ms"] < hot["p99_ms"], "booster tail should beat the baseline"; ratio = cool["p99_ms"] / cool["mean_ms"]; print("tail diverges under load: cool p99/mean %.2fx, hot saturated at %.0f/%.0f qps" % (ratio, hot["sustained_qps"], hot["offered_qps"]))'
 # Serving manifests merge with inference manifests side by side; report
 # renders one table per kind.
-python -m repro.cli sweep --serial --trees 2 --dataset mq2008 --systems ideal-32-core booster --inference --axis max_depth=2 --out /tmp/serve-inf.jsonl
+python -m repro.cli sweep --workers 1 --trees 2 --dataset mq2008 --systems ideal-32-core booster --inference --axis max_depth=2 --out /tmp/serve-inf.jsonl
 python -m repro.cli merge /tmp/serve-mixed.jsonl /tmp/serve.jsonl /tmp/serve-inf.jsonl | tee /tmp/serve-merge.log
 grep -q 'kinds: inference+serving' /tmp/serve-merge.log
 python -m repro.cli report --from-manifest /tmp/serve-mixed.jsonl | tee /tmp/serve-report.log
@@ -111,7 +111,7 @@ trap 'kill "$SRV" 2>/dev/null || true' EXIT
 for _ in $(seq 50); do grep -q 'store-serve: serving' /tmp/store-serve.log && break; sleep 0.1; done
 STORE_URL=$(sed -n 's/.* at \(http:[^ ]*\)$/\1/p' /tmp/store-serve.log)
 test -n "$STORE_URL"
-REMOTE="python -m repro.cli sweep --serial --trees 2 --dataset mq2008 $STEAL_AXES --systems ideal-32-core booster --coordinate $STORE_URL --lease-ttl 300"
+REMOTE="python -m repro.cli sweep --trees 2 --dataset mq2008 $STEAL_AXES --systems ideal-32-core booster --coordinate $STORE_URL --lease-ttl 300"
 REPRO_CACHE_DIR=/tmp/repro-ci-remote-w1 $REMOTE --out /tmp/remote-w1.jsonl > /tmp/remote-w1.log 2>&1 &
 RW1=$!
 REPRO_CACHE_DIR=/tmp/repro-ci-remote-w2 $REMOTE --out /tmp/remote-w2.jsonl | tee /tmp/remote-w2.log
@@ -144,7 +144,7 @@ python -m repro.cli compare mq2008 --trees 2 > /tmp/warm-1.log
 python -m repro.cli compare mq2008 --trees 2 > /tmp/warm-2.log
 cmp /tmp/warm-1.log /tmp/warm-2.log
 test "$(find /tmp/repro-ci-warm-cache -maxdepth 1 -name 'dram*.pkl' | wc -l)" -eq 1
-python -m repro.cli sweep --serial --trees 2 --dataset mq2008 --axis seed=7 \
+python -m repro.cli sweep --workers 1 --trees 2 --dataset mq2008 --axis seed=7 \
   --systems ideal-32-core booster > /tmp/warm-sweep.log
 cat /tmp/warm-sweep.log
 grep -q "\[cache hit\]" /tmp/warm-sweep.log

@@ -7,7 +7,7 @@ Installed as the ``repro`` console script::
     repro compare flight --scale 10     # hardware comparison (Fig. 7 style)
     repro inference iot                 # batch inference (Fig. 13 style)
     repro figures fig7 fig13            # regenerate paper artifacts
-    repro sweep --dataset higgs         # accelerator design space
+    repro sweep --dataset higgs         # one scenario (design space: examples/design_space.py)
     repro sweep --axis n_bus=1600,3200 --out results/sweeps/bus.jsonl
     repro sweep --axis n_bus=1600,3200 --out results/sweeps/bus.jsonl --resume
     repro sweep --axis seed=1,2,3 --coordinate /shared/lease --out w1.jsonl
@@ -243,11 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         parents=[common, serving_opts],
         help="scenario sweep: cartesian axes, parallel workers, persistent cache",
-        description="Without --axis, prints the classic Booster design-space "
-        "table. With one or more --axis NAME=V1,V2,... arguments, expands the "
-        "cartesian product into scenarios and runs them across forked "
-        "work-stealing workers, serving functional training and completed "
-        "timing results from the persistent stores (results/cache/ or $REPRO_CACHE_DIR).  A "
+        description="Expands the cartesian product of the --axis "
+        "NAME=V1,V2,... arguments (without --axis: the one scenario the other "
+        "flags describe) and runs the scenarios across forked work-stealing "
+        "workers, serving functional training and completed timing results "
+        "from the persistent stores (results/cache/ or $REPRO_CACHE_DIR).  A "
         "failing scenario is reported and streamed like any other result; "
         "the rest of the sweep completes.",
     )
@@ -258,10 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         systems_help="hardware models to time in each scenario",
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=None, help="number of worker processes (default: auto)"
-    )
-    p_sweep.add_argument(
-        "--serial", action="store_true", help="run scenarios in-process, one by one"
+        "--workers", type=int, default=None, help="worker processes (default: auto; 1: in-process)"
     )
     p_sweep.add_argument(
         "--refresh",
@@ -488,28 +485,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.axis:
-        return _cmd_sweep_axes(args)
-    if (
-        args.out
-        or args.resume
-        or args.inference
-        or args.serve
-        or args.coordinate
-        or args.lease_ttl is not None
-    ):
-        # Silently ignoring these would leave a scripted caller waiting on a
-        # manifest that never appears.
-        print(
-            "--out/--resume/--inference/--serve/--coordinate/--lease-ttl "
-            "apply to axis sweeps; add at least one --axis NAME=V1,V2,...",
-            file=sys.stderr,
-        )
-        return 2
-    return _cmd_sweep_design_space(args)
-
-
 def _provenance(result: "SweepResult") -> str:
     if result.error is not None:
         return "error"
@@ -566,15 +541,37 @@ def _metric_headers(mode: str) -> list[str]:
     return ["booster (s)", "speedup"]
 
 
-def _sweep_noun(mode: str) -> str:
-    nouns = {"compare": "sweep", "inference": "inference sweep", "serving": "serving sweep"}
-    return nouns.get(mode, f"{mode} sweep")
+def _sweep_table(
+    mode: str,
+    axis_names: Sequence[str],
+    entries: "Sequence[tuple[SweepResult, str]]",
+    source: str = "",
+) -> str:
+    """The table `sweep` and `report` print for one sweep kind.
 
+    One row per ``(result, provenance)`` entry: its axis and metric cells,
+    the recorded wall seconds (``-`` when never recorded: error results
+    and manifests written before durations existed), the provenance label
+    and the worker pid.  ``source`` names the manifest a report reads.
+    """
+    from .sim.report import render_table
 
-def _duration_cell(result: "SweepResult") -> str:
-    """The recorded wall-seconds table cell (``-`` when never recorded:
-    error results and manifests written before durations existed)."""
-    return "-" if result.duration_s is None else f"{result.duration_s:.2f}"
+    rows = [
+        _axis_cells(result.scenario, axis_names)
+        + _metric_cells(result)
+        + [
+            "-" if result.duration_s is None else f"{result.duration_s:.2f}",
+            provenance,
+            str(result.worker_pid),
+        ]
+        for result, provenance in entries
+    ]
+    noun = "scenario sweep" if mode == "compare" else f"{mode} sweep"
+    return render_table(
+        [*axis_names, *_metric_headers(mode), "wall (s)", "training", "pid"],
+        rows,
+        title=f"{noun} ({len(rows)} scenarios{source})",
+    )
 
 
 def _infer_axes(scenarios: "Sequence[ScenarioSpec]") -> list[str]:
@@ -647,23 +644,24 @@ def _expand_cli_scenarios(
         )
     axes = parse_axis_specs(args.axis)
     serving = None
-    if getattr(args, "serve", False):
-        trace = getattr(args, "trace", None)
+    if args.serve:
         kwargs = dict(
-            arrival=getattr(args, "arrival", "poisson"),
-            qps=getattr(args, "qps", 200.0),
-            duration_s=getattr(args, "serve_duration", 5.0),
-            policy=getattr(args, "policy", "batch"),
-            max_batch=getattr(args, "max_batch", 32),
-            timeout_ms=getattr(args, "batch_timeout_ms", 2.0),
-            queue=getattr(args, "queue", "fifo"),
+            arrival=args.arrival,
+            qps=args.qps,
+            duration_s=args.serve_duration,
+            policy=args.policy,
+            max_batch=args.max_batch,
+            timeout_ms=args.batch_timeout_ms,
+            queue=args.queue,
         )
-        if trace:
+        if args.trace:
             from .serving import trace_digest
 
             # Key the scenario by the trace's CONTENT, pinned now: the same
             # file on another host keys identically, an edited file misses.
-            kwargs.update(arrival="trace", trace_path=trace, trace_sha=trace_digest(trace))
+            kwargs.update(
+                arrival="trace", trace_path=args.trace, trace_sha=trace_digest(args.trace)
+            )
         serving = ServingParams(**kwargs)
     base = replace(
         _scenario(args),
@@ -677,8 +675,8 @@ def _expand_cli_scenarios(
     return axes, scenarios
 
 
-def _cmd_sweep_axes(args: argparse.Namespace) -> int:
-    """Scenario sweep over declared axes (the experiments layer)."""
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Scenario sweep over the declared axes (the experiments layer)."""
     from .experiments import (
         SERVING_AXIS_NAMES,
         ResultStore,
@@ -689,7 +687,6 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
     )
     from .experiments import manifest as manifests
     from .experiments.steal import SweepMismatch
-    from .sim.report import render_table
 
     if args.serve and args.inference:
         print(
@@ -755,7 +752,7 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
 
     manifest = pathlib.Path(args.out) if args.out else None
     # Index -> result for scenarios already completed in the manifest.
-    resumed: dict[int, object] = {}
+    resumed: dict[int, SweepResult] = {}
     if args.resume and manifest is not None and manifest.exists():
         by_key: dict[str, list] = {}
         try:
@@ -772,16 +769,18 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
             if bucket:
                 resumed[i] = bucket.pop(0)
 
-    axis_names = list(axes)
-    what = _sweep_noun(mode)
+    # Without --axis the one scenario is labelled by its dataset, as
+    # `report` labels a manifest in which no axis varies.
+    axis_names = list(axes) or ["dataset"]
+    over = f" over axes {', '.join(axes)}" if axes else ""
     steal_note = (
         f" (stealing from {coordinator.root}, lease TTL {coordinator.ttl:g}s)"
         if coordinator is not None
         else ""
     )
     print(
-        f"{what}: {len(scenarios)} scenarios over axes "
-        f"{', '.join(axis_names)}{steal_note} (cache: {cache.root})"
+        f"{mode} sweep: {len(scenarios)} scenarios{over}{steal_note} "
+        f"(cache: {cache.root})"
     )
     if resumed:
         print(
@@ -789,17 +788,10 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
             f"{manifest}; running the remaining {len(scenarios) - len(resumed)}"
         )
 
-    def to_row(result: "SweepResult") -> list[str]:
-        return _axis_cells(result.scenario, axis_names) + _metric_cells(result) + [
-            _provenance(result),
-            str(result.worker_pid),
-        ]
-
-    ordered: list[list[str] | None] = [None] * len(scenarios)
+    # Index -> (result, provenance) table entry, in input order.
+    ordered: list[tuple[SweepResult, str] | None] = [None] * len(scenarios)
     for index, result in resumed.items():
-        row = to_row(result)
-        row[-2] = "resumed"  # provenance: completed in the manifest already
-        ordered[index] = row
+        ordered[index] = (result, "resumed")  # completed in the manifest already
 
     pending = [(i, s) for i, s in enumerate(scenarios) if i not in resumed]
     manifest_fh = None
@@ -823,7 +815,6 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
     runner = SweepRunner(
         cache=cache,
         max_workers=args.workers,
-        parallel=not args.serial and coordinator is None,
         results=results_store,
         mode=mode,
     )
@@ -831,7 +822,7 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
     def emit(index: int, result: "SweepResult") -> None:
         """Record one completed result: table row, manifest line, progress."""
         nonlocal failures
-        ordered[index] = to_row(result)
+        ordered[index] = (result, _provenance(result))
         if manifest_fh is not None:
             manifest_fh.write(json.dumps(result.to_dict()) + "\n")
             manifest_fh.flush()
@@ -882,57 +873,11 @@ def _cmd_sweep_axes(args: argparse.Namespace) -> int:
             f"{coordinator.stolen} stale lease(s) reclaimed)"
         )
 
-    rows = [row for row in ordered if row is not None]
     print()
-    title = (
-        f"scenario sweep ({len(rows)} scenarios)"
-        if mode == "compare"
-        else f"{what} ({len(rows)} scenarios)"
-    )
-    print(
-        render_table(
-            axis_names + _metric_headers(mode) + ["training", "pid"],
-            rows,
-            title=title,
-        )
-    )
+    print(_sweep_table(mode, axis_names, [e for e in ordered if e is not None]))
     if failures:
         print(f"{failures} scenario(s) failed; see the error lines above", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_sweep_design_space(args: argparse.Namespace) -> int:
-    from .core import BoosterConfig, BoosterEngine
-    from .energy import AreaPowerModel
-    from .sim.executor import Executor
-    from .sim.report import render_table
-
-    ex = Executor(_scenario(args))
-    profile = ex.profile(args.dataset)
-    baseline = ex.model("ideal-32-core").training_seconds(profile)
-    area = AreaPowerModel()
-    rows = []
-    for clusters in (5, 10, 25, 50, 100):
-        cfg = BoosterConfig(n_clusters=clusters)
-        engine = BoosterEngine(config=cfg, bandwidth=ex.bandwidth)
-        seconds = engine.training_times(profile).total
-        budget = area.estimate(n_bus=cfg.n_bus, n_clusters=clusters)
-        rows.append(
-            [
-                cfg.n_bus,
-                f"{baseline / seconds:.2f}x",
-                f"{budget.total_mm2:.1f}",
-                f"{budget.total_w:.1f}",
-            ]
-        )
-    print(
-        render_table(
-            ["BUs", "speedup", "area mm2", "power W"],
-            rows,
-            title=f"design space on {args.dataset} (paper point: 3200 BUs)",
-        )
-    )
     return 0
 
 
@@ -1009,7 +954,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """
     from .experiments import SweepResult
     from .experiments import manifest as manifests
-    from .sim.report import render_table
 
     path = pathlib.Path(args.from_manifest)
     if not path.exists():
@@ -1048,31 +992,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print()
         first = False
         axis_names = _infer_axes([result.scenario for result in group])
-        rows = []
         speedups = []
         for result in group:
-            rows.append(
-                _axis_cells(result.scenario, axis_names)
-                + _metric_cells(result)
-                + [_duration_cell(result), _provenance(result), str(result.worker_pid)]
-            )
             failures += result.error is not None
             try:
                 speedups.append(result.payload.speedup("booster"))
             except Exception:
                 pass  # failed scenario, missing system, or degenerate timing
-        title = (
-            f"scenario sweep ({len(rows)} scenarios, from {path.name})"
-            if mode == "compare"
-            else f"{_sweep_noun(mode)} ({len(rows)} scenarios, from {path.name})"
-        )
-        print(
-            render_table(
-                axis_names + _metric_headers(mode) + ["wall (s)", "training", "pid"],
-                rows,
-                title=title,
-            )
-        )
+        rows = [(result, _provenance(result)) for result in group]
+        print(_sweep_table(mode, axis_names, rows, f", from {path.name}"))
         # Guarded: a manifest whose rows all failed (or lack the booster
         # system) has nothing to aggregate -- that is a note, not a
         # geomean-of-empty traceback.

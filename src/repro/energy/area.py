@@ -20,6 +20,11 @@ Our model decomposes each component into per-BU / per-cluster / per-byte terms
 whose constants are solved *from those published numbers*, so the model
 reproduces Table VI exactly at the design point and extrapolates smoothly for
 the design-space ablations (BU count, SRAM size, cluster shape).
+
+The Table VI values and the 1.70 / 1.59 banking ratios are therefore fitted
+inputs, not reproduced outputs: ``_SRAM_BASE_MM2`` and ``_SRAM_BASE_W`` divide
+them back out, so the ratios ``repro figures table6`` prints beside the
+paper's, and the tests that assert them, can catch only an arithmetic slip.
 """
 
 from __future__ import annotations

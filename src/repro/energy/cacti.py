@@ -19,8 +19,11 @@ capacity/banking law through the paper's three published points:
 
 ``beta`` comes from the 2 KB vs 32 KB pair and ``kappa`` from the 96 KB
 32-banked point, so the model reproduces Table V exactly and interpolates
-plausibly for the ablation sweeps.  Area uses the linear-capacity +
-per-bank-periphery decomposition calibrated in :mod:`repro.energy.area`.
+plausibly for the ablation sweeps.  The 1.00 / 2.64 / 0.71 energies are
+therefore fitted inputs, not reproduced outputs: ``repro figures table5`` and
+the tests that assert them can catch only an arithmetic slip.  Area uses the
+linear-capacity + per-bank-periphery decomposition calibrated in
+:mod:`repro.energy.area`.
 """
 
 from __future__ import annotations

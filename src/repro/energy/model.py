@@ -22,10 +22,12 @@ from .cacti import SRAMEnergyModel
 __all__ = ["EnergyBreakdown", "EnergyModel", "SYSTEM_SRAM"]
 
 #: Per-system SRAM configuration used for per-access energy (Table V):
-#: (capacity bytes, banks).
+#: (capacity bytes, banks).  The CPU and GPU capacities are the default cost
+#: model's, the ones the timing models read (a scenario's cost override
+#: still moves only its timing).
 SYSTEM_SRAM = {
-    "ideal-32-core": (32 * 1024, 1),  # L1 D-cache
-    "ideal-gpu": (96 * 1024, 32),  # 32-way-banked Shared Memory
+    "ideal-32-core": (DEFAULT_COSTS.cpu_l1_bytes, 1),  # L1 D-cache
+    "ideal-gpu": (DEFAULT_COSTS.gpu_shared_bytes, 32),  # 32-way-banked Shared Memory
     "booster": (2 * 1024, 1),  # BU SRAM
 }
 

@@ -589,7 +589,7 @@ class SweepRunner:
 
     ``max_workers=None`` forks ``min(distinct scenarios, max(cpu_count,
     2))`` workers -- at least two, so sweeps exercise the multi-process
-    path even on single-core machines.  ``parallel=False`` runs everything
+    path even on single-core machines.  ``max_workers=1`` runs everything
     in-process, where monkeypatched counters can observe training calls.
     ``mode`` selects the per-scenario measurement (see :data:`SWEEP_MODES`).
     """
@@ -598,7 +598,6 @@ class SweepRunner:
         self,
         cache: ProfileCache | None = None,
         max_workers: int | None = None,
-        parallel: bool = True,
         results: ResultStore | None = None,
         mode: str = "compare",
     ) -> None:
@@ -606,7 +605,6 @@ class SweepRunner:
             raise ValueError(f"unknown sweep mode {mode!r}; known: {list(SWEEP_MODES)}")
         self.cache = cache or default_cache()
         self.max_workers = max_workers
-        self.parallel = parallel
         self.mode = mode
         # The result store shares the profile cache's directory by default
         # (the "sibling store" layout), so tests and CLI runs pointing the
@@ -631,14 +629,14 @@ class SweepRunner:
         Forks workers that run :meth:`run_stealing` over a private lease
         directory and yields what they pipe back.  If every worker dies,
         each unreported scenario yields an error result.
-        ``parallel=False``, a pool of one, or a diskless cache (which
-        workers could not share) runs the scenarios in-process instead.
+        A pool of one or a diskless cache (which workers could not share)
+        runs the scenarios in-process instead.
         """
         distinct: dict[str, ScenarioSpec] = {}
         for scenario in scenarios:
             distinct.setdefault(scenario_key(scenario), scenario)
         workers = self._pool_size(len(distinct))
-        if not self.parallel or workers == 1 or self.cache.root is None:
+        if workers == 1 or self.cache.root is None:
             for scenario in distinct.values():
                 yield self._guarded(scenario)
             return

@@ -493,7 +493,7 @@ class TestStealingOverURL:
             coordinator = Coordinator(served_url, ttl=60.0, host=f"host-{name}")
             cache = ProfileCache(root=tmp_path / f"cache-{name}")  # no shared disk
             runner = SweepRunner(
-                cache=cache, parallel=False, results=ResultStore(root=cache.root)
+                cache=cache, max_workers=1, results=ResultStore(root=cache.root)
             )
             outputs[name] = list(
                 runner.run_stealing(scenarios, coordinator, poll_interval=0.01)
@@ -519,7 +519,7 @@ class TestStealingOverURL:
         fresh = Coordinator(served_url, ttl=0.05, host="fresh-host", pid=1)
         cache = ProfileCache(root=tmp_path / "cache")
         runner = SweepRunner(
-            cache=cache, parallel=False, results=ResultStore(root=cache.root)
+            cache=cache, max_workers=1, results=ResultStore(root=cache.root)
         )
         results = list(runner.run_stealing(scenarios, fresh, poll_interval=0.01))
         assert {scenario_key(r.scenario) for r in results} == {
@@ -572,7 +572,7 @@ class TestStealingOverURL:
 
         def worker():
             cache = ProfileCache(root=tmp_path / "cache")
-            runner = SweepRunner(cache=cache, parallel=False, results=ResultStore(root=cache.root))
+            runner = SweepRunner(cache=cache, max_workers=1, results=ResultStore(root=cache.root))
             coordinator = Coordinator(served_url, ttl=9999.0, pid=31337)
             collected.extend(runner.run_stealing(scenarios, coordinator, poll_interval=5.0))
             finished.append(time.monotonic())

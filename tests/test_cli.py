@@ -180,10 +180,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "0.71" in out and "2.64" in out
 
-    def test_sweep(self, capsys):
-        assert main(["sweep", "--dataset", "mq2008", "--trees", "2"]) == 0
-        assert "3200" in capsys.readouterr().out
-
     def test_sweep_axes_serial_and_warm_rerun(self, capsys, monkeypatch, tmp_path):
         import repro.experiments.cache as cache_mod
 
@@ -192,7 +188,7 @@ class TestCommands:
         argv = [
             "sweep",
             "--trees", "2",
-            "--serial",
+            "--workers", "1",
             "--dataset", "mq2008",
             "--axis", "max_depth=2,3",
             "--systems", "ideal-32-core", "booster",
@@ -216,7 +212,7 @@ class TestCommands:
         assert main([
             "sweep",
             "--trees", "2",
-            "--serial",
+            "--workers", "1",
             "--dataset", "mq2008",
             "--axis", "seed=7,7",
             "--systems", "ideal-32-core", "booster",
@@ -233,7 +229,7 @@ class TestCommands:
     SWEEP_ARGV = [
         "sweep",
         "--trees", "2",
-        "--serial",
+        "--workers", "1",
         "--dataset", "mq2008",
         "--axis", "max_depth=2,3",
         "--systems", "ideal-32-core", "booster",
@@ -343,13 +339,28 @@ class TestCommands:
         assert "resume:" not in out  # nothing was considered resumable
         assert out.count("[cache hit]") == 2  # re-simulated, training cached
 
-    def test_sweep_out_requires_axes(self, capsys, tmp_path):
-        assert main(["sweep", "--trees", "2", "--out", str(tmp_path / "m.jsonl")]) == 2
-        assert "apply to axis sweeps" in capsys.readouterr().err
+    def test_sweep_without_axis_runs_one_scenario(self, capsys, monkeypatch, tmp_path):
+        """Without --axis the sweep is the one scenario its flags describe,
+        on the same path as an axis sweep: --out writes its manifest row,
+        `report` renders it and --resume finds it."""
+        import json
 
-    def test_sweep_inference_requires_axes(self, capsys):
-        assert main(["sweep", "--trees", "2", "--inference"]) == 2
-        assert "apply to axis sweeps" in capsys.readouterr().err
+        self._isolate_cache(monkeypatch, tmp_path)
+        manifest = tmp_path / "m.jsonl"
+        argv = ["sweep", "--trees", "2", "--dataset", "mq2008", "--out", str(manifest)]
+        assert main(argv) == 0
+        assert "scenario sweep (1 scenarios)" in capsys.readouterr().out
+        lines = [json.loads(line) for line in manifest.read_text().splitlines()]
+        assert len(lines) == 1 and lines[0]["error"] is None
+        assert lines[0]["scenario"]["dataset"] == "mq2008"
+        self._tripwire_runs(monkeypatch)
+        assert main(["report", "--from-manifest", str(manifest)]) == 0
+        out = capsys.readouterr().out
+        assert "scenario sweep (1 scenarios, from m.jsonl)" in out
+        assert "mq2008" in out and "trained" in out
+        assert main(argv + ["--resume"]) == 0
+        assert "resume: 1/1 scenarios already in" in capsys.readouterr().out
+        assert len(manifest.read_text().splitlines()) == 1
 
     def test_sweep_resume_rejects_refresh(self, capsys, tmp_path):
         """--refresh forces recomputation, --resume skips completed work:
@@ -408,7 +419,7 @@ class TestCommands:
         s1, s2 = tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"
         merged = tmp_path / "merged.jsonl"
         assert main(self.SWEEP_ARGV + ["--out", str(full)]) == 0
-        half = ["sweep", "--trees", "2", "--serial", "--dataset", "mq2008"]
+        half = ["sweep", "--trees", "2", "--workers", "1", "--dataset", "mq2008"]
         half += ["--systems", "ideal-32-core", "booster"]
         assert main(half + ["--axis", "max_depth=2", "--out", str(s1)]) == 0
         assert main(half + ["--axis", "max_depth=3", "--out", str(s2)]) == 0
@@ -452,7 +463,7 @@ class TestCommands:
         base = [
             "sweep",
             "--trees", "2",
-            "--serial",
+            "--workers", "1",
             "--dataset", "mq2008",
             "--systems", "ideal-32-core", "booster",
             "--out", str(manifest),
@@ -475,17 +486,12 @@ class TestCommands:
             assert exc.value.code == 2
             assert "unrecognized arguments: --shard" in capsys.readouterr().err
 
-    def test_sweep_shard_requires_axes(self, capsys, tmp_path):
-        """Without axes --shard is still a usage error, and the scale-out
-        flag that replaced it, --coordinate, applies to axis sweeps only."""
+    def test_sweep_shard_requires_axes(self, capsys):
+        """Without axes --shard is still a usage error."""
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--trees", "2", "--shard", "1/2"])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
-        coord = tmp_path / "coord"
-        assert main(["sweep", "--trees", "2", "--coordinate", str(coord)]) == 2
-        assert "apply to axis sweeps" in capsys.readouterr().err
-        assert not coord.exists()
 
     def test_merge_prefers_success_over_error(self, capsys, monkeypatch, tmp_path):
         import json

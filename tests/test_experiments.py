@@ -431,7 +431,7 @@ class TestInferenceSweeps:
     def test_runner_inference_mode(self, tmp_path):
         scenarios = expand_axes(TINY, {"max_depth": [2, 3]})
         results = SweepRunner(
-            cache=ProfileCache(root=tmp_path), parallel=False, mode="inference"
+            cache=ProfileCache(root=tmp_path), max_workers=1, mode="inference"
         ).run_all(scenarios)
         assert len(results) == 2
         assert all(r.kind == "inference" and r.inference is not None for r in results)
@@ -460,7 +460,7 @@ class TestSharding:
         other = replace(TINY, seed=11)
         coordinator = Coordinator(tmp_path / "coord", ttl=60.0)
         results = list(
-            SweepRunner(cache=ProfileCache(root=tmp_path), parallel=False).run_stealing(
+            SweepRunner(cache=ProfileCache(root=tmp_path), max_workers=1).run_stealing(
                 [TINY, other, TINY, TINY], coordinator
             )
         )
@@ -542,15 +542,16 @@ class TestSweepRunner:
             cache=ProfileCache(root=tmp_path / "par"), max_workers=4
         ).run_all(sweep_scenarios)
         serial = SweepRunner(
-            cache=ProfileCache(root=tmp_path / "ser"), parallel=False
+            cache=ProfileCache(root=tmp_path / "ser"), max_workers=1
         ).run_all(sweep_scenarios)
         assert [r.scenario for r in serial] == [r.scenario for r in parallel]
         for p, s in zip(parallel, serial):
             assert {k: v.as_dict() for k, v in p.comparison.systems.items()} == {
                 k: v.as_dict() for k, v in s.comparison.systems.items()
             }
-        # Serial mode runs in this process.
+        # One worker runs in this process; more run in forked ones.
         assert {r.worker_pid for r in serial} == {os.getpid()}
+        assert os.getpid() not in {r.worker_pid for r in parallel}
 
     def test_serial_counts_training_calls(self, tmp_path, monkeypatch):
         calls = []
@@ -561,7 +562,7 @@ class TestSweepRunner:
             lambda data, params: calls.append(1) or real_train(data, params),
         )
         scenarios = expand_axes(TINY, {"n_bus": [1600, 3200]})  # 1 training config
-        runner = SweepRunner(cache=ProfileCache(root=tmp_path), parallel=False)
+        runner = SweepRunner(cache=ProfileCache(root=tmp_path), max_workers=1)
         first = runner.run_all(scenarios)
         assert len(first) == 2 and len(calls) == 1  # shared artifact
         calls.clear()
@@ -595,11 +596,9 @@ class TestSweepRunner:
         """Duplicates share a key, hence a lease: they run once, and the one
         result fills every occurrence, serial and parallel alike."""
         other = replace(TINY, seed=11)
-        for parallel in (False, True):
+        for workers in (1, 2):
             results = SweepRunner(
-                cache=ProfileCache(root=tmp_path / str(parallel)),
-                max_workers=2,
-                parallel=parallel,
+                cache=ProfileCache(root=tmp_path / str(workers)), max_workers=workers
             ).run_all([TINY, other, TINY, TINY])
             assert [r.scenario for r in results] == [TINY, other, TINY, TINY]
             assert results[0] is results[2] is results[3]
@@ -671,7 +670,7 @@ class TestResultStore:
     def test_error_result_json_roundtrip(self, tmp_path):
         bad = replace(TINY, systems=("no-such-system",))
         (result,) = SweepRunner(
-            cache=ProfileCache(root=tmp_path), parallel=False
+            cache=ProfileCache(root=tmp_path), max_workers=1
         ).run_all([bad])
         assert result.error is not None and result.comparison is None
         again = SweepResult.from_dict(json.loads(json.dumps(result.to_dict())))
@@ -724,7 +723,7 @@ class TestDurations:
     def test_error_results_carry_no_duration(self, tmp_path):
         bad = replace(TINY, systems=("no-such-system",))
         (result,) = SweepRunner(
-            cache=ProfileCache(root=tmp_path), parallel=False
+            cache=ProfileCache(root=tmp_path), max_workers=1
         ).run_all([bad])
         assert result.error is not None
         assert result.duration_s is None
@@ -764,7 +763,7 @@ class TestFaultTolerance:
         bad = replace(TINY, systems=("no-such-system",))
         scenarios = [expand_axes(TINY, {"n_bus": [1600]})[0], bad, TINY]
         results = SweepRunner(
-            cache=ProfileCache(root=tmp_path), parallel=False
+            cache=ProfileCache(root=tmp_path), max_workers=1
         ).run_all(scenarios)
         assert len(results) == 3
         assert [r.error is not None for r in results] == [False, True, False]
@@ -896,7 +895,7 @@ class TestFaultTolerance:
         """The acceptance criterion: re-running a completed sweep touches
         neither the trainer nor the simulator."""
         scenarios = expand_axes(TINY, {"max_depth": [2, 3]})
-        first = SweepRunner(cache=ProfileCache(root=tmp_path), parallel=False).run_all(
+        first = SweepRunner(cache=ProfileCache(root=tmp_path), max_workers=1).run_all(
             scenarios
         )
         assert all(r.ok and not r.stored for r in first)
@@ -907,7 +906,7 @@ class TestFaultTolerance:
             "repro.sim.executor.Executor.__post_init__",
             _tripwire("simulated on resumed sweep"),
         )
-        second = SweepRunner(cache=ProfileCache(root=tmp_path), parallel=False).run_all(
+        second = SweepRunner(cache=ProfileCache(root=tmp_path), max_workers=1).run_all(
             scenarios
         )
         assert all(r.stored and r.cache_hit and r.ok for r in second)
@@ -967,7 +966,7 @@ class TestExecutorFacade:
         from repro.sim import Executor
 
         cache = ProfileCache(root=tmp_path)
-        SweepRunner(cache=cache, parallel=False).run_all([TINY])
+        SweepRunner(cache=cache, max_workers=1).run_all([TINY])
         executor = Executor(TINY, cache=ProfileCache(root=tmp_path))
         hits_before = executor._cache.hits
         executor.train_result("mq2008")

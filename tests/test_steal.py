@@ -411,7 +411,7 @@ def fake_runs(monkeypatch):
 
 def _runner(tmp_path) -> SweepRunner:
     cache = ProfileCache(root=tmp_path / "cache")
-    return SweepRunner(cache=cache, parallel=False, results=ResultStore(root=cache.root))
+    return SweepRunner(cache=cache, max_workers=1, results=ResultStore(root=cache.root))
 
 
 class TestRunStealing:
@@ -858,7 +858,6 @@ class TestStealCLI:
         return [
             "sweep",
             "--trees", "2",
-            "--serial",
             "--dataset", "mq2008",
             "--axis", "max_depth=2,3",
             "--systems", "ideal-32-core", "booster",
@@ -874,7 +873,7 @@ class TestStealCLI:
         coord = tmp_path / "coord"
         full = tmp_path / "full.jsonl"
         w1, w2 = tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"
-        assert main(self._sweep_argv(["--out", str(full)])) == 0
+        assert main(self._sweep_argv(["--workers", "1", "--out", str(full)])) == 0
         assert main(
             self._sweep_argv(["--coordinate", str(coord), "--out", str(w1)])
         ) == 0
@@ -975,7 +974,6 @@ class TestStealCLI:
         argv = [
             "sweep",
             "--trees", "2",
-            "--serial",
             "--dataset", "mq2008",
             "--axis", "max_depth=4,5",  # different sweep, same directory
             "--systems", "ideal-32-core", "booster",
@@ -1011,14 +1009,20 @@ class TestStealCLI:
             assert main(self._sweep_argv(extra)) == 2, extra
             assert message in capsys.readouterr().err
 
-    def test_coordinate_requires_axes(self, capsys, tmp_path):
+    def test_coordinate_without_axes_claims_the_one_scenario(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """Without --axis a coordinated sweep drains the one scenario its
+        flags describe, as an axis sweep drains its cartesian product."""
         from repro.cli import main
 
-        assert main(["sweep", "--coordinate", str(tmp_path / "coord")]) == 2
-        err = capsys.readouterr().err
-        assert "--coordinate" in err and "apply to axis sweeps" in err
-        assert main(["sweep", "--lease-ttl", "60"]) == 2
-        assert "apply to axis sweeps" in capsys.readouterr().err
+        self._isolate_cache(monkeypatch, tmp_path)
+        coord = tmp_path / "coord"
+        argv = ["sweep", "--trees", "2", "--dataset", "mq2008", "--coordinate", str(coord)]
+        assert main(argv) == 0
+        assert "steal: claimed 1/1 scenario(s)" in capsys.readouterr().out
+        leases = list(coord.glob(f"*{LEASE_SUFFIX}"))
+        assert len(leases) == 1 and json.loads(leases[0].read_bytes())["done"]
 
 
 class TestLeaseSerialization:
