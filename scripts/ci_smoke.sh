@@ -19,6 +19,8 @@
 #      calibration the first one stored (identical output, one entry),
 #      and a sweep over the same flags reuses the direct command's
 #      training artifact (cache hit, nothing trained)
+#   6. the reproduction contract at CLI defaults: a cold `repro validate`
+#      prints tests/data/validate_cli_default.txt byte for byte
 #
 # Everything lands under /tmp (*.jsonl manifests, *.log transcripts) so a
 # failing CI run can upload the lot as artifacts.
@@ -31,7 +33,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 SWEEP="python -m repro.cli sweep --workers 1 --trees 2 --dataset mq2008 --axis max_depth=2,3 --systems ideal-32-core booster"
 
-echo "=== smoke 1/5: sweep interrupt + resume ==="
+echo "=== smoke 1/6: sweep interrupt + resume ==="
 $SWEEP --out /tmp/sweep.jsonl
 # Simulate an interrupted run: drop the manifest's second line.
 head -n 1 /tmp/sweep.jsonl > /tmp/sweep.partial && mv /tmp/sweep.partial /tmp/sweep.jsonl
@@ -42,7 +44,7 @@ grep -q 'resume: 1/2 scenarios already in' /tmp/resume.log
 grep -q '\[stored\]' /tmp/resume.log
 python -c 'import json; lines = [json.loads(l) for l in open("/tmp/sweep.jsonl")]; assert len(lines) == 2 and all(l["error"] is None for l in lines), lines; assert lines[1]["stored"] is True, "resumed scenario was re-simulated"'
 
-echo "=== smoke 2/5: work stealing over a shared lease directory ==="
+echo "=== smoke 2/6: work stealing over a shared lease directory ==="
 # Two workers drain ONE sweep through lease files in a shared directory.
 # A cold cache makes every scenario cost real training time, so both
 # workers reliably get to claim work (a warm store would let the first
@@ -76,7 +78,7 @@ REPRO_CACHE_DIR=/tmp/repro-ci-train-once-cache $ONCE --out /tmp/train-once-w2.js
 wait "$O1"
 python -c 'import json; rows = [json.loads(l) for p in ("/tmp/train-once-w1.jsonl", "/tmp/train-once-w2.jsonl") for l in open(p)]; assert len(rows) == 2 and all(r["error"] is None for r in rows), rows; cold = sum(r["cache_hit"] is False for r in rows); assert cold == 1, f"{cold} cache_hit=false rows: the shared artifact trained {cold} times"; print("train lease: two cold workers trained the shared artifact once")'
 
-echo "=== smoke 3/5: serving sweep (latency tail under load) ==="
+echo "=== smoke 3/6: serving sweep (latency tail under load) ==="
 # records_per_request=20000 puts the ideal-32-core design point's serving
 # capacity at ~112 qps, so arrival_qps=100,400 straddles it: the cool row
 # is stationary, the hot row saturates and the tail diverges from the mean.
@@ -99,7 +101,7 @@ python -m repro.cli report --from-manifest /tmp/serve-mixed.jsonl | tee /tmp/ser
 grep -q 'p99 (ms)' /tmp/serve-report.log
 grep -q 'booster (ms)' /tmp/serve-report.log
 
-echo "=== smoke 4/5: work stealing over a remote store URL ==="
+echo "=== smoke 4/6: work stealing over a remote store URL ==="
 # The smoke-2 story again, but the workers share nothing except the URL
 # of a `repro store-serve` process: leases, the sweep descriptor, and
 # steal-status all travel over HTTP, and each worker keeps a private
@@ -132,7 +134,7 @@ python -m repro.cli merge /tmp/remote-merged.jsonl /tmp/remote-w1.jsonl /tmp/rem
 python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/remote-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "remote-store merge diverges from the full sweep"; leases = list(pathlib.Path("/tmp/remote-store").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"remote-store merge matches the full sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
 kill "$SRV" && trap - EXIT
 
-echo "=== smoke 5/5: warm start loads the stored DRAM calibration and training ==="
+echo "=== smoke 5/6: warm start loads the stored DRAM calibration and training ==="
 # The first compare trains and calibrates into a fresh store; the second
 # process loads both.  Output must not change, and the store must hold
 # exactly one calibration entry.  A sweep over the same flags then builds
@@ -153,5 +155,16 @@ if grep -q "\[trained\]" /tmp/warm-sweep.log; then
   exit 1
 fi
 echo "warm start: identical output, one stored calibration, sweep reuses the training"
+
+echo "=== smoke 6/6: cold repro validate at CLI defaults matches its transcript ==="
+# The tier-1 golden (tests/data/validate_golden.txt) prices 6-tree runs, so
+# the 500-tree extrapolation leaves 2 trees over; the CLI default trains 10
+# trees, an exact multiple of 500.  A cold store trains all five benchmarks
+# and calibrates DRAM, so this diffs the whole default pipeline.
+export REPRO_CACHE_DIR=/tmp/repro-ci-validate-cache
+rm -rf /tmp/repro-ci-validate-cache
+python -m repro.cli validate > /tmp/validate-default.log
+diff tests/data/validate_cli_default.txt /tmp/validate-default.log
+echo "validate at CLI defaults: stdout matches the committed transcript"
 
 echo "all sweep smokes passed"

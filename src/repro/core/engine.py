@@ -95,10 +95,7 @@ class BoosterEngine(HardwareModel):
         layout = self.layout(profile)
         mapping = self.bin_mapping(profile)
 
-        stacked = profile.stacked
-        n_nodes_binned = int((stacked.n_binned > 0).sum())
         n_evals = profile.step2_evaluations()
-        n_split_nodes = int(stacked.is_split.sum())
 
         # ---- Step 1: histogram binning ------------------------------------------
         throughput = mapping.throughput_records_per_cycle(c.bu_op_cycles)
@@ -114,11 +111,8 @@ class BoosterEngine(HardwareModel):
         mem_bytes = profile.step1_bytes(layout)
         if mapping.field_passes > 1:
             # Field partitioning refetches g/h once per extra pass (Sec. III-C (1)).
-            extra = (mapping.field_passes - 1) * float(
-                np.sum(layout.stats_bytes_gather(stacked.binned_nonzero, profile.n_records))
-            )
-            mem_bytes += extra
-        fill_cycles = n_nodes_binned * self.bus.fill_cycles
+            mem_bytes += (mapping.field_passes - 1) * profile.step1_stats_bytes(layout)
+        fill_cycles = profile.binned_nodes() * self.bus.fill_cycles
         s1 = max(
             self._cycles_to_seconds(compute_cycles),
             self.mem_seconds(mem_bytes),
@@ -150,7 +144,7 @@ class BoosterEngine(HardwareModel):
         # ---- Step 3: single-predicate evaluation ------------------------------------
         s3_compute = profile.partition_records() * c.bu_predicate_cycles / self.config.n_bus
         s3_mem = profile.step3_bytes(layout, column_format=self.column_format)
-        s3_fill = n_split_nodes * self.bus.fill_cycles
+        s3_fill = profile.split_nodes() * self.bus.fill_cycles
         s3 = max(self._cycles_to_seconds(s3_compute), self.mem_seconds(s3_mem)) + (
             self._cycles_to_seconds(s3_fill)
         )
@@ -159,8 +153,7 @@ class BoosterEngine(HardwareModel):
         s5_compute = profile.traversal_hops() * c.bu_hop_cycles / self.config.n_bus
         s5_mem = profile.step5_bytes(layout, column_format=self.column_format)
         # Tree-table replication into every BU, once per tree.
-        table_cycles = int(stacked.n_nodes.sum())
-        s5_fill = self.bus.replicate_table_cycles(table_cycles)
+        s5_fill = self.bus.replicate_table_cycles(profile.total_nodes())
         s5 = max(self._cycles_to_seconds(s5_compute), self.mem_seconds(s5_mem)) + (
             self._cycles_to_seconds(s5_fill)
         )

@@ -194,7 +194,7 @@ class RecordLayout:
             return out if out.ndim else float(out)
         # Mixed element widths: group by epb value (at most 3 distinct).
         total = np.zeros_like(sel)
-        for width in np.unique(epb):
+        for width in set(epb.tolist()):
             mask = epb == width
             total[mask] = expected_touched_blocks(sel[mask], n_universe, int(width))
         return total * self.config.block_bytes

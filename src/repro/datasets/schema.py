@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 __all__ = [
@@ -122,9 +123,9 @@ class FieldSpec:
         """Histogram bins holding actual values (no missing/absent bin)."""
         return self.n_categories if self.is_categorical else self.n_bins
 
-    @property
+    @cached_property
     def n_total_bins(self) -> int:
-        """Value bins plus the one missing/absent bin."""
+        """Value bins plus the one missing/absent bin (computed once)."""
         return self.n_value_bins + 1
 
     @property
@@ -178,9 +179,10 @@ class DatasetSpec:
         """Features after one-hot encoding (Table III column)."""
         return sum(f.n_features for f in self.fields)
 
-    @property
+    @cached_property
     def n_total_bins(self) -> int:
-        """Total histogram bins across fields (group-by-field view)."""
+        """Total histogram bins across fields (group-by-field view; computed
+        once per spec)."""
         return sum(f.n_total_bins for f in self.fields)
 
     @property

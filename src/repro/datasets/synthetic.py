@@ -46,6 +46,15 @@ def zipf_probabilities(n_categories: int, skew: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _median(ordered: np.ndarray) -> float:
+    """``np.median`` of the sample ``ordered`` sorts to: the middle value,
+    or the mean of the middle two, summed and halved as ``np.mean`` does."""
+    half = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
+
+
 def _categorical_column(
     rng: np.random.Generator, n: int, n_categories: int, skew: float
 ) -> np.ndarray:
@@ -120,12 +129,14 @@ def generate(spec: DatasetSpec, keep_raw: bool = False) -> BinnedDataset:
 
     score += spec.noise * rng.standard_normal(n)
 
+    # Order statistics come off one sort: np.median / np.quantile would
+    # import numpy.ma (see docs/development.md) for the same values.
     if spec.task is TaskKind.BINARY:
-        y = (score > np.median(score)).astype(np.float64)
+        y = (score > _median(np.sort(score))).astype(np.float64)
     elif spec.task is TaskKind.RANKING:
         # Pointwise relevance labels in {0, 1, 2} from score terciles, as a
         # stand-in for LETOR-style graded relevance.
-        terciles = np.quantile(score, [1.0 / 3.0, 2.0 / 3.0])
+        terciles = sorted_quantile(np.sort(score), np.array([1.0 / 3.0, 2.0 / 3.0]))
         y = np.digitize(score, terciles).astype(np.float64)
     else:
         y = score.copy()

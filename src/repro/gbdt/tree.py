@@ -163,8 +163,11 @@ class Tree:
     def relevant_fields(self) -> np.ndarray:
         """Original ids of fields referenced by interior nodes, sorted."""
         a = self._arrays()
-        interior = a["field"][a["field"] >= 0]
-        return np.unique(interior)
+        # np.unique, without its numpy.ma import: sort, keep first repeats.
+        interior = np.sort(a["field"][a["field"] >= 0])
+        first = np.ones(interior.size, dtype=bool)
+        first[1:] = interior[1:] != interior[:-1]
+        return interior[first]
 
     def leaf_depths(self) -> np.ndarray:
         a = self._arrays()
@@ -256,7 +259,8 @@ class Tree:
         kids = np.concatenate([a["left"][interior], a["right"][interior]])
         if kids.size and (kids.min() < 0 or kids.max() >= n):
             raise ValueError("child pointer out of range")
-        if kids.size != np.unique(kids).size:
+        ordered = np.sort(kids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("node has two parents")
         if n > 1 and kids.size != n - 1:
             raise ValueError("orphan nodes present")

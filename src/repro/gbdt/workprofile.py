@@ -11,7 +11,8 @@ timed on *identical* work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,64 +62,113 @@ class TreeWork:
 
 @dataclass
 class _StackedWork:
-    """Per-node arrays of *all* trees concatenated, plus per-tree scalars.
+    """Per-node arrays of the measured trees concatenated, plus per-tree
+    scalars, and the cycle a tree-scaled profile replays them in.
 
     The whole-run reductions (``binned_records``, ``step1_bytes``, ...) used
     to loop ``sum(... for t in profile.trees)``; stacking once and reducing
     with single NumPy calls removes the per-tree interpreted passes.  Built
     lazily and cached on the profile (tree lists are never mutated after
     construction; ``scaled``/``with_trees_scaled`` return fresh profiles).
+
+    A :meth:`WorkProfile.with_trees_scaled` copy keeps its source's arrays
+    and records the cycle instead of tiling them: ``full`` whole copies of
+    these trees, then the first ``rest`` of them again.  A per-node term is
+    computed once on the measured entries; :meth:`per_node` lays it out as
+    the concatenated replicated trees would hold it, so a float sum over it
+    adds the same terms in the same order, and :meth:`node_total` adds
+    integers exactly as ``full * base + partial``.
     """
 
-    n_binned: np.ndarray  # per-node, all trees
+    n_binned: np.ndarray  # per-node, all measured trees
     n_reach: np.ndarray
     depth: np.ndarray
     split_evaluated: np.ndarray
     is_split: np.ndarray
     split_field: np.ndarray
-    relevant_fields: np.ndarray  # all trees' relevant fields, concatenated
+    relevant_fields: np.ndarray  # all measured trees' relevant fields, concatenated
     sum_path_len: np.ndarray  # per-tree
     max_depth: np.ndarray  # per-tree
     n_nodes: np.ndarray  # per-tree
+    full: int = 1
+    rest: int = 0
+    #: ``relevant_fields`` entries of the first ``rest`` trees.
+    rest_relevant: int = 0
 
-    @property
+    @classmethod
+    def of(cls, trees: list[TreeWork]) -> "_StackedWork":
+        """The stack of ``trees``, each tree once."""
+
+        def cat(name: str, dtype: type = np.int64) -> np.ndarray:
+            parts = [getattr(t, name) for t in trees]
+            return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+        return cls(
+            n_binned=cat("n_binned"),
+            n_reach=cat("n_reach"),
+            depth=cat("depth"),
+            split_evaluated=cat("split_evaluated", bool),
+            is_split=cat("is_split", bool),
+            split_field=cat("split_field"),
+            relevant_fields=cat("relevant_fields"),
+            sum_path_len=np.array([t.sum_path_len for t in trees], dtype=np.float64),
+            max_depth=np.array([t.max_depth for t in trees], dtype=np.int64),
+            n_nodes=np.array([t.n_nodes for t in trees], dtype=np.int64),
+        )
+
+    @cached_property
+    def binned(self) -> np.ndarray:
+        """Bool per node: explicitly binned (step-1 gathers and fills)."""
+        return self.n_binned > 0
+
+    @cached_property
     def binned_nonzero(self) -> np.ndarray:
         """Per-node explicit-binning counts, zeros dropped (step-1 gathers)."""
-        return self.n_binned[self.n_binned > 0]
+        return self.n_binned[self.binned]
 
-    @property
+    @cached_property
     def split_reach(self) -> np.ndarray:
-        """Records reaching each split node, all trees (step-3 partitions)."""
+        """Records reaching each split node (step-3 partitions)."""
         return self.n_reach[self.is_split]
 
-    @property
+    @cached_property
     def split_fields(self) -> np.ndarray:
-        """Predicate field of each split node, all trees."""
+        """Predicate field of each split node."""
         return self.split_field[self.is_split]
 
-    def cycled(self, n_trees: int, relevant_per_tree: list[int]) -> "_StackedWork":
-        """The stack of ``n_trees`` trees replicated cyclically from these.
+    @cached_property
+    def rest_nodes(self) -> int:
+        """Nodes of the first ``rest`` trees."""
+        return int(self.n_nodes[: self.rest].sum())
 
-        Equal, dtype included, to concatenating the replicated trees'
-        arrays: ``n_trees // T`` full cycles tile every array, then the
-        first ``n_trees % T`` trees' slice follows.  ``relevant_per_tree``
-        holds each base tree's relevant-field count, which places the
-        ``relevant_fields`` cut.
-        """
-        full, rest = divmod(n_trees, self.n_nodes.size)
-        node_cut = int(self.n_nodes[:rest].sum())
-        cuts = {
-            "relevant_fields": sum(relevant_per_tree[:rest]),
-            "sum_path_len": rest,
-            "max_depth": rest,
-            "n_nodes": rest,
-        }
+    def _cut(self, where: np.ndarray | None) -> int:
+        """Entries of the first ``rest`` trees' nodes (``where``-selected)."""
+        nodes = self.rest_nodes
+        return nodes if where is None else int(np.count_nonzero(where[:nodes]))
 
-        def cycle(name: str) -> np.ndarray:
-            a = getattr(self, name)
-            return np.concatenate([np.tile(a, full), a[: cuts.get(name, node_cut)]])
+    def per_node(self, values: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
+        """Per-node ``values`` of the measured nodes (those ``where``
+        selects, if given), laid out over the cycle."""
+        return _cycle(values, self.full, self._cut(where))
 
-        return _StackedWork(**{f.name: cycle(f.name) for f in fields(self)})
+    def per_tree(self, values: np.ndarray) -> np.ndarray:
+        """Per-tree ``values`` of the measured trees, laid out over the cycle."""
+        return _cycle(values, self.full, self.rest)
+
+    def node_total(self, values: np.ndarray, where: np.ndarray | None = None) -> int:
+        """Exact integer total of per-node ``values`` over the cycle."""
+        return self.full * int(values.sum()) + int(values[: self._cut(where)].sum())
+
+    def tree_total(self, values: np.ndarray) -> int:
+        """Exact integer total of per-tree ``values`` over the cycle."""
+        return self.full * int(values.sum()) + int(values[: self.rest].sum())
+
+
+def _cycle(values: np.ndarray, full: int, cut: int) -> np.ndarray:
+    """``full`` copies of ``values``, then its first ``cut`` entries."""
+    if full == 1 and cut == 0:
+        return values
+    return np.concatenate([np.tile(values, full), values[:cut]])
 
 
 @dataclass
@@ -151,39 +201,16 @@ class WorkProfile:
 
     @property
     def stacked(self) -> _StackedWork:
-        """Concatenated per-node arrays (cached; see :class:`_StackedWork`)."""
+        """The measured trees' stack and its cycle (cached; see :class:`_StackedWork`)."""
         cached = getattr(self, "_stacked", None)
         if cached is None:
-            trees = self.trees
-            empty = np.zeros(0, dtype=np.int64)
-            cached = _StackedWork(
-                n_binned=np.concatenate([t.n_binned for t in trees]) if trees else empty,
-                n_reach=np.concatenate([t.n_reach for t in trees]) if trees else empty,
-                depth=np.concatenate([t.depth for t in trees]) if trees else empty,
-                split_evaluated=(
-                    np.concatenate([t.split_evaluated for t in trees])
-                    if trees
-                    else empty.astype(bool)
-                ),
-                is_split=(
-                    np.concatenate([t.is_split for t in trees]) if trees else empty.astype(bool)
-                ),
-                split_field=(
-                    np.concatenate([t.split_field for t in trees]) if trees else empty
-                ),
-                relevant_fields=(
-                    np.concatenate([t.relevant_fields for t in trees]) if trees else empty
-                ),
-                sum_path_len=np.array([t.sum_path_len for t in trees], dtype=np.float64),
-                max_depth=np.array([t.max_depth for t in trees], dtype=np.int64),
-                n_nodes=np.array([t.n_nodes for t in trees], dtype=np.int64),
-            )
-            self._stacked = cached
+            cached = self._stacked = _StackedWork.of(self.trees)
         return cached
 
     def total_levels(self) -> int:
         """Tree levels processed across the run (level-wise sync points)."""
-        return int((self.stacked.max_depth + 1).sum())
+        stk = self.stacked
+        return stk.tree_total(stk.max_depth + 1)
 
     def mean_live_vertices(self) -> float:
         """Average vertices evaluated per level (level-wise histogram
@@ -237,7 +264,9 @@ class WorkProfile:
         """Extrapolate to the paper's tree count (500) by replicating the
         measured per-tree work cyclically.  Per-tree work is statistically
         homogeneous after the first few boosting rounds, and every reported
-        metric is a ratio of sums over trees."""
+        metric is a ratio of sums over trees.  The copy's ``trees`` list
+        repeats references; its stack is this profile's plus the cycle (see
+        :class:`_StackedWork`), so no per-node array is replicated."""
         if n_trees_target < 1:
             raise ValueError("n_trees_target must be >= 1")
         if not self.trees:
@@ -254,9 +283,12 @@ class WorkProfile:
             root_bin_counts=self.root_bin_counts,
             measured=False,
         )
-        # Tile this profile's stack instead of re-concatenating every copy.
-        relevant = [t.n_relevant_fields for t in self.trees]
-        out._stacked = self.stacked.cycled(n_trees_target, relevant)
+        stack = self.stacked
+        if (stack.full, stack.rest) != (1, 0):  # a cycled source: stack its own trees
+            stack = _StackedWork.of(self.trees)
+        full, rest = divmod(n_trees_target, len(self.trees))
+        relevant = sum(t.n_relevant_fields for t in self.trees[:rest])
+        out._stacked = replace(stack, full=full, rest=rest, rest_relevant=relevant)
         return out
 
     # -- structural shortcuts -----------------------------------------------------
@@ -277,11 +309,22 @@ class WorkProfile:
     def n_trees(self) -> int:
         return len(self.trees)
 
+    def total_nodes(self) -> int:
+        """Tree nodes across the run (table entries replicated per tree)."""
+        stk = self.stacked
+        return stk.tree_total(stk.n_nodes)
+
     # -- step 1: histogram binning ---------------------------------------------
 
     def binned_records(self) -> float:
         """Total records explicitly binned across all nodes and trees."""
-        return float(self.stacked.n_binned.sum())
+        stk = self.stacked
+        return float(stk.node_total(stk.n_binned))
+
+    def binned_nodes(self) -> int:
+        """Nodes with an explicitly binned histogram, all trees."""
+        stk = self.stacked
+        return stk.node_total(stk.binned)
 
     def binned_record_fields(self) -> float:
         """Total (record, field) histogram updates -- the step-1 op count."""
@@ -289,15 +332,23 @@ class WorkProfile:
 
     def step1_bytes(self, layout: RecordLayout) -> float:
         """DRAM bytes for step 1: pointer stream + row-major records + g/h."""
-        n = self.n_records
-        binned = self.stacked.binned_nonzero
+        stk = self.stacked
+        binned = stk.binned_nonzero
         if binned.size == 0:
             return 0.0
+        rows = layout.row_bytes_gather(binned, self.n_records)
+        pointers = layout.pointer_bytes(binned)
         return float(
-            np.sum(layout.row_bytes_gather(binned, n))
-            + np.sum(layout.stats_bytes_gather(binned, n))
-            + np.sum(layout.pointer_bytes(binned))
+            np.sum(stk.per_node(rows, stk.binned))
+            + self.step1_stats_bytes(layout)
+            + np.sum(stk.per_node(pointers, stk.binned))
         )
+
+    def step1_stats_bytes(self, layout: RecordLayout) -> float:
+        """The g/h gathers of step 1 alone (a part of :meth:`step1_bytes`)."""
+        stk = self.stacked
+        stats = layout.stats_bytes_gather(stk.binned_nonzero, self.n_records)
+        return float(np.sum(stk.per_node(stats, stk.binned)))
 
     def hot_access_fraction(self, n_hot_bins: int) -> float:
         """Fraction of histogram updates that land in the ``n_hot_bins``
@@ -325,7 +376,8 @@ class WorkProfile:
 
     def step2_evaluations(self) -> int:
         """Nodes whose histogram was scanned for a split."""
-        return int(self.stacked.split_evaluated.sum())
+        stk = self.stacked
+        return stk.node_total(stk.split_evaluated)
 
     def step2_bin_scans(self) -> float:
         """Total bins scanned by step 2 (evaluations x total bins)."""
@@ -333,9 +385,15 @@ class WorkProfile:
 
     # -- step 3: single-predicate evaluation ---------------------------------------
 
+    def split_nodes(self) -> int:
+        """Interior (split) nodes, all trees."""
+        stk = self.stacked
+        return stk.node_total(stk.is_split)
+
     def partition_records(self) -> float:
         """Total records partitioned at split nodes (step-3 op count)."""
-        return float(self.stacked.split_reach.sum())
+        stk = self.stacked
+        return float(stk.node_total(stk.split_reach, stk.is_split))
 
     def step3_bytes(self, layout: RecordLayout, column_format: bool) -> float:
         """DRAM bytes for step 3.
@@ -351,17 +409,20 @@ class WorkProfile:
         if reach.size == 0:
             return 0.0
         if column_format:
-            total = float(np.sum(layout.column_bytes_gather(stk.split_fields, reach, n)))
+            gathers = layout.column_bytes_gather(stk.split_fields, reach, n)
         else:
-            total = float(np.sum(layout.row_bytes_gather(reach, n)))
+            gathers = layout.row_bytes_gather(reach, n)
+        total = float(np.sum(stk.per_node(gathers, stk.is_split)))
         # Read the incoming pointer stream, write true/false streams.
-        return total + 2.0 * float(np.sum(layout.pointer_bytes(reach)))
+        pointers = stk.per_node(layout.pointer_bytes(reach), stk.is_split)
+        return total + 2.0 * float(np.sum(pointers))
 
     # -- step 5: one-tree traversal --------------------------------------------------
 
     def traversal_hops(self) -> float:
         """Total interior-node visits over all records and trees."""
-        return float(self.stacked.sum_path_len.sum())
+        stk = self.stacked
+        return float(stk.per_tree(stk.sum_path_len).sum())
 
     def traversal_records(self) -> float:
         return float(self.n_records * self.n_trees)
@@ -377,10 +438,14 @@ class WorkProfile:
         if n_trees == 0:
             return 0.0
         if column_format:
-            # All trees' relevant-field column streams in one exact
-            # integer-block computation (column bytes are per-field, so
-            # concatenating across trees sums the same terms).
-            total = layout.column_bytes_sequential(self.stacked.relevant_fields, n)
+            # All trees' relevant-field column streams as exact integer
+            # blocks (column bytes are per-field, so concatenating across
+            # trees sums the same terms): the block totals are integers far
+            # below 2**53, so ``full * base + partial`` is exact.
+            stk = self.stacked
+            fields = stk.relevant_fields
+            total = stk.full * layout.column_bytes_sequential(fields, n)
+            total += layout.column_bytes_sequential(fields[: stk.rest_relevant], n)
         else:
             total = n_trees * layout.row_bytes_sequential(n)
         total += n_trees * (2.0 * layout.stats_bytes_sequential(n))  # g/h read + write
@@ -437,7 +502,9 @@ class WorkProfile:
         stk = self.stacked
         if stk.depth.size == 0:
             return 0.0
-        return float(stk.depth[~stk.is_split].mean())
+        # Integer depth totals: the exact quotient ``np.mean`` also rounds.
+        leaves = ~stk.is_split
+        return stk.node_total(stk.depth[leaves], leaves) / stk.node_total(leaves)
 
     def mean_max_depth(self) -> float:
         if not self.trees:

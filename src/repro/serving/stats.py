@@ -20,6 +20,8 @@ from typing import Iterable, Sequence, overload
 
 import numpy as np
 
+from ..datasets.encoding import sorted_quantile
+
 __all__ = ["percentile", "percentile_label", "min_samples_for_percentile"]
 
 
@@ -35,9 +37,10 @@ def percentile(values: Iterable[float], q: float | Sequence[float]) -> float | l
     """Linear-interpolated ``q``-th percentile of ``values``.
 
     ``q`` is in percent (``50`` = median).  A sequence of ``q``s returns
-    one float per ``q`` from a single partition of the sample, each equal
-    to the one-``q`` call bit for bit.  Raises on an empty sample --
-    callers that may see one decide the degenerate rendering themselves.
+    one float per ``q`` from a single sort of the sample, each equal to the
+    one-``q`` call bit for bit, and equal to ``np.percentile(values, q)``
+    for a NaN-free sample.  Raises on an empty sample -- callers that may
+    see one decide the degenerate rendering themselves.
     """
     sample = values if isinstance(values, np.ndarray) else list(values)
     vals = np.asarray(sample, dtype=np.float64)
@@ -47,7 +50,9 @@ def percentile(values: Iterable[float], q: float | Sequence[float]) -> float | l
     for one in qs:
         if not 0 <= one <= 100:
             raise ValueError(f"percentile q must lie in [0, 100], got {one!r}")
-    out = np.percentile(vals, qs, method="linear").tolist()
+    # np.percentile's own q / 100, read off one sort of the sample.
+    fractions = np.asarray(qs, dtype=np.float64) / 100
+    out: list[float] = sorted_quantile(np.sort(vals), fractions).tolist()
     return out if isinstance(q, Sequence) else out[0]
 
 

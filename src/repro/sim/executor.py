@@ -96,6 +96,7 @@ class Executor:
         #: Provenance of the most recent train_result call: True = cache hit,
         #: False = this executor trained, None = no training requested yet.
         self.last_train_hit: bool | None = None
+        self._profiles: dict[tuple[str, float], WorkProfile] = {}
 
     # -- model registry ------------------------------------------------------------
 
@@ -148,14 +149,21 @@ class Executor:
         return result
 
     def profile(self, dataset: str, extra_scale: float = 1.0) -> WorkProfile:
-        """Paper-scale work profile (records x ``extra_scale``, 500 trees)."""
-        result = self.train_result(dataset)
-        prof = result.profile
-        if self.scenario.scale_to_paper:
-            k = prof.spec.paper_records / prof.spec.n_records
-            prof = prof.scaled(k * extra_scale).with_trees_scaled(PAPER_TREES)
-        elif extra_scale != 1.0:
-            prof = prof.scaled(extra_scale)
+        """Paper-scale work profile (records x ``extra_scale``, 500 trees).
+
+        Built once per ``(dataset, extra_scale)`` and shared by later calls,
+        which then leave :attr:`last_train_hit` alone: they train nothing.
+        """
+        key = (dataset, extra_scale)
+        prof = self._profiles.get(key)
+        if prof is None:
+            prof = self.train_result(dataset).profile
+            if self.scenario.scale_to_paper:
+                k = prof.spec.paper_records / prof.spec.n_records
+                prof = prof.scaled(k * extra_scale).with_trees_scaled(PAPER_TREES)
+            elif extra_scale != 1.0:
+                prof = prof.scaled(extra_scale)
+            self._profiles[key] = prof
         return prof
 
     # -- experiments ----------------------------------------------------------------------

@@ -113,6 +113,43 @@ class TestLeanStart:
         assert "1 done, 0 failed" in proc.stdout
         assert lines[-1] == "[]"
 
+    def test_run_path_does_not_import_numpy_ma(self, tmp_path):
+        """``np.unique/median/quantile/percentile`` import ``numpy.ma`` (10+ ms
+        per process); generating every dataset, training, pricing and one
+        serving simulation must get by without it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = (
+            "import sys\n"
+            "from repro.datasets import BENCHMARK_NAMES\n"
+            "from repro.experiments import ProfileCache, ScenarioSpec, benchmark_dataset\n"
+            "from repro.gbdt import TrainParams\n"
+            "from repro.serving import ServingParams\n"
+            "from repro.sim import Executor\n"
+            "for name in BENCHMARK_NAMES:\n"
+            "    benchmark_dataset(name, 300, 7)\n"
+            "scenario = ScenarioSpec(train=TrainParams(n_trees=2))\n"
+            "ex = Executor(scenario, cache=ProfileCache(sys.argv[1]))\n"
+            "ex.compare('mq2008')\n"
+            "ex.serve('mq2008', ServingParams(duration_s=0.5))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "store")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     @pytest.mark.parametrize(
         "package", ["repro.datasets", "repro.serving", "repro.experiments", "repro.sim"]
     )

@@ -94,6 +94,21 @@ class TestDatasetSpec:
         spec = self.make()
         assert spec.n_total_bins == 11 + 11 + 7
 
+    def test_total_bins_cached_outside_equality_and_pickles(self):
+        """The totals are computed once per spec, into the instance dict:
+        equality and hashing ignore them, and a spec pickled without them
+        (as stores written before the cache hold) computes them on use."""
+        import pickle
+
+        spec, fresh = self.make(), self.make()
+        assert spec.n_total_bins == 29 and "n_total_bins" in vars(spec)
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert "n_total_bins" not in vars(fresh)
+        loaded = pickle.loads(pickle.dumps(fresh))
+        assert "n_total_bins" not in vars(loaded)
+        assert loaded.n_total_bins == 29 and loaded == spec
+        assert all(f.n_total_bins == f.n_value_bins + 1 for f in loaded.fields)
+
     def test_has_categorical(self):
         assert self.make().has_categorical
         spec = self.make(fields=(num_field("a"),))

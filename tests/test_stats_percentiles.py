@@ -41,6 +41,23 @@ class TestPercentile:
         assert many == [percentile(values, q) for q in qs]
         assert many == percentile(values.tolist(), tuple(qs))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        qs=st.lists(st.floats(0, 100), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+    )
+    def test_matches_numpy_percentile_bit_for_bit(self, n, qs, seed, ties):
+        """One sort plus ``sorted_quantile`` repeats ``np.percentile``'s
+        ``linear`` arithmetic exactly, repeated order statistics included."""
+        values = np.random.default_rng(seed).lognormal(0.0, 2.0, size=n)
+        if ties:
+            values = np.round(values, 1)
+        want = np.percentile(values, qs, method="linear")
+        assert np.array_equal(np.asarray(percentile(values, qs)), want)
+        assert percentile(values, qs[0]) == float(want[0])
+
     def test_latency_qs_in_one_call(self):
         values = np.random.default_rng(3).exponential(size=37_000)
         assert percentile(values, (50, 99, 99.9)) == [

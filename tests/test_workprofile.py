@@ -119,18 +119,49 @@ class TestScaling:
 
     @pytest.mark.parametrize("dataset", ["mq2008", "flight"])
     def test_replicated_stack_equals_concatenation(self, dataset):
-        """A replicated copy's stack is tiled from the base profile's; it
-        must equal concatenating the replicated trees, dtypes included."""
+        """A replicated copy keeps the base profile's stack and its cycle;
+        laid out over the cycle, every array (the filtered per-node ones
+        included) must equal concatenating the replicated trees, dtypes
+        included."""
         data = benchmark_dataset(dataset, 400, 7)
         base = train(data, TrainParams(n_trees=5, max_depth=4)).profile.scaled(10.0)
         t = base.n_trees
+        per_node = (
+            "n_binned",
+            "n_reach",
+            "depth",
+            "split_evaluated",
+            "is_split",
+            "split_field",
+        )
+        filtered = {
+            "binned_nonzero": "binned",
+            "split_reach": "is_split",
+            "split_fields": "is_split",
+        }
         for target in (1, t - 1, t, t + 1, 500):
             tiled = base.with_trees_scaled(target)
+            stk = tiled.stacked
             concatenated = WorkProfile(spec=tiled.spec, trees=tiled.trees).stacked
-            for f in dataclasses.fields(concatenated):
-                got, want = getattr(tiled.stacked, f.name), getattr(concatenated, f.name)
-                assert got.dtype == want.dtype, (target, f.name)
-                assert np.array_equal(got, want), (target, f.name)
+            laid_out = {name: stk.per_node(getattr(stk, name)) for name in per_node}
+            for name, where in filtered.items():
+                laid_out[name] = stk.per_node(getattr(stk, name), getattr(stk, where))
+            for name in ("sum_path_len", "max_depth", "n_nodes"):
+                laid_out[name] = stk.per_tree(getattr(stk, name))
+            rel = stk.relevant_fields
+            laid_out["relevant_fields"] = np.concatenate(
+                [np.tile(rel, stk.full), rel[: stk.rest_relevant]]
+            )
+            arrays = {
+                f.name
+                for f in dataclasses.fields(concatenated)
+                if isinstance(getattr(concatenated, f.name), np.ndarray)
+            }
+            assert arrays <= set(laid_out)
+            for name, got in laid_out.items():
+                want = getattr(concatenated, name)
+                assert got.dtype == want.dtype, (target, name)
+                assert np.array_equal(got, want), (target, name)
 
 
 class TestHotAccessFraction:
