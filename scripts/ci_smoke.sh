@@ -69,14 +69,15 @@ python -m repro.cli merge /tmp/steal-merged.jsonl /tmp/steal-w1.jsonl /tmp/steal
 python -c 'import json, pathlib; load = lambda p: {d["cache_key"]: d for d in map(json.loads, open(p))}; full = load("/tmp/steal-full.jsonl"); merged = load("/tmp/steal-merged.jsonl"); assert set(full) == set(merged), (sorted(full), sorted(merged)); assert all(m["error"] is None and m["comparison"] == full[k]["comparison"] and m["scenario"] == full[k]["scenario"] for k, m in merged.items()), "steal-mode merge diverges from the full sweep"; leases = list(pathlib.Path("/tmp/steal-coord").glob("*.lease")); assert len(leases) == len(full), (len(leases), len(full)); assert all(json.loads(p.read_bytes())["done"] for p in leases), "undone lease left behind"; print(f"steal-mode merge matches the full sweep ({len(merged)} scenarios, {len(leases)} leases, all done)")'
 
 # Two cold workers over a hardware-only axis share one training artifact:
-# the train lease lets exactly one of them train it.
+# the train lease lets exactly one of them train it.  The axis is an input
+# the Booster model reads, so the two rows' Booster times must differ.
 rm -rf /tmp/repro-ci-train-once-cache /tmp/train-once-coord
 ONCE="python -m repro.cli sweep --trees 2 --dataset mq2008 --axis clock_ghz=0.8,1.2 --systems ideal-32-core booster --coordinate /tmp/train-once-coord"
 REPRO_CACHE_DIR=/tmp/repro-ci-train-once-cache $ONCE --out /tmp/train-once-w1.jsonl > /tmp/train-once-w1.log 2>&1 &
 O1=$!
 REPRO_CACHE_DIR=/tmp/repro-ci-train-once-cache $ONCE --out /tmp/train-once-w2.jsonl > /tmp/train-once-w2.log 2>&1
 wait "$O1"
-python -c 'import json; rows = [json.loads(l) for p in ("/tmp/train-once-w1.jsonl", "/tmp/train-once-w2.jsonl") for l in open(p)]; assert len(rows) == 2 and all(r["error"] is None for r in rows), rows; cold = sum(r["cache_hit"] is False for r in rows); assert cold == 1, f"{cold} cache_hit=false rows: the shared artifact trained {cold} times"; print("train lease: two cold workers trained the shared artifact once")'
+python -c 'import json; rows = [json.loads(l) for p in ("/tmp/train-once-w1.jsonl", "/tmp/train-once-w2.jsonl") for l in open(p)]; assert len(rows) == 2 and all(r["error"] is None for r in rows), rows; cold = sum(r["cache_hit"] is False for r in rows); assert cold == 1, f"{cold} cache_hit=false rows: the shared artifact trained {cold} times"; booster = {r["scenario"]["booster"]["clock_ghz"]: r["comparison"]["systems"]["booster"]["total"] for r in rows}; assert len(booster) == 2 and booster[0.8] != booster[1.2], f"clock_ghz moved no Booster time: {booster}"; print("train lease: two cold workers trained the shared artifact once; Booster %.3f s at 0.8 GHz, %.3f s at 1.2 GHz" % (booster[0.8], booster[1.2]))'
 
 echo "=== smoke 3/6: serving sweep (latency tail under load) ==="
 # records_per_request=20000 puts the ideal-32-core design point's serving

@@ -16,15 +16,17 @@ from dataclasses import dataclass
 
 from ..datasets.layout import RecordLayout
 from ..gbdt.workprofile import WorkProfile
-from ..sim.calibrate import DEFAULT_COSTS, CostModel
+from ..sim.calibrate import DEFAULT_COSTS
 from .cacti import SRAMEnergyModel
 
 __all__ = ["EnergyBreakdown", "EnergyModel", "SYSTEM_SRAM"]
 
 #: Per-system SRAM configuration used for per-access energy (Table V):
 #: (capacity bytes, banks).  The CPU and GPU capacities are the default cost
-#: model's, the ones the timing models read (a scenario's cost override
-#: still moves only its timing).
+#: model's, the ones the timing models read.  Energy takes no cost override:
+#: ``repro figures`` and ``repro validate``, its only renderers, build their
+#: scenario from ``--seed`` and ``--trees`` alone, so their costs are always
+#: the defaults.
 SYSTEM_SRAM = {
     "ideal-32-core": (DEFAULT_COSTS.cpu_l1_bytes, 1),  # L1 D-cache
     "ideal-gpu": (DEFAULT_COSTS.gpu_shared_bytes, 32),  # 32-way-banked Shared Memory
@@ -50,15 +52,8 @@ class EnergyBreakdown:
 class EnergyModel:
     """Training-energy accounting for the three Fig. 10 systems."""
 
-    def __init__(
-        self,
-        costs: CostModel | None = None,
-        sram_model: SRAMEnergyModel | None = None,
-        dram_pj_per_byte: float = DRAM_PJ_PER_BYTE,
-    ) -> None:
-        self.costs = costs or DEFAULT_COSTS
-        self.sram_model = sram_model or SRAMEnergyModel()
-        self.dram_pj_per_byte = dram_pj_per_byte
+    def __init__(self) -> None:
+        self.sram_model = SRAMEnergyModel()
 
     # -- activity counts (identical work across systems) ---------------------------
 
@@ -95,7 +90,7 @@ class EnergyModel:
         sram_pj = accesses * self.sram_model.picojoules(cap, banks)
         column = system == "booster"
         nbytes = self.dram_bytes(profile, column_format=column)
-        dram_pj = nbytes * self.dram_pj_per_byte
+        dram_pj = nbytes * DRAM_PJ_PER_BYTE
         return EnergyBreakdown(
             system=system,
             sram_joules=sram_pj * 1e-12,

@@ -9,18 +9,17 @@ exactly as in hardware.
 
 Used two ways:
 
-* directly, to validate that streaming sustains ~400 GB/s (Table IV text) and
-  that gathers degrade with selection density;
-* through :mod:`repro.memory.profile`, which calibrates pattern-specific
-  sustained bandwidths consumed by the analytic timing models.
+* directly, to study a trace's bandwidth, row hits and latency;
+* through :mod:`repro.memory.profile`, which calibrates the sustained
+  streaming bandwidth (~400 GB/s, Table IV) the analytic timing models price
+  with, from one 24,000-block sequential stream.
 
-Because channels never interact, one channel serving one trace is an
-independent *lane* with its own banks, data bus and scheduling window.
+Because channels never interact, each channel of a trace is an independent
+*lane* with its own banks, data bus and scheduling window.
 :func:`serve_lanes` runs any number of lanes in lock step: every step serves
 exactly one request of every lane that has requests left, in a few NumPy
-operations over all of them.  :meth:`DRAMSimulator.run_many` packs the
-channels of several traces into one call (calibration runs 8 traces x 24
-channels as 192 lanes); :meth:`DRAMSimulator.run` is the one-trace case.
+operations over all of them.  :meth:`DRAMSimulator.run` serves a trace's
+channels as its lanes (calibration's stream: 24 channels, 24 lanes).
 
 * Bank state lives in flat arrays indexed by ``lane * n_banks + bank``.  A
   step gathers the bank each lane's chosen request addresses, updates it, and
@@ -38,7 +37,6 @@ it exactly.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,78 +213,46 @@ class DRAMSimulator:
         self.mapping = AddressMapping(self.config)
 
     def run(self, block_addrs: np.ndarray, arrivals: np.ndarray | None = None) -> DRAMStats:
-        """Simulate reads of the given block addresses.
+        """Simulate reads of the given block addresses on a fresh DRAM.
 
+        Every channel is one lane of a single :func:`serve_lanes` call.
         ``arrivals`` defaults to all-at-zero (throughput measurement); pass
         issue cycles to study latency under a paced stream.
         """
-        return self.run_many([block_addrs], None if arrivals is None else [arrivals])[0]
-
-    def run_many(
-        self,
-        traces: Sequence[np.ndarray],
-        arrivals: Sequence[np.ndarray | None] | None = None,
-    ) -> list[DRAMStats]:
-        """Simulate several independent traces, each on a fresh DRAM.
-
-        Every channel of every trace is one lane of a single
-        :func:`serve_lanes` call.  ``arrivals`` holds one issue-cycle array
-        (or ``None``, all at zero) per trace.
-        """
         cfg = self.config
-        addrs = [np.asarray(t, dtype=np.int64) for t in traces]
+        addrs = np.asarray(block_addrs, dtype=np.int64)
+        if arrivals is not None and np.shape(arrivals) != addrs.shape:
+            raise ValueError("arrivals must match block_addrs in shape")
+
+        # Pack the trace channel-major, with one padding entry at the end.
+        # Slot and row take the narrowest signed type that holds them (int16
+        # for calibration) to keep the process's peak memory low.
+        n_ch, n = cfg.n_channels, addrs.size
+        channel, bank, rows, _col = self.mapping.decode(addrs)
+        order = np.argsort(channel, kind="stable")
+        bounds = np.zeros(n_ch + 1, dtype=np.int64)
+        bounds[1:] = np.cumsum(np.bincount(channel, minlength=n_ch))
+        max_row = (int(addrs.max()) if n else 0) // (n_ch * cfg.n_banks * cfg.blocks_per_row)
+        slot = np.empty(n + 1, dtype=_narrowest(n_ch * cfg.n_banks))
+        row = np.empty(n + 1, dtype=_narrowest(max_row))
+        slot[:n] = (channel * cfg.n_banks + bank)[order]
+        row[:n] = rows[order]
+        slot[n] = 0
+        row[n] = _PAD_ROW
         if arrivals is None:
-            arrivals = [None] * len(addrs)
-        if len(arrivals) != len(addrs):
-            raise ValueError("need one arrivals entry per trace")
-        for a, arr in zip(addrs, arrivals):
-            if arr is not None and np.shape(arr) != a.shape:
-                raise ValueError("arrivals must match block_addrs in shape")
-
-        # Pack one trace at a time, channel-major, with one padding entry at
-        # the end.  Slot and row take the narrowest signed type that holds
-        # them (int16 for calibration) to keep the process's peak memory at
-        # what one-trace-at-a-time calibration needed.
-        n_ch = cfg.n_channels
-        total = sum(a.size for a in addrs)
-        top = max((int(a.max()) for a in addrs if a.size), default=0)
-        max_row = top // (n_ch * cfg.n_banks * cfg.blocks_per_row)
-        bounds = np.zeros(len(addrs) * n_ch + 1, dtype=np.int64)
-        slot = np.empty(total + 1, dtype=_narrowest(len(addrs) * n_ch * cfg.n_banks))
-        row = np.empty(total + 1, dtype=_narrowest(max_row))
-        if all(arr is None for arr in arrivals):
-            arrival = np.broadcast_to(np.int64(0), (total + 1,))
+            arrival = np.broadcast_to(np.int64(0), (n + 1,))
         else:
-            arrival = np.zeros(total + 1, dtype=np.int64)
-        off = 0
-        for i, (a, arr) in enumerate(zip(addrs, arrivals)):
-            channel, bank, rows, _col = self.mapping.decode(a)
-            order = np.argsort(channel, kind="stable")
-            counts = np.bincount(channel, minlength=n_ch)
-            bounds[i * n_ch + 1 : (i + 1) * n_ch + 1] = off + np.cumsum(counts)
-            seg = slice(off, off + a.size)
-            slot[seg] = ((i * n_ch + channel) * cfg.n_banks + bank)[order]
-            row[seg] = rows[order]
-            if arr is not None:
-                arrival[seg] = np.asarray(arr, dtype=np.int64)[order]
-            off += a.size
-        slot[total] = 0
-        row[total] = _PAD_ROW
+            arrival = np.zeros(n + 1, dtype=np.int64)
+            arrival[:n] = np.asarray(arrivals, dtype=np.int64)[order]
 
-        cycles, latency, hits = (
-            x.reshape(len(addrs), n_ch)
-            for x in serve_lanes(cfg, self.window, bounds, slot, row, arrival)
-        )
+        cycles, latency, hits = serve_lanes(cfg, self.window, bounds, slot, row, arrival)
         # Latencies are summed as integers; below 2**53 the float of the sum
         # equals a per-request float running sum exactly.
-        return [
-            DRAMStats(
-                n_requests=int(a.size),
-                total_cycles=int(cycles[i].max()),
-                bytes_moved=int(a.size) * cfg.block_bytes,
-                row_hits=int(hits[i].sum()),
-                latency_sum=float(latency[i].sum()),
-                config=cfg,
-            )
-            for i, a in enumerate(addrs)
-        ]
+        return DRAMStats(
+            n_requests=n,
+            total_cycles=int(cycles.max()),
+            bytes_moved=n * cfg.block_bytes,
+            row_hits=int(hits.sum()),
+            latency_sum=float(latency.sum()),
+            config=cfg,
+        )

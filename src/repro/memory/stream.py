@@ -1,22 +1,15 @@
 """Access-trace generators for the DRAM model.
 
-Each generator yields block addresses for one of the access patterns the
-training steps produce:
-
-* ``sequential``      -- streaming row-major records / whole columns (steps 1
-  at the root, 5, and all double-buffered output streams);
-* ``gather_records``  -- scattered record fetch at interior vertices (step 1),
-  blocks selected with density ``p``;
-* ``gather_column``   -- scattered single-field column access (step 3), the
-  "more non-contiguous" pattern the paper notes;
-* ``random_blocks``   -- worst-case pointer chasing, used to bound behaviour.
+* ``sequential`` -- streaming row-major records / whole columns (steps 1 at
+  the root, 5, and all double-buffered output streams); the trace
+  :func:`repro.memory.bandwidth_profile` calibrates with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sequential", "gather_blocks", "random_blocks", "strided"]
+__all__ = ["sequential"]
 
 
 def sequential(n_blocks: int, start: int = 0) -> np.ndarray:
@@ -24,36 +17,3 @@ def sequential(n_blocks: int, start: int = 0) -> np.ndarray:
     if n_blocks < 0:
         raise ValueError("n_blocks must be non-negative")
     return np.arange(start, start + n_blocks, dtype=np.int64)
-
-
-def gather_blocks(
-    n_universe_blocks: int, density: float, seed: int = 0, sort: bool = True
-) -> np.ndarray:
-    """Random subset of a block range at the given selection density.
-
-    Models fetching the blocks touched by a scattered record subset: the
-    address *order* is ascending (the pointer streams are produced in record
-    order), so row-buffer locality survives at high densities and dies at low
-    ones -- exactly the step-1/3 behaviour at deep tree vertices.
-    """
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    mask = rng.random(n_universe_blocks) < density
-    out = np.nonzero(mask)[0].astype(np.int64)
-    if not sort:
-        rng.shuffle(out)
-    return out
-
-
-def random_blocks(n_blocks: int, universe: int, seed: int = 0) -> np.ndarray:
-    """Uniformly random block addresses (pointer chasing upper bound)."""
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, universe, size=n_blocks, dtype=np.int64)
-
-
-def strided(n_blocks: int, stride: int, start: int = 0) -> np.ndarray:
-    """Fixed-stride block stream (e.g., one field of row-major records)."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    return start + stride * np.arange(n_blocks, dtype=np.int64)

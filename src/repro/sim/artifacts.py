@@ -12,10 +12,10 @@ from typing import Callable
 
 import numpy as np
 
+from ..baselines import IdealGPU, IdealMulticore
 from ..core import PAPER_CONFIG
 from ..datasets import paper_seq_minutes, table3_rows
 from ..energy import SYSTEM_SRAM, TABLE6, AreaPowerModel, EnergyModel, SRAMEnergyModel
-from ..memory import DRAMSimulator, sequential
 from .executor import Executor
 from .report import render_table
 from .results import geomean
@@ -50,8 +50,8 @@ def table3(ex: Executor) -> str:
 
 
 def table4(ex: Executor) -> str:
-    sim = DRAMSimulator()
-    cfg, stats = sim.config, sim.run(sequential(24_000))
+    stats = ex.bandwidth.stream
+    cfg = stats.config
     return render_table(
         ["quantity", "value"],
         [
@@ -69,12 +69,14 @@ def table4(ex: Executor) -> str:
 
 
 def table5(ex: Executor) -> str:
-    c, m = ex.scenario.costs(), SRAMEnergyModel()
+    # The values the timing models read: the Ideal GPU runs at the CPU clock.
+    cpu_clock, booster = ex.scenario.costs().cpu_clock_ghz, ex.scenario.booster
     units = {
-        "ideal-32-core": ("Ideal 32-core", f"{c.cpu_threads} cores", c.cpu_clock_ghz),
-        "ideal-gpu": ("Ideal GPU", f"{c.gpu_lanes} SMs", c.gpu_clock_ghz),
-        "booster": ("Booster", f"{ex.scenario.booster.n_bus} BUs", c.booster_clock_ghz),
+        "ideal-32-core": ("Ideal 32-core", f"{IdealMulticore.threads} cores", cpu_clock),
+        "ideal-gpu": ("Ideal GPU", f"{IdealGPU.threads} SMs", cpu_clock),
+        "booster": ("Booster", f"{booster.n_bus} BUs", booster.clock_ghz),
     }
+    m = SRAMEnergyModel()
     rows = []
     for system, (capacity, banks) in SYSTEM_SRAM.items():
         label, cores, clock = units[system]

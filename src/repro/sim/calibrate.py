@@ -34,14 +34,11 @@ class CostModel:
     """Shared microarchitectural cost constants."""
 
     # -- clocks (Table V) -------------------------------------------------------
+    #: The Ideal 32-core's clock, which the paper's Ideal GPU shares.  Booster's
+    #: clock is ``BoosterConfig.clock_ghz``; the thread counts are the
+    #: multicore and GPU models' ``threads``.
     cpu_clock_ghz: float = 2.2
-    gpu_clock_ghz: float = 2.2  # the paper's Ideal GPU uses the CPU clock
-    booster_clock_ghz: float = 1.0
     ir_clock_ghz: float = 1.0  # IR simulated "with the same clock speed as Booster"
-
-    # -- parallelism limits (Sec. IV: "constrained only by 32- and 64-way") ------
-    cpu_threads: int = 32
-    gpu_lanes: int = 64
 
     # -- CPU core cost model ------------------------------------------------------
     #: Cycles for a histogram update when the bin line hits in L1.

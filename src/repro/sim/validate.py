@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..energy import SYSTEM_SRAM, AreaPowerModel, EnergyModel, SRAMEnergyModel
-from ..memory import bandwidth_profile
 from .executor import Executor
 from .report import render_table
 from .results import geomean
@@ -64,7 +63,7 @@ def validate_all(ex: Executor) -> list[Claim]:
     )
 
     # -- Table IV: DRAM -----------------------------------------------------------
-    bw = bandwidth_profile().sequential_gbps
+    bw = ex.bandwidth.sequential_gbps  # the calibration every model prices with
     add("Table IV", "sustained streaming bandwidth", "~400 GB/s", f"{bw:.1f} GB/s", 360 < bw <= 384)
 
     # -- Table V: SRAM energies -----------------------------------------------------

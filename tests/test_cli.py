@@ -894,7 +894,7 @@ class TestCommands:
             raise AssertionError("recalibrated or retrained")
 
         monkeypatch.setattr(profile_mod, "_CACHE", {})
-        monkeypatch.setattr("repro.memory.dram.DRAMSimulator.run_many", boom)
+        monkeypatch.setattr("repro.memory.dram.DRAMSimulator.run", boom)
         monkeypatch.setattr("repro.experiments.pipeline.train", boom)
         assert main(compare) == 0
         assert capsys.readouterr().out == warm_out
@@ -922,6 +922,9 @@ class TestCommands:
 
     def test_sweep_bad_axis(self, capsys):
         assert main(["sweep", "--axis", "bogus=1", "--trees", "2"]) == 2
+        assert "unknown sweep axis" in capsys.readouterr().err
+        # Booster's clock is the `clock_ghz` axis; no cost field shadows it.
+        assert main(["sweep", "--axis", "booster_clock_ghz=1,2", "--trees", "2"]) == 2
         assert "unknown sweep axis" in capsys.readouterr().err
 
     def test_sweep_unknown_dataset_value(self, capsys):
@@ -963,6 +966,16 @@ class TestArtifacts:
         assert "~1.70" in table6 and "~1.59" in table6
         table4 = ARTIFACTS["table4"](executor)
         assert "12-12-12-28" in table4 and "384 GB/s" in table4
+
+
+class TestFiguresGolden:
+    def test_table4_table5_match_golden(self, capsys):
+        """Table IV reads the calibration's stream and Table V the clocks and
+        core counts the timing models read; both render byte for byte as
+        tests/data/figures_table4_table5_golden.txt."""
+        assert main(["figures", "table4", "table5", "--trees", "2"]) == 0
+        golden = (DATA_DIR / "figures_table4_table5_golden.txt").read_text()
+        assert capsys.readouterr().out == golden
 
 
 class TestValidateCommand:

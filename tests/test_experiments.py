@@ -68,8 +68,12 @@ class TestScenarioSpec:
     def test_cost_overrides_applied(self):
         scenario = replace(TINY, cost_overrides=(("pcie_gbps", 32.0),))
         assert scenario.costs().pcie_gbps == 32.0
-        with pytest.raises(ValueError, match="unknown cost-model field"):
-            replace(TINY, cost_overrides=(("no_such_knob", 1.0),))
+        # The clock and core counts the models read live elsewhere
+        # (BoosterConfig.clock_ghz, the models' threads), so the cost model
+        # has no field of those names to override.
+        for field in ("no_such_knob", "booster_clock_ghz", "cpu_threads"):
+            with pytest.raises(ValueError, match="unknown cost-model field"):
+                replace(TINY, cost_overrides=((field, 1.0),))
 
     def test_resolved_records_registry_default(self):
         assert ScenarioSpec(dataset="mq2008").resolved_records() == 1000
@@ -955,7 +959,7 @@ class TestExecutorFacade:
         cold = Executor(TINY, cache=ProfileCache(root=root))
         monkeypatch.setattr(profile_mod, "_CACHE", {})
         runs = []
-        monkeypatch.setattr(DRAMSimulator, "run_many", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr(DRAMSimulator, "run", lambda *a, **k: runs.append(a))
         warm = Executor(TINY, cache=ProfileCache(root=root))
         assert runs == []
         assert warm.bandwidth is not cold.bandwidth

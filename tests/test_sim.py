@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.baselines import IdealGPU, IdealMulticore
 from repro.baselines.base import StepTimes
+from repro.core import BoosterConfig
 from repro.experiments import ScenarioSpec
 from repro.gbdt import TrainParams
 from repro.sim import (
@@ -43,10 +45,11 @@ class TestCostModel:
         c = DEFAULT_COSTS
         assert c.bu_op_cycles == 8  # Sec. III-B
         assert c.broadcast_fanin == 16
-        assert c.booster_clock_ghz == 1.0
-        assert c.cpu_clock_ghz == 2.2
-        assert c.cpu_threads == 32
-        assert c.gpu_lanes == 64
+        # Table V, where the timing models read it.
+        assert BoosterConfig().clock_ghz == 1.0
+        assert c.cpu_clock_ghz == 2.2  # the Ideal 32-core's and Ideal GPU's clock
+        assert IdealMulticore.threads == 32
+        assert IdealGPU.threads == 64
 
 
 class TestGeomean:

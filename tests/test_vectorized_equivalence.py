@@ -31,13 +31,13 @@ from repro.memory import (
     DRAMConfig,
     DRAMSimulator,
     bandwidth_profile,
-    gather_blocks,
     sequential,
 )
 from repro.memory.dram import _PAD_ROW, serve_lanes
 from repro.memory.profile import _CAL_BLOCKS
 from tests.conftest import small_spec_factory
 from tests import oracles
+from tests.traces import gather_blocks
 from tests.oracles import ChannelSim, LevelWiseOracle, best_split_many, dram_run_oracle
 
 
@@ -514,8 +514,8 @@ class TestChannelSimEquivalence:
             wide = rng.integers(0, top, size=2_000, dtype=np.int64)
             assert DRAMSimulator().run(wide) == dram_run_oracle(wide)
 
-    def test_run_many_matches_oracle_per_trace(self):
-        """Traces of unequal length, one empty, one paced, packed as one call."""
+    def test_run_matches_oracle_per_trace(self):
+        """Traces of unequal length, one empty, one paced, on a small DRAM."""
         rng = np.random.default_rng(5)
         cfg = DRAMConfig(n_channels=3, n_banks=4)
         traces = [
@@ -525,20 +525,13 @@ class TestChannelSimEquivalence:
             gather_blocks(3000, 0.3, seed=2),
         ]
         arrivals = [None, None, np.arange(40)[::-1] * 3, None]
-        got = DRAMSimulator(cfg, window=3).run_many(traces, arrivals)
-        assert got == [dram_run_oracle(t, cfg, 3, a) for t, a in zip(traces, arrivals)]
+        sim = DRAMSimulator(cfg, window=3)
+        for t, a in zip(traces, arrivals):
+            assert sim.run(t, a) == dram_run_oracle(t, cfg, 3, a)
 
     def test_calibration_matches_oracle(self):
-        """``bandwidth_profile`` == the same eight traces run through the oracle."""
-        profile = bandwidth_profile()
-        seq = dram_run_oracle(sequential(_CAL_BLOCKS))
-        assert profile.sequential_bpc == seq.bytes_per_cycle
-        assert profile.sequential_latency == seq.mean_latency
-        gathers = [
-            dram_run_oracle(gather_blocks(max(int(_CAL_BLOCKS / d), 1), d, seed=17))
-            for d in profile.gather_densities
-        ]
-        assert np.array_equal(profile.gather_bpc, [s.bytes_per_cycle for s in gathers])
+        """``bandwidth_profile`` == the calibration stream run through the oracle."""
+        assert bandwidth_profile().stream == dram_run_oracle(sequential(_CAL_BLOCKS))
 
 
 def _assert_same_tree(ta, tb) -> None:
