@@ -20,7 +20,9 @@
 #      and a sweep over the same flags reuses the direct command's
 #      training artifact (cache hit, nothing trained)
 #   6. the reproduction contract at CLI defaults: a cold `repro validate`
-#      prints tests/data/validate_cli_default.txt byte for byte
+#      prints tests/data/validate_cli_default.txt byte for byte, and
+#      `repro figures` over the now-warm store prints
+#      tests/data/figures_cli_default.txt
 #
 # Everything lands under /tmp (*.jsonl manifests, *.log transcripts) so a
 # failing CI run can upload the lot as artifacts.
@@ -157,7 +159,7 @@ if grep -q "\[trained\]" /tmp/warm-sweep.log; then
 fi
 echo "warm start: identical output, one stored calibration, sweep reuses the training"
 
-echo "=== smoke 6/6: cold repro validate at CLI defaults matches its transcript ==="
+echo "=== smoke 6/6: repro validate and figures at CLI defaults match their transcripts ==="
 # The tier-1 golden (tests/data/validate_golden.txt) prices 6-tree runs, so
 # the 500-tree extrapolation leaves 2 trees over; the CLI default trains 10
 # trees, an exact multiple of 500.  A cold store trains all five benchmarks
@@ -167,5 +169,10 @@ rm -rf /tmp/repro-ci-validate-cache
 python -m repro.cli validate > /tmp/validate-default.log
 diff tests/data/validate_cli_default.txt /tmp/validate-default.log
 echo "validate at CLI defaults: stdout matches the committed transcript"
+# The same store is warm now; all 12 artifacts at 10 trees cover the 500-tree
+# cycle with no remainder, which the 6-tree tier-1 figures golden does not.
+python -m repro.cli figures > /tmp/figures-default.log
+diff tests/data/figures_cli_default.txt /tmp/figures-default.log
+echo "figures at CLI defaults: stdout matches the committed transcript"
 
 echo "all sweep smokes passed"

@@ -977,6 +977,14 @@ class TestFiguresGolden:
         golden = (DATA_DIR / "figures_table4_table5_golden.txt").read_text()
         assert capsys.readouterr().out == golden
 
+    def test_every_artifact_matches_golden(self, executor):
+        """All 12 artifacts from the 6-tree session executor, laid out as
+        `repro figures` prints them, render byte for byte as
+        tests/data/figures_golden.txt.  Six trees leave a remainder in the
+        500-tree cycle; CI diffs the 10-tree CLI default, which has none."""
+        text = "".join(render(executor) + "\n\n" for render in ARTIFACTS.values())
+        assert text == (DATA_DIR / "figures_golden.txt").read_text()
+
 
 class TestValidateCommand:
     def test_validate_passes(self, capsys):
