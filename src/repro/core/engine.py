@@ -48,10 +48,9 @@ class BoosterEngine(HardwareModel):
     * ``("field", False)``  -> + group-by-field mapping,
     * ``("field", True)``   -> + redundant column-major format (full Booster).
 
-    ``growth`` selects the tree-growth schedule priced (Sec. II-A):
-    ``"vertex"`` (vertex by vertex, the paper's assumption) or ``"level"``
-    (level by level, one resident histogram per live vertex).  Both
-    schedules build the same model, so one trained profile prices either.
+    Like the paper ("The above assumes the former", Sec. II-A), it prices
+    vertex-by-vertex growth: one histogram per vertex, one host round trip
+    per evaluated vertex.
     """
 
     name = "booster"
@@ -63,17 +62,13 @@ class BoosterEngine(HardwareModel):
         bandwidth: BandwidthProfile | None = None,
         mapping_strategy: str = "field",
         column_format: bool = True,
-        growth: str = "vertex",
     ) -> None:
         super().__init__(costs=costs, bandwidth=bandwidth)
         self.config = config or PAPER_CONFIG
         if mapping_strategy not in ("field", "naive"):
             raise ValueError(f"unknown mapping strategy {mapping_strategy!r}")
-        if growth not in ("vertex", "level"):
-            raise ValueError(f"unknown growth schedule {growth!r}")
         self.mapping_strategy = mapping_strategy
         self.column_format = column_format
-        self.growth = growth
         self.bus = BroadcastBus(self.config, fanin=self.costs.broadcast_fanin)
 
     # -- mapping --------------------------------------------------------------------
@@ -99,14 +94,6 @@ class BoosterEngine(HardwareModel):
 
         # ---- Step 1: histogram binning ------------------------------------------
         throughput = mapping.throughput_records_per_cycle(c.bu_op_cycles)
-        if self.growth == "level":
-            # Level-wise growth keeps one histogram per live vertex resident
-            # (Sec. II-A); the replicas that vertex-wise growth spends on
-            # inter-record parallelism are consumed by vertex histograms.
-            live = int(np.ceil(profile.mean_live_vertices()))
-            replicas_eff = max(1, mapping.replicas // live)
-            per_record = c.bu_op_cycles * max(mapping.serialization, 1.0) * mapping.field_passes
-            throughput = replicas_eff / per_record
         compute_cycles = profile.binned_records() / throughput
         mem_bytes = profile.step1_bytes(layout)
         if mapping.field_passes > 1:
@@ -130,14 +117,11 @@ class BoosterEngine(HardwareModel):
             * entries
             * c.reduce_cycles_per_entry
         )
-        # Ship the reduced histograms up, get the predicates back.  The PCIe
-        # payload scales with evaluated vertices either way, but level-wise
-        # growth batches a whole level into one round trip, so the fixed
-        # latency is paid per *level*, not per vertex.
-        sync_points = profile.total_levels() if self.growth == "level" else n_evals
+        # Ship the reduced histograms up, get the predicates back: one round
+        # trip per evaluated vertex.
         pcie_s = (
             n_evals * profile.n_total_bins * c.offload_bin_bytes / (c.pcie_gbps * 1e9)
-            + sync_points * c.booster_node_overhead_s
+            + n_evals * c.booster_node_overhead_s
         )
         other = self._cycles_to_seconds(reduce_cycles) + pcie_s
 
@@ -246,8 +230,6 @@ def simulate_step1_micro(
     spec: DatasetSpec,
     config: BoosterConfig | None = None,
     costs: CostModel | None = None,
-    mapping_strategy: str = "field",
-    seed: int = 0,
 ) -> Step1MicroResult:
     """Walk records one by one through fetch -> broadcast -> BU pipeline.
 
@@ -255,17 +237,13 @@ def simulate_step1_micro(
     BUs (records are admitted when both their data and a replica slot are
     ready).  The analytic model says total cycles ~= max(memory, compute) +
     broadcast fill; this micro-simulation checks that equation for real
-    configurations, mirroring the paper's RTL-validation role.
+    configurations, mirroring the paper's RTL-validation role.  Records map
+    to BUs by field group, as in the full Booster.
     """
-    from ..datasets.layout import LayoutConfig
-
     config = config or PAPER_CONFIG
     costs = costs or CostModel()
-    layout = RecordLayout(spec, LayoutConfig())
-    if mapping_strategy == "field":
-        mapping = group_by_field_mapping(spec, config, costs.sram_bin_bytes)
-    else:
-        mapping = naive_packing_mapping(spec, config, costs.sram_bin_bytes)
+    layout = RecordLayout(spec)
+    mapping = group_by_field_mapping(spec, config, costs.sram_bin_bytes)
 
     # Memory: stream the records' blocks through the cycle-level DRAM model.
     blocks_per_record = layout.blocks_per_record

@@ -15,7 +15,7 @@ from .predict import EnsemblePredictor
 from .split import SplitDecision, SplitParams, SplitSearcher, leaf_weight, segment_cumsum
 from .trainer import GBDTTrainer, TrainParams, TrainResult, train
 from .tree import NodeTable, Tree
-from .workprofile import InferenceWork, TreeWork, WorkProfile
+from .workprofile import InferenceWork, WorkProfile
 
 __all__ = [
     "EnsemblePredictor",
@@ -33,7 +33,6 @@ __all__ = [
     "TrainParams",
     "TrainResult",
     "Tree",
-    "TreeWork",
     "WorkProfile",
     "leaf_weight",
     "loss_for_task",

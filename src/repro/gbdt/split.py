@@ -305,7 +305,7 @@ class SplitSearcher:
         ``g_tot``/``h_tot``/``c_tot`` are the node's record totals.  (They
         cannot be recovered by summing the flattened histogram, which counts
         every record once *per field*.)  The modelled step-2 work
-        (:class:`~repro.gbdt.workprofile.TreeWork` and the timing models) is
+        (:class:`~repro.gbdt.workprofile.WorkProfile` and the timing models) is
         O(total bins) regardless of how many records reached the node -- the
         property that justifies offloading step 2 to the host.  This host
         software scores a vertex one of two ways, both exact:

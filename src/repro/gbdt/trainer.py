@@ -24,13 +24,9 @@ work as if it were done: a vertex whose hessian total is below twice
 so it is recorded as evaluated but not searched, and a smaller child is not
 binned when neither child will be searched.
 
-Level-by-level growth visits the same vertices in the same breadth-first
-order and builds the identical model, so one trained profile prices both
-schedules: the schedule is a pricing input
-(:class:`~repro.core.engine.BoosterEngine` ``growth``), not a second trainer.
-
-Every step increments the corresponding counters of a :class:`WorkProfile`,
-which the hardware timing models consume.
+Every step records its work in the round's :class:`TreeWork`; the rounds
+concatenate into one :class:`WorkProfile`, which every hardware timing model
+prices.  Like the paper, the models price vertex-by-vertex growth only.
 """
 
 from __future__ import annotations
@@ -160,7 +156,6 @@ class GBDTTrainer:
             work.sum_path_len = float(depths.sum())
             work.mean_path_len = float(depths.mean()) if n else 0.0
             work.max_path_len = int(depths.max()) if n else 0
-            work.loss_after = float(losses[round_ix])
             tree_works.append(work)
 
             path_sum += float(depths.sum())
@@ -174,9 +169,9 @@ class GBDTTrainer:
             var = max(path_sq_sum / path_count - mean * mean, 0.0)
             cv = float(np.sqrt(var) / mean)
 
-        profile = WorkProfile(
-            spec=data.spec,
-            trees=tree_works,
+        profile = WorkProfile.of_trees(
+            data.spec,
+            tree_works,
             warp_conflict_factor=warp_conflict_factor(
                 data.codes, sample=params.conflict_sample
             ),
@@ -355,7 +350,6 @@ class GBDTTrainer:
             sum_path_len=0.0,
             mean_path_len=0.0,
             max_path_len=0,
-            loss_after=0.0,
         )
         return tree, work, child_fracs, root_counts, leaf_weights, path_lens
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 
@@ -22,10 +23,14 @@ from .tree import NODE_ENTRY_BYTES
 
 __all__ = ["TreeWork", "WorkProfile", "InferenceWork"]
 
+_NODE_ARRAYS = ("depth", "n_reach", "n_binned", "split_evaluated", "is_split", "split_field")
+_TREE_ARRAYS = ("n_nodes", "n_relevant", "sum_path_len", "mean_path_lens", "max_path_len")
+
 
 @dataclass
 class TreeWork:
-    """Per-node and per-tree work quantities for one boosting round."""
+    """Per-node and per-tree work quantities of one boosting round, as the
+    trainer records them; :meth:`WorkProfile.of_trees` concatenates them."""
 
     depth: np.ndarray  # per-node depth
     n_reach: np.ndarray  # records reaching the node
@@ -37,84 +42,98 @@ class TreeWork:
     sum_path_len: float  # total interior hops over all records (step 5)
     mean_path_len: float
     max_path_len: int
-    loss_after: float
 
-    @property
-    def n_nodes(self) -> int:
-        return int(self.depth.shape[0])
 
-    @property
-    def n_splits(self) -> int:
-        return int(self.is_split.sum())
-
-    @property
-    def n_leaves(self) -> int:
-        return self.n_nodes - self.n_splits
-
-    @property
-    def max_depth(self) -> int:
-        return int(self.depth.max()) if self.n_nodes else 0
-
-    @property
-    def n_relevant_fields(self) -> int:
-        return int(self.relevant_fields.shape[0])
+def _cycle(values: np.ndarray, full: int, cut: int) -> np.ndarray:
+    """``full`` copies of ``values``, then its first ``cut`` entries."""
+    if full == 1 and cut == 0:
+        return values
+    return np.concatenate([np.tile(values, full), values[:cut]])
 
 
 @dataclass
-class _StackedWork:
-    """Per-node arrays of the measured trees concatenated, plus per-tree
-    scalars, and the cycle a tree-scaled profile replays them in.
+class WorkProfile:
+    """All work quantities from one training run.
 
-    The whole-run reductions (``binned_records``, ``step1_bytes``, ...) used
-    to loop ``sum(... for t in profile.trees)``; stacking once and reducing
-    with single NumPy calls removes the per-tree interpreted passes.  Built
-    lazily and cached on the profile (tree lists are never mutated after
-    construction; ``scaled``/``with_trees_scaled`` return fresh profiles).
+    The measured trees' per-node arrays are concatenated in training order;
+    the per-tree arrays hold one entry per measured tree.  A
+    :meth:`with_trees_scaled` copy keeps those arrays and records the cycle
+    it replays them in: ``full`` whole copies of the measured trees, then
+    the first ``rest`` of them again.  Every reduction prices the cycle: a
+    per-node term is computed once on the measured entries and
+    :meth:`per_node` lays it out as the replicated trees would hold it, so a
+    float sum over it adds the same terms in the same order, and
+    :meth:`node_total` adds integers exactly as ``full * base + partial``.
+    Price through the reduction methods, never through the raw arrays,
+    which hold the measured trees only.
 
-    A :meth:`WorkProfile.with_trees_scaled` copy keeps its source's arrays
-    and records the cycle instead of tiling them: ``full`` whole copies of
-    these trees, then the first ``rest`` of them again.  A per-node term is
-    computed once on the measured entries; :meth:`per_node` lays it out as
-    the concatenated replicated trees would hold it, so a float sum over it
-    adds the same terms in the same order, and :meth:`node_total` adds
-    integers exactly as ``full * base + partial``.
+    ``warp_conflict_factor`` is the expected maximum same-bin multiplicity
+    within a 32-record group, averaged over fields -- the quantity that
+    serializes GPU atomic histogram updates (Sec. II-D).  ``path_len_cv`` is
+    the coefficient of variation of traversal path lengths, the SIMT
+    divergence proxy.  ``smaller_child_fraction_mean`` documents split
+    lopsidedness (the Allstate/Flight 99/1 behaviour).
+
+    ``measured`` is False on :meth:`scaled` / :meth:`with_trees_scaled`
+    copies: their totals are extrapolations, so :meth:`inference_work`
+    (which must match a walk over the training records) refuses them.
     """
 
-    n_binned: np.ndarray  # per-node, all measured trees
-    n_reach: np.ndarray
+    spec: DatasetSpec
+    # Per node, all measured trees (see :class:`TreeWork`).
     depth: np.ndarray
+    n_reach: np.ndarray
+    n_binned: np.ndarray
     split_evaluated: np.ndarray
     is_split: np.ndarray
     split_field: np.ndarray
-    relevant_fields: np.ndarray  # all measured trees' relevant fields, concatenated
-    sum_path_len: np.ndarray  # per-tree
-    max_depth: np.ndarray  # per-tree
-    n_nodes: np.ndarray  # per-tree
+    # Per measured tree.
+    n_nodes: np.ndarray
+    n_relevant: np.ndarray  # relevant fields of each tree
+    sum_path_len: np.ndarray
+    mean_path_lens: np.ndarray
+    max_path_len: np.ndarray
+    #: Every measured tree's relevant fields, concatenated.
+    relevant_fields: np.ndarray
+    warp_conflict_factor: float = 1.0
+    path_len_cv: float = 0.0
+    smaller_child_fraction_mean: float = 0.5
+    train_seconds_wall: float = 0.0
+    losses: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    #: Per-bin access counts measured at the root of the first tree; drives
+    #: the CPU cache model (skewed data concentrates updates in few hot bins).
+    root_bin_counts: np.ndarray | None = None
+    measured: bool = True
     full: int = 1
     rest: int = 0
-    #: ``relevant_fields`` entries of the first ``rest`` trees.
-    rest_relevant: int = 0
 
     @classmethod
-    def of(cls, trees: list[TreeWork]) -> "_StackedWork":
-        """The stack of ``trees``, each tree once."""
+    def of_trees(cls, spec: DatasetSpec, trees: list[TreeWork], **scalars: Any) -> "WorkProfile":
+        """The profile of ``trees`` in training order, each tree once;
+        ``scalars`` sets the run-level fields."""
 
         def cat(name: str, dtype: type = np.int64) -> np.ndarray:
             parts = [getattr(t, name) for t in trees]
             return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
         return cls(
-            n_binned=cat("n_binned"),
-            n_reach=cat("n_reach"),
+            spec=spec,
             depth=cat("depth"),
+            n_reach=cat("n_reach"),
+            n_binned=cat("n_binned"),
             split_evaluated=cat("split_evaluated", bool),
             is_split=cat("is_split", bool),
             split_field=cat("split_field"),
-            relevant_fields=cat("relevant_fields"),
+            n_nodes=np.array([t.depth.size for t in trees], dtype=np.int64),
+            n_relevant=np.array([t.relevant_fields.size for t in trees], dtype=np.int64),
             sum_path_len=np.array([t.sum_path_len for t in trees], dtype=np.float64),
-            max_depth=np.array([t.max_depth for t in trees], dtype=np.int64),
-            n_nodes=np.array([t.n_nodes for t in trees], dtype=np.int64),
+            mean_path_lens=np.array([t.mean_path_len for t in trees], dtype=np.float64),
+            max_path_len=np.array([t.max_path_len for t in trees], dtype=np.int64),
+            relevant_fields=cat("relevant_fields"),
+            **scalars,
         )
+
+    # -- the cycle -------------------------------------------------------------------
 
     @cached_property
     def binned(self) -> np.ndarray:
@@ -163,62 +182,11 @@ class _StackedWork:
         """Exact integer total of per-tree ``values`` over the cycle."""
         return self.full * int(values.sum()) + int(values[: self.rest].sum())
 
+    def _rest_relevant(self) -> int:
+        """``relevant_fields`` entries of the first ``rest`` trees."""
+        return int(self.n_relevant[: self.rest].sum())
 
-def _cycle(values: np.ndarray, full: int, cut: int) -> np.ndarray:
-    """``full`` copies of ``values``, then its first ``cut`` entries."""
-    if full == 1 and cut == 0:
-        return values
-    return np.concatenate([np.tile(values, full), values[:cut]])
-
-
-@dataclass
-class WorkProfile:
-    """All work quantities from one training run.
-
-    ``warp_conflict_factor`` is the expected maximum same-bin multiplicity
-    within a 32-record group, averaged over fields -- the quantity that
-    serializes GPU atomic histogram updates (Sec. II-D).  ``path_len_cv`` is
-    the coefficient of variation of traversal path lengths, the SIMT
-    divergence proxy.  ``smaller_child_fraction_mean`` documents split
-    lopsidedness (the Allstate/Flight 99/1 behaviour).
-
-    ``measured`` is False on :meth:`scaled` / :meth:`with_trees_scaled`
-    copies: their totals are extrapolations, so :meth:`inference_work`
-    (which must match a walk over the training records) refuses them.
-    """
-
-    spec: DatasetSpec
-    trees: list[TreeWork]
-    warp_conflict_factor: float = 1.0
-    path_len_cv: float = 0.0
-    smaller_child_fraction_mean: float = 0.5
-    train_seconds_wall: float = 0.0
-    losses: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    #: Per-bin access counts measured at the root of the first tree; drives
-    #: the CPU cache model (skewed data concentrates updates in few hot bins).
-    root_bin_counts: np.ndarray | None = None
-    measured: bool = True
-
-    @property
-    def stacked(self) -> _StackedWork:
-        """The measured trees' stack and its cycle (cached; see :class:`_StackedWork`)."""
-        cached = getattr(self, "_stacked", None)
-        if cached is None:
-            cached = self._stacked = _StackedWork.of(self.trees)
-        return cached
-
-    def total_levels(self) -> int:
-        """Tree levels processed across the run (level-wise sync points)."""
-        stk = self.stacked
-        return stk.tree_total(stk.max_depth + 1)
-
-    def mean_live_vertices(self) -> float:
-        """Average vertices evaluated per level (level-wise histogram
-        residency requirement: this many per-vertex histograms live on chip)."""
-        levels = self.total_levels()
-        if levels == 0:
-            return 1.0
-        return max(1.0, self.step2_evaluations() / levels)
+    # -- extrapolation -----------------------------------------------------------------
 
     def scaled(self, factor: float) -> "WorkProfile":
         """Extrapolate the profile to a larger/smaller record count.
@@ -232,31 +200,12 @@ class WorkProfile:
         """
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        trees = [
-            TreeWork(
-                depth=t.depth,
-                n_reach=np.round(t.n_reach * factor).astype(np.int64),
-                n_binned=np.round(t.n_binned * factor).astype(np.int64),
-                split_evaluated=t.split_evaluated,
-                is_split=t.is_split,
-                split_field=t.split_field,
-                relevant_fields=t.relevant_fields,
-                sum_path_len=t.sum_path_len * factor,
-                mean_path_len=t.mean_path_len,
-                max_path_len=t.max_path_len,
-                loss_after=t.loss_after,
-            )
-            for t in self.trees
-        ]
-        return WorkProfile(
+        return replace(
+            self,
             spec=self.spec.with_records(max(1, int(round(self.spec.n_records * factor)))),
-            trees=trees,
-            warp_conflict_factor=self.warp_conflict_factor,
-            path_len_cv=self.path_len_cv,
-            smaller_child_fraction_mean=self.smaller_child_fraction_mean,
-            train_seconds_wall=self.train_seconds_wall,
-            losses=self.losses,
-            root_bin_counts=self.root_bin_counts,
+            n_reach=np.round(self.n_reach * factor).astype(np.int64),
+            n_binned=np.round(self.n_binned * factor).astype(np.int64),
+            sum_path_len=self.sum_path_len * factor,
             measured=False,
         )
 
@@ -264,32 +213,23 @@ class WorkProfile:
         """Extrapolate to the paper's tree count (500) by replicating the
         measured per-tree work cyclically.  Per-tree work is statistically
         homogeneous after the first few boosting rounds, and every reported
-        metric is a ratio of sums over trees.  The copy's ``trees`` list
-        repeats references; its stack is this profile's plus the cycle (see
-        :class:`_StackedWork`), so no per-node array is replicated."""
+        metric is a ratio of sums over trees.  The copy keeps this profile's
+        arrays and records the cycle, so no array is replicated; a cycled
+        source first lays its own cycle out as explicit trees."""
         if n_trees_target < 1:
             raise ValueError("n_trees_target must be >= 1")
-        if not self.trees:
+        if not self.n_nodes.size:
             return self
-        reps = [self.trees[i % len(self.trees)] for i in range(n_trees_target)]
-        out = WorkProfile(
-            spec=self.spec,
-            trees=reps,
-            warp_conflict_factor=self.warp_conflict_factor,
-            path_len_cv=self.path_len_cv,
-            smaller_child_fraction_mean=self.smaller_child_fraction_mean,
-            train_seconds_wall=self.train_seconds_wall,
-            losses=self.losses,
-            root_bin_counts=self.root_bin_counts,
-            measured=False,
-        )
-        stack = self.stacked
-        if (stack.full, stack.rest) != (1, 0):  # a cycled source: stack its own trees
-            stack = _StackedWork.of(self.trees)
-        full, rest = divmod(n_trees_target, len(self.trees))
-        relevant = sum(t.n_relevant_fields for t in self.trees[:rest])
-        out._stacked = replace(stack, full=full, rest=rest, rest_relevant=relevant)
-        return out
+        source = self
+        if (self.full, self.rest) != (1, 0):
+            arrays: dict[str, Any] = {
+                **{name: self.per_node(getattr(self, name)) for name in _NODE_ARRAYS},
+                **{name: self.per_tree(getattr(self, name)) for name in _TREE_ARRAYS},
+                "relevant_fields": _cycle(self.relevant_fields, self.full, self._rest_relevant()),
+            }
+            source = replace(self, **arrays, full=1, rest=0)
+        full, rest = divmod(n_trees_target, source.n_nodes.size)
+        return replace(source, full=full, rest=rest, measured=False)
 
     # -- structural shortcuts -----------------------------------------------------
 
@@ -307,24 +247,21 @@ class WorkProfile:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.full * self.n_nodes.size + self.rest
 
     def total_nodes(self) -> int:
         """Tree nodes across the run (table entries replicated per tree)."""
-        stk = self.stacked
-        return stk.tree_total(stk.n_nodes)
+        return self.tree_total(self.n_nodes)
 
     # -- step 1: histogram binning ---------------------------------------------
 
     def binned_records(self) -> float:
         """Total records explicitly binned across all nodes and trees."""
-        stk = self.stacked
-        return float(stk.node_total(stk.n_binned))
+        return float(self.node_total(self.n_binned))
 
     def binned_nodes(self) -> int:
         """Nodes with an explicitly binned histogram, all trees."""
-        stk = self.stacked
-        return stk.node_total(stk.binned)
+        return self.node_total(self.binned)
 
     def binned_record_fields(self) -> float:
         """Total (record, field) histogram updates -- the step-1 op count."""
@@ -332,23 +269,21 @@ class WorkProfile:
 
     def step1_bytes(self, layout: RecordLayout) -> float:
         """DRAM bytes for step 1: pointer stream + row-major records + g/h."""
-        stk = self.stacked
-        binned = stk.binned_nonzero
+        binned = self.binned_nonzero
         if binned.size == 0:
             return 0.0
         rows = layout.row_bytes_gather(binned, self.n_records)
         pointers = layout.pointer_bytes(binned)
         return float(
-            np.sum(stk.per_node(rows, stk.binned))
+            np.sum(self.per_node(rows, self.binned))
             + self.step1_stats_bytes(layout)
-            + np.sum(stk.per_node(pointers, stk.binned))
+            + np.sum(self.per_node(pointers, self.binned))
         )
 
     def step1_stats_bytes(self, layout: RecordLayout) -> float:
         """The g/h gathers of step 1 alone (a part of :meth:`step1_bytes`)."""
-        stk = self.stacked
-        stats = layout.stats_bytes_gather(stk.binned_nonzero, self.n_records)
-        return float(np.sum(stk.per_node(stats, stk.binned)))
+        stats = layout.stats_bytes_gather(self.binned_nonzero, self.n_records)
+        return float(np.sum(self.per_node(stats, self.binned)))
 
     def hot_access_fraction(self, n_hot_bins: int) -> float:
         """Fraction of histogram updates that land in the ``n_hot_bins``
@@ -376,8 +311,7 @@ class WorkProfile:
 
     def step2_evaluations(self) -> int:
         """Nodes whose histogram was scanned for a split."""
-        stk = self.stacked
-        return stk.node_total(stk.split_evaluated)
+        return self.node_total(self.split_evaluated)
 
     def step2_bin_scans(self) -> float:
         """Total bins scanned by step 2 (evaluations x total bins)."""
@@ -387,13 +321,11 @@ class WorkProfile:
 
     def split_nodes(self) -> int:
         """Interior (split) nodes, all trees."""
-        stk = self.stacked
-        return stk.node_total(stk.is_split)
+        return self.node_total(self.is_split)
 
     def partition_records(self) -> float:
         """Total records partitioned at split nodes (step-3 op count)."""
-        stk = self.stacked
-        return float(stk.node_total(stk.split_reach, stk.is_split))
+        return float(self.node_total(self.split_reach, self.is_split))
 
     def step3_bytes(self, layout: RecordLayout, column_format: bool) -> float:
         """DRAM bytes for step 3.
@@ -404,25 +336,23 @@ class WorkProfile:
         Both variants read and write the record-pointer streams.
         """
         n = self.n_records
-        stk = self.stacked
-        reach = stk.split_reach
+        reach = self.split_reach
         if reach.size == 0:
             return 0.0
         if column_format:
-            gathers = layout.column_bytes_gather(stk.split_fields, reach, n)
+            gathers = layout.column_bytes_gather(self.split_fields, reach, n)
         else:
             gathers = layout.row_bytes_gather(reach, n)
-        total = float(np.sum(stk.per_node(gathers, stk.is_split)))
+        total = float(np.sum(self.per_node(gathers, self.is_split)))
         # Read the incoming pointer stream, write true/false streams.
-        pointers = stk.per_node(layout.pointer_bytes(reach), stk.is_split)
+        pointers = self.per_node(layout.pointer_bytes(reach), self.is_split)
         return total + 2.0 * float(np.sum(pointers))
 
     # -- step 5: one-tree traversal --------------------------------------------------
 
     def traversal_hops(self) -> float:
         """Total interior-node visits over all records and trees."""
-        stk = self.stacked
-        return float(stk.per_tree(stk.sum_path_len).sum())
+        return float(self.per_tree(self.sum_path_len).sum())
 
     def traversal_records(self) -> float:
         return float(self.n_records * self.n_trees)
@@ -442,10 +372,9 @@ class WorkProfile:
             # blocks (column bytes are per-field, so concatenating across
             # trees sums the same terms): the block totals are integers far
             # below 2**53, so ``full * base + partial`` is exact.
-            stk = self.stacked
-            fields = stk.relevant_fields
-            total = stk.full * layout.column_bytes_sequential(fields, n)
-            total += layout.column_bytes_sequential(fields[: stk.rest_relevant], n)
+            fields = self.relevant_fields
+            total = self.full * layout.column_bytes_sequential(fields, n)
+            total += layout.column_bytes_sequential(fields[: self._rest_relevant()], n)
         else:
             total = n_trees * layout.row_bytes_sequential(n)
         total += n_trees * (2.0 * layout.stats_bytes_sequential(n))  # g/h read + write
@@ -472,23 +401,22 @@ class WorkProfile:
         """
         if not self.measured:
             raise ValueError("inference_work needs the measured profile, not a scaled copy")
-        if not self.trees:
+        if not self.n_nodes.size:
             raise ValueError("ensemble needs at least one tree")
         measured_trees = self.n_trees
         target = measured_trees if n_trees_target is None else n_trees_target
         if target < 1:
             raise ValueError("n_trees_target must be >= 1")
-        stk = self.stacked
         scale = target / measured_trees
         # Per-tree hop counts are integers stored as floats, so this sum is
         # exact: a walk adding them tree by tree gets the same value.
         sum_len = self.traversal_hops()
-        n_nodes = int(stk.n_nodes.sum())
+        n_nodes = int(self.n_nodes.sum())
         return InferenceWork(
             spec=self.spec,
             n_records=self.n_records,
             n_trees=target,
-            max_depth=int(stk.max_depth.max()),
+            max_depth=int(self.depth.max()),
             mean_path_len=sum_len / (self.n_records * measured_trees),
             sum_path_len=sum_len * scale,
             path_len_cv=self.path_len_cv,
@@ -499,22 +427,16 @@ class WorkProfile:
     # -- whole-run summaries -----------------------------------------------------------
 
     def mean_leaf_depth(self) -> float:
-        stk = self.stacked
-        if stk.depth.size == 0:
+        if self.depth.size == 0:
             return 0.0
         # Integer depth totals: the exact quotient ``np.mean`` also rounds.
-        leaves = ~stk.is_split
-        return stk.node_total(stk.depth[leaves], leaves) / stk.node_total(leaves)
-
-    def mean_max_depth(self) -> float:
-        if not self.trees:
-            return 0.0
-        return float(np.mean([t.max_depth for t in self.trees]))
+        leaves = ~self.is_split
+        return self.node_total(self.depth[leaves], leaves) / self.node_total(leaves)
 
     def mean_path_len(self) -> float:
-        if not self.trees:
+        if not self.n_nodes.size:
             return 0.0
-        return float(np.mean([t.mean_path_len for t in self.trees]))
+        return float(np.mean(self.per_tree(self.mean_path_lens)))
 
     def summary(self) -> dict:
         """Human-readable run summary used by reports and EXPERIMENTS.md."""

@@ -35,10 +35,6 @@ class Claim:
         return "ok" if self.passed else "FAIL"
 
 
-def _speedups(ex: Executor) -> dict[str, float]:
-    return {name: ex.compare(name).speedup("booster") for name in ex.all_datasets()}
-
-
 def validate_all(ex: Executor) -> list[Claim]:
     """Evaluate the complete claim checklist; returns one Claim per row."""
     claims: list[Claim] = []
@@ -89,14 +85,15 @@ def validate_all(ex: Executor) -> list[Claim]:
         f"min {100 * min(seq_shares.values()):.1f}%", ok)
 
     # -- Fig. 7: training speedups -----------------------------------------------------------
-    sp = _speedups(ex)
+    cmps = {name: ex.compare(name) for name in ex.all_datasets()}
+    sp = {name: cmp.speedup("booster") for name, cmp in cmps.items()}
     g = geomean(sp.values())
     add("Fig. 7", "Booster geomean over Ideal 32-core", "11.4x", f"{g:.2f}x", 8.0 < g < 16.0)
     add("Fig. 7", "maximum speedup benchmark", "IoT (30.6x)",
         f"{max(sp, key=sp.get)} ({max(sp.values()):.1f}x)", max(sp, key=sp.get) == "iot")
     add("Fig. 7", "minimum speedup benchmark", "Flight (4.6x)",
         f"{min(sp, key=sp.get)} ({min(sp.values()):.1f}x)", min(sp, key=sp.get) == "flight")
-    gpu = [ex.compare(n).speedup("ideal-gpu") for n in ex.all_datasets()]
+    gpu = [cmp.speedup("ideal-gpu") for cmp in cmps.values()]
     add("Fig. 7", "Ideal GPU over Ideal 32-core", "1.6-1.9x",
         f"{min(gpu):.2f}-{max(gpu):.2f}x", all(1.4 < v < 2.0 for v in gpu))
     ir = ex.model("inter-record")

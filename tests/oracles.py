@@ -18,9 +18,11 @@ is re-associated):
   iteration, and a trace run channel by channel through it;
 * :func:`admit_records` -- step-1 record admission into the BU replicas,
   earliest-free replica first, one record at a time;
+* :func:`tree_works` -- a profile's trees, one :class:`TreeWork` each, laid
+  out over its cycle;
 * :func:`binned_records` ... :func:`step5_bytes` -- the whole-run
   :class:`~repro.gbdt.workprofile.WorkProfile` reductions as per-tree loops
-  over ``profile.trees`` instead of stacked-array sums;
+  over :func:`tree_works` instead of sums over the concatenated arrays;
 * :func:`inference_work` -- batch-inference work measured by walking every
   record through every tree again, instead of reading training's step-5
   walk off the profile;
@@ -71,6 +73,7 @@ __all__ = [
     "step3_bytes",
     "step5_bytes",
     "traversal_hops",
+    "tree_works",
     "warp_conflict_factor",
 ]
 
@@ -355,7 +358,6 @@ class LevelWiseOracle(GBDTTrainer):
             sum_path_len=0.0,
             mean_path_len=0.0,
             max_path_len=0,
-            loss_after=0.0,
         )
         # Step 5: walk the finished tree with every record.
         leaf_weights, path_lens = tree.predict(data.codes, return_depth=True)
@@ -687,16 +689,42 @@ def admit_records(
 # -- WorkProfile reductions, one tree at a time ----------------------------------
 
 
+def tree_works(profile: WorkProfile) -> list[TreeWork]:
+    """Per-tree slices of ``profile``'s arrays, laid out over its cycle:
+    ``profile.n_trees`` entries, tree ``i`` being measured tree ``i mod m``.
+
+    Per-tree scalars come back as Python ``float``/``int``, as the trainer
+    records them.
+    """
+    cuts = np.cumsum(profile.n_nodes)[:-1]
+    per_node = {
+        name: np.split(getattr(profile, name), cuts)
+        for name in ("depth", "n_reach", "n_binned", "split_evaluated", "is_split", "split_field")
+    }
+    fields = np.split(profile.relevant_fields, np.cumsum(profile.n_relevant)[:-1])
+    measured = [
+        TreeWork(
+            **{name: arrays[i] for name, arrays in per_node.items()},
+            relevant_fields=fields[i],
+            sum_path_len=float(profile.sum_path_len[i]),
+            mean_path_len=float(profile.mean_path_lens[i]),
+            max_path_len=int(profile.max_path_len[i]),
+        )
+        for i in range(profile.n_nodes.size)
+    ]
+    return [measured[i % len(measured)] for i in range(profile.n_trees)]
+
+
 def binned_records(profile: WorkProfile) -> float:
     """``WorkProfile.binned_records`` as a per-tree loop."""
-    return float(sum(t.n_binned.sum() for t in profile.trees))
+    return float(sum(t.n_binned.sum() for t in tree_works(profile)))
 
 
 def step1_bytes(profile: WorkProfile, layout: RecordLayout) -> float:
     """``WorkProfile.step1_bytes`` as a per-tree loop."""
     n = profile.n_records
     total = 0.0
-    for t in profile.trees:
+    for t in tree_works(profile):
         binned = t.n_binned[t.n_binned > 0]
         if binned.size == 0:
             continue
@@ -708,19 +736,19 @@ def step1_bytes(profile: WorkProfile, layout: RecordLayout) -> float:
 
 def step2_evaluations(profile: WorkProfile) -> int:
     """``WorkProfile.step2_evaluations`` as a per-tree loop."""
-    return int(sum(t.split_evaluated.sum() for t in profile.trees))
+    return int(sum(t.split_evaluated.sum() for t in tree_works(profile)))
 
 
 def partition_records(profile: WorkProfile) -> float:
     """``WorkProfile.partition_records`` as a per-tree loop."""
-    return float(sum(t.n_reach[t.is_split].sum() for t in profile.trees))
+    return float(sum(t.n_reach[t.is_split].sum() for t in tree_works(profile)))
 
 
 def step3_bytes(profile: WorkProfile, layout: RecordLayout, column_format: bool) -> float:
     """``WorkProfile.step3_bytes`` as a per-tree loop."""
     n = profile.n_records
     total = 0.0
-    for t in profile.trees:
+    for t in tree_works(profile):
         mask = t.is_split
         if not mask.any():
             continue
@@ -736,14 +764,14 @@ def step3_bytes(profile: WorkProfile, layout: RecordLayout, column_format: bool)
 
 def traversal_hops(profile: WorkProfile) -> float:
     """``WorkProfile.traversal_hops`` as a per-tree loop."""
-    return float(sum(t.sum_path_len for t in profile.trees))
+    return float(sum(t.sum_path_len for t in tree_works(profile)))
 
 
 def step5_bytes(profile: WorkProfile, layout: RecordLayout, column_format: bool) -> float:
     """``WorkProfile.step5_bytes`` as a per-tree loop."""
     n = profile.n_records
     total = 0.0
-    for t in profile.trees:
+    for t in tree_works(profile):
         if column_format:
             total += layout.column_bytes_sequential(t.relevant_fields.tolist(), n)
         else:

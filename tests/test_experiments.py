@@ -181,7 +181,7 @@ class TestProfileCache:
         deeper = replace(TINY, train=replace(TINY.train, max_depth=2))
         result = train_scenario(deeper, cache)
         assert len(calls) == 1 and calls[0].max_depth == 2
-        assert result.profile.mean_max_depth() <= 2
+        assert result.profile.depth.max() <= 2
 
     def test_explicit_invalidate_and_corruption(self, tmp_path):
         cache = ProfileCache(root=tmp_path)

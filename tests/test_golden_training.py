@@ -2,9 +2,10 @@
 
 Each registry dataset is trained at seed 7 with 3 trees, and a sha256 is
 taken over everything a training run hands to the timing models: every
-tree's node arrays, every ``TreeWork`` field, the losses, the root bin
-counts and the ``WorkProfile`` scalars (``train_seconds_wall`` excluded, it
-is a wall-clock reading).  The pinned digests were recorded before the
+tree's node arrays, every ``TreeWork`` field of each tree's slice of the
+profile (``loss_after`` read from ``profile.losses``), the losses, the root
+bin counts and the ``WorkProfile`` scalars (``train_seconds_wall`` excluded,
+it is a wall-clock reading).  The pinned digests were recorded before the
 kernels skipped dead searches, reused binning scratch and read step 5 off
 the partition; a kernel change that moves any trained bit fails here.
 """
@@ -19,6 +20,7 @@ import pytest
 
 from repro.datasets import BENCHMARK_NAMES, load
 from repro.gbdt import TrainParams, TrainResult, train
+from tests.oracles import tree_works
 
 GOLDEN = {
     "iot": "eb66759a5fcccbb6fce85a44179ab67f093ec5868daab40187a1fe897cff2931",
@@ -54,9 +56,10 @@ def training_digest(result: TrainResult) -> str:
         _update(hasher, f"tree{t}.weight", np.asarray(tree.weight, dtype=np.float64))
         _update(hasher, f"tree{t}.depth", np.asarray(tree.depth, dtype=np.int64))
     profile = result.profile
-    for t, work in enumerate(profile.trees):
+    for t, work in enumerate(tree_works(profile)):
         for f in dataclasses.fields(work):
             _update(hasher, f"work{t}.{f.name}", getattr(work, f.name))
+        _update(hasher, f"work{t}.loss_after", float(profile.losses[t]))
     _update(hasher, "losses", result.losses)
     _update(hasher, "base_margin", result.base_margin)
     _update(hasher, "profile.losses", profile.losses)

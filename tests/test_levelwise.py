@@ -1,16 +1,14 @@
 """Tests for level-by-level growth (Sec. II-A).
 
-The vertex-by-vertex trainer is the only tree grower; level-by-level growth
-is checked against the oracle in :mod:`tests.oracles` and priced by
-``BoosterEngine(growth="level")`` from the same trained profile.  The oracle
-also searches every vertex and walks the finished tree for step 5, so it
-pins the trainer's skipped searches and partition-derived step 5.
+The vertex-by-vertex trainer is the only tree grower; the level-by-level
+oracle in :mod:`tests.oracles` must build the same model.  The oracle also
+searches every vertex and walks the finished tree for step 5, so it pins the
+trainer's skipped searches and partition-derived step 5.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import BoosterEngine
 from repro.datasets import TaskKind, generate
 from repro.gbdt import GBDTTrainer, TrainParams, train
 from tests.conftest import small_spec_factory
@@ -80,18 +78,7 @@ class TestEquivalence:
 
 
 class TestLevelWiseProfile:
-    """The level quantities ``BoosterEngine(growth="level")`` prices come
-    from the vertex-by-vertex profile."""
-
-    def test_levels_counted(self, pair):
-        vertex, _ = pair
-        p = vertex.profile
-        assert p.total_levels() == sum(t.max_depth + 1 for t in p.trees)
-
-    def test_mean_live_vertices_in_range(self, pair):
-        vertex, _ = pair
-        live = vertex.profile.mean_live_vertices()
-        assert 1.0 <= live <= 2**6
+    """The level-wise oracle's own run: valid trees and the root's counts."""
 
     def test_trees_validate(self, pair):
         _, level = pair
@@ -103,37 +90,3 @@ class TestLevelWiseProfile:
         counts = level.profile.root_bin_counts
         assert counts is not None
         assert counts.sum() == pytest.approx(data.n_records * data.n_fields)
-
-
-class TestLevelWiseOnBooster:
-    @pytest.fixture(scope="class")
-    def engines(self, executor):
-        return {
-            growth: BoosterEngine(
-                config=executor.scenario.booster,
-                costs=executor.scenario.costs(),
-                bandwidth=executor.bandwidth,
-                growth=growth,
-            )
-            for growth in ("vertex", "level")
-        }
-
-    def test_fewer_sync_points_than_vertex(self, pair, engines):
-        vertex, _ = pair
-        profile = vertex.profile.scaled(1000).with_trees_scaled(100)
-        tv = engines["vertex"].training_times(profile)
-        tl = engines["level"].training_times(profile)
-        # Same PCIe payload; level-wise pays fixed latency per level instead
-        # of per vertex, so the offload ('other') component shrinks ...
-        assert tl.other < tv.other
-        # ... while step 1 slows down (replicas consumed by vertex histograms).
-        assert tl.step1 >= tv.step1
-
-    def test_vertex_engine_matches_executor_booster(self, pair, engines, executor):
-        profile = pair[0].profile.scaled(1000)
-        booster = executor.model("booster")
-        assert engines["vertex"].training_times(profile) == booster.training_times(profile)
-
-    def test_unknown_growth_rejected(self):
-        with pytest.raises(ValueError, match="growth"):
-            BoosterEngine(growth="bogus")

@@ -19,6 +19,7 @@ from repro.datasets import (
     generate,
 )
 from repro.gbdt import TrainParams, train
+from tests.oracles import tree_works
 
 # -- strategies -------------------------------------------------------------------
 
@@ -78,9 +79,9 @@ class TestTrainerProperties:
     def test_work_conservation(self, spec):
         data = generate(spec)
         result = train(data, TrainParams(n_trees=2, max_depth=4))
-        for tw in result.profile.trees:
+        for tw in tree_works(result.profile):
             # Records reaching any level equal records partitioned above it.
-            for d in range(1, tw.max_depth + 1):
+            for d in range(1, int(tw.depth.max()) + 1):
                 above = tw.n_reach[(tw.depth == d - 1) & tw.is_split].sum()
                 here = tw.n_reach[tw.depth == d].sum()
                 assert above == here

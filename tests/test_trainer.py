@@ -6,6 +6,7 @@ import pytest
 from repro.datasets import TaskKind, generate
 from repro.gbdt import GBDTTrainer, SplitParams, SplitSearcher, TrainParams, train
 from tests.conftest import small_spec_factory
+from tests.oracles import tree_works
 
 
 class TestTrainingInvariants:
@@ -48,15 +49,15 @@ class TestTrainingInvariants:
 class TestWorkAccounting:
     def test_root_binned_every_tree(self, trained, small_data):
         n = small_data.n_records
-        for tw in trained.profile.trees:
+        for tw in tree_works(trained.profile):
             root_mask = tw.depth == 0
             assert tw.n_reach[root_mask][0] == n
             assert tw.n_binned[root_mask][0] == n  # root is always binned
 
     def test_children_reach_sums_to_parent_partition(self, trained, small_data):
         # Conservation: records reaching depth d+1 == records partitioned at d.
-        for tw in trained.profile.trees:
-            for d in range(tw.max_depth):
+        for tw in tree_works(trained.profile):
+            for d in range(int(tw.depth.max())):
                 partitioned = tw.n_reach[(tw.depth == d) & tw.is_split].sum()
                 reached_next = tw.n_reach[tw.depth == d + 1].sum()
                 assert partitioned == reached_next
@@ -64,33 +65,32 @@ class TestWorkAccounting:
     def test_subtraction_trick_bins_smaller_child(self, trained):
         # Explicit binning below the root must be at most half the records
         # partitioned at the parent level (only the smaller child binned).
-        for tw in trained.profile.trees:
-            for d in range(1, tw.max_depth + 1):
+        for tw in tree_works(trained.profile):
+            for d in range(1, int(tw.depth.max()) + 1):
                 level = tw.depth == d
                 binned = tw.n_binned[level].sum()
                 parent_part = tw.n_reach[(tw.depth == d - 1) & tw.is_split].sum()
                 assert binned <= parent_part / 2 + 1e-9
 
     def test_max_depth_nodes_never_binned(self, trained):
-        for tw in trained.profile.trees:
+        for tw in tree_works(trained.profile):
             deepest = tw.depth == 6
             if deepest.any():
                 assert tw.n_binned[deepest].sum() == 0
 
     def test_split_evaluations_subset_of_nodes(self, trained):
         p = trained.profile
-        total_nodes = sum(t.n_nodes for t in p.trees)
-        assert 0 < p.step2_evaluations() <= total_nodes
+        assert 0 < p.step2_evaluations() <= p.total_nodes()
 
     def test_split_fields_valid(self, trained, small_data):
-        for tw in trained.profile.trees:
+        for tw in tree_works(trained.profile):
             used = tw.split_field[tw.is_split]
             assert np.all(used >= 0)
             assert np.all(used < small_data.n_fields)
             assert np.all(tw.split_field[~tw.is_split] == -1)
 
     def test_traversal_hops_match_tree_predictions(self, trained, small_data):
-        for tree, tw in zip(trained.trees, trained.profile.trees):
+        for tree, tw in zip(trained.trees, tree_works(trained.profile)):
             _, depths = tree.predict(small_data.codes, return_depth=True)
             assert tw.sum_path_len == depths.sum()
             assert tw.max_path_len == depths.max()
@@ -142,7 +142,7 @@ class TestWorkAccounting:
         assert len(calls) == res.profile.step2_evaluations()
 
     def test_relevant_fields_match_trees(self, trained):
-        for tree, tw in zip(trained.trees, trained.profile.trees):
+        for tree, tw in zip(trained.trees, tree_works(trained.profile)):
             assert np.array_equal(tw.relevant_fields, tree.relevant_fields())
 
     def test_root_bin_counts_recorded(self, trained, small_data):

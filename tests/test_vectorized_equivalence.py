@@ -11,7 +11,7 @@ between the two on randomized inputs:
   lane by lane, and the DRAM calibration vs the same traces run through it;
 * the vertex-by-vertex trainer vs the level-by-level oracle (trees, splits,
   losses, work profiles) across a small trees x depth x scale grid.
-* the stacked whole-run ``WorkProfile`` reductions vs per-tree loops.
+* the whole-run ``WorkProfile`` reductions vs per-tree loops.
 
 The oracles live in :mod:`tests.oracles`.
 """
@@ -38,7 +38,13 @@ from repro.memory.profile import _CAL_BLOCKS
 from tests.conftest import small_spec_factory
 from tests import oracles
 from tests.traces import gather_blocks
-from tests.oracles import ChannelSim, LevelWiseOracle, best_split_many, dram_run_oracle
+from tests.oracles import (
+    ChannelSim,
+    LevelWiseOracle,
+    best_split_many,
+    dram_run_oracle,
+    tree_works,
+)
 
 
 @pytest.fixture(scope="module")
@@ -568,7 +574,7 @@ class TestTrainerGrid:
         assert np.array_equal(vertex.losses, level.losses)
         for tv, tl in zip(vertex.trees, level.trees):
             _assert_same_tree(tv, tl)
-        for wv, wl in zip(vertex.profile.trees, level.profile.trees):
+        for wv, wl in zip(tree_works(vertex.profile), tree_works(level.profile), strict=True):
             _assert_same_work(wv, wl)
         assert np.array_equal(vertex.profile.root_bin_counts, level.profile.root_bin_counts)
         assert (
@@ -598,7 +604,7 @@ class TestGrowTreeEquivalence:
 
 
 class TestWorkProfileAggregation:
-    """Stacked whole-run reductions == their per-tree reference loops.
+    """Whole-run reductions == their per-tree reference loops.
 
     Integer-valued totals must match exactly; the byte reductions sum the
     same float terms in a different association order, so they match to
@@ -648,7 +654,7 @@ class TestWorkProfileAggregation:
     def test_empty_profile_reductions_agree(self, profile, layout):
         from repro.gbdt.workprofile import WorkProfile
 
-        empty = WorkProfile(spec=profile.spec, trees=[])
+        empty = WorkProfile.of_trees(profile.spec, [])
         assert empty.binned_records() == oracles.binned_records(empty) == 0.0
         assert empty.step1_bytes(layout) == oracles.step1_bytes(empty, layout) == 0.0
         assert empty.traversal_hops() == oracles.traversal_hops(empty) == 0.0

@@ -119,9 +119,9 @@ class TestScaling:
 
     @pytest.mark.parametrize("dataset", ["mq2008", "flight"])
     def test_replicated_stack_equals_concatenation(self, dataset):
-        """A replicated copy keeps the base profile's stack and its cycle;
+        """A replicated copy keeps the base profile's arrays and its cycle;
         laid out over the cycle, every array (the filtered per-node ones
-        included) must equal concatenating the replicated trees, dtypes
+        included) must equal the profile of the replicated trees, dtypes
         included."""
         data = benchmark_dataset(dataset, 400, 7)
         base = train(data, TrainParams(n_trees=5, max_depth=4)).profile.scaled(10.0)
@@ -139,25 +139,26 @@ class TestScaling:
             "split_reach": "is_split",
             "split_fields": "is_split",
         }
+        per_tree = ("n_nodes", "n_relevant", "sum_path_len", "mean_path_lens", "max_path_len")
         for target in (1, t - 1, t, t + 1, 500):
             tiled = base.with_trees_scaled(target)
-            stk = tiled.stacked
-            concatenated = WorkProfile(spec=tiled.spec, trees=tiled.trees).stacked
-            laid_out = {name: stk.per_node(getattr(stk, name)) for name in per_node}
+            concatenated = WorkProfile.of_trees(tiled.spec, oracles.tree_works(tiled))
+            assert (concatenated.full, concatenated.rest) == (1, 0)
+            laid_out = {name: tiled.per_node(getattr(tiled, name)) for name in per_node}
             for name, where in filtered.items():
-                laid_out[name] = stk.per_node(getattr(stk, name), getattr(stk, where))
-            for name in ("sum_path_len", "max_depth", "n_nodes"):
-                laid_out[name] = stk.per_tree(getattr(stk, name))
-            rel = stk.relevant_fields
+                laid_out[name] = tiled.per_node(getattr(tiled, name), getattr(tiled, where))
+            for name in per_tree:
+                laid_out[name] = tiled.per_tree(getattr(tiled, name))
+            rel = tiled.relevant_fields
             laid_out["relevant_fields"] = np.concatenate(
-                [np.tile(rel, stk.full), rel[: stk.rest_relevant]]
+                [np.tile(rel, tiled.full), rel[: tiled.n_relevant[: tiled.rest].sum()]]
             )
             arrays = {
                 f.name
                 for f in dataclasses.fields(concatenated)
                 if isinstance(getattr(concatenated, f.name), np.ndarray)
             }
-            assert arrays <= set(laid_out)
+            assert arrays - {"losses"} <= set(laid_out)
             for name, got in laid_out.items():
                 want = getattr(concatenated, name)
                 assert got.dtype == want.dtype, (target, name)
@@ -203,7 +204,7 @@ class TestInferenceWork:
         with pytest.raises(ValueError):
             EnsemblePredictor([], 0.0, trained.loss)
         with pytest.raises(ValueError):
-            WorkProfile(spec=trained.profile.spec, trees=[]).inference_work()
+            WorkProfile.of_trees(trained.profile.spec, []).inference_work()
 
     @pytest.mark.parametrize("target", [0, -1])
     def test_tree_target_below_one_rejected(self, trained, target):
