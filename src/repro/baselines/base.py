@@ -13,7 +13,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from ..datasets.layout import RecordLayout
 from ..gbdt.workprofile import InferenceWork, WorkProfile
 from ..memory.profile import BandwidthProfile, bandwidth_profile
 from ..sim.calibrate import DEFAULT_COSTS, CostModel
@@ -69,6 +68,11 @@ class StepTimes:
         )
 
 
+def _log2ceil(x: int) -> int:
+    """ceil(log2(x)) for ``x >= 1``: the passes of a pairwise reduction tree."""
+    return (x - 1).bit_length()
+
+
 class HardwareModel(ABC):
     """Converts work profiles into time on one simulated system."""
 
@@ -83,9 +87,6 @@ class HardwareModel(ABC):
         self.bandwidth = bandwidth or bandwidth_profile()
 
     # -- helpers shared by all models ------------------------------------------------
-
-    def layout(self, profile: WorkProfile) -> RecordLayout:
-        return RecordLayout(profile.spec)
 
     def mem_seconds(self, nbytes: float) -> float:
         """Seconds to move ``nbytes`` at the measured sustained bandwidth."""

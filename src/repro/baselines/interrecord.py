@@ -20,8 +20,9 @@ versus Booster:
 
 from __future__ import annotations
 
+from ..datasets.layout import RecordLayout
 from ..gbdt.workprofile import InferenceWork, WorkProfile
-from .base import HardwareModel, StepTimes, host_step2_seconds
+from .base import HardwareModel, StepTimes, _log2ceil, host_step2_seconds
 
 __all__ = ["InterRecordAccelerator"]
 
@@ -44,7 +45,7 @@ class InterRecordAccelerator(HardwareModel):
 
     def training_times(self, profile: WorkProfile) -> StepTimes:
         c = self.costs
-        layout = self.layout(profile)
+        layout = RecordLayout(profile.spec)
         n_copies = self.copies(profile)
 
         # Step 1: each PU streams whole records, updating its private
@@ -93,12 +94,3 @@ class InterRecordAccelerator(HardwareModel):
         pus = max(1, int(c.ir_sram_budget_bytes // (per_copy + c.ir_pu_overhead_bytes)))
         cycles = work.total_hops_actual * c.ir_hop_cycles
         return cycles / min(pus, 4096) / (c.ir_clock_ghz * 1e9)
-
-
-def _log2ceil(x: int) -> int:
-    n = 0
-    v = 1
-    while v < x:
-        v *= 2
-        n += 1
-    return n

@@ -15,6 +15,7 @@ model and is only used for the Fig. 11 validation.
 
 from __future__ import annotations
 
+from ..datasets.layout import STAT_BYTES, RecordLayout
 from ..gbdt.workprofile import InferenceWork, WorkProfile
 from .base import HardwareModel, StepTimes, host_step2_seconds
 
@@ -34,7 +35,7 @@ class SequentialCPU(HardwareModel):
 
     def training_times(self, profile: WorkProfile) -> StepTimes:
         c = self.costs
-        layout = self.layout(profile)
+        layout = RecordLayout(profile.spec)
         # Access-weighted L1 behaviour: the cache holds the hottest bin
         # entries; the measured root-histogram counts give the hit fraction.
         l1_bin_slots = c.cpu_l1_bytes // c.host_bin_bytes
@@ -106,12 +107,10 @@ class RealMulticore(IdealMulticore):
 
     def _derate(self, profile: WorkProfile) -> float:
         c = self.costs
-        layout = self.layout(profile)
+        layout = RecordLayout(profile.spec)
         # Raw payload bytes (records + gradient statistics): what actually
         # competes for cache lines, not the block-padded DRAM footprint.
-        working_set = profile.n_records * (
-            layout.record_bytes + layout.config.stat_bytes
-        )
+        working_set = profile.n_records * (layout.record_bytes + STAT_BYTES)
         if working_set <= c.cpu_l3_bytes:
             return c.real_cpu_fit_factor
         return c.real_cpu_spill_factor

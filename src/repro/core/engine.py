@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.base import HardwareModel, StepTimes, host_step2_seconds
+from ..baselines.base import HardwareModel, StepTimes, _log2ceil, host_step2_seconds
 from ..datasets.layout import RecordLayout
 from ..datasets.schema import DatasetSpec
 from ..gbdt.workprofile import InferenceWork, WorkProfile
@@ -87,7 +87,7 @@ class BoosterEngine(HardwareModel):
 
     def training_times(self, profile: WorkProfile) -> StepTimes:
         c = self.costs
-        layout = self.layout(profile)
+        layout = RecordLayout(profile.spec)
         mapping = self.bin_mapping(profile)
 
         n_evals = profile.step2_evaluations()
@@ -170,15 +170,6 @@ class BoosterEngine(HardwareModel):
         layout = RecordLayout(work.spec)
         mem_bytes = chips * layout.row_bytes_sequential(work.n_records)
         return max(self._cycles_to_seconds(compute_cycles), self.mem_seconds(mem_bytes))
-
-
-def _log2ceil(x: int) -> int:
-    n = 0
-    v = 1
-    while v < x:
-        v *= 2
-        n += 1
-    return n
 
 
 @dataclass

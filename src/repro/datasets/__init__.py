@@ -16,7 +16,7 @@ from .._lazy import export
 
 if TYPE_CHECKING:
     from .encoding import BinnedDataset, discretize_numerical, quantile_bin_edges
-    from .layout import LayoutConfig, RecordLayout, expected_touched_blocks, field_element_bytes
+    from .layout import RecordLayout, expected_touched_blocks, field_element_bytes
     from .registry import (
         BENCHMARK_NAMES,
         DEFAULT_SIM_SCALE,
@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "encoding": ("BinnedDataset", "discretize_numerical", "quantile_bin_edges"),
-    "layout": ("LayoutConfig", "RecordLayout", "expected_touched_blocks", "field_element_bytes"),
+    "layout": ("RecordLayout", "expected_touched_blocks", "field_element_bytes"),
     "registry": (
         "BENCHMARK_NAMES",
         "DEFAULT_SIM_SCALE",
@@ -67,7 +67,6 @@ __all__ = [
     "DatasetSpec",
     "FieldKind",
     "FieldSpec",
-    "LayoutConfig",
     "RecordLayout",
     "TaskKind",
     "dataset_spec",

@@ -150,15 +150,11 @@ class BinnedDataset:
         bins, matching the 1-byte-per-field record format).
     y:
         ``(n_records,)`` float64 labels (0/1 for binary, real for regression).
-    raw_numeric:
-        Optional ``(n_records, n_numerical_fields)`` raw values kept for
-        documentation/examples; timing never uses it.
     """
 
     spec: DatasetSpec
     codes: np.ndarray
     y: np.ndarray
-    raw_numeric: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n, f = self.codes.shape
@@ -202,10 +198,6 @@ class BinnedDataset:
         np.cumsum(counts, out=out[1:])
         return out
 
-    def global_codes(self) -> np.ndarray:
-        """Codes shifted into the global (flattened-histogram) bin space."""
-        return self.codes.astype(np.int64) + self.bin_offsets()[:-1][None, :]
-
     def validate_codes(self) -> None:
         """Raise if any code is outside its field's bin range."""
         counts = self.field_bin_counts()
@@ -218,16 +210,6 @@ class BinnedDataset:
                 f"record {i} field {j} code {self.codes[i, j]} out of range "
                 f"(field has {counts[j]} bins)"
             )
-
-    def subset(self, index: np.ndarray) -> "BinnedDataset":
-        """Row-subset view (used by examples; training uses index arrays)."""
-        sub_spec = self.spec.with_records(int(len(index)))
-        return BinnedDataset(
-            spec=sub_spec,
-            codes=self.codes[index],
-            y=self.y[index],
-            raw_numeric=None if self.raw_numeric is None else self.raw_numeric[index],
-        )
 
 
 def smallest_code_dtype(spec: DatasetSpec) -> np.dtype:

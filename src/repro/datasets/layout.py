@@ -15,7 +15,7 @@ take to read X" for every hardware model:
 * per-field columns: one element per record, gathered non-contiguously when
   only a subset of records is relevant -- modeled with an expected
   touched-block calculation;
-* gradient statistics g/h: ``stat_bytes`` per record, stored as separate
+* gradient statistics g/h: ``STAT_BYTES`` per record, stored as separate
   streams ("This stream efficiency motivates storing these fields
   separately", Sec. III-B);
 * record-pointer streams produced/consumed by step 3.
@@ -23,7 +23,6 @@ take to read X" for every hardware model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,31 +30,18 @@ import numpy as np
 from .schema import DatasetSpec
 
 __all__ = [
-    "LayoutConfig",
     "RecordLayout",
     "expected_touched_blocks",
     "field_element_bytes",
 ]
 
-
-@dataclass(frozen=True)
-class LayoutConfig:
-    """Byte-level constants shared by all layouts.
-
-    ``stat_bytes`` covers one record's first- and second-order gradient
-    statistics (g, h) as two float32 values; ``pointer_bytes`` is one entry of
-    the relevant-record pointer streams of steps 1/3.
-    """
-
-    block_bytes: int = 64
-    stat_bytes: int = 8
-    pointer_bytes: int = 4
-
-    def __post_init__(self) -> None:
-        if self.block_bytes <= 0 or (self.block_bytes & (self.block_bytes - 1)):
-            raise ValueError(f"block_bytes must be a positive power of two, got {self.block_bytes}")
-        if self.stat_bytes <= 0 or self.pointer_bytes <= 0:
-            raise ValueError("stat_bytes and pointer_bytes must be positive")
+#: DRAM block (burst) size.
+BLOCK_BYTES = 64
+#: One record's first- and second-order gradient statistics (g, h) as two
+#: float32 values.
+STAT_BYTES = 8
+#: One entry of the relevant-record pointer streams of steps 1/3.
+POINTER_BYTES = 4
 
 
 def field_element_bytes(n_total_bins: int) -> int:
@@ -110,22 +96,20 @@ def expected_touched_blocks(
 class RecordLayout:
     """Byte accounting for one dataset's row-major and column-major layouts."""
 
-    def __init__(self, spec: DatasetSpec, config: LayoutConfig | None = None) -> None:
+    def __init__(self, spec: DatasetSpec) -> None:
         self.spec = spec
-        self.config = config or LayoutConfig()
         self.field_bytes = np.array(
             [field_element_bytes(f.n_total_bins) for f in spec.fields], dtype=np.int64
         )
         #: Payload bytes of one row-major record (fields only; g/h separate).
         self.record_bytes = int(self.field_bytes.sum())
-        block = self.config.block_bytes
-        if self.record_bytes <= block // 2:
+        if self.record_bytes <= BLOCK_BYTES // 2:
             #: Extension (2): records at most half a block are packed.
-            self.records_per_block = block // self.record_bytes
+            self.records_per_block = BLOCK_BYTES // self.record_bytes
             self.blocks_per_record = 1
         else:
             self.records_per_block = 1
-            self.blocks_per_record = -(-self.record_bytes // block)
+            self.blocks_per_record = -(-self.record_bytes // BLOCK_BYTES)
 
     # -- row-major ------------------------------------------------------------
 
@@ -134,7 +118,7 @@ class RecordLayout:
         if n_records <= 0:
             return 0.0
         blocks = -(-n_records // self.records_per_block) * self.blocks_per_record
-        return float(blocks * self.config.block_bytes)
+        return float(blocks * BLOCK_BYTES)
 
     def row_bytes_gather(
         self, n_selected: float | np.ndarray, n_universe: int
@@ -148,10 +132,10 @@ class RecordLayout:
         """
         sel = np.asarray(n_selected, dtype=np.float64)
         if self.records_per_block == 1:
-            out = sel * self.blocks_per_record * self.config.block_bytes
+            out = sel * self.blocks_per_record * BLOCK_BYTES
             return out if out.ndim else float(out)
         blocks = expected_touched_blocks(sel, n_universe, self.records_per_block)
-        out = np.asarray(blocks) * self.config.block_bytes
+        out = np.asarray(blocks) * BLOCK_BYTES
         return out if out.ndim else float(out)
 
     # -- column-major (the redundant format) -----------------------------------
@@ -166,10 +150,9 @@ class RecordLayout:
         fields = np.asarray(field_indices, dtype=np.int64)
         if n_records <= 0 or fields.size == 0:
             return 0.0
-        block = self.config.block_bytes
         elem = self.field_bytes[fields]
-        blocks = -(-(n_records * elem) // block)
-        return float((blocks * block).sum())
+        blocks = -(-(n_records * elem) // BLOCK_BYTES)
+        return float((blocks * BLOCK_BYTES).sum())
 
     def column_bytes_gather(
         self,
@@ -187,17 +170,17 @@ class RecordLayout:
         fields = np.asarray(field_index, dtype=np.int64)
         sel = np.asarray(n_selected, dtype=np.float64)
         elem = self.field_bytes[fields]
-        epb = self.config.block_bytes // elem
+        epb = BLOCK_BYTES // elem
         if fields.ndim == 0:
             blocks = expected_touched_blocks(sel, n_universe, int(epb))
-            out = np.asarray(blocks) * self.config.block_bytes
+            out = np.asarray(blocks) * BLOCK_BYTES
             return out if out.ndim else float(out)
         # Mixed element widths: group by epb value (at most 3 distinct).
         total = np.zeros_like(sel)
         for width in set(epb.tolist()):
             mask = epb == width
             total[mask] = expected_touched_blocks(sel[mask], n_universe, int(width))
-        return total * self.config.block_bytes
+        return total * BLOCK_BYTES
 
     # -- auxiliary streams ------------------------------------------------------
 
@@ -205,40 +188,21 @@ class RecordLayout:
         """Bytes to stream g/h for ``n_records`` contiguous records."""
         if n_records <= 0:
             return 0.0
-        block = self.config.block_bytes
-        blocks = -(-(n_records * self.config.stat_bytes) // block)
-        return float(blocks * block)
+        blocks = -(-(n_records * STAT_BYTES) // BLOCK_BYTES)
+        return float(blocks * BLOCK_BYTES)
 
     def stats_bytes_gather(
         self, n_selected: float | np.ndarray, n_universe: int
     ) -> float | np.ndarray:
         """Bytes to gather g/h for a scattered record subset."""
-        epb = self.config.block_bytes // self.config.stat_bytes
+        epb = BLOCK_BYTES // STAT_BYTES
         blocks = expected_touched_blocks(n_selected, n_universe, epb)
-        out = np.asarray(blocks) * self.config.block_bytes
+        out = np.asarray(blocks) * BLOCK_BYTES
         return out if out.ndim else float(out)
 
     def pointer_bytes(self, n_records: float | np.ndarray) -> float | np.ndarray:
         """Bytes of a dense pointer stream (step 3 outputs, step 1 inputs)."""
         n = np.asarray(n_records, dtype=np.float64)
-        block = self.config.block_bytes
-        blocks = np.ceil(n * self.config.pointer_bytes / block)
-        out = blocks * block
+        blocks = np.ceil(n * POINTER_BYTES / BLOCK_BYTES)
+        out = blocks * BLOCK_BYTES
         return out if out.ndim else float(out)
-
-    # -- capacity ---------------------------------------------------------------
-
-    def total_row_store_bytes(self) -> float:
-        """DRAM footprint of the row-major copy."""
-        return self.row_bytes_sequential(self.spec.n_records)
-
-    def total_column_store_bytes(self) -> float:
-        """DRAM footprint of the redundant column-major copy."""
-        return self.column_bytes_sequential(range(self.spec.n_fields), self.spec.n_records)
-
-    def redundancy_overhead(self) -> float:
-        """Extra capacity factor paid for the redundant format (~2x)."""
-        row = self.total_row_store_bytes()
-        if row == 0:
-            return 0.0
-        return (row + self.total_column_store_bytes()) / row

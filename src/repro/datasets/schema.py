@@ -18,7 +18,7 @@ reconstructs the 'no' bins by subtraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
@@ -184,26 +184,6 @@ class DatasetSpec:
         """Total histogram bins across fields (group-by-field view; computed
         once per spec)."""
         return sum(f.n_total_bins for f in self.fields)
-
-    @property
-    def has_categorical(self) -> bool:
-        return self.n_categorical_fields > 0
-
-    def scaled(self, factor: float) -> "DatasetSpec":
-        """Return a copy with ``n_records`` scaled by ``factor`` (Sec. V-F)."""
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-        n = max(1, int(round(self.n_records * factor)))
-        return DatasetSpec(
-            name=self.name,
-            fields=self.fields,
-            n_records=n,
-            task=self.task,
-            paper_records=self.paper_records,
-            noise=self.noise,
-            seed=self.seed,
-            comment=self.comment,
-        )
 
     def with_records(self, n_records: int) -> "DatasetSpec":
         """Return a copy with an explicit record count."""

@@ -83,7 +83,7 @@ def _step_effect(
     return weight * np.where(x >= threshold, 1.0, -1.0)
 
 
-def generate(spec: DatasetSpec, keep_raw: bool = False) -> BinnedDataset:
+def generate(spec: DatasetSpec) -> BinnedDataset:
     """Instantiate a :class:`BinnedDataset` from a :class:`DatasetSpec`.
 
     Deterministic in ``spec.seed`` (and the spec structure); the same spec
@@ -94,7 +94,6 @@ def generate(spec: DatasetSpec, keep_raw: bool = False) -> BinnedDataset:
     dtype = smallest_code_dtype(spec)
     codes = np.zeros((n, spec.n_fields), dtype=dtype)
     score = np.zeros(n, dtype=np.float64)
-    raw_cols: list[np.ndarray] = []
 
     for j, f in enumerate(spec.fields):
         if f.kind is FieldKind.CATEGORICAL:
@@ -119,8 +118,6 @@ def generate(spec: DatasetSpec, keep_raw: bool = False) -> BinnedDataset:
                 # Also a small linear term so deeper splits keep finding gain.
                 score += 0.15 * f.target_weight * x
             col = column.codes(column.bin_edges(f.n_bins), f.missing_bin)
-            if keep_raw:
-                raw_cols.append(x)
 
         if f.missing_rate > 0.0:
             missing = rng.random(n) < f.missing_rate
@@ -141,7 +138,6 @@ def generate(spec: DatasetSpec, keep_raw: bool = False) -> BinnedDataset:
     else:
         y = score.copy()
 
-    raw = np.column_stack(raw_cols) if (keep_raw and raw_cols) else None
-    ds = BinnedDataset(spec=spec, codes=codes, y=y, raw_numeric=raw)
+    ds = BinnedDataset(spec=spec, codes=codes, y=y)
     ds.validate_codes()
     return ds

@@ -134,11 +134,3 @@ class AreaPowerModel:
             fpu_w=f * _FPU_W_PER_BU * n_bus,
             sram_w=_SRAM_W_PER_BYTE * total_sram + _SRAM_W_PER_BANK * n_bus,
         )
-
-    def sram_budget_bytes(self, area_mm2: float, banks: int = 1) -> float:
-        """Capacity fitting in a given area (used by the IR baseline, which
-        re-purposes Booster's whole area as histogram storage)."""
-        usable = area_mm2 - _SRAM_MM2_PER_BANK * banks
-        if usable <= 0:
-            return 0.0
-        return usable / _SRAM_MM2_PER_BYTE

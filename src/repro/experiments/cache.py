@@ -221,17 +221,6 @@ class KeyedStore:
 
     # -- lookup / store ---------------------------------------------------------
 
-    def get_raw(self, key: str) -> bytes | None:
-        """The entry's raw encoded bytes from the persistent layer, or ``None``.
-
-        Bypasses both the memory layer and the codec: this is "what is
-        actually stored", for callers that ship entries around (push/pull)
-        or inspect them without trusting the decode.
-        """
-        if self.backend is None:
-            return None
-        return self.backend.get(self._entry_name(key))
-
     def get(self, key: str) -> Any | None:
         if self._memory is not None and key in self._memory:
             self.hits += 1

@@ -345,12 +345,6 @@ class SweepResult:
             return self.serving
         return self.comparison
 
-    @property
-    def booster_speedup(self) -> float:
-        if self.payload is None:
-            raise ValueError(f"scenario failed, no timing result: {self.error}")
-        return self.payload.speedup("booster")
-
     def to_dict(self) -> dict:
         """Manifest/JSONL form; ``from_dict`` round-trips it.
 

@@ -236,20 +236,6 @@ class Coordinator:
         train.suffix = TRAIN_LEASE_SUFFIX
         return train
 
-    def lease_path(self, key: str) -> Path:
-        """The on-disk path of one lease -- local backends only.
-
-        A convenience for tests and local tooling that inspect or corrupt
-        lease files directly; a URL-coordinated pool has no such path, so
-        this raises rather than inventing one.
-        """
-        backend = self.backend
-        if not isinstance(backend, LocalBackend):
-            raise TypeError(
-                f"lease_path() needs a local lease directory, not {backend.location}"
-            )
-        return backend.root / self._lease_entry(key)
-
     def read(self, key: str) -> Lease | None:
         """The scenario's current lease, or ``None`` when unclaimed.
 

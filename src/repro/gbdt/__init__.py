@@ -9,12 +9,12 @@ Public API::
 """
 
 from .histogram import Histogram, HistogramBuilder
-from .instrument import max_run_lengths, path_length_cv, warp_conflict_factor
+from .instrument import max_run_lengths, warp_conflict_factor
 from .losses import LogisticLoss, Loss, SquaredErrorLoss, loss_for_task
 from .predict import EnsemblePredictor
 from .split import SplitDecision, SplitParams, SplitSearcher, leaf_weight, segment_cumsum
 from .trainer import GBDTTrainer, TrainParams, TrainResult, train
-from .tree import NodeTable, Tree
+from .tree import Tree
 from .workprofile import InferenceWork, WorkProfile
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "InferenceWork",
     "LogisticLoss",
     "Loss",
-    "NodeTable",
     "SplitDecision",
     "SplitParams",
     "SplitSearcher",
@@ -37,7 +36,6 @@ __all__ = [
     "leaf_weight",
     "loss_for_task",
     "max_run_lengths",
-    "path_length_cv",
     "segment_cumsum",
     "train",
     "warp_conflict_factor",

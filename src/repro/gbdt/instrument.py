@@ -1,18 +1,19 @@
-"""Irregularity instrumentation: warp bin conflicts and path divergence.
+"""Irregularity instrumentation: warp bin conflicts.
 
 Section II-D argues GPUs fail on GB training because histogram updates are
 read-modify-write and irregular: threads of a warp frequently hit the *same*
 bin (serialized atomics) and records take different tree paths (SIMT
-divergence).  These two statistics are measurable properties of the data, so
-we measure them and feed them to the "real GPU" derating model instead of
-inventing constants.
+divergence).  Both are measurable properties of the data, so we measure them
+and feed them to the "real GPU" derating model instead of inventing
+constants: the bin conflicts here, the path-length spread in the trainer's
+step 5.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["warp_conflict_factor", "max_run_lengths", "path_length_cv"]
+__all__ = ["warp_conflict_factor", "max_run_lengths"]
 
 
 def max_run_lengths(sorted_rows: np.ndarray) -> np.ndarray:
@@ -64,13 +65,3 @@ def warp_conflict_factor(codes: np.ndarray, warp: int = 32, sample: int = 4096) 
     groups.sort(axis=1)
     factors = max_run_lengths(groups).reshape(n_fields, use // warp).mean(axis=1)
     return float(factors.mean())
-
-
-def path_length_cv(path_lengths: np.ndarray) -> float:
-    """Coefficient of variation of traversal path lengths (divergence proxy)."""
-    if path_lengths.size == 0:
-        return 0.0
-    mean = float(path_lengths.mean())
-    if mean == 0.0:
-        return 0.0
-    return float(path_lengths.std() / mean)

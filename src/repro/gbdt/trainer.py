@@ -155,7 +155,6 @@ class GBDTTrainer:
 
             work.sum_path_len = float(depths.sum())
             work.mean_path_len = float(depths.mean()) if n else 0.0
-            work.max_path_len = int(depths.max()) if n else 0
             tree_works.append(work)
 
             path_sum += float(depths.sum())
@@ -349,7 +348,6 @@ class GBDTTrainer:
             relevant_fields=tree.relevant_fields(),
             sum_path_len=0.0,
             mean_path_len=0.0,
-            max_path_len=0,
         )
         return tree, work, child_fracs, root_counts, leaf_weights, path_lens
 

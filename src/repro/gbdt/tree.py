@@ -4,8 +4,8 @@ The paper maps a grown tree to a table "where each entry captures a vertex by
 encoding its predicate ... and pointers to the vertex's left and right
 children" (step 5, Sec. III-B); each BU walks that table with one SRAM access
 per tree level.  :class:`Tree` keeps exactly that representation as parallel
-NumPy arrays, so functional prediction, the Booster timing model, and the
-node-table export all share one structure.
+NumPy arrays, so functional prediction and the Booster timing model share one
+structure.
 
 Predicate semantics per node:
 
@@ -17,54 +17,18 @@ Predicate semantics per node:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..datasets.schema import DatasetSpec
 
-__all__ = ["Tree", "NodeTable", "NODE_ENTRY_BYTES"]
+__all__ = ["Tree", "NODE_ENTRY_BYTES"]
 
 _NO_CHILD = -1
 
-#: Bytes per SRAM node-table entry (see :meth:`NodeTable.entry_bytes`).
+#: Bytes per SRAM node-table entry: field# (1B) + bin (2B) + flags (1B) + two
+#: child pointers (2B each) or a leaf weight (4B), matching the 2 KB SRAM /
+#: 256-entry sizing argument.
 NODE_ENTRY_BYTES = 8
-
-
-@dataclass
-class NodeTable:
-    """The tree-as-table encoding broadcast into Booster SRAMs.
-
-    Fields are *renumbered* among the tree's relevant fields (Sec. III-B:
-    "the original field 228 may be renumbered as the new field 7"), so a BU
-    only needs the relevant single-field columns.
-    """
-
-    relevant_fields: np.ndarray  # original field ids, position = new id
-    field_renumbered: np.ndarray  # per node; -1 for leaves
-    threshold_bin: np.ndarray
-    is_categorical: np.ndarray
-    missing_left: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    weight: np.ndarray
-    is_leaf: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.left.shape[0])
-
-    def entry_bytes(self) -> int:
-        """Bytes per SRAM table entry.
-
-        field# (1B) + bin (2B) + flags (1B) + two child pointers (2B each) or
-        a leaf weight (4B) -> 8 bytes, matching the 2 KB SRAM / 256-entry
-        sizing argument.
-        """
-        return NODE_ENTRY_BYTES
-
-    def table_bytes(self) -> int:
-        return self.n_nodes * self.entry_bytes()
 
 
 class Tree:
@@ -169,25 +133,7 @@ class Tree:
         first[1:] = interior[1:] != interior[:-1]
         return interior[first]
 
-    def leaf_depths(self) -> np.ndarray:
-        a = self._arrays()
-        return a["depth"][a["left"] == _NO_CHILD]
-
     # -- prediction ---------------------------------------------------------------
-
-    def go_left(self, codes_col: np.ndarray, node: int) -> np.ndarray:
-        """Vector predicate evaluation for one node's field codes."""
-        a = self._arrays()
-        f = int(a["field"][node])
-        spec_field = self.spec.fields[f]
-        thr = int(a["threshold_bin"][node])
-        miss_left = bool(a["missing_left"][node])
-        missing = codes_col == spec_field.missing_bin
-        if bool(a["is_categorical"][node]):
-            left = codes_col == thr
-        else:
-            left = codes_col <= thr
-        return np.where(missing, miss_left, left)
 
     def predict(
         self, codes: np.ndarray, return_depth: bool = False
@@ -226,28 +172,6 @@ class Tree:
 
     def _missing_bins(self) -> np.ndarray:
         return np.asarray([f.missing_bin for f in self.spec.fields], dtype=np.int64)
-
-    # -- export -------------------------------------------------------------------
-
-    def node_table(self) -> NodeTable:
-        """Export the SRAM table with relevant-field renumbering."""
-        a = self._arrays()
-        relevant = self.relevant_fields()
-        renumber = {int(orig): new for new, orig in enumerate(relevant)}
-        fr = np.array(
-            [renumber[int(f)] if f >= 0 else -1 for f in a["field"]], dtype=np.int64
-        )
-        return NodeTable(
-            relevant_fields=relevant,
-            field_renumbered=fr,
-            threshold_bin=a["threshold_bin"].copy(),
-            is_categorical=a["is_categorical"].copy(),
-            missing_left=a["missing_left"].copy(),
-            left=a["left"].copy(),
-            right=a["right"].copy(),
-            weight=a["weight"].copy(),
-            is_leaf=a["left"] == _NO_CHILD,
-        )
 
     def validate(self) -> None:
         """Structural invariants: children exist, one parent each, leaves closed."""

@@ -23,9 +23,6 @@ from .tree import NODE_ENTRY_BYTES
 
 __all__ = ["TreeWork", "WorkProfile", "InferenceWork"]
 
-_NODE_ARRAYS = ("depth", "n_reach", "n_binned", "split_evaluated", "is_split", "split_field")
-_TREE_ARRAYS = ("n_nodes", "n_relevant", "sum_path_len", "mean_path_lens", "max_path_len")
-
 
 @dataclass
 class TreeWork:
@@ -41,7 +38,6 @@ class TreeWork:
     relevant_fields: np.ndarray  # unique fields used by the tree
     sum_path_len: float  # total interior hops over all records (step 5)
     mean_path_len: float
-    max_path_len: int
 
 
 def _cycle(values: np.ndarray, full: int, cut: int) -> np.ndarray:
@@ -92,7 +88,6 @@ class WorkProfile:
     n_relevant: np.ndarray  # relevant fields of each tree
     sum_path_len: np.ndarray
     mean_path_lens: np.ndarray
-    max_path_len: np.ndarray
     #: Every measured tree's relevant fields, concatenated.
     relevant_fields: np.ndarray
     warp_conflict_factor: float = 1.0
@@ -128,7 +123,6 @@ class WorkProfile:
             n_relevant=np.array([t.relevant_fields.size for t in trees], dtype=np.int64),
             sum_path_len=np.array([t.sum_path_len for t in trees], dtype=np.float64),
             mean_path_lens=np.array([t.mean_path_len for t in trees], dtype=np.float64),
-            max_path_len=np.array([t.max_path_len for t in trees], dtype=np.int64),
             relevant_fields=cat("relevant_fields"),
             **scalars,
         )
@@ -214,22 +208,16 @@ class WorkProfile:
         measured per-tree work cyclically.  Per-tree work is statistically
         homogeneous after the first few boosting rounds, and every reported
         metric is a ratio of sums over trees.  The copy keeps this profile's
-        arrays and records the cycle, so no array is replicated; a cycled
-        source first lays its own cycle out as explicit trees."""
+        arrays and records the cycle, so no array is replicated; only a
+        profile of explicit trees can be cycled."""
         if n_trees_target < 1:
             raise ValueError("n_trees_target must be >= 1")
+        if (self.full, self.rest) != (1, 0):
+            raise ValueError("profile is already cycled; cycle its uncycled source")
         if not self.n_nodes.size:
             return self
-        source = self
-        if (self.full, self.rest) != (1, 0):
-            arrays: dict[str, Any] = {
-                **{name: self.per_node(getattr(self, name)) for name in _NODE_ARRAYS},
-                **{name: self.per_tree(getattr(self, name)) for name in _TREE_ARRAYS},
-                "relevant_fields": _cycle(self.relevant_fields, self.full, self._rest_relevant()),
-            }
-            source = replace(self, **arrays, full=1, rest=0)
-        full, rest = divmod(n_trees_target, source.n_nodes.size)
-        return replace(source, full=full, rest=rest, measured=False)
+        full, rest = divmod(n_trees_target, self.n_nodes.size)
+        return replace(self, full=full, rest=rest, measured=False)
 
     # -- structural shortcuts -----------------------------------------------------
 
@@ -312,10 +300,6 @@ class WorkProfile:
     def step2_evaluations(self) -> int:
         """Nodes whose histogram was scanned for a split."""
         return self.node_total(self.split_evaluated)
-
-    def step2_bin_scans(self) -> float:
-        """Total bins scanned by step 2 (evaluations x total bins)."""
-        return float(self.step2_evaluations() * self.n_total_bins)
 
     # -- step 3: single-predicate evaluation ---------------------------------------
 
@@ -417,10 +401,8 @@ class WorkProfile:
             n_records=self.n_records,
             n_trees=target,
             max_depth=int(self.depth.max()),
-            mean_path_len=sum_len / (self.n_records * measured_trees),
             sum_path_len=sum_len * scale,
             path_len_cv=self.path_len_cv,
-            mean_tree_nodes=n_nodes / measured_trees,
             table_bytes_total=float(NODE_ENTRY_BYTES * n_nodes) * scale,
         )
 
@@ -471,18 +453,16 @@ class InferenceWork:
     n_records: int
     n_trees: int
     max_depth: int
-    mean_path_len: float
     sum_path_len: float
     path_len_cv: float
-    mean_tree_nodes: float
     table_bytes_total: float
 
     def scaled(self, factor: float) -> "InferenceWork":
         """Extrapolate to a larger/smaller record count, returning a copy.
 
         Totals (record count, summed path length) scale linearly; per-record
-        statistics (mean/max path lengths, divergence) and per-ensemble
-        quantities (tree count, table bytes) are record-count invariant.
+        statistics (max depth, divergence) and per-ensemble quantities (tree
+        count, table bytes) are record-count invariant.
         """
         if factor <= 0:
             raise ValueError("scale factor must be positive")
@@ -492,10 +472,8 @@ class InferenceWork:
             n_records=n,
             n_trees=self.n_trees,
             max_depth=self.max_depth,
-            mean_path_len=self.mean_path_len,
             sum_path_len=self.sum_path_len * factor,
             path_len_cv=self.path_len_cv,
-            mean_tree_nodes=self.mean_tree_nodes,
             table_bytes_total=self.table_bytes_total,
         )
 
@@ -503,8 +481,3 @@ class InferenceWork:
     def total_hops_actual(self) -> float:
         """CPU/GPU traversal work: actual interior hops."""
         return self.sum_path_len
-
-    @property
-    def total_hops_padded(self) -> float:
-        """Booster traversal work: max-depth-padded lookups per record-tree."""
-        return float(self.n_records) * self.n_trees * self.max_depth

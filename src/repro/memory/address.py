@@ -77,9 +77,3 @@ class AddressMapping:
         if np.ndim(channel) == 0 and np.ndim(row) == 0:
             return int(out)
         return out
-
-    def byte_to_block(self, byte_addr: int | np.ndarray) -> int | np.ndarray:
-        """Byte address -> block address."""
-        a = np.asarray(byte_addr, dtype=np.int64)
-        out = a // self.config.block_bytes
-        return int(out) if np.ndim(byte_addr) == 0 else out

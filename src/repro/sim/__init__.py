@@ -15,13 +15,13 @@ from .._lazy import export
 if TYPE_CHECKING:
     from .calibrate import DEFAULT_COSTS, CostModel
     from .executor import PAPER_TREES, Executor, quick_compare
-    from .report import format_speedup, render_series, render_table
+    from .report import render_table
     from .results import ComparisonResult, InferenceResult, geomean
 
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "calibrate": ("DEFAULT_COSTS", "CostModel"),
     "executor": ("Executor", "PAPER_TREES", "quick_compare"),
-    "report": ("format_speedup", "render_series", "render_table"),
+    "report": ("render_table",),
     "results": ("ComparisonResult", "InferenceResult", "geomean"),
 }
 
@@ -32,10 +32,8 @@ __all__ = [
     "Executor",
     "InferenceResult",
     "PAPER_TREES",
-    "format_speedup",
     "geomean",
     "quick_compare",
-    "render_series",
     "render_table",
 ]
 

@@ -142,13 +142,6 @@ class CostModel:
         hit = min(max(hit_fraction, 0.0), 1.0)
         return self.cpu_bin_update_hit_cycles + (1.0 - hit) * self.cpu_l1_miss_penalty_cycles
 
-    def cpu_bin_update_cycles(self, hist_bytes: float) -> float:
-        """Capacity-only fallback when no measured access counts exist."""
-        if hist_bytes <= 0:
-            return self.cpu_bin_update_hit_cycles
-        hit = min(1.0, self.cpu_l1_bytes / hist_bytes)
-        return self.cpu_bin_update_cycles_from_hit(hit)
-
 
 #: The constants used by every experiment in this repository.
 DEFAULT_COSTS = CostModel()

@@ -131,10 +131,6 @@ class Executor:
         return self._models[name]
 
     @property
-    def model_names(self) -> list[str]:
-        return list(self._models)
-
-    @property
     def bandwidth(self) -> BandwidthProfile:
         """The DRAM bandwidth calibration shared by all models."""
         return self._bandwidth

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["render_table", "render_series", "format_speedup"]
+__all__ = ["render_table"]
 
 
 def render_table(
@@ -30,15 +30,3 @@ def render_table(
     for row in cells[1:]:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_series(name: str, labels: Sequence[str], values: Sequence[float], unit: str = "") -> str:
-    """One figure series as labeled values (a text stand-in for a bar chart)."""
-    parts = [f"{name}:"]
-    for lab, val in zip(labels, values):
-        parts.append(f"  {lab:>12s} {val:10.3f}{unit}")
-    return "\n".join(parts)
-
-
-def format_speedup(x: float) -> str:
-    return f"{x:.2f}x"

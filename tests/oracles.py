@@ -48,7 +48,7 @@ from repro.datasets.layout import RecordLayout
 from repro.gbdt import GBDTTrainer
 from repro.gbdt.histogram import Histogram, HistogramBuilder
 from repro.gbdt.split import SplitDecision, SplitSearcher, _no_split, leaf_weight
-from repro.gbdt.tree import Tree
+from repro.gbdt.tree import NODE_ENTRY_BYTES, Tree
 from repro.gbdt.workprofile import InferenceWork, TreeWork, WorkProfile
 from repro.memory import DRAMConfig, DRAMStats
 from repro.memory.address import AddressMapping
@@ -357,7 +357,6 @@ class LevelWiseOracle(GBDTTrainer):
             relevant_fields=tree.relevant_fields(),
             sum_path_len=0.0,
             mean_path_len=0.0,
-            max_path_len=0,
         )
         # Step 5: walk the finished tree with every record.
         leaf_weights, path_lens = tree.predict(data.codes, return_depth=True)
@@ -708,7 +707,6 @@ def tree_works(profile: WorkProfile) -> list[TreeWork]:
             relevant_fields=fields[i],
             sum_path_len=float(profile.sum_path_len[i]),
             mean_path_len=float(profile.mean_path_lens[i]),
-            max_path_len=int(profile.max_path_len[i]),
         )
         for i in range(profile.n_nodes.size)
     ]
@@ -792,7 +790,6 @@ def inference_work(
     sq_sum = 0.0
     count = 0
     max_depth = 0
-    nodes = 0
     table_bytes = 0.0
     for t in trees:
         _, depths = t.predict(codes, return_depth=True)
@@ -800,8 +797,7 @@ def inference_work(
         sq_sum += float(np.square(depths, dtype=np.float64).sum())
         count += int(depths.size)
         max_depth = max(max_depth, t.max_depth)
-        nodes += t.n_nodes
-        table_bytes += t.node_table().table_bytes()
+        table_bytes += NODE_ENTRY_BYTES * t.n_nodes
 
     measured_trees = len(trees)
     target = measured_trees if n_trees_target is None else n_trees_target
@@ -814,10 +810,8 @@ def inference_work(
         n_records=codes.shape[0],
         n_trees=target,
         max_depth=max_depth,
-        mean_path_len=mean_len,
         sum_path_len=sum_len * scale,
         path_len_cv=cv,
-        mean_tree_nodes=nodes / measured_trees,
         table_bytes_total=table_bytes * scale,
     )
 

@@ -617,7 +617,7 @@ class TestKeyedStoreOverURL:
         results = ResultStore(root=cache.root, memory=False)
         results.put("s1", {"total": 1.5})
         assert results.get("s1") == {"total": 1.5}
-        assert results.get_raw("s1") == b'{"total": 1.5}'
+        assert results.backend.get("s1" + results.suffix) == b'{"total": 1.5}'
 
     def test_corrupt_remote_entry_is_miss(self, served_url):
         store = ResultStore(root=served_url, memory=False)

@@ -64,13 +64,11 @@ def test_cycled_profile_prices_like_replicated_trees(dataset, measured_trees, sc
         assert cycled.total_nodes() == want.total_nodes(), case
 
 
-def test_cycling_a_cycled_profile_replicates_its_trees(executor):
-    """A tree-scaled copy of a tree-scaled copy cycles the copy's trees."""
+def test_cycling_a_cycled_profile_raises():
+    """Only a profile of explicit trees can be cycled: a tree-scaled copy
+    refuses a second cycle rather than laying its cycle out as trees."""
     data = benchmark_dataset("flight", 400, 7)
     base = train(data, TrainParams(n_trees=3, max_depth=5)).profile.scaled(100.0)
-    twice = base.with_trees_scaled(7).with_trees_scaled(500)
-    want = replicated(replicated(base, 7), 500)
-    for name in MODEL_NAMES:
-        model = executor.model(name)
-        assert model.training_times(twice) == model.training_times(want), name
-    assert twice.summary() == want.summary()
+    cycled = base.with_trees_scaled(7)
+    with pytest.raises(ValueError, match="already cycled"):
+        cycled.with_trees_scaled(500)

@@ -81,12 +81,6 @@ class TestAreaPowerModel:
         with pytest.raises(ValueError):
             AreaPowerModel().estimate(n_bus=0)
 
-    def test_sram_budget_inverse(self):
-        m = AreaPowerModel()
-        area = m.estimate().sram_mm2
-        recovered = m.sram_budget_bytes(area, banks=3200)
-        assert recovered == pytest.approx(3200 * 2048, rel=0.01)
-
 
 class TestEnergyModel:
     def test_fig10_sram_ratios(self, executor):

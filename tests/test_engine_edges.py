@@ -68,10 +68,8 @@ class TestMultiChipInference:
             n_records=1_000_000,
             n_trees=n_trees,
             max_depth=6,
-            mean_path_len=6.0,
             sum_path_len=6.0 * 1_000_000 * n_trees,
             path_len_cv=0.0,
-            mean_tree_nodes=100.0,
             table_bytes_total=800.0 * n_trees,
         )
 
@@ -95,7 +93,6 @@ class TestMultiChipInference:
         engine = executor.model("booster")
         w = self.make_work(executor, 500)
         shallow = self.make_work(executor, 500)
-        shallow.mean_path_len = 3.0
         shallow.sum_path_len /= 2
         assert engine.inference_seconds(shallow) == pytest.approx(
             engine.inference_seconds(w)

@@ -7,7 +7,10 @@ profile (``loss_after`` read from ``profile.losses``), the losses, the root
 bin counts and the ``WorkProfile`` scalars (``train_seconds_wall`` excluded,
 it is a wall-clock reading).  The pinned digests were recorded before the
 kernels skipped dead searches, reused binning scratch and read step 5 off
-the partition; a kernel change that moves any trained bit fails here.
+the partition; a kernel change that moves any trained bit fails here.  When
+the unread per-tree ``max_path_len`` left ``TreeWork``, the digests were
+re-taken on the unchanged trainer with only those ``work{t}.max_path_len``
+entries skipped, so every other input still hashes as before.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from repro.gbdt import TrainParams, TrainResult, train
 from tests.oracles import tree_works
 
 GOLDEN = {
-    "iot": "eb66759a5fcccbb6fce85a44179ab67f093ec5868daab40187a1fe897cff2931",
-    "higgs": "b86f5652737e202a44e405b1c55b439c2a4891991043d2baf1193993c70b8abf",
-    "allstate": "39087f9c9ccca62bdfdbdae0c32c3e4cb6d8ad0c9a038cf46b21c3a7747100ac",
-    "mq2008": "eb5cd4c945a0708b6a51d3fe42cb1eb029f4b2907f2e340e27623f235b18189f",
-    "flight": "924ce7ef992b8c69d87ae29548b875cb4eabdc829a3d17135f2e3e2bac6194c4",
+    "iot": "429e35cb0237da593920b7d6a3aaf2b4715827917fcb99de63592546332c1bd6",
+    "higgs": "d9e912639fb05350d3d5313ced6fbafcf506f97237eff2c47aeffbe962d5c416",
+    "allstate": "db21a7cbc46b1aaa352476f32a930612c4a2f8efb4fb3264e39b6eda6b9e1beb",
+    "mq2008": "9286d528e8f10d91d69add8bf19a272cd0512afd20f0ebedffc49c583beeda73",
+    "flight": "f8e4629aa05a34e2399db55f5c90598ff9633746fe0a1c76c9c82d56c25120c8",
 }
 
 

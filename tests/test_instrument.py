@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import BENCHMARK_NAMES, load
-from repro.gbdt import max_run_lengths, path_length_cv, warp_conflict_factor
+from repro.gbdt import max_run_lengths, warp_conflict_factor
 from tests import oracles
 
 
@@ -94,18 +94,3 @@ class TestWarpConflictMatchesLoop:
         rows = np.zeros((2, width), dtype=np.int64)
         rows[1, width // 2 :] = 1
         assert max_run_lengths(rows).tolist() == [width, width - width // 2]
-
-
-class TestPathLengthCV:
-    def test_constant_paths_zero(self):
-        assert path_length_cv(np.full(100, 6.0)) == 0.0
-
-    def test_empty(self):
-        assert path_length_cv(np.array([])) == 0.0
-
-    def test_zero_mean(self):
-        assert path_length_cv(np.zeros(5)) == 0.0
-
-    def test_known_value(self):
-        x = np.array([2.0, 4.0])
-        assert path_length_cv(x) == pytest.approx(1.0 / 3.0)

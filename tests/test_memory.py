@@ -84,11 +84,6 @@ class TestAddressMapping:
         with pytest.raises(ValueError):
             m.encode(0, 16, 0, 0)
 
-    def test_byte_to_block(self):
-        m = AddressMapping(DRAMConfig())
-        assert m.byte_to_block(63) == 0
-        assert m.byte_to_block(64) == 1
-
 
 class TestDRAMSimulator:
     def test_streaming_near_peak(self):

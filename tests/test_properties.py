@@ -15,6 +15,7 @@ from repro.datasets import (
     DatasetSpec,
     FieldKind,
     FieldSpec,
+    RecordLayout,
     TaskKind,
     generate,
 )
@@ -175,7 +176,7 @@ class TestTimingProperties:
         # its column-format byte footprint.
         prof = executor.profile(name)
         engine = executor.model("booster")
-        layout = engine.layout(prof)
+        layout = RecordLayout(prof.spec)
         floor = engine.mem_seconds(
             prof.step1_bytes(layout)
             + prof.step3_bytes(layout, column_format=True)

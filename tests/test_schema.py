@@ -109,11 +109,6 @@ class TestDatasetSpec:
         assert loaded.n_total_bins == 29 and loaded == spec
         assert all(f.n_total_bins == f.n_value_bins + 1 for f in loaded.fields)
 
-    def test_has_categorical(self):
-        assert self.make().has_categorical
-        spec = self.make(fields=(num_field("a"),))
-        assert not spec.has_categorical
-
     def test_rejects_zero_records(self):
         with pytest.raises(ValueError, match="n_records"):
             self.make(n_records=0)
@@ -125,25 +120,6 @@ class TestDatasetSpec:
     def test_rejects_duplicate_field_names(self):
         with pytest.raises(ValueError, match="duplicate"):
             self.make(fields=(num_field("a"), num_field("a")))
-
-    def test_scaled_rounds_records(self):
-        spec = self.make(n_records=100)
-        assert spec.scaled(10).n_records == 1000
-        assert spec.scaled(0.1).n_records == 10
-
-    def test_scaled_preserves_structure(self):
-        spec = self.make()
-        scaled = spec.scaled(7)
-        assert scaled.fields == spec.fields
-        assert scaled.name == spec.name
-        assert scaled.n_features == spec.n_features
-
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            self.make().scaled(0)
-
-    def test_scaled_never_below_one_record(self):
-        assert self.make(n_records=3).scaled(1e-6).n_records == 1
 
     def test_with_records(self):
         assert self.make().with_records(42).n_records == 42

@@ -11,9 +11,7 @@ from repro.sim import (
     ComparisonResult,
     DEFAULT_COSTS,
     Executor,
-    format_speedup,
     geomean,
-    render_series,
     render_table,
 )
 
@@ -33,13 +31,6 @@ class TestCostModel:
         c = DEFAULT_COSTS
         assert c.cpu_bin_update_cycles_from_hit(2.0) == c.cpu_bin_update_cycles_from_hit(1.0)
         assert c.cpu_bin_update_cycles_from_hit(-1.0) == c.cpu_bin_update_cycles_from_hit(0.0)
-
-    def test_capacity_fallback(self):
-        c = DEFAULT_COSTS
-        fits = c.cpu_bin_update_cycles(c.cpu_l1_bytes // 2)
-        spills = c.cpu_bin_update_cycles(c.cpu_l1_bytes * 100)
-        assert fits == c.cpu_bin_update_hit_cycles
-        assert spills > fits
 
     def test_paper_constants(self):
         c = DEFAULT_COSTS
@@ -157,13 +148,6 @@ class TestReport:
     def test_render_table_validates(self):
         with pytest.raises(ValueError):
             render_table(["a"], [["1", "2"]])
-
-    def test_render_series(self):
-        out = render_series("s", ["x"], [1.5])
-        assert "s:" in out and "x" in out
-
-    def test_format_speedup(self):
-        assert format_speedup(11.4) == "11.40x"
 
 
 class TestExecutor:

@@ -234,7 +234,7 @@ class TestStaleReclaim:
 
     def test_corrupt_lease_blocks_until_ttl_then_steals(self, tmp_path):
         c = Coordinator(tmp_path, ttl=60.0)
-        path = c.lease_path("sk1")
+        path = tmp_path / (lease_name("sk1") + LEASE_SUFFIX)
         path.write_bytes(b"{not json")
         lease = c.read("sk1")
         assert lease.host == "?" and lease.pid == 0

@@ -97,8 +97,3 @@ class TestGenerate:
         corr_strong = abs(np.corrcoef(strong, ds.y)[0, 1])
         corr_noise = abs(np.corrcoef(noise, ds.y)[0, 1])
         assert corr_strong > 5 * max(corr_noise, 1e-3)
-
-    def test_keep_raw_numeric(self):
-        ds = generate(small_spec_factory(n_records=100), keep_raw=True)
-        assert ds.raw_numeric is not None
-        assert ds.raw_numeric.shape[0] == 100
